@@ -41,7 +41,6 @@ from .biot_savart import (
     total_field_many,
 )
 from .topology import (
-    FlatConnectionReport,
     HolonomyResult,
     LinkingPrecisionError,
     Loop,
@@ -50,7 +49,6 @@ from .topology import (
     linking_number,
     loop_clearance,
     read_loop_file,
-    verify_flat_connection,
     write_loop_file,
 )
 from .braids import (

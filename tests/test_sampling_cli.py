@@ -182,6 +182,19 @@ class TestCli:
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == 0
         assert capsys.readouterr().out.strip() == "-1"
 
+    @pytest.mark.parametrize("vertices, rc, out", [
+        # Square of half-width 3e-4 around trefoil stick 1, (2,2,0)->(2,2,6).
+        (((1.9997, 1.9997, 3), (2.0003, 1.9997, 3), (2.0003, 2.0003, 3),
+          (1.9997, 2.0003, 3)), 0, "1"),
+        # A vertex so far out that the Gauss sum overflows: a typed refusal.
+        (((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), 4, ""),
+    ], ids=["tight-square", "overflow"])
+    def test_linking_exit_codes(self, tmp_path, capsys, vertices, rc, out):
+        loop_file = tmp_path / "loop.txt"
+        write_loop_file(Loop(vertices=vertices), loop_file)
+        assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == rc
+        assert capsys.readouterr().out.strip() == out
+
     def test_field_sample_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
         rc = run_cli("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1",

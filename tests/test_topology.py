@@ -1,8 +1,17 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from knotfield.geometry import LatticeKnot, canonical_figure_eight, canonical_trefoil, refine
+from knotfield.braids import BraidWord, close_braid_on_lattice, permutation_cycles
+from knotfield.geometry import (
+    LatticeKnot,
+    canonical_figure_eight,
+    canonical_trefoil,
+    refine,
+    segments,
+)
 from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
@@ -12,9 +21,9 @@ from knotfield.topology import (
     loop_clearance,
     parse_loop_text,
     read_loop_file,
-    verify_flat_connection,
     write_loop_file,
 )
+from knotfield.verification import random_rect_loop
 
 FOUR_PI = 4.0 * math.pi
 
@@ -32,6 +41,29 @@ def hopf_pair():
         name="tall-rectangle",
     )
     return wire, square
+
+
+def square_around(stick, h):
+    """Square of half-width h around the stick's midpoint, perpendicular to
+    it and counterclockwise about +axis, so Lk = stick.direction_sign."""
+    a = int(stick.axis)
+    u, v = (a + 1) % 3, (a + 2) % 3          # e_u x e_v = e_a
+    centre = 0.5 * (np.array(stick.start, dtype=float) + np.array(stick.end, dtype=float))
+    corners = []
+    for du, dv in ((-h, -h), (h, -h), (h, h), (-h, h)):
+        p = centre.copy()
+        p[u] += du
+        p[v] += dv
+        corners.append(tuple(p))
+    return Loop(vertices=tuple(corners), name=f"square{h:g}")
+
+
+# (2,2,0) -> (2,2,6): a tight square around it is at z=3 and has Lk = +1.
+TREFOIL_STICK_1 = segments(canonical_trefoil())[0]
+
+# Its first vertex lies on the axis extension of trefoil stick 1.
+AXIS_LOOP = Loop(vertices=((2, 2, -1), (3, 1, 3), (3, 3, 3), (1, 3, 3), (1, 1, 3)),
+                 name="axis-vertex")
 
 
 class TestLoop:
@@ -151,9 +183,23 @@ class TestLinkingNumber:
         knot = canonical_figure_eight()
         assert abs(linking_number(knot, loop)) == 1
 
-    def test_unconverged_raises(self):
+    @pytest.mark.parametrize("loop, expected", [
+        (square_around(TREFOIL_STICK_1, 3e-4), 1),
+        (square_around(TREFOIL_STICK_1, 3e-4).reversed(), -1),
+        (square_around(TREFOIL_STICK_1, 1e-5), 1),
+        (square_around(TREFOIL_STICK_1, 1e-5).reversed(), -1),
+        (AXIS_LOOP, 1),
+        # ... and with an edge collinear with that extension.
+        (Loop(vertices=((2, 2, -3),) + AXIS_LOOP.vertices), 1),
+    ], ids=["3e-4", "3e-4-rev", "1e-5", "1e-5-rev", "axis-vertex", "axis-edge"])
+    def test_exact_near_stick_and_its_axis(self, loop, expected):
+        knot = canonical_trefoil()
+        assert linking_number(knot, loop) == holonomy(knot, loop).inferred_linking == expected
+
+    def test_overflowing_sum_raises(self):
+        huge = Loop(vertices=((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
         with pytest.raises(LinkingPrecisionError):
-            linking_number(canonical_trefoil(), paper_loop(), tol=1e-12, max_level=0)
+            linking_number(canonical_trefoil(), huge)
 
     def test_loop_crossing_conductor_rejected(self):
         bad = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
@@ -162,23 +208,67 @@ class TestLinkingNumber:
 
 
 class TestVerifyFlatConnection:
+    """holonomy = 4*pi*k*Lk, with Lk from the independent Gauss sum."""
+
+    @staticmethod
+    def flat_check(knot, loop, tol=1e-5):
+        res = holonomy(knot, loop, tol=1e-6)
+        lk = linking_number(knot, loop)
+        expected = FOUR_PI * knot.k * lk
+        assert abs(res.value - expected) < tol * max(1.0, abs(res.value))
+        return lk, expected
+
     def test_trefoil_report(self):
         knot = canonical_trefoil()
         far = Loop(vertices=((0, 0, 100), (4, 0, 100), (4, 4, 100), (0, 4, 100)),
                    name="far")
-        report = verify_flat_connection(knot, [paper_loop(), far], tol=1e-5)
-        assert report.passed
-        assert len(report.checks) == 2
-        by_name = {c.loop_name: c for c in report.checks}
-        assert by_name["paper"].linking == -1
-        assert by_name["far"].linking == 0
-        assert abs(by_name["paper"].expected + FOUR_PI) < 1e-12
+        lk, expected = self.flat_check(knot, paper_loop())
+        assert lk == -1
+        assert abs(expected + FOUR_PI) < 1e-12
+        assert self.flat_check(knot, far)[0] == 0
 
     def test_figure_eight_passes(self):
         loop = Loop(vertices=((3, 5, 2), (5, 5, 2), (5, 7, 2), (3, 7, 2)), name="l46")
-        report = verify_flat_connection(canonical_figure_eight(), [loop], tol=1e-5)
-        assert report.passed
-        assert abs(report.checks[0].linking) == 1
+        assert abs(self.flat_check(canonical_figure_eight(), loop)[0]) == 1
+
+
+@st.composite
+def braid_closures(draw):
+    """Closures of random 2-3 strand braid words of at most 8 letters that are knots."""
+    strands = draw(st.integers(2, 3))
+    letters = draw(st.lists(st.tuples(st.integers(1, strands - 1), st.sampled_from((-1, 1))),
+                            min_size=1, max_size=8))
+    word = BraidWord(strands, tuple(letters))
+    assume(len(permutation_cycles(word)) == 1)
+    return close_braid_on_lattice(word)
+
+
+@st.composite
+def tight_squares(draw):
+    """(knot, square, Lk): a square of half-width 10^[-5, -1] around the
+    midpoint of a random stick, perpendicular to it, so Lk = +-1."""
+    knot = draw(st.sampled_from((canonical_trefoil(), canonical_figure_eight())))
+    stick = draw(st.sampled_from(segments(knot)))
+    loop = square_around(stick, 10.0 ** draw(st.floats(-5.0, -1.0)))
+    if draw(st.booleans()):
+        return knot, loop.reversed(), -stick.direction_sign
+    return knot, loop, stick.direction_sign
+
+
+class TestLinkingProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(knot=braid_closures(), seed=st.integers(0, 2**32 - 1))
+    def test_braid_closure_holonomy_matches_linking(self, knot, seed):
+        loop = random_rect_loop(np.random.default_rng(seed), knot)
+        lk = linking_number(knot, loop)
+        assert holonomy(knot, loop).inferred_linking == lk
+        assert linking_number(knot, loop.reversed()) == -lk
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tight_squares())
+    def test_tight_square_links_once(self, case):
+        knot, loop, expected = case
+        assert linking_number(knot, loop) == expected
 
 
 class TestLoopFiles:
