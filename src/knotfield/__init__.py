@@ -29,14 +29,10 @@ from .geometry import (
 from .biot_savart import (
     FieldError,
     FieldVector,
-    OnAxisError,
     OnConductorError,
     QuadratureError,
-    SegmentFieldFrame,
-    gamma_weights,
     segment_field,
     segment_field_quadrature,
-    segment_frame,
     total_field,
     total_field_many,
 )

@@ -24,11 +24,9 @@ independent oracle for the closed form everywhere in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import LatticeKnot, Segment, segments
+from .geometry import LatticeKnot, Segment, stick_ends
 
 # Field vectors are numpy arrays of shape (3,): (Bx, By, Bz) in units of k.
 FieldVector = np.ndarray
@@ -53,18 +51,8 @@ class OnConductorError(FieldError):
         )
 
 
-class OnAxisError(FieldError):
-    """Azimuthal direction undefined: the point lies on the stick's axis line."""
-
-
 class QuadratureError(FieldError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-def _segment_arrays(segs) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.array([s.start for s in segs], dtype=float)
-    ends = np.array([s.end for s in segs], dtype=float)
-    return starts, ends
 
 
 def _field_core(starts, ends, points):
@@ -107,62 +95,18 @@ def _field_core(starts, ends, points):
     return cxa * factor[:, :, None], dist
 
 
-def segment_frame(seg: Segment, point) -> "SegmentFieldFrame":
-    """Geometric frame of one stick as seen from a field point."""
-    start = np.asarray(seg.start, dtype=float)
-    end = np.asarray(seg.end, dtype=float)
-    p = np.asarray(point, dtype=float)
-    u = end - start
-    length = float(np.linalg.norm(u))
-    uhat = u / length
-    a = p - start
-    b = p - end
-    rho = a - np.dot(a, uhat) * uhat
-    r = float(np.linalg.norm(rho))
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise OnConductorError(point, 0.0, segment_index=seg.index or None)
-    cos1 = float(np.dot(a, uhat) / na)
-    cos2 = float(np.dot(-b, uhat) / nb)
-    if r == 0.0:
-        raise OnAxisError(f"point {tuple(p)} lies on the axis of segment {seg.index}")
-    phi = np.cross(uhat, rho / r)
-    return SegmentFieldFrame(uhat=uhat, rho=rho, r=r, cos1=cos1, cos2=cos2, phi=phi)
-
-
-@dataclass(frozen=True)
-class SegmentFieldFrame:
-    uhat: np.ndarray
-    rho: np.ndarray
-    r: float
-    cos1: float
-    cos2: float
-    phi: np.ndarray
-
-
-def gamma_weights(seg: Segment, point) -> np.ndarray:
-    """Direction cosines of the stick's azimuthal field direction.
-
-    Returns (g1, g2, g3) = phi_hat . e_i; the component along the stick's own
-    axis is exactly zero.  Undefined on the stick's axis line, where callers
-    must treat the field as zero before asking for a direction.
-    """
-    frame = segment_frame(seg, point)
-    return frame.phi
-
-
 def segment_field(seg: Segment, point, k: float = 1.0,
                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Closed-form field of one stick at one point, in units of k."""
-    starts, ends = _segment_arrays([seg])
-    p = np.asarray(point, dtype=float).reshape(1, 3)
-    contrib, dist = _field_core(starts, ends, p)
+    contrib, dist = _field_core(np.array([seg.start], dtype=float),
+                                np.array([seg.end], dtype=float),
+                                np.asarray(point, dtype=float).reshape(1, 3))
     if dist[0, 0] < exclusion_radius:
         raise OnConductorError(point, dist[0, 0], segment_index=seg.index or None)
     return k * contrib[0, 0]
 
 
-# Fixed-order panel rule for the quadrature oracle.
+# Fixed-order Gauss panel rule, shared by the quadrature oracle and holonomy.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
 
@@ -181,8 +125,7 @@ def segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1
     u = end - start
     a = p - start
 
-    starts, ends = _segment_arrays([seg])
-    _, dist = _field_core(starts, ends, p.reshape(1, 3))
+    _, dist = _field_core(start[None], end[None], p.reshape(1, 3))
     if dist[0, 0] < exclusion_radius:
         raise OnConductorError(point, dist[0, 0], segment_index=seg.index or None)
 
@@ -223,14 +166,16 @@ def total_field(knot: LatticeKnot, point,
                 exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Superposed field of every stick of the knot at one point.
 
-    Raises OnConductorError naming the offending stick when the point lies
-    within the exclusion radius of the circuit.
+    Raises OnConductorError naming the first offending stick and the point's
+    distance from it when the point lies within the exclusion radius of the
+    circuit.
     """
-    b, mask, first_bad = _total_field_batch(
+    b, bad, dist = _total_field_batch(
         knot, np.asarray(point, dtype=float).reshape(1, 3), exclusion_radius
     )
-    if mask[0]:
-        raise OnConductorError(point, 0.0, segment_index=int(first_bad[0]))
+    if bad[0].any():
+        j = int(np.argmax(bad[0]))
+        raise OnConductorError(point, dist[0, j], segment_index=j + 1)
     return b[0]
 
 
@@ -242,18 +187,14 @@ def total_field_many(knot: LatticeKnot, points,
     the circuit are NaN and flagged in the boolean mask instead of raising;
     grid samplers want masked rows, not exceptions.
     """
-    b, mask, _ = _total_field_batch(knot, np.asarray(points, dtype=float), exclusion_radius)
+    b, bad, _ = _total_field_batch(knot, np.asarray(points, dtype=float), exclusion_radius)
+    mask = np.any(bad, axis=1)
     b[mask] = np.nan
     return b, mask
 
 
 def _total_field_batch(knot, points, exclusion_radius):
-    segs = segments(knot)
-    starts, ends = _segment_arrays(segs)
-    contrib, dist = _field_core(starts, ends, points)
-    bad = dist < exclusion_radius
-    mask = np.any(bad, axis=1)
-    # 1-based index of the first offending stick per masked point.
-    first_bad = np.argmax(bad, axis=1) + 1
-    b = knot.k * np.sum(contrib, axis=1)
-    return b, mask, first_bad
+    """(B, bad, dist): the summed field, and per (point, stick) the
+    exclusion test and the distance it was made on."""
+    contrib, dist = _field_core(*stick_ends(knot), points)
+    return knot.k * np.sum(contrib, axis=1), dist < exclusion_radius, dist

@@ -208,44 +208,39 @@ def close_braid_on_lattice(word: BraidWord) -> LatticeKnot:
     if len(cycles) != 1:
         raise MultiComponentError(cycles)
 
-    n, m = word.strands, len(word.letters)
-    xr = 4 * m
-    paths = {s: [(0, 0, 2 * (s + 1))] for s in range(n)}
+    plan = plan_embedding(word)
+    n, fy, by = plan.strands, plan.front_y, plan.back_y
+    paths = {s: [(0, fy, 2 * (s + 1))] for s in range(n)}
     occupant = list(range(n))
 
-    for j, (gi, sign) in enumerate(word.letters):
-        x0 = 4 * j
-        i = gi - 1
+    for tile in plan.placements:
+        x0, x1 = tile.x_interval
+        i = tile.lower_slot
         lo, hi = occupant[i], occupant[i + 1]
-        z_lo, z_hi, zm = 2 * (i + 1), 2 * (i + 2), 2 * i + 3
-        if sign > 0:
-            # Lower strand rises along the back face; upper descends in front
-            # through the odd mid-level, so the projections cross exactly once.
-            paths[lo] += [
-                (x0 + 1, 0, z_lo), (x0 + 1, 2, z_lo), (x0 + 2, 2, z_lo),
-                (x0 + 2, 2, z_hi), (x0 + 3, 2, z_hi), (x0 + 3, 0, z_hi),
-                (x0 + 4, 0, z_hi),
-            ]
-            paths[hi] += [
-                (x0 + 1, 0, z_hi), (x0 + 1, 0, zm), (x0 + 3, 0, zm),
-                (x0 + 3, 0, z_lo), (x0 + 4, 0, z_lo),
-            ]
+        # The strand passing behind runs from height zb to zf along the back
+        # face; the other descends or rises in front through the odd
+        # mid-level, so the projections cross exactly once.
+        if tile.migrates_lower:
+            back, front, (zb, zf) = lo, hi, tile.heights
         else:
-            paths[hi] += [
-                (x0 + 1, 0, z_hi), (x0 + 1, 2, z_hi), (x0 + 2, 2, z_hi),
-                (x0 + 2, 2, z_lo), (x0 + 3, 2, z_lo), (x0 + 3, 0, z_lo),
-                (x0 + 4, 0, z_lo),
-            ]
-            paths[lo] += [
-                (x0 + 1, 0, z_lo), (x0 + 1, 0, zm), (x0 + 3, 0, zm),
-                (x0 + 3, 0, z_hi), (x0 + 4, 0, z_hi),
-            ]
+            back, front, (zf, zb) = hi, lo, tile.heights
+        zm = (zb + zf) // 2
+        paths[back] += [
+            (x0 + 1, fy, zb), (x0 + 1, by, zb), (x0 + 2, by, zb),
+            (x0 + 2, by, zf), (x0 + 3, by, zf), (x0 + 3, fy, zf),
+            (x1, fy, zf),
+        ]
+        paths[front] += [
+            (x0 + 1, fy, zf), (x0 + 1, fy, zm), (x0 + 3, fy, zm),
+            (x0 + 3, fy, zb), (x1, fy, zb),
+        ]
         occupant[i], occupant[i + 1] = hi, lo
         for s in range(n):
             if s not in (i, i + 1):
-                paths[occupant[s]].append((x0 + 4, 0, 2 * (s + 1)))
+                paths[occupant[s]].append((x1, fy, 2 * (s + 1)))
 
     final_slot = {strand: slot for slot, strand in enumerate(occupant)}
+    xr = plan.placements[-1].x_interval[1]
 
     points = []
     strand = 0
@@ -254,10 +249,10 @@ def close_braid_on_lattice(word: BraidWord) -> LatticeKnot:
         slot = final_slot[strand]
         z = 2 * (slot + 1)
         q = n - slot                      # lower slots take wider, higher arcs
-        level = 2 * n + 2 * q
+        level = plan.closure_levels[slot]
         points += [
-            (xr + 2 * q, 0, z), (xr + 2 * q, 0, level),
-            (-2 * q, 0, level), (-2 * q, 0, z), (0, 0, z),
+            (xr + 2 * q, fy, z), (xr + 2 * q, fy, level),
+            (-2 * q, fy, level), (-2 * q, fy, z), (0, fy, z),
         ]
         strand = slot                      # strand ids equal their start slots
         if strand == 0:

@@ -35,7 +35,7 @@ from .braids import (
     crossing_count,
     format_braid,
     parse_braid,
-    projection_crossings,
+    plan_embedding,
     writhe,
 )
 from .sampling import GridSpec, WRITERS, sample_field
@@ -228,14 +228,15 @@ def _cmd_knot(args) -> int:
 def _cmd_braid_build(args) -> int:
     word = parse_braid(args.word, strands=args.strands)
     knot = close_braid_on_lattice(word)
-    crossings = projection_crossings(knot)
+    # The builder refuses a layout whose projection disagrees with the word.
+    levels = sorted(plan_embedding(word).closure_levels)
     header = (
         f"closure of braid word: {format_braid(word) or '(empty)'}",
         f"strands: {word.strands}, letters: {crossing_count(word)}, writhe: {writhe(word)}",
         "layout: strands on front face y=0, migrations to back face y=2,",
         "crossing tiles 4 wide in x, closure arcs on y=0 above the braid at",
-        f"z-levels {', '.join(str(2 * word.strands + 2 * q) for q in range(1, word.strands + 1))}",
-        f"projected crossings: {len(crossings)}, signs sum: {sum(c.sign for c in crossings)}",
+        f"z-levels {', '.join(map(str, levels))}",
+        f"projected crossings: {crossing_count(word)}, signs sum: {writhe(word)}",
     )
     text = format_knot(knot, header_comments=header)
     out, close = _open_out(args.out)

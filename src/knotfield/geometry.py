@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
+import numpy as np
+
 
 LatticePoint = tuple[int, int, int]
 
@@ -185,6 +187,22 @@ def segments(knot: LatticeKnot) -> list[Segment]:
     """Decompose the knot into directed sticks, indexed 1..n in flow order."""
     v = knot.vertices
     return [Segment(v[i], v[(i + 1) % len(v)], index=i + 1) for i in range(len(v))]
+
+
+def stick_ends(knot: LatticeKnot) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points of the knot's sticks, in flow order, as float (N, 3).
+
+    Raises ValueError, as ``segments`` does, when an edge is not a stick:
+    of zero length or not parallel to an axis.
+    """
+    starts = np.array(knot.vertices, dtype=float)
+    ends = np.roll(starts, -1, axis=0)
+    bad = np.flatnonzero(np.count_nonzero(ends - starts, axis=1) != 1)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"edge {i} {knot.vertices[i]}->{knot.vertices[(i + 1) % len(knot)]} "
+                         "is not a nonzero axis-aligned stick")
+    return starts, ends
 
 
 def refine(knot: LatticeKnot, factor: int) -> LatticeKnot:

@@ -29,13 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import LatticeKnot, parse_point_lines, segments
+from .geometry import LatticeKnot, parse_point_lines, stick_ends
 from .biot_savart import (
     DEFAULT_EXCLUSION_RADIUS,
     FieldError,
     QuadratureError,
+    _GL_W,
+    _GL_X,
     _field_core,
-    _segment_arrays,
 )
 
 
@@ -53,7 +54,8 @@ class LoopOnConductorError(FieldError):
 
 
 class LinkingPrecisionError(FieldError):
-    """The Gauss linking sum does not round convincingly to an integer."""
+    """The Gauss linking sum does not round convincingly to an integer, or the
+    loop is not representable: its distances to the circuit or the sum overflow."""
 
 
 @dataclass(frozen=True)
@@ -109,53 +111,54 @@ def _segment_segment_distances(p0, p1, q0s, q1s):
     """Distance from one segment (p0, p1) to each of N segments (q0s, q1s).
 
     Standard clamped closest-point computation between segment pairs, with
-    the parallel case resolved by the same clamping iteration.
+    the parallel case resolved by the same clamping iteration.  Coordinates
+    too large to square overflow to inf or NaN silently; the caller refuses
+    non-finite distances.
     """
-    d1 = p1 - p0                       # (3,)
-    d2 = q1s - q0s                     # (N, 3)
-    r = p0[None, :] - q0s              # (N, 3)
-    a = float(np.dot(d1, d1))
-    e = np.einsum("nc,nc->n", d2, d2)
-    f = np.einsum("nc,nc->n", d2, r)
-    c = r @ d1
-    b = d2 @ d1
-    denom = a * e - b * b
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        d1 = p1 - p0                       # (3,)
+        d2 = q1s - q0s                     # (N, 3)
+        r = p0[None, :] - q0s              # (N, 3)
+        a = float(np.dot(d1, d1))
+        e = np.einsum("nc,nc->n", d2, d2)
+        f = np.einsum("nc,nc->n", d2, r)
+        c = r @ d1
+        b = d2 @ d1
+        denom = a * e - b * b
         s = np.where(denom > 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
         t = (b * s + f) / e
         # Clamp t, then recompute s against the clamped t where needed.
         s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
                      np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
         t = np.clip(t, 0.0, 1.0)
-    closest1 = p0[None, :] + s[:, None] * d1[None, :]
-    closest2 = q0s + t[:, None] * d2
-    return np.linalg.norm(closest1 - closest2, axis=1)
-
-
-def _stick_ends(knot: LatticeKnot):
-    """Start and end points of the knot's sticks, in flow order, as (N, 3)."""
-    starts = np.array(knot.vertices, dtype=float)
-    return starts, np.roll(starts, -1, axis=0)
+        closest1 = p0[None, :] + s[:, None] * d1[None, :]
+        closest2 = q0s + t[:, None] * d2
+        return np.linalg.norm(closest1 - closest2, axis=1)
 
 
 def loop_clearance(knot: LatticeKnot, loop: Loop):
     """Minimum distance from each loop edge to the circuit.
 
     Returns (clearance, (loop_edge, segment_index)) for the closest approach.
+    Raises LinkingPrecisionError when a distance is not finite, since the
+    loop is then not representable and its closest approach is unknown.
     """
-    starts, ends = _stick_ends(knot)
+    starts, ends = stick_ends(knot)
     best = math.inf
     where = (0, 1)
     for i, (a, b) in enumerate(loop.edges()):
         d = _segment_segment_distances(a, b, starts, ends)
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise LinkingPrecisionError(
+                f"loop edge {i} is not representable: its distance to circuit "
+                f"segment {bad[0] + 1} evaluates to {d[bad[0]]}"
+            )
         j = int(np.argmin(d))
         if d[j] < best:
             best = float(d[j])
             where = (i, j + 1)
     return best, where
-
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
 
 def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
@@ -166,17 +169,16 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     Each loop edge gets an equal share of the absolute tolerance and is
     integrated with composite fixed-order Gauss panels under interval
     halving; the Richardson-style error estimate is the difference between
-    successive refinement levels.
+    successive refinement levels.  The loop is first checked with
+    ``loop_clearance``: LoopOnConductorError when it passes within the
+    exclusion radius, LinkingPrecisionError when it is not representable.
     """
-    segs = segments(knot)
-    starts, ends = _segment_arrays(segs)
+    clear, (i, j) = loop_clearance(knot, loop)
+    if clear < exclusion_radius:
+        raise LoopOnConductorError(i, j, clear)
 
+    starts, ends = stick_ends(knot)
     edges = loop.edges()
-    for i, (a, b) in enumerate(edges):
-        d = _segment_segment_distances(a, b, starts, ends)
-        j = int(np.argmin(d))
-        if d[j] < exclusion_radius:
-            raise LoopOnConductorError(i, j + 1, d[j])
 
     budget = tol / len(edges)
     value = 0.0
@@ -257,7 +259,7 @@ def linking_number(knot: LatticeKnot, loop: Loop) -> int:
     # Loop edges along axis 0, knot sticks along axis 1.
     p0 = np.array(loop.vertices)[:, None, :]
     p1 = np.roll(p0, -1, axis=0)
-    q0, q1 = (a[None, :, :] for a in _stick_ends(knot))
+    q0, q1 = (a[None, :, :] for a in stick_ends(knot))
     try:
         with np.errstate(over="raise", invalid="raise"):
             corners = [q0 - p0, q1 - p0, q1 - p1, q0 - p1]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeKnot, Segment, bounding_box, refine, segments
-from .biot_savart import segment_field, segment_field_quadrature, total_field
+from .biot_savart import _field_core, segment_field, segment_field_quadrature, total_field
 from .topology import Loop, holonomy, linking_number, loop_clearance
 
 
@@ -49,26 +49,17 @@ def random_axis_segment(rng, lo: int = -8, hi: int = 8) -> Segment:
             return Segment(tuple(int(c) for c in start), tuple(int(c) for c in end))
 
 
-def _distance_to_sticks(point, sticks) -> float:
-    p = np.asarray(point, dtype=float)
-    best = math.inf
-    for s in sticks:
-        a = np.asarray(s.start, dtype=float)
-        b = np.asarray(s.end, dtype=float)
-        u = b - a
-        t = float(np.clip(np.dot(p - a, u) / np.dot(u, u), 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(p - (a + t * u))))
-    return best
-
-
 def random_clear_point(rng, sticks, margin: float, clearance: float):
-    """Uniform point in the sticks' inflated bounding box, off the conductor."""
-    pts = np.concatenate([[s.start, s.end] for s in sticks])
+    """Uniform point in the sticks' inflated bounding box, at least
+    ``clearance`` from them by the field kernel's own distance."""
+    starts = np.array([s.start for s in sticks], dtype=float)
+    ends = np.array([s.end for s in sticks], dtype=float)
+    pts = np.concatenate([starts, ends])
     lo = pts.min(axis=0) - margin
     hi = pts.max(axis=0) + margin
     while True:
         p = rng.uniform(lo, hi)
-        if _distance_to_sticks(p, sticks) >= clearance:
+        if _field_core(starts, ends, p.reshape(1, 3))[1].min() >= clearance:
             return p
 
 

@@ -5,12 +5,9 @@ import pytest
 
 from knotfield.geometry import LatticeKnot, Segment, canonical_trefoil, refine, segments
 from knotfield.biot_savart import (
-    OnAxisError,
     OnConductorError,
-    gamma_weights,
     segment_field,
     segment_field_quadrature,
-    segment_frame,
     total_field,
     total_field_many,
 )
@@ -99,43 +96,49 @@ class TestQuadratureOracle:
                                      tol=1e-16, max_depth=1)
 
 
+def field_direction(seg, point):
+    b = segment_field(seg, point)
+    return b / np.linalg.norm(b)
+
+
 class TestGammaWeights:
+    """Direction cosines (g1, g2, g3) = phi_hat . e_i of one stick's field."""
+
     def test_z_parallel(self):
         seg = Segment((0, 0, -3), (0, 0, 3))
         x, y = 0.3, 1.7
-        g = gamma_weights(seg, (x, y, 0.9))
+        g = field_direction(seg, (x, y, 0.9))
         r = math.hypot(x, y)
         assert np.allclose(g, [-y / r, x / r, 0.0], atol=1e-15)
         assert g[2] == 0.0                      # exactly, not approximately
 
     def test_x_parallel(self):
-        g = gamma_weights(Segment((0, 0, 0), (5, 0, 0)), (2.0, 3.0, 0.0))
+        g = field_direction(Segment((0, 0, 0), (5, 0, 0)), (2.0, 3.0, 0.0))
         assert np.allclose(g, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_reversal_negates(self):
         p = (0.4, 1.1, 0.2)
-        g1 = gamma_weights(Segment((0, 0, -3), (0, 0, 3)), p)
-        g2 = gamma_weights(Segment((0, 0, 3), (0, 0, -3)), p)
-        assert np.allclose(g1, -g2, atol=1e-15)
-
-    def test_on_axis_raises(self):
-        with pytest.raises(OnAxisError):
-            gamma_weights(Segment((0, 0, 0), (0, 0, 2)), (0.0, 0.0, 7.0))
+        b1 = segment_field(Segment((0, 0, -3), (0, 0, 3)), p)
+        b2 = segment_field(Segment((0, 0, 3), (0, 0, -3)), p)
+        assert np.allclose(b1, -b2, atol=1e-15)
 
 
 class TestSegmentFrame:
     def test_invariants(self):
+        # B is azimuthal: perpendicular to the stick and to the point's
+        # perpendicular offset rho from the stick's axis.
         rng = np.random.default_rng(3)
         for _ in range(50):
             seg = random_axis_segment(rng)
             p = random_clear_point(rng, [seg], margin=4.0, clearance=0.5)
-            f = segment_frame(seg, p)
-            assert -1.0 <= f.cos1 <= 1.0 and -1.0 <= f.cos2 <= 1.0
-            assert abs(np.dot(f.phi, f.uhat)) < 1e-12
-            assert abs(np.dot(f.phi, f.rho)) < 1e-9
-            assert abs(np.linalg.norm(f.phi) - 1.0) < 1e-12
+            start, end = np.array(seg.start, dtype=float), np.array(seg.end, dtype=float)
+            uhat = (end - start) / seg.length
+            rho = (p - start) - np.dot(p - start, uhat) * uhat
+            g = field_direction(seg, p)
+            assert abs(np.dot(g, uhat)) < 1e-12
+            assert abs(np.dot(g, rho)) < 1e-9
             # Only the two components transverse to the stick are nonzero.
-            assert f.phi[int(seg.axis)] == 0.0
+            assert g[int(seg.axis)] == 0.0
 
 
 class TestTotalField:
@@ -177,6 +180,18 @@ class TestTotalField:
         with pytest.raises(OnConductorError) as err:
             total_field(canonical_trefoil(), (2.0, 2.0, 3.0))
         assert err.value.segment_index == 1     # first stick runs (2,2,0) -> (2,2,6)
+
+    def test_on_conductor_reports_true_distance(self):
+        with pytest.raises(OnConductorError) as err:
+            total_field(canonical_trefoil(), (2.0 + 1e-7, 2.0, 3.0))
+        assert err.value.segment_index == 1
+        assert err.value.distance == pytest.approx(1e-7, rel=1e-6)
+        assert "1e-07 from the conductor" in str(err.value)
+
+    def test_degenerate_knot_rejected(self):
+        with pytest.raises(ValueError, match="edge 1"):
+            total_field(LatticeKnot(vertices=((0, 0, 0), (2, 0, 0), (2, 0, 0), (0, 2, 0))),
+                        (5.0, 5.0, 5.0))
 
     def test_scaling_law(self):
         knot = canonical_trefoil()

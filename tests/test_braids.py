@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knotfield.geometry import validate
+from knotfield.geometry import bounding_box, validate
 from knotfield.braids import (
     BraidParseError,
     BraidWord,
@@ -198,7 +199,28 @@ def test_permutation_cycles_agree_with_union_find():
         assert len(permutation_cycles(word)) == _components_by_union_find(word)
 
 
+@st.composite
+def knotted_words(draw):
+    """Braid words on 2-4 strands whose closure is a knot by construction.
+
+    Every generator once, in any order, permutes the strands in one cycle;
+    inserted pairs s_i^a s_i^b permute nothing, so the closure stays a knot.
+    """
+    strands = draw(st.integers(2, 4))
+    sign = st.sampled_from((-1, 1))
+    letters = [(gi, draw(sign)) for gi in draw(st.permutations(range(1, strands)))]
+    for _ in range(draw(st.integers(0, 3))):
+        gi, at = draw(st.integers(1, strands - 1)), draw(st.integers(0, len(letters)))
+        letters[at:at] = [(gi, draw(sign)), (gi, draw(sign))]
+    return BraidWord(strands, tuple(letters))
+
+
 class TestEmbeddingPlan:
+    @settings(max_examples=30, deadline=None)
+    @given(word=knotted_words())
+    def test_plan_bounds_the_built_knot(self, word):
+        assert bounding_box(close_braid_on_lattice(word)) == plan_embedding(word).bounding_box
+
     def test_placements_disjoint_and_faces_separated(self):
         plan = plan_embedding(parse_braid("s1 s2^-1 s1 s2^-1"))
         assert plan.back_y - plan.front_y >= 2

@@ -13,6 +13,7 @@ from knotfield.geometry import (
     read_knot_file,
     refine,
     segments,
+    stick_ends,
     validate,
     write_knot_file,
 )
@@ -158,6 +159,16 @@ class TestSegment:
     def test_diagonal_rejected(self):
         with pytest.raises(ValueError, match="axis-aligned"):
             Segment((0, 0, 0), (1, 1, 0))
+
+    def test_stick_ends_are_the_segments(self):
+        for knot in (canonical_trefoil(), canonical_figure_eight(), square_loop()):
+            starts, ends = stick_ends(knot)
+            segs = segments(knot)
+            assert starts.dtype == ends.dtype == np.float64
+            assert starts.tolist() == [list(s.start) for s in segs]
+            assert ends.tolist() == [list(s.end) for s in segs]
+        with pytest.raises(ValueError, match="edge 2 "):
+            stick_ends(LatticeKnot(vertices=((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 1))))
 
 
 class TestRefine:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -195,6 +196,18 @@ class TestCli:
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == rc
         assert capsys.readouterr().out.strip() == out
 
+    def test_holonomy_unrepresentable_loop_exit_4(self, tmp_path, capsys):
+        # Edge 0 runs through trefoil stick 1 at (2,2,3), but its length
+        # squared overflows: a typed refusal, not a traceback or a number.
+        loop_file = tmp_path / "huge.txt"
+        write_loop_file(Loop(vertices=((1e200, 2, 3), (-5, 2, 3), (-5, -5, 3),
+                                       (1e200, -5, 3))), loop_file)
+        assert run_cli("holonomy", "--knot", "3_1", "--loop", str(loop_file)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: loop edge 0 is not representable")
+        assert "Traceback" not in captured.err
+
     def test_field_sample_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
         rc = run_cli("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1",
@@ -250,3 +263,26 @@ class TestCli:
                      "--spacing", "1", "--counts", "2,2,2", "--out", str(out))
         assert rc == 1
         assert not out.exists()
+
+
+GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0.75",
+        "--counts", "9,9,9")
+
+
+# SHA-256 of stdout.  These pin the engine's arithmetic, the writers'
+# formatting and the braid layout byte for byte.
+@pytest.mark.parametrize("argv, digest", [
+    (GRID + ("--format", "csv"),
+     "094a84ac1c4c40bd1208aa40c92bc7927962a19d0681b287f73bb3814e34e5f9"),
+    (GRID + ("--format", "jsonl"),
+     "16defb887fe4ba1ae2cc6f1e721f1eca009f37f2689600ef9e5d29d502d2ee4e"),
+    (GRID + ("--format", "vtk"),
+     "d0ec1806b9d5c94d91f027bde2306bc2f59c90c3283e468490ccc19f9c327c17"),
+    (("braid", "build", "--word", "s1 s2^-1 s1 s2^-1"),
+     "7bf0f704cfc7456f4a974529a4c3e4ea0635b0e666e1c4917cec8a903eeafba8"),
+    (("braid", "build", "--word", "s1 s2 s1^-1 s2 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1"),
+     "05d3b51f840281fc43ea85e5ae28fcc77db950a0d406f7f1dcfd5e56769bfba1"),
+], ids=["csv", "jsonl", "vtk", "braid-4_1", "braid-12-letters"])
+def test_golden_stdout(capsys, argv, digest):
+    assert run_cli(*argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest

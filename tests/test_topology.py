@@ -148,6 +148,14 @@ class TestHolonomy:
         assert err.value.segment_index == 1
         assert err.value.loop_edge in (0, 3)
 
+    def test_unrepresentable_loop_refused(self):
+        # Edge 0 runs through stick 1 at (2,2,3), but its length squared
+        # overflows and its distance is NaN: refused, never skipped.
+        huge = Loop(vertices=((1e200, 2, 3), (-5, 2, 3), (-5, -5, 3), (1e200, -5, 3)))
+        for route in (loop_clearance, holonomy):
+            with pytest.raises(LinkingPrecisionError, match="loop edge 0"):
+                route(canonical_trefoil(), huge)
+
     def test_clearance_of_paper_loop(self):
         clear, _ = loop_clearance(canonical_trefoil(), paper_loop())
         assert abs(clear - 1.0) < 1e-12
