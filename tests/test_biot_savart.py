@@ -98,7 +98,10 @@ class TestQuadratureOracle:
 
 def field_direction(seg, point):
     b = segment_field(seg, point)
-    return b / np.linalg.norm(b)
+    norm = np.linalg.norm(b)
+    if norm == 0.0:
+        raise ValueError("field direction undefined on the stick's axis extension")
+    return b / norm
 
 
 class TestGammaWeights:
@@ -121,6 +124,15 @@ class TestGammaWeights:
         b1 = segment_field(Segment((0, 0, -3), (0, 0, 3)), p)
         b2 = segment_field(Segment((0, 0, 3), (0, 0, -3)), p)
         assert np.allclose(b1, -b2, atol=1e-15)
+
+    def test_on_axis_raises(self):
+        # On the axis extension, beyond either end, the field vanishes
+        # exactly, so there is no direction to take.
+        seg = Segment((0, 0, 0), (0, 0, 2))
+        for p in [(0.0, 0.0, 7.0), (0.0, 0.0, -3.0)]:
+            assert (segment_field(seg, p) == 0.0).all()
+            with pytest.raises(ValueError, match="axis extension"):
+                field_direction(seg, p)
 
 
 class TestSegmentFrame:
