@@ -1,5 +1,19 @@
 """Command-line surface for building knots, sampling fields, and verifying.
 
+Each subcommand accepts only the options it reads; any other flag is a
+usage error.  SOURCE is exactly one of --knot, --braid, --knot-file.
+
+  knot info      SOURCE --k --out
+  knot emit      SOURCE --out
+  braid build    --word --strands --out
+  field sample   SOURCE --k --exclusion --threads --format {csv,jsonl,vtk}
+                 --origin --spacing --counts --out
+  holonomy       SOURCE --k --tol --exclusion --format {text,json} --loop
+  linking        SOURCE --loop
+  verify [transcription]
+                 SOURCE --k --seed --format {text,json} --loops --points
+                 --kernel-pairs
+
 Exit codes: 0 ok, 1 usage or input error, 2 multi-component braid closure,
 3 field/holonomy evaluation on the conductor, 4 verification failure.
 """
@@ -11,25 +25,23 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import __version__
 from .geometry import (
+    CANONICAL,
     Axis,
     LatticeKnot,
     bounding_box,
-    canonical_figure_eight,
-    canonical_trefoil,
     format_knot,
     read_knot_file,
     segments,
     validate,
 )
-from .biot_savart import OnConductorError, total_field
+from .biot_savart import DEFAULT_EXCLUSION_RADIUS, OnConductorError, total_field
 from .braids import (
-    BraidParseError,
     MultiComponentError,
     close_braid_on_lattice,
     crossing_count,
@@ -55,8 +67,6 @@ EXIT_MULTI_COMPONENT = 2
 EXIT_ON_CONDUCTOR = 3
 EXIT_VERIFY_FAILED = 4
 
-_CANONICAL = {"3_1": canonical_trefoil, "4_1": canonical_figure_eight}
-
 
 class _UsageError(Exception):
     pass
@@ -67,161 +77,115 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: exactly one knot source plus the knobs."""
-
-    knot_name: str | None
-    braid_word: str | None
-    knot_file: str | None
-    k: float
-    tol: float
-    exclusion: float
-    out_format: str
-    threads: int
-    seed: int
-
-    def __post_init__(self):
-        n_sources = sum(s is not None for s in
-                        (self.knot_name, self.braid_word, self.knot_file))
-        if n_sources != 1:
-            raise ValueError(f"exactly one knot source required, got {n_sources}")
-
-    def build_knot(self) -> LatticeKnot:
-        if self.knot_name is not None:
-            return _CANONICAL[self.knot_name](k=self.k)
-        if self.braid_word is not None:
-            word = parse_braid(self.braid_word)
-            knot = close_braid_on_lattice(word)
-            return LatticeKnot(vertices=knot.vertices, name=knot.name, k=self.k)
-        knot = read_knot_file(self.knot_file, k=self.k)
-        report = validate(knot)
-        if not report.ok:
-            raise ValueError(
-                f"{self.knot_file} is not a valid lattice knot:\n  "
-                + "\n  ".join(report.violations)
-            )
-        return knot
-
-
-def _add_source_options(p: argparse.ArgumentParser):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--knot", choices=sorted(_CANONICAL), help="built-in knot")
-    g.add_argument("--braid", metavar="WORD", help="braid word to close, e.g. 's1 s1 s1'")
-    g.add_argument("--knot-file", metavar="PATH", help="knot file (x y z per line)")
-
-
-def _add_common_options(p: argparse.ArgumentParser):
-    p.add_argument("--k", type=float, default=1.0, help="current prefactor I/c (default 1)")
-    p.add_argument("--tol", type=float, default=1e-6, help="quadrature tolerance")
-    p.add_argument("--exclusion", type=float, default=1e-6,
-                   help="on-conductor exclusion radius")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="seed for random suites")
-    p.add_argument("--format", dest="out_format", default="csv",
-                   choices=["csv", "jsonl", "vtk", "text", "json"])
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        knot_name=getattr(args, "knot", None),
-        braid_word=getattr(args, "braid", None),
-        knot_file=getattr(args, "knot_file", None),
-        k=getattr(args, "k", 1.0),
-        tol=getattr(args, "tol", 1e-6),
-        exclusion=getattr(args, "exclusion", 1e-6),
-        out_format=getattr(args, "out_format", "csv"),
-        threads=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", 0),
-    )
-
-
 def build_parser() -> _Parser:
-    parser = _Parser(prog="knotfield", description=__doc__)
+    parser = _Parser(prog="knotfield", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"knotfield {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_knot = sub.add_parser("knot", help="inspect or emit a knot")
-    knot_sub = p_knot.add_subparsers(dest="knot_command", required=True)
-    for name, help_ in (("info", "print knot structure"), ("emit", "write knot file")):
-        kp = knot_sub.add_parser(name, help=help_)
-        _add_source_options(kp)
-        _add_common_options(kp)
-        kp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+    knot_sub = sub.add_parser("knot", help="inspect or emit a knot").add_subparsers(
+        dest="knot_command", required=True)
+    info = knot_sub.add_parser("info", help="print knot structure")
+    info.set_defaults(func=_cmd_knot_info)
+    emit = knot_sub.add_parser("emit", help="write knot file")
+    emit.set_defaults(func=_cmd_knot_emit)
 
-    p_braid = sub.add_parser("braid", help="braid-word operations")
-    braid_sub = p_braid.add_subparsers(dest="braid_command", required=True)
-    bp = braid_sub.add_parser("build", help="close a braid word into a lattice knot")
-    bp.add_argument("--word", required=True, metavar="TEXT")
-    bp.add_argument("--strands", type=int, default=None)
-    bp.add_argument("--out", metavar="PATH", help="output knot file (default stdout)")
+    braid_sub = sub.add_parser("braid", help="braid-word operations").add_subparsers(
+        dest="braid_command", required=True)
+    build = braid_sub.add_parser("build", help="close a braid word into a lattice knot")
+    build.set_defaults(func=_cmd_braid_build)
+    build.add_argument("--word", required=True, metavar="TEXT")
+    build.add_argument("--strands", type=int, default=None)
 
-    fp = sub.add_parser("field", help="field evaluation")
-    field_sub = fp.add_subparsers(dest="field_command", required=True)
-    fsp = field_sub.add_parser("sample", help="sample the field on a grid")
-    _add_source_options(fsp)
-    _add_common_options(fsp)
-    fsp.add_argument("--origin", required=True, metavar="X,Y,Z")
-    fsp.add_argument("--spacing", required=True, type=float)
-    fsp.add_argument("--counts", required=True, metavar="NX,NY,NZ")
-    fsp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+    field_sub = sub.add_parser("field", help="field evaluation").add_subparsers(
+        dest="field_command", required=True)
+    sample = field_sub.add_parser("sample", help="sample the field on a grid")
+    sample.set_defaults(func=_cmd_field_sample)
+    sample.add_argument("--threads", type=int, default=1)
+    sample.add_argument("--format", default="csv", choices=sorted(WRITERS))
+    sample.add_argument("--origin", required=True, metavar="X,Y,Z")
+    sample.add_argument("--spacing", required=True, type=float)
+    sample.add_argument("--counts", required=True, metavar="NX,NY,NZ")
 
-    hp = sub.add_parser("holonomy", help="line integral of the field around a loop")
-    _add_source_options(hp)
-    _add_common_options(hp)
-    hp.add_argument("--loop", required=True, metavar="PATH", help="loop file")
+    hol = sub.add_parser("holonomy", help="line integral of the field around a loop")
+    hol.set_defaults(func=_cmd_holonomy)
+    hol.add_argument("--tol", type=float, default=1e-6, help="quadrature tolerance")
 
-    lp = sub.add_parser("linking", help="Gauss-integral linking number")
-    _add_source_options(lp)
-    _add_common_options(lp)
-    lp.add_argument("--loop", required=True, metavar="PATH", help="loop file")
+    link = sub.add_parser("linking", help="Gauss-integral linking number")
+    link.set_defaults(func=_cmd_linking)
 
-    vp = sub.add_parser("verify", help="run the self-check suites")
-    vp.add_argument("what", nargs="?", choices=["transcription"],
-                    help="'transcription' checks the printed formulas instead")
-    _add_source_options(vp)
-    _add_common_options(vp)
-    vp.add_argument("--loops", type=int, default=20, help="loops per holonomy suite")
-    vp.add_argument("--points", type=int, default=200, help="points per field suite")
-    vp.add_argument("--kernel-pairs", type=int, default=1000,
-                    help="pairs for the kernel-vs-quadrature suite")
+    ver = sub.add_parser("verify", help="run the self-check suites")
+    ver.set_defaults(func=_cmd_verify)
+    ver.add_argument("what", nargs="?", choices=["transcription"],
+                     help="'transcription' checks the printed formulas instead")
+    ver.add_argument("--seed", type=int, default=0, help="seed for random suites")
+    ver.add_argument("--loops", type=int, default=20, help="loops per holonomy suite")
+    ver.add_argument("--points", type=int, default=200, help="points per field suite")
+    ver.add_argument("--kernel-pairs", type=int, default=1000,
+                     help="pairs for the kernel-vs-quadrature suite")
+
+    for p in (info, emit, sample, hol, link, ver):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--knot", choices=sorted(CANONICAL), help="built-in knot")
+        g.add_argument("--braid", metavar="WORD", help="braid word to close, e.g. 's1 s1 s1'")
+        g.add_argument("--knot-file", metavar="PATH", help="knot file (x y z per line)")
+    for p in (info, sample, hol, ver):
+        p.add_argument("--k", type=float, default=1.0, help="current prefactor I/c (default 1)")
+    for p in (sample, hol):
+        p.add_argument("--exclusion", type=float, default=DEFAULT_EXCLUSION_RADIUS,
+                       help="on-conductor exclusion radius")
+    for p in (hol, ver):
+        p.add_argument("--format", default="text", choices=["text", "json"])
+    for p in (hol, link):
+        p.add_argument("--loop", required=True, metavar="PATH", help="loop file")
+    for p in (info, emit, build, sample):
+        p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     return parser
 
 
-def _open_out(path):
+def _build_knot(args, k: float = 1.0) -> LatticeKnot:
+    """The knot named by the source options, with current prefactor k."""
+    if args.knot is not None:
+        return CANONICAL[args.knot](k=k)
+    if args.braid is not None:
+        return dataclasses.replace(close_braid_on_lattice(parse_braid(args.braid)), k=k)
+    knot = read_knot_file(args.knot_file, k=k)
+    violations = validate(knot).violations
+    if violations:
+        raise ValueError(f"{args.knot_file} is not a valid lattice knot:\n  "
+                         + "\n  ".join(violations))
+    return knot
+
+
+def _output(path):
+    """stdout, or a new ASCII file at path."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline="\n"), True
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="ascii", newline="\n")
 
 
-def _cmd_knot(args) -> int:
-    cfg = _config(args)
-    knot = cfg.build_knot()
-    if args.knot_command == "info":
-        segs = segments(knot)
-        per_axis = {ax.name.lower(): sum(1 for s in segs if s.axis == ax) for ax in Axis}
-        lo, hi = bounding_box(knot)
-        report = validate(knot)
-        lines = [
-            f"name: {knot.name}",
-            f"vertices: {len(knot.vertices)}",
-            f"segments: {len(segs)} (x: {per_axis['x']}, y: {per_axis['y']}, z: {per_axis['z']})",
-            f"bounding box: {lo} .. {hi}",
-            f"k: {knot.k}",
-            f"valid: {report.ok}",
-        ]
-        lines += [f"violation: {v}" for v in report.violations]
-        out, close = _open_out(args.out)
-        out.write("\n".join(lines) + "\n")
-        if close:
-            out.close()
-        return EXIT_OK
-    # emit
-    text = format_knot(knot, header_comments=(f"knot: {knot.name}",))
-    out, close = _open_out(args.out)
-    out.write(text)
-    if close:
-        out.close()
+def _cmd_knot_info(args) -> int:
+    knot = _build_knot(args, args.k)
+    segs = segments(knot)
+    per_axis = ", ".join(f"{ax.name.lower()}: {sum(s.axis == ax for s in segs)}"
+                         for ax in Axis)
+    lo, hi = bounding_box(knot)
+    with _output(args.out) as out:
+        # Every source is validated by _build_knot, so a knot that gets
+        # here is valid.
+        out.write(f"name: {knot.name}\n"
+                  f"vertices: {len(knot.vertices)}\n"
+                  f"segments: {len(segs)} ({per_axis})\n"
+                  f"bounding box: {lo} .. {hi}\n"
+                  f"k: {knot.k}\n"
+                  "valid: True\n")
+    return EXIT_OK
+
+
+def _cmd_knot_emit(args) -> int:
+    knot = _build_knot(args)
+    with _output(args.out) as out:
+        out.write(format_knot(knot, header_comments=(f"knot: {knot.name}",)))
     return EXIT_OK
 
 
@@ -238,11 +202,8 @@ def _cmd_braid_build(args) -> int:
         f"z-levels {', '.join(map(str, levels))}",
         f"projected crossings: {crossing_count(word)}, signs sum: {writhe(word)}",
     )
-    text = format_knot(knot, header_comments=header)
-    out, close = _open_out(args.out)
-    out.write(text)
-    if close:
-        out.close()
+    with _output(args.out) as out:
+        out.write(format_knot(knot, header_comments=header))
     return EXIT_OK
 
 
@@ -254,30 +215,23 @@ def _parse_triple(text, cast, what):
 
 
 def _cmd_field_sample(args) -> int:
-    cfg = _config(args)
-    knot = cfg.build_knot()
+    knot = _build_knot(args, args.k)
     grid = GridSpec(
         origin=_parse_triple(args.origin, float, "--origin"),
         spacing=args.spacing,
         counts=_parse_triple(args.counts, int, "--counts"),
     )
-    if cfg.out_format not in WRITERS:
-        raise _UsageError(f"field sample formats are {sorted(WRITERS)}")
-    fmt = cfg.out_format
-    sample = sample_field(knot, grid, exclusion_radius=cfg.exclusion,
-                          threads=cfg.threads)
-    out, close = _open_out(args.out)
-    WRITERS[fmt](sample, out)
-    if close:
-        out.close()
+    sample = sample_field(knot, grid, exclusion_radius=args.exclusion,
+                          threads=args.threads)
+    with _output(args.out) as out:
+        WRITERS[args.format](sample, out)
     return EXIT_OK
 
 
 def _cmd_holonomy(args) -> int:
-    cfg = _config(args)
-    knot = cfg.build_knot()
+    knot = _build_knot(args, args.k)
     loop = read_loop_file(args.loop)
-    res = holonomy(knot, loop, tol=cfg.tol, exclusion_radius=cfg.exclusion)
+    res = holonomy(knot, loop, tol=args.tol, exclusion_radius=args.exclusion)
     payload = {
         "loop": loop.name,
         "value": res.value,
@@ -288,34 +242,30 @@ def _cmd_holonomy(args) -> int:
         "k": res.k,
         "value_over_4pik": res.value / (4.0 * math.pi * res.k),
     }
-    if cfg.out_format == "json":
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         for key, val in payload.items():
             print(f"{key}: {val}")
-    return EXIT_OK if abs(res.residual) < cfg.tol else EXIT_VERIFY_FAILED
+    return EXIT_OK if abs(res.residual) < args.tol else EXIT_VERIFY_FAILED
 
 
 def _cmd_linking(args) -> int:
-    cfg = _config(args)
-    knot = cfg.build_knot()
-    loop = read_loop_file(args.loop)
-    print(linking_number(knot, loop))
+    print(linking_number(_build_knot(args), read_loop_file(args.loop)))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
     if args.what == "transcription":
-        return _cmd_verify_transcription(args, cfg)
-    knot = cfg.build_knot()
-    results = run_verification(knot, seed=cfg.seed, loops=args.loops,
+        return _cmd_verify_transcription(args)
+    knot = _build_knot(args, args.k)
+    results = run_verification(knot, seed=args.seed, loops=args.loops,
                                points=args.points, kernel_pairs=args.kernel_pairs)
     passed = all(r.passed for r in results)
-    if cfg.out_format == "json":
+    if args.format == "json":
         print(json.dumps({
             "knot": knot.name,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "passed": passed,
             "suites": [dataclasses.asdict(r) for r in results],
         }))
@@ -326,16 +276,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-def _cmd_verify_transcription(args, cfg: RunConfig) -> int:
-    label = cfg.knot_name
+def _cmd_verify_transcription(args) -> int:
+    label = args.knot
     if label is None:
         raise _UsageError("verify transcription needs --knot 3_1 or --knot 4_1")
     ledger = discrepancy_ledger(label)
-    rng = np.random.default_rng(cfg.seed)
-    knot = _CANONICAL[label]()
-    n_points = args.points
+    rng = np.random.default_rng(args.seed)
+    knot = CANONICAL[label]()
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(args.points):
         p = random_clear_point(rng, segments(knot), margin=3.0, clearance=1.0)
         diff = eval_transcribed(label, p) - total_field(knot, p)
         worst = max(worst, float(np.max(np.abs(diff))))
@@ -344,9 +293,9 @@ def _cmd_verify_transcription(args, cfg: RunConfig) -> int:
         "counts": ledger.counts,
         "flagged": [dataclasses.asdict(e) for e in ledger.flagged],
         "max_abs_deviation_from_engine": worst,
-        "points": n_points,
+        "points": args.points,
     }
-    if cfg.out_format == "json":
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         c = ledger.counts
@@ -357,48 +306,29 @@ def _cmd_verify_transcription(args, cfg: RunConfig) -> int:
             notes = "; ".join(e.notes)
             print(f"  {e.component} term {e.index} (segment {e.segment_index}): "
                   f"{e.status}" + (f" -- {notes}" if notes else ""))
-        print(f"max |transcribed - engine| over {n_points} points: {worst:.3e}")
+        print(f"max |transcribed - engine| over {args.points} points: {worst:.3e}")
     return EXIT_OK if ledger.counts["unmatched"] == 0 else EXIT_VERIFY_FAILED
 
 
-_HANDLERS = {
-    "knot": _cmd_knot,
-    "field": _cmd_field_sample,
-    "holonomy": _cmd_holonomy,
-    "linking": _cmd_linking,
-    "verify": _cmd_verify,
-}
+def _fail(exc, code) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:          # --help / --version
         return int(exc.code or 0)
-
-    try:
-        if args.command == "braid":
-            return _cmd_braid_build(args)
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MultiComponentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MULTI_COMPONENT
+        return _fail(exc, EXIT_MULTI_COMPONENT)
     except (OnConductorError, LoopOnConductorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ON_CONDUCTOR
+        return _fail(exc, EXIT_ON_CONDUCTOR)
     except LinkingPrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except (BraidParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_VERIFY_FAILED)
+    except (_UsageError, ValueError, OSError) as exc:   # BraidParseError is a ValueError
+        return _fail(exc, EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -127,9 +127,11 @@ def validate(knot: LatticeKnot) -> ValidationReport:
     if n < 4:
         violations.append(f"too few vertices: {n} < 4")
 
+    bad_vertices = set()
     for i, p in enumerate(v):
         if len(p) != 3 or any(not isinstance(c, int) or isinstance(c, bool) for c in p):
             violations.append(f"vertex {i} {p} has non-integer coordinates")
+            bad_vertices.add(i)
 
     seen = {}
     for i, p in enumerate(v):
@@ -138,9 +140,12 @@ def validate(knot: LatticeKnot) -> ValidationReport:
         else:
             seen[p] = i
 
-    # Edge-level checks; edges that fail here are excluded from the pair scan.
+    # Edge-level checks; edges that fail here, or touch a vertex flagged
+    # above, are excluded from the pair scan.
     good_edges = {}
     for i in range(n):
+        if {i, (i + 1) % n} & bad_vertices:
+            continue
         a, b = v[i], v[(i + 1) % n]
         diffs = [b[c] - a[c] for c in range(3)]
         moving = [c for c in range(3) if diffs[c] != 0]
@@ -241,6 +246,11 @@ def canonical_trefoil(k: float = 1.0) -> LatticeKnot:
 def canonical_figure_eight(k: float = 1.0) -> LatticeKnot:
     """The 14-stick lattice figure-eight knot."""
     return LatticeKnot(vertices=_FIGURE_EIGHT_VERTICES, name="4_1", k=k)
+
+
+# The built-in knots by name, as the CLI's --knot and the printed formulas
+# label them.
+CANONICAL = {"3_1": canonical_trefoil, "4_1": canonical_figure_eight}
 
 
 def bounding_box(knot: LatticeKnot) -> tuple[LatticePoint, LatticePoint]:

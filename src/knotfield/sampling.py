@@ -33,8 +33,10 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if self.spacing <= 0:
-            raise ValueError(f"grid spacing must be positive, got {self.spacing}")
+        if not all(np.isfinite(self.origin)):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
         if any(c < 1 for c in self.counts):
             raise ValueError(f"grid counts must be >= 1, got {self.counts}")
 

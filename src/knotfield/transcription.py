@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biot_savart import OnConductorError
-from .geometry import LatticeKnot, canonical_figure_eight, canonical_trefoil, segments
+from .biot_savart import OnConductorError, _field_core
+from .geometry import CANONICAL, LatticeKnot, segments, stick_ends
 
 _AXES = "xyz"
 
@@ -162,8 +162,6 @@ TERM_TABLES = {
     "4_1": {"Bx": _FIG8_BX, "By": _FIG8_BY, "Bz": _FIG8_BZ},
 }
 
-_CANONICAL = {"3_1": canonical_trefoil, "4_1": canonical_figure_eight}
-
 SINGULARITY_FLOOR = 1e-6
 
 
@@ -205,7 +203,7 @@ def _singular_terms(label: str, pts: np.ndarray):
             bad = (den < SINGULARITY_FLOOR) | (rads[0] < SINGULARITY_FLOOR) \
                 | (rads[1] < SINGULARITY_FLOOR)
             if np.any(bad):
-                return comp, t.index, pts[int(np.argmax(bad))]
+                return comp, t.index
     return None
 
 
@@ -213,14 +211,18 @@ def eval_transcribed(label: str, point) -> np.ndarray:
     """Literal evaluation of the printed component formulas (k = 1).
 
     Faithful to the page: any misprint in the source expressions is
-    reproduced, not repaired.  Points within the singularity floor of any
-    term's denominator are refused.
+    reproduced, not repaired.  A point within the singularity floor of a
+    term is refused with OnConductorError naming the term's 1-based stick
+    and the point's distance from the circuit; a term is singular on its
+    stick's whole axis line, so that distance can be large.
     """
     pts = np.asarray(point, dtype=float).reshape(1, 3)
     hit = _singular_terms(label, pts)
     if hit is not None:
-        comp, idx, p = hit
-        raise OnConductorError(p, 0.0, segment_index=None)
+        dist = _field_core(*stick_ends(CANONICAL[label]()), pts)[1].min()
+        stick = next(e.segment_index for e in discrepancy_ledger(label).entries
+                     if (e.component, e.index) == hit)
+        raise OnConductorError(pts[0], dist, segment_index=stick)
     vals = term_values(label, pts)
     return np.array([vals["Bx"].sum(), vals["By"].sum(), vals["Bz"].sum()])
 
@@ -378,7 +380,7 @@ def discrepancy_ledger(label: str, tables=None) -> TranscriptionLedger:
     what the engine computes.
     """
     tables = tables if tables is not None else TERM_TABLES[label]
-    engine = _engine_terms(_CANONICAL[label]())
+    engine = _engine_terms(CANONICAL[label]())
     entries = []
     seen = set()
     for comp in ("Bx", "By", "Bz"):

@@ -1,0 +1,43 @@
+"""The CLI surface the benchmark in ``perfbench/`` drives.
+
+``perfbench/workloads.py`` calls ``knotfield.cli.main`` with the argv shapes
+below and reads attributes of ``build_parser().parse_args`` of the same
+argv to replay each job through the library.  These tests pin both, so a
+CLI change that would break the benchmark fails here first.
+"""
+
+import pytest
+
+from knotfield.biot_savart import DEFAULT_EXCLUSION_RADIUS
+from knotfield.cli import build_parser
+
+GRID = ["--origin=-2.0,-2.0,-2.0", "--spacing", "0.25", "--counts", "41,41,41"]
+
+
+@pytest.mark.parametrize("source", [["--knot", "3_1"], ["--braid", "s1 s2^-1 s1 s2^-1"]],
+                         ids=["knot", "braid"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "vtk"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_field_sample_argv(tmp_path, source, fmt, threads):
+    out = str(tmp_path / f"job.{fmt}")
+    args = build_parser().parse_args(["field", "sample"] + source + GRID + [
+        "--threads", str(threads), "--format", fmt, "--out", out])
+    assert args.k == 1.0
+    assert args.exclusion == DEFAULT_EXCLUSION_RADIUS
+    assert args.threads == threads
+    assert args.spacing == 0.25
+    assert args.out == out
+
+
+@pytest.mark.parametrize("extra, loops, points, kernel_pairs", [
+    ([], 20, 200, 1000),
+    (["--loops", "2", "--points", "4", "--kernel-pairs", "4"], 2, 4, 4),
+], ids=["defaults", "small"])
+@pytest.mark.parametrize("knot", ["3_1", "4_1"])
+def test_verify_argv(knot, extra, loops, points, kernel_pairs):
+    args = build_parser().parse_args(
+        ["verify", "--knot", knot, "--seed", "7", "--format", "json"] + extra)
+    assert args.knot == knot
+    assert args.k == 1.0
+    assert args.seed == 7
+    assert (args.loops, args.points, args.kernel_pairs) == (loops, points, kernel_pairs)

@@ -76,6 +76,10 @@ def test_zero_length_edge_flagged():
 def test_non_integer_coordinates_flagged():
     knot = LatticeKnot(vertices=((0, 0, 0.5), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
     assert any("non-integer" in v for v in validate(knot).violations)
+    # A vertex without three coordinates is reported the same way, not
+    # raised, and the edges that touch it are left out of the edge checks.
+    knot = LatticeKnot(vertices=((0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
+    assert validate(knot).violations == ("vertex 0 (0, 0) has non-integer coordinates",)
 
 
 def test_too_few_vertices_flagged():

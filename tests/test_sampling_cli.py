@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from knotfield.cli import main
+from knotfield.cli import build_parser, main
 from knotfield.geometry import canonical_trefoil, read_knot_file, validate
 from knotfield.biot_savart import total_field
 from knotfield.sampling import (
@@ -25,6 +25,11 @@ class TestGridSpec:
             GridSpec(origin=(0, 0, 0), spacing=0.0, counts=(2, 2, 2))
         with pytest.raises(ValueError):
             GridSpec(origin=(0, 0, 0), spacing=0.5, counts=(2, 0, 2))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="spacing"):
+                GridSpec(origin=(0, 0, 0), spacing=bad, counts=(2, 2, 2))
+            with pytest.raises(ValueError, match="origin"):
+                GridSpec(origin=(0, bad, 0), spacing=0.5, counts=(2, 2, 2))
 
     def test_points_are_z_fastest(self):
         grid = GridSpec(origin=(0, 0, 0), spacing=1.0, counts=(2, 2, 2))
@@ -108,15 +113,65 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_run_config_requires_exactly_one_source():
-    from knotfield.cli import RunConfig
+def test_cli_requires_exactly_one_source(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    grid = ("field", "sample", "--origin", "5,3,2", "--spacing", "1", "--counts", "1,1,1",
+            "--out", str(out))
+    verify = ("verify", "--loops", "1", "--points", "1", "--kernel-pairs", "1")
+    for command in (grid, verify):
+        for sources, message in (
+            ((), "one of the arguments --knot --braid --knot-file is required"),
+            (("--knot", "3_1", "--braid", "s1 s1 s1"), "not allowed with argument --knot"),
+        ):
+            assert run_cli(*command, *sources) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+    assert not out.exists()
 
-    kwargs = dict(k=1.0, tol=1e-6, exclusion=1e-6, out_format="csv", threads=1, seed=0)
-    RunConfig(knot_name="3_1", braid_word=None, knot_file=None, **kwargs)
-    with pytest.raises(ValueError, match="exactly one"):
-        RunConfig(knot_name="3_1", braid_word="s1 s1 s1", knot_file=None, **kwargs)
-    with pytest.raises(ValueError, match="exactly one"):
-        RunConfig(knot_name=None, braid_word=None, knot_file=None, **kwargs)
+
+ARG_VALUES = {"--k": "2", "--tol": "1e-3", "--exclusion": "1e-3", "--threads": "2",
+              "--seed": "3", "--format": "json"}
+
+# One valid invocation per subcommand; LOOP stands for a loop file's path.
+BASE_ARGV = {
+    "knot info": ("knot", "info", "--knot", "3_1"),
+    "knot emit": ("knot", "emit", "--knot", "3_1"),
+    "field sample": ("field", "sample", "--knot", "3_1", "--origin", "5,3,2",
+                     "--spacing", "1", "--counts", "1,1,1"),
+    "holonomy": ("holonomy", "--knot", "3_1", "--loop", "LOOP"),
+    "linking": ("linking", "--knot", "3_1", "--loop", "LOOP"),
+    "verify": ("verify", "--knot", "3_1", "--loops", "1", "--points", "1",
+               "--kernel-pairs", "1"),
+}
+
+# The options each subcommand does not read, and so refuses.
+DROPPED = {
+    "knot info": ("--tol", "--exclusion", "--threads", "--seed", "--format"),
+    "knot emit": ("--k", "--tol", "--exclusion", "--threads", "--seed", "--format"),
+    "field sample": ("--tol", "--seed"),
+    "holonomy": ("--threads", "--seed"),
+    "linking": ("--k", "--tol", "--exclusion", "--threads", "--seed", "--format"),
+    "verify": ("--tol", "--exclusion", "--threads"),
+}
+
+REFUSED = [(cmd, (opt, ARG_VALUES[opt])) for cmd, opts in DROPPED.items() for opt in opts]
+REFUSED += [("holonomy", ("--format", "csv")), ("field sample", ("--format", "json"))]
+
+
+@pytest.mark.parametrize("command, extra", REFUSED,
+                         ids=[f"{c}-{' '.join(e)}".replace(" ", "_") for c, e in REFUSED])
+def test_inapplicable_option_is_a_usage_error(tmp_path, capsys, command, extra):
+    loop_file = tmp_path / "loop.txt"
+    write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+    base = [str(loop_file) if a == "LOOP" else a for a in BASE_ARGV[command]]
+    build_parser().parse_args(base)             # the invocation is valid without it
+    assert run_cli(*base, *extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert any(m in captured.err for m in
+               ("unrecognized arguments", "ambiguous option", "invalid choice"))
 
 
 class TestCli:
@@ -255,6 +310,17 @@ class TestCli:
         assert run_cli("knot", "info", "--knot-file", str(path)) == 0
         assert "segments: 4" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("origin, spacing", [
+        ("0,0,0", "nan"), ("0,0,0", "inf"), ("0,nan,0", "1"), ("-inf,0,0", "1"),
+    ])
+    def test_field_sample_non_finite_grid_exit_1(self, tmp_path, capsys, origin, spacing):
+        out = tmp_path / "never.csv"
+        rc = run_cli("field", "sample", "--knot", "3_1", f"--origin={origin}",
+                     "--spacing", spacing, "--counts", "2,1,1", "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: grid ")
+        assert not out.exists()
+
     def test_invalid_knot_file_rejected_before_output(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 0\n1 1 0\n2 0 0\n0 0 1\n")   # diagonal edges
@@ -270,7 +336,8 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
 
 
 # SHA-256 of stdout.  These pin the engine's arithmetic, the writers'
-# formatting and the braid layout byte for byte.
+# formatting, the braid layout and every fixed-format report byte for byte.
+# LOOP stands for the paper's loop, written to a file named loop.txt.
 @pytest.mark.parametrize("argv, digest", [
     (GRID + ("--format", "csv"),
      "094a84ac1c4c40bd1208aa40c92bc7927962a19d0681b287f73bb3814e34e5f9"),
@@ -282,7 +349,22 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
      "7bf0f704cfc7456f4a974529a4c3e4ea0635b0e666e1c4917cec8a903eeafba8"),
     (("braid", "build", "--word", "s1 s2 s1^-1 s2 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1"),
      "05d3b51f840281fc43ea85e5ae28fcc77db950a0d406f7f1dcfd5e56769bfba1"),
-], ids=["csv", "jsonl", "vtk", "braid-4_1", "braid-12-letters"])
-def test_golden_stdout(capsys, argv, digest):
-    assert run_cli(*argv) == 0
+    (("knot", "info", "--knot", "3_1"),
+     "8d68667e61acceac005b01f79299f23b06f44a5a74be093a997f150a345032f7"),
+    (("knot", "emit", "--knot", "4_1"),
+     "9cf902d29e8590ca53e6a6cacbb7f33d2153921ba8faf63182e21c2fa0b3962a"),
+    (("holonomy", "--knot", "3_1", "--loop", "LOOP"),
+     "e98148a5c463a1aedd4b9669c6ccea6dd24ab852e1e6d5fc29ba6e3f87fa4735"),
+    (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--format", "json"),
+     "834c4dd56a7d1f294d850e0c76709a6cb78a0399c33451113ba56a4378bc0261"),
+    (("linking", "--knot", "3_1", "--loop", "LOOP"),
+     "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
+    (("verify", "transcription", "--knot", "3_1", "--points", "5"),
+     "52382ba420b3b3d65c3d333f1b2c7bf53ea8cb9556d7c7d6a5fdf892c439b5b8"),
+], ids=["csv", "jsonl", "vtk", "braid-4_1", "braid-12-letters", "knot-info", "knot-emit",
+        "holonomy-text", "holonomy-json", "linking", "verify-transcription"])
+def test_golden_stdout(tmp_path, capsys, argv, digest):
+    loop_file = tmp_path / "loop.txt"
+    write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+    assert run_cli(*[str(loop_file) if a == "LOOP" else a for a in argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest

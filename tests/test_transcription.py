@@ -40,6 +40,18 @@ def test_singular_denominator_raises():
         eval_transcribed("3_1", (6.0, 3.0, 0.0))
 
 
+@pytest.mark.parametrize("point, distance", [
+    ((2.0001, 2.0, 3.0), 1e-4),     # beside trefoil stick 1, (2,2,0)->(2,2,6)
+    ((2.0, 2.0, 10.0), 4.0),        # on stick 1's axis extension, 4 beyond its end
+])
+def test_singular_point_reports_true_distance_and_stick(point, distance):
+    with pytest.raises(OnConductorError) as err:
+        eval_transcribed("3_1", point)
+    assert err.value.segment_index == 1
+    assert err.value.distance == pytest.approx(distance, rel=1e-9)
+    assert f"is {distance:.3g} from the conductor (segment 1)" in str(err.value)
+
+
 EXPECTED_FLAGS = {
     "3_1": {
         ("By", 3): "sign_flipped",
