@@ -11,11 +11,17 @@ stick's endpoints, and phi_hat the azimuthal unit vector of the right-hand
 rule (for a +z stick, phi_hat ~ -y i + x j).  The signed-cosine form is the
 analytic continuation valid on either side of the stick's axial extent.
 
-The evaluator uses the equivalent cross-product arrangement
-k * (u x rho) * (cos t1 + cos t2) / r^2, which vanishes smoothly as the
-field point approaches the stick's axis extension; beyond the endpoints the
-cosine sum is rearranged into a cancellation-free rational form so the
-near-axis limit stays accurate in floating point.
+Every stick is parallel to an axis, so the kernel reads the circuit packed
+once per knot (``LatticeKnot.sticks``) and evaluates the equivalent form
+k * (u_hat x rho) * (cos t1 + cos t2) / r^2 from coordinate differences:
+for a stick along s * e_a, u_hat x rho is s*tb in component (a+2)%3 and
+-s*tc in (a+1)%3, tb and tc being the point's offsets along (a+1)%3 and
+(a+2)%3.  That form vanishes smoothly on the stick's axis extension; beyond
+the endpoints the cosine sum is rearranged into a cancellation-free form so
+the near-axis limit stays accurate.  Points go in tiles of at most
+``_TILE_PAIRS`` (point, stick) pairs, so memory does not grow with the
+batch, and each point's field is summed over the sticks one at a time in
+flow order, so its bits depend on neither the tile, the batch nor the thread.
 
 ``segment_field_quadrature`` is a deliberately plain adaptive integrator of
 the raw current-element law dB = k dl x s / |s|^3 and serves as the
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import LatticeKnot, Segment, stick_ends
+from .geometry import LatticeKnot, PackedSticks, Segment
 
 # Field vectors are numpy arrays of shape (3,): (Bx, By, Bz) in units of k.
 FieldVector = np.ndarray
@@ -55,55 +61,60 @@ class QuadratureError(FieldError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def _field_core(starts, ends, points):
-    """Closed-form field of N segments at M points, prefactor k = 1.
+_TILE_PAIRS = 1 << 15
 
-    Returns (B, dist) with B of shape (M, N, 3) holding each segment's
-    contribution and dist of shape (M, N) the point-to-segment distances,
-    so callers can apply their own exclusion policy before summing.
-    """
-    u = ends - starts                      # (N, 3)
-    length = np.linalg.norm(u, axis=1)     # (N,)
-    uhat = u / length[:, None]
 
-    a = points[:, None, :] - starts[None, :, :]          # (M, N, 3)
-    az1 = np.einsum("mnc,nc->mn", a, uhat)               # axial coord of P from start
-    az2 = az1 - length[None, :]                          # axial coord of P from end
-    cxa = np.cross(uhat[None, :, :], a)                  # u_hat x rho, (M, N, 3)
-    r2 = np.einsum("mnc,mnc->mn", cxa, cxa)              # perpendicular distance^2
-    na = np.sqrt(r2 + az1 * az1)                         # |P - start|
-    nb = np.sqrt(r2 + az2 * az2)                         # |P - end|
-
-    broadside = (az1 >= 0.0) & (az2 <= 0.0)
-    dist = np.where(broadside, np.sqrt(r2), np.minimum(na, nb))
-
-    factor = np.zeros_like(r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Between the endpoints: both cosine terms have the same sign, the
-        # direct form is stable, and r2 > 0 whenever the point clears the
-        # conductor (on-conductor entries are masked by the caller).
-        m = broadside & (r2 > 0.0)
-        factor[m] = (az1[m] / na[m] - az2[m] / nb[m]) / r2[m]
-        # Beyond either endpoint: cos t1 + cos t2 nearly cancels, so use the
-        # algebraically equivalent form with the cancellation removed; the
-        # r^2 factor cancels exactly, so the on-axis limit is smooth.
-        m = ~broadside
-        denom = na[m] * nb[m] * (az1[m] * nb[m] + az2[m] * na[m])
-        ell = np.broadcast_to(length[None, :], r2.shape)[m]
-        factor[m] = ell * (az1[m] + az2[m]) / denom
-
-    return cxa * factor[:, :, None], dist
+def _stick_field(sticks: PackedSticks, points):
+    """Field (prefactor k = 1) of packed sticks at (M, 3) points: (B, dist)
+    with B of shape (M, 3) and dist of shape (M, N) the point-to-stick
+    distances, so callers can apply their own exclusion policy.  Raises
+    ValueError naming the first point that is not finite."""
+    if not np.isfinite(points).all():
+        i = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise ValueError(f"point {i} {tuple(points[i].tolist())} is not finite")
+    n = len(sticks.sign)
+    pts = np.ascontiguousarray(points.T)
+    b, dist = np.empty((pts.shape[1], 3)), np.empty((pts.shape[1], n))
+    (ax_a, ax_b, ax_c), (s_a, s_b, s_c) = sticks.roles, sticks.start[:, :, None]
+    sign, length, slot = sticks.sign[:, None], sticks.length[:, None], 3 * np.arange(n)
+    tile = max(1, _TILE_PAIRS // n)
+    # Far points overflow to inf, which the forms below turn into an exact
+    # zero field and an infinite distance.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, pts.shape[1], tile):
+            p = pts[:, lo:lo + tile]
+            az1 = sign * (p[ax_a] - s_a)           # axial coord of P from start
+            az2 = az1 - length                     # axial coord of P from end
+            tb, tc = p[ax_b] - s_b, p[ax_c] - s_c
+            r2 = tb * tb + tc * tc                 # perpendicular distance^2
+            na = np.sqrt(r2 + az1 * az1)           # |P - start|
+            nb = np.sqrt(r2 + az2 * az2)           # |P - end|
+            broadside = (az1 >= 0.0) & (az2 <= 0.0)
+            dist[lo:lo + tile] = np.where(broadside, np.sqrt(r2), np.minimum(na, nb)).T
+            # Between the endpoints the direct form is stable (r2 == 0 there
+            # only on the conductor, which contributes nothing); beyond them
+            # cos t1 + cos t2 nearly cancels, so use the equivalent form with
+            # the cancellation removed, which is smooth onto the axis.
+            factor = sign * np.where(
+                broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
+                length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
+            # Rows (stick, component): summing over the leading axis adds
+            # the sticks one at a time in flow order.
+            contrib = np.zeros((3 * n, p.shape[1]))
+            contrib[slot + ax_c] = tb * factor
+            contrib[slot + ax_b] = -tc * factor
+            b[lo:lo + tile] = contrib.reshape(n, 3, -1).sum(axis=0).T
+    return b, dist
 
 
 def segment_field(seg: Segment, point, k: float = 1.0,
                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Closed-form field of one stick at one point, in units of k."""
-    contrib, dist = _field_core(np.array([seg.start], dtype=float),
-                                np.array([seg.end], dtype=float),
-                                np.asarray(point, dtype=float).reshape(1, 3))
+    b, dist = _stick_field(PackedSticks.pack([seg.start], [seg.end]),
+                           np.asarray(point, dtype=float).reshape(1, 3))
     if dist[0, 0] < exclusion_radius:
         raise OnConductorError(point, dist[0, 0], segment_index=seg.index or None)
-    return k * contrib[0, 0]
+    return k * b[0]
 
 
 # Fixed-order Gauss panel rule, shared by the quadrature oracle and holonomy.
@@ -125,7 +136,7 @@ def segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1
     u = end - start
     a = p - start
 
-    _, dist = _field_core(start[None], end[None], p.reshape(1, 3))
+    _, dist = _stick_field(PackedSticks.pack([seg.start], [seg.end]), p.reshape(1, 3))
     if dist[0, 0] < exclusion_radius:
         raise OnConductorError(point, dist[0, 0], segment_index=seg.index or None)
 
@@ -168,15 +179,13 @@ def total_field(knot: LatticeKnot, point,
 
     Raises OnConductorError naming the first offending stick and the point's
     distance from it when the point lies within the exclusion radius of the
-    circuit.
+    circuit, and ValueError when the point is not finite.
     """
-    b, bad, dist = _total_field_batch(
-        knot, np.asarray(point, dtype=float).reshape(1, 3), exclusion_radius
-    )
-    if bad[0].any():
-        j = int(np.argmax(bad[0]))
-        raise OnConductorError(point, dist[0, j], segment_index=j + 1)
-    return b[0]
+    b, dist = _stick_field(knot.sticks, np.asarray(point, dtype=float).reshape(1, 3))
+    bad = np.flatnonzero(dist[0] < exclusion_radius)
+    if bad.size:
+        raise OnConductorError(point, dist[0, bad[0]], segment_index=int(bad[0]) + 1)
+    return knot.k * b[0]
 
 
 def total_field_many(knot: LatticeKnot, points,
@@ -185,16 +194,11 @@ def total_field_many(knot: LatticeKnot, points,
 
     Returns (B, on_conductor) where rows of B within the exclusion radius of
     the circuit are NaN and flagged in the boolean mask instead of raising;
-    grid samplers want masked rows, not exceptions.
+    grid samplers want masked rows, not exceptions.  Raises ValueError when
+    a point is not finite.
     """
-    b, bad, _ = _total_field_batch(knot, np.asarray(points, dtype=float), exclusion_radius)
-    mask = np.any(bad, axis=1)
+    b, dist = _stick_field(knot.sticks, np.asarray(points, dtype=float))
+    b *= knot.k
+    mask = np.any(dist < exclusion_radius, axis=1)
     b[mask] = np.nan
     return b, mask
-
-
-def _total_field_batch(knot, points, exclusion_radius):
-    """(B, bad, dist): the summed field, and per (point, stick) the
-    exclusion test and the distance it was made on."""
-    contrib, dist = _field_core(*stick_ends(knot), points)
-    return knot.k * np.sum(contrib, axis=1), dist < exclusion_radius, dist

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +94,32 @@ class LatticeKnot:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def sticks(self) -> PackedSticks:
+        """The circuit packed for the field kernel; ValueError as ``stick_ends``."""
+        return PackedSticks.pack(*stick_ends(self))
+
+
+class PackedSticks(NamedTuple):
+    """Sticks in flow order as the field kernel reads them.  Column j is
+    stick j: ``roles`` (3, N) the coordinate index of its axis a and of
+    (a+1)%3, (a+2)%3, ``start`` (3, N) its start point's coordinates in those
+    roles, ``sign`` its flow direction along a (+1.0 or -1.0), ``length``."""
+
+    roles: np.ndarray
+    start: np.ndarray
+    sign: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def pack(cls, starts, ends) -> PackedSticks:
+        """From the (N, 3) start and end points of nonzero axis-aligned sticks."""
+        starts = np.asarray(starts, dtype=float)
+        u = np.asarray(ends, dtype=float) - starts
+        n, axis = np.arange(len(u)), np.argmax(u != 0.0, axis=1)
+        roles = (axis + np.arange(3)[:, None]) % 3
+        return cls(roles, starts[n, roles], np.sign(u[n, axis]), np.abs(u[n, axis]))
 
 
 @dataclass(frozen=True)

@@ -90,18 +90,20 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
     return FieldSample(grid=grid, points=pts, b=b, on_conductor=mask)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 CSV_HEADER = "x,y,z,Bx,By,Bz,on_conductor"
+
+# Rows formatted per write: bounds the formatted text held at once.
+_BLOCK_ROWS = 4096
 
 
 def write_csv(sample: FieldSample, fh) -> None:
     fh.write(CSV_HEADER + "\n")
-    for p, b, m in zip(sample.points, sample.b, sample.on_conductor):
-        row = [_fmt(c) for c in p] + [_fmt(c) for c in b] + ["1" if m else "0"]
-        fh.write(",".join(row) + "\n")
+    for lo in range(0, len(sample.points), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        rows = zip(sample.points[block].tolist(), sample.b[block].tolist(),
+                   sample.on_conductor[block].tolist())
+        fh.write("".join(f"{x!r},{y!r},{z!r},{bx!r},{by!r},{bz!r},{m:d}\n"
+                         for (x, y, z), (bx, by, bz), m in rows))
 
 
 def write_jsonl(sample: FieldSample, fh) -> None:
@@ -117,23 +119,21 @@ def write_vtk(sample: FieldSample, fh, title: str = "knotfield sample") -> None:
     """Legacy ASCII structured-points dataset with one vector field."""
     nx, ny, nz = sample.grid.counts
     ox, oy, oz = sample.grid.origin
-    s = sample.grid.spacing
+    s = float(sample.grid.spacing)
     fh.write("# vtk DataFile Version 3.0\n")
     fh.write(title + "\n")
     fh.write("ASCII\n")
     fh.write("DATASET STRUCTURED_POINTS\n")
     fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")
-    fh.write(f"ORIGIN {_fmt(ox)} {_fmt(oy)} {_fmt(oz)}\n")
-    fh.write(f"SPACING {_fmt(s)} {_fmt(s)} {_fmt(s)}\n")
+    fh.write(f"ORIGIN {ox!r} {oy!r} {oz!r}\n")
+    fh.write(f"SPACING {s!r} {s!r} {s!r}\n")
     fh.write(f"POINT_DATA {sample.grid.n_points}\n")
     fh.write("VECTORS B double\n")
     # Our rows are z-fastest; VTK wants x-fastest.
-    b = sample.b.reshape(nx, ny, nz, 3)
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                bx, by, bz = b[ix, iy, iz]
-                fh.write(f"{_fmt(bx)} {_fmt(by)} {_fmt(bz)}\n")
+    order = np.arange(sample.grid.n_points).reshape(nx, ny, nz).transpose(2, 1, 0).ravel()
+    for lo in range(0, len(order), _BLOCK_ROWS):
+        rows = sample.b[order[lo:lo + _BLOCK_ROWS]].tolist()
+        fh.write("".join(f"{bx!r} {by!r} {bz!r}\n" for bx, by, bz in rows))
 
 
 WRITERS = {"csv": write_csv, "jsonl": write_jsonl, "vtk": write_vtk}

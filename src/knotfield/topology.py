@@ -36,7 +36,7 @@ from .biot_savart import (
     QuadratureError,
     _GL_W,
     _GL_X,
-    _field_core,
+    _stick_field,
 )
 
 
@@ -177,7 +177,6 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     if clear < exclusion_radius:
         raise LoopOnConductorError(i, j, clear)
 
-    starts, ends = stick_ends(knot)
     edges = loop.edges()
 
     budget = tol / len(edges)
@@ -191,8 +190,7 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
             offsets = (np.arange(n_panels)[:, None] + 0.5 * (_GL_X + 1.0)[None, :]) / n_panels
             t = offsets.ravel()
             pts = a[None, :] + t[:, None] * e[None, :]
-            contrib, _ = _field_core(starts, ends, pts)
-            b_along = np.einsum("mc,c->m", np.sum(contrib, axis=1), e)
+            b_along = np.einsum("mc,c->m", _stick_field(knot.sticks, pts)[0], e)
             w = np.broadcast_to(_GL_W[None, :] / (2.0 * n_panels), offsets.shape).ravel()
             return float(np.dot(w, b_along))
 

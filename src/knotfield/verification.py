@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LatticeKnot, Segment, bounding_box, refine, segments
-from .biot_savart import _field_core, segment_field, segment_field_quadrature, total_field
+from .geometry import LatticeKnot, PackedSticks, Segment, bounding_box, refine, segments
+from .biot_savart import _stick_field, segment_field, segment_field_quadrature, total_field
 from .topology import Loop, holonomy, linking_number, loop_clearance
 
 
@@ -52,14 +52,12 @@ def random_axis_segment(rng, lo: int = -8, hi: int = 8) -> Segment:
 def random_clear_point(rng, sticks, margin: float, clearance: float):
     """Uniform point in the sticks' inflated bounding box, at least
     ``clearance`` from them by the field kernel's own distance."""
-    starts = np.array([s.start for s in sticks], dtype=float)
-    ends = np.array([s.end for s in sticks], dtype=float)
-    pts = np.concatenate([starts, ends])
-    lo = pts.min(axis=0) - margin
-    hi = pts.max(axis=0) + margin
+    ends = np.array([(s.start, s.end) for s in sticks], dtype=float)    # (N, 2, 3)
+    packed = PackedSticks.pack(ends[:, 0], ends[:, 1])
+    lo, hi = ends.min(axis=(0, 1)) - margin, ends.max(axis=(0, 1)) + margin
     while True:
         p = rng.uniform(lo, hi)
-        if _field_core(starts, ends, p.reshape(1, 3))[1].min() >= clearance:
+        if _stick_field(packed, p.reshape(1, 3))[1].min() >= clearance:
             return p
 
 

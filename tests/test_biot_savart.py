@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from knotfield.braids import close_braid_on_lattice, parse_braid
 from knotfield.geometry import LatticeKnot, Segment, canonical_trefoil, refine, segments
 from knotfield.biot_savart import (
     OnConductorError,
@@ -12,6 +15,19 @@ from knotfield.biot_savart import (
     total_field_many,
 )
 from knotfield.verification import random_axis_segment, random_clear_point
+
+
+# A 40-letter 3-strand word whose closure is a 412-stick knot.
+BRAID_40 = ("s1^-1 s2 s2 s2 s1 s2^-1 s1^-1 s1^-1 s2^-1 s1 s1 s1 s2 s1^-1 s1 s1^-1 s2^-1 "
+            "s2^-1 s2 s1^-1 s1 s2^-1 s1^-1 s2^-1 s1^-1 s1 s1^-1 s1^-1 s1 s2^-1 s2^-1 "
+            "s2^-1 s1^-1 s1^-1 s2 s2^-1 s1 s1^-1 s2^-1 s2")
+
+
+@pytest.fixture(scope="module")
+def closure_412():
+    knot = close_braid_on_lattice(parse_braid(BRAID_40))
+    assert len(knot) == 412
+    return knot
 
 
 def square_loop_ccw():
@@ -230,13 +246,51 @@ class TestTotalField:
         slope = np.polyfit(np.log(radii), np.log(mags), 1)[0]
         assert slope <= -2.0
 
-    def test_many_matches_single(self):
+    def test_many_matches_single(self, closure_412):
         knot = canonical_trefoil()
         pts = np.array([[5.0, 3.0, 2.0], [-1.0, -1.0, -1.0], [3.0, 3.0, 7.0]])
         b, mask = total_field_many(knot, pts)
         assert not mask.any()
         for row, p in zip(b, pts):
             assert np.array_equal(row, total_field(knot, p))
+        # Many sticks and enough points for several kernel tiles: each row
+        # is bit for bit the one-point sum, whatever tile it landed in.
+        knot = closure_412
+        pts = np.random.default_rng(2).uniform((-8, -2, 0), (168, 4, 14), size=(400, 3))
+        b, mask = total_field_many(knot, pts)
+        assert not mask.any()
+        for row, p in zip(b, pts):
+            assert row.tobytes() == total_field(knot, p).tobytes()
+
+    def test_many_memory_is_per_tile(self, closure_412):
+        # The kernel's temporaries are bounded by its tile, so a 4096-point
+        # batch on 412 sticks needs little beyond its (4096, 412) distances.
+        knot = closure_412
+        pts = np.random.default_rng(3).uniform((-8, -2, 0), (168, 4, 14), size=(4096, 3))
+        total_field_many(knot, pts[:1])          # pack the circuit first
+        tracemalloc.start()
+        try:
+            total_field_many(knot, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+
+    def test_far_point_is_exact_zero(self):
+        # The true field underflows; overflowing intermediates give exact
+        # zeros, with no RuntimeWarning.
+        knot = canonical_trefoil()
+        assert (total_field(knot, (1e200, 0.0, 0.0)) == 0.0).all()
+        b, mask = total_field_many(knot, [[1e200, 0, 0], [0, -1e300, 3], [1e300, 1e300, -1e300]])
+        assert (b == 0.0).all() and not mask.any()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_rejected(self, bad):
+        knot = canonical_trefoil()
+        with pytest.raises(ValueError, match="not finite"):
+            total_field(knot, (bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"point 1 \(5\.0, .*\) is not finite"):
+            total_field_many(knot, [[1.0, 1.0, 1.0], [5.0, bad, 2.0], [bad, 0.0, 0.0]])
 
     def test_many_masks_on_conductor(self):
         knot = canonical_trefoil()
@@ -245,3 +299,37 @@ class TestTotalField:
         assert mask.tolist() == [True, False]
         assert np.isnan(b[0]).all()
         assert np.isfinite(b[1]).all()
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(axis=st.integers(0, 2), sign=st.sampled_from([1, -1]),
+           start=st.tuples(*[st.integers(-6, 6)] * 3), length=st.integers(1, 8),
+           region=st.sampled_from(["broadside", "before", "after",
+                                   "near-axis-before", "near-axis-after"]),
+           u=st.floats(0.0, 1.0), log_r=st.floats(-12.0, 0.7), on_axis=st.booleans(),
+           angle=st.floats(0.0, 2 * math.pi))
+    def test_matches_quadrature_in_every_orientation(self, axis, sign, start, length, region,
+                                                     u, log_r, on_axis, angle):
+        # A stick along sign * e_axis, and a point at axial offset s along
+        # the flow from the start and distance r off the axis: broadside,
+        # beyond either end, or within 1e-3 of the axis extension.  Every
+        # point is at least 0.05 from the stick.
+        end = list(start)
+        end[axis] += sign * length
+        seg = Segment(start, tuple(end))
+        r = 10.0 ** log_r
+        if region == "broadside":
+            s, r = u * length, 0.05 + r
+        else:
+            s = -0.05 - 5 * u if region.endswith("before") else length + 0.05 + 5 * u
+            if region.startswith("near-axis"):
+                r = 0.0 if on_axis else min(r, 1e-3)
+        p = np.array(start, dtype=float)
+        p[axis] += sign * s
+        p[(axis + 1) % 3] += r * math.cos(angle)
+        p[(axis + 2) % 3] += r * math.sin(angle)
+        closed = segment_field(seg, p)
+        scale = float(np.linalg.norm(closed))
+        quad = segment_field_quadrature(seg, p, tol=1e-13 * scale)
+        assert np.max(np.abs(closed - quad)) <= 1e-9 * scale

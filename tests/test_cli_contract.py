@@ -2,14 +2,18 @@
 
 ``perfbench/workloads.py`` calls ``knotfield.cli.main`` with the argv shapes
 below and reads attributes of ``build_parser().parse_args`` of the same
-argv to replay each job through the library.  These tests pin both, so a
-CLI change that would break the benchmark fails here first.
+argv to replay each job through the library; its kernel probe reads
+``sample_field``'s default chunk size.  These tests pin all three, so a
+change that would break the benchmark fails here first.
 """
+
+import inspect
 
 import pytest
 
 from knotfield.biot_savart import DEFAULT_EXCLUSION_RADIUS
 from knotfield.cli import build_parser
+from knotfield.sampling import sample_field
 
 GRID = ["--origin=-2.0,-2.0,-2.0", "--spacing", "0.25", "--counts", "41,41,41"]
 
@@ -41,3 +45,9 @@ def test_verify_argv(knot, extra, loops, points, kernel_pairs):
     assert args.k == 1.0
     assert args.seed == 7
     assert (args.loops, args.points, args.kernel_pairs) == (loops, points, kernel_pairs)
+
+
+def test_sample_field_chunk_default():
+    # The benchmark's kernel probe reads the sampler's chunk size from here.
+    chunk = inspect.signature(sample_field).parameters["chunk"]
+    assert type(chunk.default) is int and chunk.default > 0

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -251,6 +253,18 @@ class TestCli:
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == rc
         assert capsys.readouterr().out.strip() == out
 
+    def test_field_sample_far_grid_is_exact_zero(self, capsys):
+        # The true field there underflows; overflowing intermediates must
+        # give exact zeros without a RuntimeWarning on stderr.
+        assert run_cli("field", "sample", "--knot", "3_1", "--origin=1e200,0,0",
+                       "--spacing", "1", "--counts", "2,1,1") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert len(rows) == 2
+        assert all(float(r[c]) == 0.0 and r["on_conductor"] == "0"
+                   for r in rows for c in ("Bx", "By", "Bz"))
+
     def test_holonomy_unrepresentable_loop_exit_4(self, tmp_path, capsys):
         # Edge 0 runs through trefoil stick 1 at (2,2,3), but its length
         # squared overflows: a typed refusal, not a traceback or a number.
@@ -361,8 +375,14 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
      "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
     (("verify", "transcription", "--knot", "3_1", "--points", "5"),
      "52382ba420b3b3d65c3d333f1b2c7bf53ea8cb9556d7c7d6a5fdf892c439b5b8"),
+    # A 20-letter 3-strand word whose closure is a knot, sampled over its
+    # bounding box at spacing 1: many sticks, several kernel tiles, and
+    # on-conductor rows on the lattice points of the circuit.
+    (("field", "sample", "--braid", "s2 s1 s1 s2 s1^-1 s1^-1 s2^-1 s1 s2 s1 s2^-1 s2 s2 s1 "
+      "s1^-1 s2 s1^-1 s2 s2^-1 s1", "--origin=-6,0,2", "--spacing", "1", "--counts", "93,3,11"),
+     "76f42f73d86ae528ea7c627e19ca1fa7e63099da19f1a2092401f01f7bae2030"),
 ], ids=["csv", "jsonl", "vtk", "braid-4_1", "braid-12-letters", "knot-info", "knot-emit",
-        "holonomy-text", "holonomy-json", "linking", "verify-transcription"])
+        "holonomy-text", "holonomy-json", "linking", "verify-transcription", "braid-field-csv"])
 def test_golden_stdout(tmp_path, capsys, argv, digest):
     loop_file = tmp_path / "loop.txt"
     write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
