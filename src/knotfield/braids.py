@@ -30,7 +30,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .geometry import Axis, LatticeKnot, validate
+import numpy as np
+
+from .geometry import Axis, LatticeKnot, touching_pairs, validate
 
 
 class BraidParseError(ValueError):
@@ -258,19 +260,15 @@ def close_braid_on_lattice(word: BraidWord) -> LatticeKnot:
         if strand == 0:
             break
 
-    vertices = _merge_collinear(points)
-    knot = LatticeKnot(vertices=tuple(vertices), name=f"closure({format_braid(word) or 'e'})")
-
-    report = validate(knot)
-    if not report.ok:
-        raise PlacementError(
-            "braid layout produced an invalid knot: " + "; ".join(report.violations)
-        )
+    knot = LatticeKnot(vertices=_merge_collinear(points),
+                       name=f"closure({format_braid(word) or 'e'})")
+    violations = validate(knot).violations
+    if violations:
+        raise PlacementError("braid layout produced an invalid knot: " + "; ".join(violations))
     crossings = projection_crossings(knot)
     if len(crossings) != crossing_count(word):
-        raise PlacementError(
-            f"projection has {len(crossings)} crossings, expected {crossing_count(word)}"
-        )
+        raise PlacementError(f"projection has {len(crossings)} crossings, "
+                             f"expected {crossing_count(word)}")
     if sum(c.sign for c in crossings) != writhe(word):
         raise PlacementError("projected crossing signs do not sum to the writhe")
     return knot
@@ -278,31 +276,18 @@ def close_braid_on_lattice(word: BraidWord) -> LatticeKnot:
 
 def _merge_collinear(points):
     """Drop duplicate and collinear interior points of a closed polyline."""
-    pts = []
-    for p in points:
-        if not pts or p != pts[-1]:
-            pts.append(p)
-    if len(pts) > 1 and pts[0] == pts[-1]:
-        pts.pop()
-
-    def moving_axis(a, b):
-        ax = [i for i in range(3) if a[i] != b[i]]
-        return ax[0] if len(ax) == 1 else None
-
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        out = []
-        k = len(pts)
-        for i in range(k):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % k]
-            ax1, ax2 = moving_axis(a, b), moving_axis(b, c)
-            if ax1 is not None and ax1 == ax2:
-                changed = True
-                continue
-            out.append(b)
-        pts = out
-    return pts
+    pts = np.array(points)
+    pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
+    if len(pts) > 1 and (pts[0] == pts[-1]).all():
+        pts = pts[:-1]
+    while len(pts) > 2:
+        moving = pts != np.roll(pts, 1, axis=0)        # along the edge into each point
+        axis = np.where(moving.sum(axis=1) == 1, moving.argmax(axis=1), -1)
+        through = (axis >= 0) & (axis == np.roll(axis, -1))
+        if not through.any():
+            break
+        pts = pts[~through]
+    return pts.tolist()
 
 
 @dataclass(frozen=True)
@@ -314,82 +299,54 @@ class ProjectedCrossing:
 
 
 def projection_crossings(knot: LatticeKnot, view_axis: Axis = Axis.Y) -> tuple[ProjectedCrossing, ...]:
-    """Scan the projection along ``view_axis`` for transverse double points.
+    """Find the transverse double points of the projection along ``view_axis``.
 
     The viewer sits at -infinity on the view axis, so of two edges meeting
     in projection the one with the smaller view-axis coordinate is in front.
     Only strict interior-interior transverse intersections count; endpoint
     touches are where a strand changes face and are not crossings.  Any
-    collinear overlap in projection means the layout is broken and raises
-    PlacementError.
+    collinear overlap in projection, or a crossing at equal depth, means the
+    layout is broken and raises PlacementError for the first such pair in
+    edge order.  Edges not parallel to the view axis project to horizontal or
+    vertical segments through their starts; ``touching_pairs`` finds those
+    whose open spans meet in O(E log E) plus the candidates, not O(E^2).
+    Crossings are sorted by position, ties in edge-pair order.
     """
     va = int(view_axis)
-    h_ax, v_ax = [i for i in range(3) if i != va]
-
-    v = knot.vertices
-    n = len(v)
-    edges = []
-    for i in range(n):
-        a, b = v[i], v[(i + 1) % n]
-        if a[h_ax] == b[h_ax] and a[v_ax] == b[v_ax]:
-            continue                       # parallel to the view axis
-        edges.append((i, a, b))
-
-    def span(a, b, ax):
-        return (min(a[ax], b[ax]), max(a[ax], b[ax]))
-
-    crossings = []
-    for p in range(len(edges)):
-        i, a1, b1 = edges[p]
-        for q in range(p + 1, len(edges)):
-            j, a2, b2 = edges[q]
-            horiz1 = a1[v_ax] == b1[v_ax]
-            horiz2 = a2[v_ax] == b2[v_ax]
-            if horiz1 == horiz2:
-                # Parallel in projection: any shared interior is an overlap.
-                fixed_ax, run_ax = (v_ax, h_ax) if horiz1 else (h_ax, v_ax)
-                if a1[fixed_ax] == a2[fixed_ax]:
-                    lo1, hi1 = span(a1, b1, run_ax)
-                    lo2, hi2 = span(a2, b2, run_ax)
-                    if max(lo1, lo2) < min(hi1, hi2):
-                        raise PlacementError(
-                            f"edges {i} and {j} overlap in projection"
-                        )
-                continue
-            (hi_, ha, hb), (vi_, va_, vb) = ((i, a1, b1), (j, a2, b2)) if horiz1 \
-                else ((j, a2, b2), (i, a1, b1))
-            hx_lo, hx_hi = span(ha, hb, h_ax)
-            vz_lo, vz_hi = span(va_, vb, v_ax)
-            x_cross, z_cross = va_[h_ax], ha[v_ax]
-            if not (hx_lo < x_cross < hx_hi and vz_lo < z_cross < vz_hi):
-                continue
-            y_h, y_v = ha[va], va_[va]
-            if y_h == y_v:
-                raise PlacementError(
-                    f"edges {hi_} and {vi_} cross at equal depth {y_h}"
-                )
-            over, under = ((hi_, ha, hb), (vi_, va_, vb)) if y_h < y_v \
-                else ((vi_, va_, vb), (hi_, ha, hb))
-
-            def tangent(a, b):
-                t = [0, 0, 0]
-                ax = [k for k in range(3) if a[k] != b[k]][0]
-                t[ax] = 1 if b[ax] > a[ax] else -1
-                return t
-
-            to, tu = tangent(over[1], over[2]), tangent(under[1], under[2])
-            cross = [
-                to[1] * tu[2] - to[2] * tu[1],
-                to[2] * tu[0] - to[0] * tu[2],
-                to[0] * tu[1] - to[1] * tu[0],
-            ]
-            sign = -cross[va]              # viewer normal is -e_view
-            crossings.append(
-                ProjectedCrossing(
-                    position=(x_cross, z_cross),
-                    sign=sign,
-                    over_edge=over[0],
-                    under_edge=under[0],
-                )
-            )
-    return tuple(sorted(crossings, key=lambda c: c.position))
+    plane = [i for i in range(3) if i != va]
+    a = np.array(knot.vertices).reshape(-1, 3)
+    if a.size and a.dtype != np.int64:
+        raise ValueError(f"vertex coordinates must be integers within int64, not {a.dtype}")
+    b = np.roll(a, -1, axis=0)
+    idx = np.flatnonzero((a[:, plane] != b[:, plane]).any(axis=1))
+    a, b = a[idx], b[idx]
+    k = np.arange(len(idx))
+    vertical = (a[:, plane[1]] != b[:, plane[1]]).astype(int)
+    run = np.array(plane)[vertical]
+    lo, hi = a[:, plane], a[:, plane]
+    lo[k, vertical], hi[k, vertical] = np.minimum(a, b)[k, run], np.maximum(a, b)[k, run]
+    p, q = touching_pairs(lo, hi, vertical, strict=True)
+    h, w = np.where(vertical[p] == 1, q, p), np.where(vertical[p] == 1, p, q)
+    depth_h, depth_w = a[h, va], a[w, va]
+    broken = (vertical[p] == vertical[q]) | (depth_h == depth_w)
+    if broken.any():
+        f = int(np.argmax(broken))
+        if vertical[p[f]] == vertical[q[f]]:
+            raise PlacementError(f"edges {idx[p[f]]} and {idx[q[f]]} overlap in projection")
+        raise PlacementError(f"edges {idx[h[f]]} and {idx[w[f]]} cross at equal depth "
+                             f"{depth_h[f].item()}")
+    front = depth_h < depth_w
+    over, under = np.where(front, h, w), np.where(front, w, h)
+    # Tangents are +-1 along the first moving axis.  The sign is -(t_over x
+    # t_under) . e_view, and e_i x e_j . e_k = (i - j)(j - k)(k - i) / 2.
+    t_axis = np.argmax(a != b, axis=1)
+    t_sign = np.sign((b - a)[k, t_axis])
+    ao, au = t_axis[over], t_axis[under]
+    sign = -t_sign[over] * t_sign[under] * (ao - au) * (au - va) * (va - ao) // 2
+    x, z = a[w, plane[0]], a[h, plane[1]]
+    by_position = np.lexsort((z, x))
+    return tuple(
+        ProjectedCrossing(position=(xi, zi), sign=s, over_edge=o, under_edge=u)
+        for xi, zi, s, o, u in zip(*(arr[by_position].tolist() for arr in
+                                     (x, z, sign, idx[over], idx[under])))
+    )

@@ -10,9 +10,10 @@ usage error.  SOURCE is exactly one of --knot, --braid, --knot-file.
                  --origin --spacing --counts --out
   holonomy       SOURCE --k --tol --exclusion --format {text,json} --loop
   linking        SOURCE --loop
-  verify [transcription]
-                 SOURCE --k --seed --format {text,json} --loops --points
+  verify         SOURCE --k --seed --format {text,json} --loops --points
                  --kernel-pairs
+  verify transcription
+                 --knot --seed --format {text,json} --points
 
 Exit codes: 0 ok, 1 usage or input error, 2 multi-component braid closure,
 3 field/holonomy evaluation on the conductor, 4 verification failure.
@@ -73,6 +74,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    words: dict = {}    # leading words with their own option set: `verify transcription`
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args and args[0] in self.words:
+            return self.words[args[0]].parse_known_args(args[1:], namespace)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -114,15 +122,19 @@ def build_parser() -> _Parser:
     link = sub.add_parser("linking", help="Gauss-integral linking number")
     link.set_defaults(func=_cmd_linking)
 
-    ver = sub.add_parser("verify", help="run the self-check suites")
+    ver = sub.add_parser("verify", help="run the self-check suites, or the printed formulas' "
+                         "with 'verify transcription'")
     ver.set_defaults(func=_cmd_verify)
-    ver.add_argument("what", nargs="?", choices=["transcription"],
-                     help="'transcription' checks the printed formulas instead")
-    ver.add_argument("--seed", type=int, default=0, help="seed for random suites")
     ver.add_argument("--loops", type=int, default=20, help="loops per holonomy suite")
-    ver.add_argument("--points", type=int, default=200, help="points per field suite")
     ver.add_argument("--kernel-pairs", type=int, default=1000,
                      help="pairs for the kernel-vs-quadrature suite")
+    trans = _Parser(prog="knotfield verify transcription", allow_abbrev=False)
+    trans.set_defaults(func=_cmd_verify_transcription)
+    trans.add_argument("--knot", required=True, choices=sorted(CANONICAL))
+    ver.words = {"transcription": trans}
+    for p in (ver, trans):
+        p.add_argument("--seed", type=int, default=0, help="seed for random suites")
+        p.add_argument("--points", type=int, default=200, help="points per field suite")
 
     for p in (info, emit, sample, hol, link, ver):
         g = p.add_mutually_exclusive_group(required=True)
@@ -134,7 +146,7 @@ def build_parser() -> _Parser:
     for p in (sample, hol):
         p.add_argument("--exclusion", type=float, default=DEFAULT_EXCLUSION_RADIUS,
                        help="on-conductor exclusion radius")
-    for p in (hol, ver):
+    for p in (hol, ver, trans):
         p.add_argument("--format", default="text", choices=["text", "json"])
     for p in (hol, link):
         p.add_argument("--loop", required=True, metavar="PATH", help="loop file")
@@ -256,8 +268,6 @@ def _cmd_linking(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.what == "transcription":
-        return _cmd_verify_transcription(args)
     knot = _build_knot(args, args.k)
     results = run_verification(knot, seed=args.seed, loops=args.loops,
                                points=args.points, kernel_pairs=args.kernel_pairs)
@@ -278,8 +288,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_transcription(args) -> int:
     label = args.knot
-    if label is None:
-        raise _UsageError("verify transcription needs --knot 3_1 or --knot 4_1")
     ledger = discrepancy_ledger(label)
     rng = np.random.default_rng(args.seed)
     knot = CANONICAL[label]()

@@ -128,17 +128,50 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def _edge_box(a, b):
-    return tuple(min(a[i], b[i]) for i in range(3)), tuple(max(a[i], b[i]) for i in range(3))
+def touching_pairs(lo, hi, axis, strict=False):
+    """Index pairs (p, q), p < q, of axis-parallel segments that meet, sorted.
 
-
-def _boxes_intersection(box1, box2):
-    """Intersection of two axis-aligned boxes, or None if empty."""
-    lo = tuple(max(box1[0][i], box2[0][i]) for i in range(3))
-    hi = tuple(min(box1[1][i], box2[1][i]) for i in range(3))
-    if any(lo[i] > hi[i] for i in range(3)):
-        return None
-    return lo, hi
+    Row p of the (M, D) arrays ``lo`` and ``hi`` holds segment p's box
+    corners, equal but on its moving axis ``axis[p]``.  Segments meet when
+    their closed boxes share a point or, if ``strict``, a point interior to
+    both spans.  Coordinates become twice their rank: keys fit int64, and
+    an open span (lo, hi) is the closed [lo + 1, hi - 1].  For moving axes
+    a <= b, the b-segments sorted by (other fixed coordinates, ``lo`` along
+    a) hold each a-segment's partners in one ``searchsorted`` range: the
+    later members of its group if a == b, else the segments of its plane
+    crossing its a-span, kept if its b-coordinate lies in their b-span.
+    Cost: O(M log M) plus those ranges, which hold only hits when a == b.
+    """
+    m, d = lo.shape
+    _, rank = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    lo, hi = 2 * rank.reshape(2, m, d)
+    if strict:
+        lo[np.arange(m), axis] += 1
+        hi[np.arange(m), axis] -= 1
+    base = 4 * m * d + 1                   # exceeds every coordinate
+    found = []
+    for a in range(d):
+        for b in range(a, d):
+            group = np.zeros(m, np.int64)
+            for c in set(range(d)) - {a, b}:
+                group = group * base + lo[:, c]
+            group = np.unique(group, return_inverse=True)[1].reshape(m) * base
+            key = group + lo[:, a]
+            order = np.flatnonzero(axis == b)
+            order = order[np.argsort(key[order])]
+            queries = order if a == b else np.flatnonzero(axis == a)
+            start = (np.arange(1, len(order) + 1) if a == b else
+                     np.searchsorted(key[order], key[queries]))
+            count = np.searchsorted(key[order], group[queries] + hi[queries, a], "right") - start
+            p = np.repeat(queries, count)
+            q = order[np.arange(len(p)) + np.repeat(start + count - np.cumsum(count), count)]
+            if a != b:
+                hit = (lo[q, b] <= lo[p, b]) & (lo[p, b] <= hi[q, b])
+                p, q = p[hit], q[hit]
+            found.append((np.minimum(p, q), np.maximum(p, q)))
+    p, q = (np.concatenate(side) for side in zip(*found))
+    order = np.lexsort((q, p))
+    return p[order], q[order]
 
 
 def validate(knot: LatticeKnot) -> ValidationReport:
@@ -146,7 +179,11 @@ def validate(knot: LatticeKnot) -> ValidationReport:
 
     Violations are returned as data, never raised: degenerate input is a
     reportable condition, not an exception.  Each violation names the
-    offending vertex or edge pair.
+    offending vertex or edge pair, in scan order: vertices, edges, corners,
+    then edge pairs (i, j), i < j.  Vertices and edges are checked one by one.
+    The edges that pass, as int64 boxes (a stick is its bounding box), go to
+    ``touching_pairs`` for self-avoidance: O(N log N) plus the hits and the
+    perpendicular near misses, where a pairwise scan is O(N^2).
     """
     v = knot.vertices
     n = len(v)
@@ -160,23 +197,23 @@ def validate(knot: LatticeKnot) -> ValidationReport:
         if len(p) != 3 or any(not isinstance(c, int) or isinstance(c, bool) for c in p):
             violations.append(f"vertex {i} {p} has non-integer coordinates")
             bad_vertices.add(i)
+        elif any(not -2**63 <= c < 2**63 for c in p):
+            violations.append(f"vertex {i} {p} has a coordinate outside the int64 range")
+            bad_vertices.add(i)
 
     seen = {}
     for i, p in enumerate(v):
-        if p in seen:
+        if seen.setdefault(p, i) != i:
             violations.append(f"repeated vertex {p} at positions {seen[p]} and {i}")
-        else:
-            seen[p] = i
 
     # Edge-level checks; edges that fail here, or touch a vertex flagged
-    # above, are excluded from the pair scan.
+    # above, are excluded from the pair checks.
     good_edges = {}
     for i in range(n):
         if {i, (i + 1) % n} & bad_vertices:
             continue
         a, b = v[i], v[(i + 1) % n]
-        diffs = [b[c] - a[c] for c in range(3)]
-        moving = [c for c in range(3) if diffs[c] != 0]
+        moving = [c for c in range(3) if a[c] != b[c]]
         if not moving:
             violations.append(f"edge {i} {a}->{b} has zero length")
         elif len(moving) > 1:
@@ -188,30 +225,27 @@ def validate(knot: LatticeKnot) -> ValidationReport:
     for i in range(n):
         j = (i + 1) % n
         if i in good_edges and j in good_edges and good_edges[i][2] == good_edges[j][2]:
-            violations.append(
-                f"vertex {j} {v[j]} is not a corner (edges {i},{j} collinear)"
-            )
+            violations.append(f"vertex {j} {v[j]} is not a corner (edges {i},{j} collinear)")
 
-    # Self-avoidance: an axis-aligned segment equals its bounding box, so
-    # segment intersection reduces to box intersection.
-    idx = sorted(good_edges)
-    for a_pos in range(len(idx)):
-        for b_pos in range(a_pos + 1, len(idx)):
-            i, j = idx[a_pos], idx[b_pos]
-            adjacent = (j - i == 1) or (i == 0 and j == n - 1)
-            bi = _edge_box(good_edges[i][0], good_edges[i][1])
-            bj = _edge_box(good_edges[j][0], good_edges[j][1])
-            inter = _boxes_intersection(bi, bj)
-            if inter is None:
-                continue
-            if adjacent:
-                shared = v[j] if j - i == 1 else v[0]
-                if inter != (shared, shared):
-                    violations.append(f"consecutive edges {i},{j} overlap beyond {shared}")
-            else:
-                lo, hi = inter
-                where = lo if lo == hi else f"{lo}..{hi}"
-                violations.append(f"self-intersection: edges {i} and {j} meet at {where}")
+    # Self-avoidance.  Consecutive edges always share their joint vertex and
+    # fault only when they meet beyond it; any other meeting is a fault.
+    idx = np.fromiter(good_edges, np.int64, len(good_edges))
+    ends = np.array([e[:2] for e in good_edges.values()], np.int64).reshape(-1, 2, 3)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    p, q = touching_pairs(lo, hi, np.array([e[2] for e in good_edges.values()], int))
+    i, j = idx[p], idx[q]
+    follows = j - i == 1
+    adjacent = follows | ((i == 0) & (j == n - 1))
+    shared = np.where(follows[:, None], ends[q, 0], ends[p, 0])
+    meet_lo, meet_hi = np.maximum(lo[p], lo[q]), np.minimum(hi[p], hi[q])
+    fault = ~adjacent | (meet_lo != shared).any(axis=1) | (meet_hi != shared).any(axis=1)
+    for i, j, adj, at, mlo, mhi in zip(*(x[fault].tolist() for x in
+                                         (i, j, adjacent, shared, meet_lo, meet_hi))):
+        if adj:
+            violations.append(f"consecutive edges {i},{j} overlap beyond {tuple(at)}")
+        else:
+            where = tuple(mlo) if mlo == mhi else f"{tuple(mlo)}..{tuple(mhi)}"
+            violations.append(f"self-intersection: edges {i} and {j} meet at {where}")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

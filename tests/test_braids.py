@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotfield.geometry import bounding_box, validate
+from knotfield.geometry import LatticeKnot, bounding_box, refine, validate
 from knotfield.braids import (
     BraidParseError,
     BraidWord,
@@ -153,6 +153,50 @@ class TestClosure:
             y_over = v[c.over_edge][1]
             y_under = v[c.under_edge][1]
             assert y_over < y_under     # viewer sits at y = -infinity
+
+
+class TestLongWords:
+    """Closures large enough that a pairwise self-check would take seconds."""
+
+    def test_torus_knots_t2n(self):
+        for n in range(1, 200, 2):
+            word = parse_braid(" ".join(["s1"] * n))
+            knot = close_braid_on_lattice(word)
+            assert validate(knot).ok
+            crossings = projection_crossings(knot)
+            assert len(crossings) == n
+            assert sum(c.sign for c in crossings) == n
+
+    def test_300_letter_word(self):
+        rng = np.random.default_rng(300)
+        while True:
+            word = BraidWord(3, tuple((int(rng.integers(1, 3)), int(rng.choice((-1, 1))))
+                                      for _ in range(300)))
+            if len(permutation_cycles(word)) == 1:
+                break
+        knot = close_braid_on_lattice(word)
+        assert validate(knot).ok
+        crossings = projection_crossings(knot)
+        assert len(crossings) == crossing_count(word) == 300
+        assert sum(c.sign for c in crossings) == writhe(word)
+
+    def test_projection_refuses_coordinates_beyond_int64(self):
+        # As float64, x = 2**63 and 2**63 + 1 would merge into a false overlap.
+        big = 2**63
+        knot = LatticeKnot(vertices=((big, 0, 0), (big + 1, 0, 0), (big + 1, 0, 2), (big, 0, 2)))
+        with pytest.raises(ValueError, match="within int64"):
+            projection_crossings(knot)
+
+    def test_refined_40_letter_closure_validates(self):
+        rng = np.random.default_rng(40)
+        while True:
+            word = BraidWord(3, tuple((int(rng.integers(1, 3)), int(rng.choice((-1, 1))))
+                                      for _ in range(40)))
+            if len(permutation_cycles(word)) == 1:
+                break
+        knot = close_braid_on_lattice(word)
+        assert validate(refine(knot, 1000)).ok
+        assert len(projection_crossings(refine(knot, 1000))) == 40
 
 
 def _components_by_union_find(word):

@@ -82,6 +82,24 @@ def test_non_integer_coordinates_flagged():
     assert validate(knot).violations == ("vertex 0 (0, 0) has non-integer coordinates",)
 
 
+def test_out_of_int64_coordinates_flagged():
+    big, small = 2**63, -(2**63) - 1
+    knot = LatticeKnot(vertices=((0, 0, 0), (big, 0, 0), (big, 2, 0), (0, 2, 0)))
+    assert validate(knot).violations == (
+        f"vertex 1 ({big}, 0, 0) has a coordinate outside the int64 range",
+        f"vertex 2 ({big}, 2, 0) has a coordinate outside the int64 range",
+    )
+    # The flagged vertex's edges are left out of the edge and pair checks,
+    # so the diagonal closing edge into it is not reported as well.
+    knot = LatticeKnot(vertices=((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, small)))
+    assert validate(knot).violations == (
+        f"vertex 3 (0, 2, {small}) has a coordinate outside the int64 range",)
+    # The int64 limits themselves are in range.
+    lo, hi = -(2**63), 2**63 - 1
+    assert validate(LatticeKnot(vertices=((lo, 0, hi), (hi, 0, hi), (hi, 2, hi),
+                                          (lo, 2, hi)))).ok
+
+
 def test_too_few_vertices_flagged():
     assert any("too few" in v for v in validate(LatticeKnot(vertices=((0, 0, 0),))).violations)
 

@@ -133,7 +133,7 @@ def test_cli_requires_exactly_one_source(tmp_path, capsys):
 
 
 ARG_VALUES = {"--k": "2", "--tol": "1e-3", "--exclusion": "1e-3", "--threads": "2",
-              "--seed": "3", "--format": "json"}
+              "--seed": "3", "--format": "json", "--loops": "1", "--kernel-pairs": "1"}
 
 # One valid invocation per subcommand; LOOP stands for a loop file's path.
 BASE_ARGV = {
@@ -145,6 +145,7 @@ BASE_ARGV = {
     "linking": ("linking", "--knot", "3_1", "--loop", "LOOP"),
     "verify": ("verify", "--knot", "3_1", "--loops", "1", "--points", "1",
                "--kernel-pairs", "1"),
+    "verify transcription": ("verify", "transcription", "--knot", "3_1", "--points", "1"),
 }
 
 # The options each subcommand does not read, and so refuses.
@@ -155,6 +156,8 @@ DROPPED = {
     "holonomy": ("--threads", "--seed"),
     "linking": ("--k", "--tol", "--exclusion", "--threads", "--seed", "--format"),
     "verify": ("--tol", "--exclusion", "--threads"),
+    "verify transcription": ("--k", "--loops", "--kernel-pairs", "--tol", "--exclusion",
+                             "--threads"),
 }
 
 REFUSED = [(cmd, (opt, ARG_VALUES[opt])) for cmd, opts in DROPPED.items() for opt in opts]
@@ -174,6 +177,7 @@ def test_inapplicable_option_is_a_usage_error(tmp_path, capsys, command, extra):
     assert captured.err.startswith("error: ")
     assert any(m in captured.err for m in
                ("unrecognized arguments", "ambiguous option", "invalid choice"))
+    assert extra[0] in captured.err             # the refused flag is named, not its value
 
 
 class TestCli:
@@ -334,6 +338,16 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: grid ")
         assert not out.exists()
+
+    def test_knot_file_beyond_int64_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(f"0 0 0\n{2**63} 0 0\n{2**63} 2 0\n0 2 0\n")
+        assert run_cli("knot", "info", "--knot-file", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"vertex 1 ({2**63}, 0, 0) has a coordinate outside the int64 range" \
+            in captured.err
 
     def test_invalid_knot_file_rejected_before_output(self, tmp_path):
         path = tmp_path / "bad.txt"
