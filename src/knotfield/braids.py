@@ -343,10 +343,7 @@ def projection_crossings(knot: LatticeKnot, view_axis: Axis = Axis.Y) -> tuple[P
     t_sign = np.sign((b - a)[k, t_axis])
     ao, au = t_axis[over], t_axis[under]
     sign = -t_sign[over] * t_sign[under] * (ao - au) * (au - va) * (va - ao) // 2
-    x, z = a[w, plane[0]], a[h, plane[1]]
-    by_position = np.lexsort((z, x))
-    return tuple(
-        ProjectedCrossing(position=(xi, zi), sign=s, over_edge=o, under_edge=u)
-        for xi, zi, s, o, u in zip(*(arr[by_position].tolist() for arr in
-                                     (x, z, sign, idx[over], idx[under])))
-    )
+    crossings = [ProjectedCrossing(position=(x, z), sign=s, over_edge=o, under_edge=u)
+                 for x, z, s, o, u in zip(*(arr.tolist() for arr in (
+                     a[w, plane[0]], a[h, plane[1]], sign, idx[over], idx[under])))]
+    return tuple(sorted(crossings, key=lambda c: c.position))

@@ -134,17 +134,18 @@ def touching_pairs(lo, hi, axis, strict=False):
     Row p of the (M, D) arrays ``lo`` and ``hi`` holds segment p's box
     corners, equal but on its moving axis ``axis[p]``.  Segments meet when
     their closed boxes share a point or, if ``strict``, a point interior to
-    both spans.  Coordinates become twice their rank: keys fit int64, and
-    an open span (lo, hi) is the closed [lo + 1, hi - 1].  For moving axes
-    a <= b, the b-segments sorted by (other fixed coordinates, ``lo`` along
-    a) hold each a-segment's partners in one ``searchsorted`` range: the
-    later members of its group if a == b, else the segments of its plane
-    crossing its a-span, kept if its b-coordinate lies in their b-span.
-    Cost: O(M log M) plus those ranges, which hold only hits when a == b.
+    both spans.  Each coordinate becomes twice its rank (where its first copy
+    sorts), so keys fit int64 and an open span (lo, hi) is the closed
+    [lo + 1, hi - 1].  For moving axes a <= b, the b-segments sorted by
+    (other fixed coordinates, ``lo`` along a) hold each a-segment's partners
+    in one ``searchsorted`` range: the later members of its group if a == b,
+    else the segments of its plane crossing its a-span, kept if its
+    b-coordinate lies in their b-span.  Cost: O(M log M) plus those ranges,
+    which hold only hits when a == b.
     """
     m, d = lo.shape
-    _, rank = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    lo, hi = 2 * rank.reshape(2, m, d)
+    flat = np.concatenate([lo, hi]).ravel()
+    lo, hi = 2 * np.searchsorted(flat[np.argsort(flat)], flat).reshape(2, m, d)
     if strict:
         lo[np.arange(m), axis] += 1
         hi[np.arange(m), axis] -= 1
@@ -155,7 +156,7 @@ def touching_pairs(lo, hi, axis, strict=False):
             group = np.zeros(m, np.int64)
             for c in set(range(d)) - {a, b}:
                 group = group * base + lo[:, c]
-            group = np.unique(group, return_inverse=True)[1].reshape(m) * base
+            group = np.searchsorted(group[np.argsort(group)], group) * base
             key = group + lo[:, a]
             order = np.flatnonzero(axis == b)
             order = order[np.argsort(key[order])]
@@ -170,7 +171,7 @@ def touching_pairs(lo, hi, axis, strict=False):
                 p, q = p[hit], q[hit]
             found.append((np.minimum(p, q), np.maximum(p, q)))
     p, q = (np.concatenate(side) for side in zip(*found))
-    order = np.lexsort((q, p))
+    order = np.argsort(p * m + q)
     return p[order], q[order]
 
 
