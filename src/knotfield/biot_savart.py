@@ -14,14 +14,18 @@ analytic continuation valid on either side of the stick's axial extent.
 Every stick is parallel to an axis, so the kernel reads the circuit packed
 once per knot (``LatticeKnot.sticks``) and evaluates the equivalent form
 k * (u_hat x rho) * (cos t1 + cos t2) / r^2 from coordinate differences:
-for a stick along s * e_a, u_hat x rho is s*tb in component (a+2)%3 and
--s*tc in (a+1)%3, tb and tc being the point's offsets along (a+1)%3 and
-(a+2)%3.  That form vanishes smoothly on the stick's axis extension; beyond
-the endpoints the cosine sum is rearranged into a cancellation-free form so
-the near-axis limit stays accurate.  Points go in tiles of at most
+for a stick along s * e_a, with b < c the other two axes and tb, tc the
+point's offsets along them, u_hat x rho is h*tb in component c and -h*tc in
+component b, where h = s, or -s for a y stick.  That form vanishes smoothly
+on the stick's axis extension; beyond the endpoints the cosine sum is
+rearranged into a cancellation-free form so the near-axis limit stays
+accurate.  Points go in tiles of at most
 ``_TILE_PAIRS`` (point, stick) pairs, so memory does not grow with the
 batch, and each point's field is summed over the sticks one at a time in
 flow order, so its bits depend on neither the tile, the batch nor the thread.
+Alongside the field the kernel returns each point's clearance, the distance
+to its nearest stick and that stick's index, reduced within the tile: every
+exclusion decision reads that one answer.
 
 ``segment_field_quadrature`` is a deliberately plain adaptive integrator of
 the raw current-element law dB = k dl x s / |s|^3 and serves as the
@@ -65,37 +69,54 @@ _TILE_PAIRS = 1 << 15
 
 
 def _stick_field(sticks: PackedSticks, points):
-    """Field (prefactor k = 1) of packed sticks at (M, 3) points: (B, dist)
-    with B of shape (M, 3) and dist of shape (M, N) the point-to-stick
-    distances, so callers can apply their own exclusion policy.  Raises
-    ValueError naming the first point that is not finite."""
+    """Field (prefactor k = 1) of packed sticks at (M, 3) points, and each
+    point's clearance from them: (B, near, nearest), with B of shape (M, 3),
+    near the distance to the nearest stick and nearest that stick's 0-based
+    index, the lowest on ties.  Raises ValueError naming the first point
+    that is not finite."""
     if not np.isfinite(points).all():
         i = int(np.argmin(np.isfinite(points).all(axis=1)))
         raise ValueError(f"point {i} {tuple(points[i].tolist())} is not finite")
     n = len(sticks.sign)
     pts = np.ascontiguousarray(points.T)
-    b, dist = np.empty((pts.shape[1], 3)), np.empty((pts.shape[1], n))
+    m = pts.shape[1]
+    b, near, nearest = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=np.intp)
     (ax_a, ax_b, ax_c), (s_a, s_b, s_c) = sticks.roles, sticks.start[:, :, None]
-    sign, length, slot = sticks.sign[:, None], sticks.length[:, None], 3 * np.arange(n)
+    sign, length, hand = sticks.sign[:, None], sticks.length[:, None], sticks.hand[:, None]
+    (lo_a, hi_a), on_z, slot = sticks.span[:, :, None], ax_a[:, None] == 2, 3 * np.arange(n)
     tile = max(1, _TILE_PAIRS // n)
     # Far points overflow to inf, which the forms below turn into an exact
     # zero field and an infinite distance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, pts.shape[1], tile):
+        for lo in range(0, m, tile):
             p = pts[:, lo:lo + tile]
-            az1 = sign * (p[ax_a] - s_a)           # axial coord of P from start
+            p_a = p[ax_a]
+            az1 = sign * (p_a - s_a)               # axial coord of P from start
             az2 = az1 - length                     # axial coord of P from end
             tb, tc = p[ax_b] - s_b, p[ax_c] - s_c
-            r2 = tb * tb + tc * tc                 # perpendicular distance^2
+            tb2, tc2 = tb * tb, tc * tc
+            r2 = tb2 + tc2                         # perpendicular distance^2
             na = np.sqrt(r2 + az1 * az1)           # |P - start|
             nb = np.sqrt(r2 + az2 * az2)           # |P - end|
             broadside = (az1 >= 0.0) & (az2 <= 0.0)
-            dist[lo:lo + tile] = np.where(broadside, np.sqrt(r2), np.minimum(na, nb)).T
+            # Distance to each stick's closest point, its squared offsets
+            # summed in x, y, z order whatever the stick's axis, so sticks
+            # equally near, as at a shared vertex, tie exactly and the lowest
+            # index wins.  (a, b, c) is (x, y, z), (y, x, z) or (z, x, y), so
+            # the axial offset comes first unless the stick is along z.
+            q = np.maximum(p_a, lo_a)
+            np.minimum(q, hi_a, out=q)
+            q -= p_a
+            q *= q                                 # axial offset^2
+            dist = np.sqrt(np.where(on_z, r2 + q, (q + tb2) + tc2))
+            j = dist.argmin(axis=0)
+            nearest[lo:lo + tile] = j
+            near[lo:lo + tile] = dist[j, np.arange(p.shape[1])]
             # Between the endpoints the direct form is stable (r2 == 0 there
             # only on the conductor, which contributes nothing); beyond them
             # cos t1 + cos t2 nearly cancels, so use the equivalent form with
             # the cancellation removed, which is smooth onto the axis.
-            factor = sign * np.where(
+            factor = hand * np.where(
                 broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
                 length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
             # Rows (stick, component): summing over the leading axis adds
@@ -104,16 +125,16 @@ def _stick_field(sticks: PackedSticks, points):
             contrib[slot + ax_c] = tb * factor
             contrib[slot + ax_b] = -tc * factor
             b[lo:lo + tile] = contrib.reshape(n, 3, -1).sum(axis=0).T
-    return b, dist
+    return b, near, nearest
 
 
 def segment_field(seg: Segment, point, k: float = 1.0,
                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Closed-form field of one stick at one point, in units of k."""
-    b, dist = _stick_field(PackedSticks.pack([seg.start], [seg.end]),
-                           np.asarray(point, dtype=float).reshape(1, 3))
-    if dist[0, 0] < exclusion_radius:
-        raise OnConductorError(point, dist[0, 0], segment_index=seg.index or None)
+    b, near, _ = _stick_field(PackedSticks.pack([seg.start], [seg.end]),
+                              np.asarray(point, dtype=float).reshape(1, 3))
+    if near[0] < exclusion_radius:
+        raise OnConductorError(point, near[0], segment_index=seg.index or None)
     return k * b[0]
 
 
@@ -130,15 +151,10 @@ def segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1
     and absolute tolerance per component.  Slower than the closed form by
     construction; it exists to be independently auditable, not fast.
     """
+    segment_field(seg, point, exclusion_radius=exclusion_radius)    # OnConductorError
     start = np.asarray(seg.start, dtype=float)
-    end = np.asarray(seg.end, dtype=float)
-    p = np.asarray(point, dtype=float)
-    u = end - start
-    a = p - start
-
-    _, dist = _stick_field(PackedSticks.pack([seg.start], [seg.end]), p.reshape(1, 3))
-    if dist[0, 0] < exclusion_radius:
-        raise OnConductorError(point, dist[0, 0], segment_index=seg.index or None)
+    u = np.asarray(seg.end, dtype=float) - start
+    a = np.asarray(point, dtype=float) - start
 
     # dl x (p - l(t)) = u x a for every t because u x u = 0, so the vector
     # direction is constant and only the scalar 1/|p - l(t)|^3 is integrated.
@@ -177,14 +193,13 @@ def total_field(knot: LatticeKnot, point,
                 exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Superposed field of every stick of the knot at one point.
 
-    Raises OnConductorError naming the first offending stick and the point's
-    distance from it when the point lies within the exclusion radius of the
+    Raises OnConductorError naming the nearest stick and the point's distance
+    from the circuit when the point lies within the exclusion radius of the
     circuit, and ValueError when the point is not finite.
     """
-    b, dist = _stick_field(knot.sticks, np.asarray(point, dtype=float).reshape(1, 3))
-    bad = np.flatnonzero(dist[0] < exclusion_radius)
-    if bad.size:
-        raise OnConductorError(point, dist[0, bad[0]], segment_index=int(bad[0]) + 1)
+    b, near, nearest = _stick_field(knot.sticks, np.asarray(point, dtype=float).reshape(1, 3))
+    if near[0] < exclusion_radius:
+        raise OnConductorError(point, near[0], segment_index=int(nearest[0]) + 1)
     return knot.k * b[0]
 
 
@@ -197,8 +212,8 @@ def total_field_many(knot: LatticeKnot, points,
     grid samplers want masked rows, not exceptions.  Raises ValueError when
     a point is not finite.
     """
-    b, dist = _stick_field(knot.sticks, np.asarray(points, dtype=float))
+    b, near, _ = _stick_field(knot.sticks, np.asarray(points, dtype=float))
     b *= knot.k
-    mask = np.any(dist < exclusion_radius, axis=1)
+    mask = near < exclusion_radius
     b[mask] = np.nan
     return b, mask

@@ -16,7 +16,8 @@ usage error.  SOURCE is exactly one of --knot, --braid, --knot-file.
                  --knot --seed --format {text,json} --points
 
 Exit codes: 0 ok, 1 usage or input error, 2 multi-component braid closure,
-3 field/holonomy evaluation on the conductor, 4 verification failure.
+3 field/holonomy evaluation on the conductor, 4 verification failure,
+a loop the linking sum cannot represent, or a quadrature that does not converge.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .geometry import (
     segments,
     validate,
 )
-from .biot_savart import DEFAULT_EXCLUSION_RADIUS, OnConductorError, total_field
+from .biot_savart import DEFAULT_EXCLUSION_RADIUS, OnConductorError, QuadratureError, total_field
 from .braids import (
     MultiComponentError,
     close_braid_on_lattice,
@@ -85,6 +86,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(what, ok):
+    """argparse type: a finite float for which ok holds, else a usage error
+    naming the flag and what its value must be."""
+    def parse(text):
+        if not (math.isfinite(value := float(text)) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and {what}, got {text!r}")
+        return value
+    parse.__name__ = "float"            # argparse's "invalid float value: 'x'"
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="knotfield", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -117,7 +129,8 @@ def build_parser() -> _Parser:
 
     hol = sub.add_parser("holonomy", help="line integral of the field around a loop")
     hol.set_defaults(func=_cmd_holonomy)
-    hol.add_argument("--tol", type=float, default=1e-6, help="quadrature tolerance")
+    hol.add_argument("--tol", type=_finite("> 0", lambda v: v > 0.0), default=1e-6,
+                     help="quadrature tolerance")
 
     link = sub.add_parser("linking", help="Gauss-integral linking number")
     link.set_defaults(func=_cmd_linking)
@@ -142,10 +155,11 @@ def build_parser() -> _Parser:
         g.add_argument("--braid", metavar="WORD", help="braid word to close, e.g. 's1 s1 s1'")
         g.add_argument("--knot-file", metavar="PATH", help="knot file (x y z per line)")
     for p in (info, sample, hol, ver):
-        p.add_argument("--k", type=float, default=1.0, help="current prefactor I/c (default 1)")
+        p.add_argument("--k", type=_finite("nonzero", lambda v: v != 0.0), default=1.0,
+                       help="current prefactor I/c (default 1)")
     for p in (sample, hol):
-        p.add_argument("--exclusion", type=float, default=DEFAULT_EXCLUSION_RADIUS,
-                       help="on-conductor exclusion radius")
+        p.add_argument("--exclusion", type=_finite(">= 0", lambda v: v >= 0.0),
+                       default=DEFAULT_EXCLUSION_RADIUS, help="on-conductor exclusion radius")
     for p in (hol, ver, trans):
         p.add_argument("--format", default="text", choices=["text", "json"])
     for p in (hol, link):
@@ -333,7 +347,7 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_MULTI_COMPONENT)
     except (OnConductorError, LoopOnConductorError) as exc:
         return _fail(exc, EXIT_ON_CONDUCTOR)
-    except LinkingPrecisionError as exc:
+    except (LinkingPrecisionError, QuadratureError) as exc:
         return _fail(exc, EXIT_VERIFY_FAILED)
     except (_UsageError, ValueError, OSError) as exc:   # BraidParseError is a ValueError
         return _fail(exc, EXIT_USAGE)

@@ -103,23 +103,28 @@ class LatticeKnot:
 
 class PackedSticks(NamedTuple):
     """Sticks in flow order as the field kernel reads them.  Column j is
-    stick j: ``roles`` (3, N) the coordinate index of its axis a and of
-    (a+1)%3, (a+2)%3, ``start`` (3, N) its start point's coordinates in those
-    roles, ``sign`` its flow direction along a (+1.0 or -1.0), ``length``."""
+    stick j: ``roles`` (3, N) the coordinate index of its axis a and of the
+    other two axes b < c, ``start`` (3, N) its start point's coordinates in
+    those roles, ``sign`` its flow direction along a (+1.0 or -1.0),
+    ``length``, ``hand`` the sign times the orientation of (e_a, e_b, e_c),
+    which is -1 for a y stick, and ``span`` (2, N) its low and high end on a."""
 
     roles: np.ndarray
     start: np.ndarray
     sign: np.ndarray
     length: np.ndarray
+    hand: np.ndarray
+    span: np.ndarray
 
     @classmethod
     def pack(cls, starts, ends) -> PackedSticks:
         """From the (N, 3) start and end points of nonzero axis-aligned sticks."""
-        starts = np.asarray(starts, dtype=float)
-        u = np.asarray(ends, dtype=float) - starts
+        starts, ends = np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)
+        u = ends - starts
         n, axis = np.arange(len(u)), np.argmax(u != 0.0, axis=1)
-        roles = (axis + np.arange(3)[:, None]) % 3
-        return cls(roles, starts[n, roles], np.sign(u[n, axis]), np.abs(u[n, axis]))
+        roles, sign = np.stack([axis, axis == 0, 2 - (axis == 2)]), np.sign(u[n, axis])
+        return cls(roles, starts[n, roles], sign, np.abs(u[n, axis]),
+                   np.where(axis == 1, -sign, sign), np.sort([starts[n, axis], ends[n, axis]], 0))
 
 
 @dataclass(frozen=True)

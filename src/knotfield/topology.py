@@ -107,23 +107,29 @@ class HolonomyResult:
     k: float
 
 
-def _segment_segment_distances(p0, p1, q0s, q1s):
-    """Distance from one segment (p0, p1) to each of N segments (q0s, q1s).
+def loop_clearance(knot: LatticeKnot, loop: Loop):
+    """Distance from the loop to the circuit, over every (loop edge, stick) pair.
 
-    Standard clamped closest-point computation between segment pairs, with
-    the parallel case resolved by the same clamping iteration.  Coordinates
-    too large to square overflow to inf or NaN silently; the caller refuses
-    non-finite distances.
+    Returns (clearance, (loop_edge, segment_index)) for the closest approach,
+    the first in (edge, stick) order on ties.  Each pair's distance is the
+    standard clamped closest-point computation, with the parallel case
+    resolved by the same clamping iteration; its dot products are batched
+    matmuls and einsums, which reduce each pair in the order one edge alone
+    would, so a distance does not depend on the other edges.  Coordinates
+    too large to square overflow to inf or NaN, and LinkingPrecisionError
+    names the first pair whose distance is not finite: the loop is then not
+    representable and its closest approach is unknown.
     """
+    (q0, q1), p0 = stick_ends(knot), np.array(loop.vertices)
     with np.errstate(all="ignore"):
-        d1 = p1 - p0                       # (3,)
-        d2 = q1s - q0s                     # (N, 3)
-        r = p0[None, :] - q0s              # (N, 3)
-        a = float(np.dot(d1, d1))
-        e = np.einsum("nc,nc->n", d2, d2)
-        f = np.einsum("nc,nc->n", d2, r)
-        c = r @ d1
-        b = d2 @ d1
+        d1 = np.roll(p0, -1, axis=0) - p0           # (E, 3)
+        d2 = q1 - q0                                # (N, 3)
+        r = p0[:, None, :] - q0                     # (E, N, 3)
+        a = (d1[:, None, :] @ d1[:, :, None])[:, 0]   # (E, 1)
+        e = np.einsum("nc,nc->n", d2, d2)           # (N,)
+        f = np.einsum("nc,enc->en", d2, r)          # (E, N)
+        c = (r @ d1[:, :, None])[..., 0]
+        b = (d2 @ d1[:, :, None])[..., 0]
         denom = a * e - b * b
         s = np.where(denom > 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
         t = (b * s + f) / e
@@ -131,34 +137,18 @@ def _segment_segment_distances(p0, p1, q0s, q1s):
         s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
                      np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
         t = np.clip(t, 0.0, 1.0)
-        closest1 = p0[None, :] + s[:, None] * d1[None, :]
-        closest2 = q0s + t[:, None] * d2
-        return np.linalg.norm(closest1 - closest2, axis=1)
-
-
-def loop_clearance(knot: LatticeKnot, loop: Loop):
-    """Minimum distance from each loop edge to the circuit.
-
-    Returns (clearance, (loop_edge, segment_index)) for the closest approach.
-    Raises LinkingPrecisionError when a distance is not finite, since the
-    loop is then not representable and its closest approach is unknown.
-    """
-    starts, ends = stick_ends(knot)
-    best = math.inf
-    where = (0, 1)
-    for i, (a, b) in enumerate(loop.edges()):
-        d = _segment_segment_distances(a, b, starts, ends)
-        bad = np.flatnonzero(~np.isfinite(d))
-        if bad.size:
-            raise LinkingPrecisionError(
-                f"loop edge {i} is not representable: its distance to circuit "
-                f"segment {bad[0] + 1} evaluates to {d[bad[0]]}"
-            )
-        j = int(np.argmin(d))
-        if d[j] < best:
-            best = float(d[j])
-            where = (i, j + 1)
-    return best, where
+        closest1 = p0[:, None, :] + s[..., None] * d1[:, None, :]
+        closest2 = q0 + t[..., None] * d2
+        d = np.linalg.norm(closest1 - closest2, axis=-1)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
+        i, j = divmod(int(bad[0]), d.shape[1])
+        raise LinkingPrecisionError(
+            f"loop edge {i} is not representable: its distance to circuit "
+            f"segment {j + 1} evaluates to {d[i, j]}"
+        )
+    i, j = divmod(int(np.argmin(d)), d.shape[1])
+    return float(d[i, j]), (i, j + 1)
 
 
 def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,

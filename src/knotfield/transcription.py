@@ -219,7 +219,7 @@ def eval_transcribed(label: str, point) -> np.ndarray:
     pts = np.asarray(point, dtype=float).reshape(1, 3)
     hit = _singular_terms(label, pts)
     if hit is not None:
-        dist = _stick_field(CANONICAL[label]().sticks, pts)[1].min()
+        dist = _stick_field(CANONICAL[label]().sticks, pts)[1][0]
         stick = next(e.segment_index for e in discrepancy_ledger(label).entries
                      if (e.component, e.index) == hit)
         raise OnConductorError(pts[0], dist, segment_index=stick)

@@ -57,7 +57,7 @@ def random_clear_point(rng, sticks, margin: float, clearance: float):
     lo, hi = ends.min(axis=(0, 1)) - margin, ends.max(axis=(0, 1)) + margin
     while True:
         p = rng.uniform(lo, hi)
-        if _stick_field(packed, p.reshape(1, 3))[1].min() >= clearance:
+        if _stick_field(packed, p.reshape(1, 3))[1][0] >= clearance:
             return p
 
 

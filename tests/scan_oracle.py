@@ -1,14 +1,22 @@
 """Reference oracles: the pairwise scans ``validate`` and ``projection_crossings``
-ran before their sort-and-search versions, kept verbatim apart from names.
+ran before their sort-and-search versions, and the one-edge-at-a-time scan
+``loop_clearance`` ran before its single (edge, stick) pass, kept verbatim
+apart from names.
 
 ``scan_validate`` compares every pair of edges' bounding boxes and
 ``scan_projection_crossings`` every pair of projected edges, both in
-O(N^2) pure Python.  They share no code with the engine's versions, so the
+O(N^2) pure Python; ``scan_loop_clearance`` walks the loop's edges in a
+Python loop.  They share no code with the engine's versions, so the
 property tests in ``test_scan_oracle.py`` check the engine against them.
 """
 
+import math
+
+import numpy as np
+
 from knotfield.braids import PlacementError, ProjectedCrossing
-from knotfield.geometry import Axis, LatticeKnot, ValidationReport
+from knotfield.geometry import Axis, LatticeKnot, ValidationReport, stick_ends
+from knotfield.topology import LinkingPrecisionError, Loop
 
 
 def _edge_box(a, b):
@@ -179,3 +187,57 @@ def scan_projection_crossings(knot: LatticeKnot, view_axis: Axis = Axis.Y) -> tu
                 )
             )
     return tuple(sorted(crossings, key=lambda c: c.position))
+
+
+def _segment_segment_distances(p0, p1, q0s, q1s):
+    """Distance from one segment (p0, p1) to each of N segments (q0s, q1s).
+
+    Standard clamped closest-point computation between segment pairs, with
+    the parallel case resolved by the same clamping iteration.  Coordinates
+    too large to square overflow to inf or NaN silently; the caller refuses
+    non-finite distances.
+    """
+    with np.errstate(all="ignore"):
+        d1 = p1 - p0                       # (3,)
+        d2 = q1s - q0s                     # (N, 3)
+        r = p0[None, :] - q0s              # (N, 3)
+        a = float(np.dot(d1, d1))
+        e = np.einsum("nc,nc->n", d2, d2)
+        f = np.einsum("nc,nc->n", d2, r)
+        c = r @ d1
+        b = d2 @ d1
+        denom = a * e - b * b
+        s = np.where(denom > 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        t = (b * s + f) / e
+        # Clamp t, then recompute s against the clamped t where needed.
+        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
+                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+        t = np.clip(t, 0.0, 1.0)
+        closest1 = p0[None, :] + s[:, None] * d1[None, :]
+        closest2 = q0s + t[:, None] * d2
+        return np.linalg.norm(closest1 - closest2, axis=1)
+
+
+def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
+    """Minimum distance from each loop edge to the circuit.
+
+    Returns (clearance, (loop_edge, segment_index)) for the closest approach.
+    Raises LinkingPrecisionError when a distance is not finite, since the
+    loop is then not representable and its closest approach is unknown.
+    """
+    starts, ends = stick_ends(knot)
+    best = math.inf
+    where = (0, 1)
+    for i, (a, b) in enumerate(loop.edges()):
+        d = _segment_segment_distances(a, b, starts, ends)
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise LinkingPrecisionError(
+                f"loop edge {i} is not representable: its distance to circuit "
+                f"segment {bad[0] + 1} evaluates to {d[bad[0]]}"
+            )
+        j = int(np.argmin(d))
+        if d[j] < best:
+            best = float(d[j])
+            where = (i, j + 1)
+    return best, where

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -6,9 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotfield.braids import close_braid_on_lattice, parse_braid
-from knotfield.geometry import LatticeKnot, Segment, canonical_trefoil, refine, segments
+from knotfield.geometry import (
+    LatticeKnot,
+    Segment,
+    canonical_figure_eight,
+    canonical_trefoil,
+    refine,
+    segments,
+    stick_ends,
+)
 from knotfield.biot_savart import (
     OnConductorError,
+    _stick_field,
     segment_field,
     segment_field_quadrature,
     total_field,
@@ -21,6 +31,8 @@ from knotfield.verification import random_axis_segment, random_clear_point
 BRAID_40 = ("s1^-1 s2 s2 s2 s1 s2^-1 s1^-1 s1^-1 s2^-1 s1 s1 s1 s2 s1^-1 s1 s1^-1 s2^-1 "
             "s2^-1 s2 s1^-1 s1 s2^-1 s1^-1 s2^-1 s1^-1 s1 s1^-1 s1^-1 s1 s2^-1 s2^-1 "
             "s2^-1 s1^-1 s1^-1 s2 s2^-1 s1 s1^-1 s2^-1 s2")
+# A 20-letter one whose closure has 212 sticks.
+BRAID_20 = "s1 s2 s2 s2^-1 s1 s1 s2^-1 s1 s1 s1 s2^-1 s1^-1 s1 s2^-1 s1 s2^-1 s2 s2^-1 s1 s1^-1"
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +221,14 @@ class TestTotalField:
             total_field(canonical_trefoil(), (2.0, 2.0, 3.0))
         assert err.value.segment_index == 1     # first stick runs (2,2,0) -> (2,2,6)
 
+    def test_on_conductor_names_nearest_stick(self):
+        # Within the radius of stick 1, (2,2,0) -> (2,2,6), at 5.0e-7 and of
+        # stick 2, which leaves (2,2,6) along y, at 1.005e-7: the nearer wins.
+        with pytest.raises(OnConductorError) as err:
+            total_field(canonical_trefoil(), (2.0 + 1e-8, 2.0 + 5e-7, 6.0 - 1e-7))
+        assert err.value.segment_index == 2
+        assert err.value.distance == pytest.approx(1.005e-7, rel=1e-3)
+
     def test_on_conductor_reports_true_distance(self):
         with pytest.raises(OnConductorError) as err:
             total_field(canonical_trefoil(), (2.0 + 1e-7, 2.0, 3.0))
@@ -263,8 +283,9 @@ class TestTotalField:
             assert row.tobytes() == total_field(knot, p).tobytes()
 
     def test_many_memory_is_per_tile(self, closure_412):
-        # The kernel's temporaries are bounded by its tile, so a 4096-point
-        # batch on 412 sticks needs little beyond its (4096, 412) distances.
+        # The kernel's temporaries are bounded by its tile and it keeps one
+        # clearance per point, so a 4096-point batch on 412 sticks needs a
+        # few MB, not the 13.5 MB of a (4096, 412) distance array.
         knot = closure_412
         pts = np.random.default_rng(3).uniform((-8, -2, 0), (168, 4, 14), size=(4096, 3))
         total_field_many(knot, pts[:1])          # pack the circuit first
@@ -274,7 +295,7 @@ class TestTotalField:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2 ** 20
+        assert peak < 8 * 2 ** 20
 
     def test_far_point_is_exact_zero(self):
         # The true field underflows; overflowing intermediates give exact
@@ -333,3 +354,63 @@ class TestKernelProperties:
         scale = float(np.linalg.norm(closed))
         quad = segment_field_quadrature(seg, p, tol=1e-13 * scale)
         assert np.max(np.abs(closed - quad)) <= 1e-9 * scale
+
+
+@functools.cache
+def contract_knot(name):
+    if name.startswith("braid"):
+        return close_braid_on_lattice(parse_braid(BRAID_40 if name == "braid40" else BRAID_20))
+    return {"3_1": canonical_trefoil, "4_1": canonical_figure_eight}[name]()
+
+
+def clamp_oracle(knot, points):
+    """Each point's distance |p - clip(p, lo, hi)| to its nearest stick, one
+    stick at a time, and that stick's lowest index."""
+    starts, ends = stick_ends(knot)
+    lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(points[:, None] - np.clip(points[:, None], lo, hi), axis=2)
+    return dist.min(axis=1), dist.argmin(axis=1)
+
+
+@st.composite
+def contract_cases(draw):
+    """A closure of 412 or 212 sticks or a canonical knot, and up to 200
+    points: on a stick, at or near a vertex (where two sticks tie), on a
+    stick's axis extension, far enough that distances overflow, or random."""
+    knot = contract_knot(draw(st.sampled_from(["braid40", "braid20", "3_1", "4_1"])))
+    starts, ends = stick_ends(knot)
+    lo, hi = starts.min(axis=0) - 3.0, starts.max(axis=0) + 3.0
+    unit = st.floats(0.0, 1.0)
+    points = []
+    for _ in range(draw(st.integers(1, 200))):
+        j = draw(st.integers(0, len(starts) - 1))
+        s, e = starts[j], ends[j]
+        kind = draw(st.sampled_from(["on", "vertex", "near-vertex", "extension", "far", "random"]))
+        if kind == "on":
+            p = s + draw(unit) * (e - s)
+        elif kind == "vertex":
+            p = s
+        elif kind == "near-vertex":
+            p = s + np.array(draw(st.tuples(*[st.floats(-1e-3, 1e-3)] * 3)))
+        elif kind == "extension":
+            t = draw(st.floats(1.0, 4.0))
+            p = s + t * (e - s) if draw(st.booleans()) else e + t * (s - e)
+        elif kind == "far":
+            p = np.array(draw(st.tuples(*[st.sampled_from([-1e200, 0.0, 3.5, 1e200])] * 3)))
+            p[draw(st.integers(0, 2))] = 1e200
+        else:
+            p = lo + np.array(draw(st.tuples(unit, unit, unit))) * (hi - lo)
+        points.append(p)
+    return knot, np.array(points, dtype=float)
+
+
+class TestClearanceContract:
+    @settings(max_examples=60, deadline=None)
+    @given(case=contract_cases())
+    def test_near_and_nearest_match_clamp_oracle(self, case):
+        knot, points = case
+        _, near, nearest = _stick_field(knot.sticks, points)
+        want_near, want_nearest = clamp_oracle(knot, points)
+        assert near.tobytes() == want_near.tobytes()
+        assert nearest.tolist() == want_nearest.tolist()

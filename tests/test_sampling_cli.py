@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from knotfield import cli
 from knotfield.cli import build_parser, main
 from knotfield.geometry import canonical_trefoil, read_knot_file, validate
-from knotfield.biot_savart import total_field
+from knotfield.biot_savart import QuadratureError, total_field
 from knotfield.sampling import (
+    FieldSample,
     CSV_HEADER,
     GridSpec,
     sample_field,
@@ -91,6 +93,32 @@ class TestSampling:
         assert len(rows) == 4
         assert rows[0]["x"] == 5.0 and rows[0]["on_conductor"] is False
         assert rows[0]["Bz"] == pytest.approx(total_field(knot, (5, 3, 2))[2])
+
+    @staticmethod
+    def json_dumps_writer(sample, fh):
+        """The row-at-a-time writer that write_jsonl replaced: the reference."""
+        for p, b, m in zip(sample.points, sample.b, sample.on_conductor):
+            fh.write(json.dumps({
+                "x": float(p[0]), "y": float(p[1]), "z": float(p[2]),
+                "Bx": float(b[0]), "By": float(b[1]), "Bz": float(b[2]),
+                "on_conductor": bool(m),
+            }) + "\n")
+
+    def test_jsonl_bytes_match_json_dumps(self):
+        # Two blocks of rows, with the trefoil's masked rows, signed zeros
+        # and infinite fields.
+        sample = sample_field(canonical_trefoil(),
+                              GridSpec(origin=(-1, -1, -1), spacing=0.5, counts=(17, 17, 17)))
+        assert sample.on_conductor.any()
+        b = sample.b.copy()
+        b[5], b[4500] = (-0.0, 0.0, -0.0), (math.inf, -math.inf, 1e-320)
+        points = sample.points.copy()
+        points[7] = (-0.0, 1e-300, -2.5e17)
+        for s in (sample, FieldSample(sample.grid, points, b, sample.on_conductor)):
+            got, want = io.StringIO(), io.StringIO()
+            write_jsonl(s, got)
+            self.json_dumps_writer(s, want)
+            assert got.getvalue() == want.getvalue()
 
     def test_vtk_structure_and_x_fastest_order(self, tmp_path):
         knot = canonical_trefoil()
@@ -256,6 +284,41 @@ class TestCli:
         write_loop_file(Loop(vertices=vertices), loop_file)
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == rc
         assert capsys.readouterr().out.strip() == out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--k", "0"), "--k"),
+        (("verify", "--knot", "3_1", "--k", "0"), "--k"),
+        (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--k", "nan"), "--k"),
+        (("knot", "info", "--knot", "3_1", "--k=-inf"), "--k"),
+        (("field", "sample", "--knot", "3_1", "--origin=0,0,0", "--spacing", "1",
+          "--counts", "1,1,1", "--k", "inf"), "--k"),
+        (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--tol", "-1"), "--tol"),
+        (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--tol", "0"), "--tol"),
+        (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--tol", "nan"), "--tol"),
+        (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--exclusion", "inf"), "--exclusion"),
+        (("field", "sample", "--knot", "3_1", "--origin=0,0,0", "--spacing", "1",
+          "--counts", "1,1,1", "--exclusion=-1e-3"), "--exclusion"),
+        (("field", "sample", "--knot", "3_1", "--origin=0,0,0", "--spacing", "1",
+          "--counts", "1,1,1", "--exclusion", "nan"), "--exclusion"),
+    ])
+    def test_bad_number_exit_1(self, tmp_path, capsys, argv, flag):
+        loop_file = tmp_path / "loop.txt"
+        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        assert run_cli(*[str(loop_file) if a == "LOOP" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag}: must be finite")
+
+    def test_holonomy_quadrature_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise QuadratureError("holonomy edge failed to converge")
+        monkeypatch.setattr(cli, "holonomy", no_convergence)
+        loop_file = tmp_path / "loop.txt"
+        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        assert run_cli("holonomy", "--knot", "3_1", "--loop", str(loop_file)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: holonomy edge failed to converge\n"
 
     def test_field_sample_far_grid_is_exact_zero(self, capsys):
         # The true field there underflows; overflowing intermediates must

@@ -1,12 +1,18 @@
-"""``validate`` and ``projection_crossings`` against the pairwise-scan oracles.
+"""``validate``, ``projection_crossings`` and ``loop_clearance`` against the
+scan oracles.
 
 The engine finds touching edges by sorting and searching; the oracles in
 ``scan_oracle.py`` compare every pair.  Both must give the same report, the
 same crossings in the same order, or the same PlacementError message, on
 braid closures, refined knots and corrupted polygons, viewed along each
-axis.
+axis.  The engine measures a loop's clearance in one (edge, stick) pass; the
+oracle walks the loop one edge at a time.  Both must give the same value
+bits and (edge, stick), or the same LinkingPrecisionError message.
 """
 
+import struct
+
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from knotfield.braids import (
@@ -23,9 +29,14 @@ from knotfield.geometry import (
     canonical_figure_eight,
     canonical_trefoil,
     refine,
+    segments,
+    stick_ends,
     validate,
 )
-from scan_oracle import scan_projection_crossings, scan_validate
+from knotfield.topology import LinkingPrecisionError, Loop, loop_clearance
+from knotfield.verification import random_rect_loop
+from scan_oracle import scan_loop_clearance, scan_projection_crossings, scan_validate
+from test_topology import AXIS_LOOP, square_around
 
 SETTINGS = settings(max_examples=50, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -138,3 +149,64 @@ def test_hand_written_inputs_agree():
     for knot in (canonical_trefoil(), canonical_figure_eight()):
         for factor in (1, 2, 3, 5):
             assert_agrees(refine(knot, factor))
+
+
+def clearance_outcome(route, knot, loop):
+    try:
+        value, where = route(knot, loop)
+    except LinkingPrecisionError as exc:
+        return f"LinkingPrecisionError: {exc}"
+    return struct.pack("<d", value), where
+
+
+@st.composite
+def clearance_loops(draw):
+    """A knot and a loop around it: a random rectangle, a square of
+    half-width 10^[-5, -1] around a stick, a polygon with a vertex on a
+    stick's axis extension or an edge along it, or a polygon with a
+    coordinate of 1e200."""
+    knot = draw(knots)
+    kind = draw(st.sampled_from(["rect", "tight", "axis-vertex", "axis-edge", "huge"]))
+    if kind == "rect":
+        return knot, random_rect_loop(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), knot)
+    if kind == "tight":
+        stick = draw(st.sampled_from(segments(knot)))
+        return knot, square_around(stick, 10.0 ** draw(st.floats(-5.0, -1.0)))
+    starts, ends = stick_ends(knot)
+    lo, hi = starts.min(axis=0) - 3.0, starts.max(axis=0) + 3.0
+    unit = st.floats(0.0, 1.0)
+    coord = st.tuples(unit, unit, unit).map(lambda u: tuple(lo + np.array(u) * (hi - lo)))
+    rest = draw(st.lists(coord, min_size=2, max_size=4))
+    j = draw(st.integers(0, len(starts) - 1))
+    s, e = starts[j], ends[j]
+    t = sorted(draw(st.lists(st.floats(1.0, 4.0), min_size=2, max_size=2, unique=True)))
+    on_axis = [tuple(e + ti * (e - s)) for ti in t]
+    if kind == "axis-vertex":
+        vertices = on_axis[:1] + rest
+    elif kind == "axis-edge":
+        vertices = on_axis + rest
+    else:
+        vertices = [tuple(map(float, v)) for v in rest + on_axis[:1]]
+        i, c = draw(st.integers(0, len(vertices) - 1)), draw(st.integers(0, 2))
+        vertices[i] = tuple(draw(st.sampled_from([1e200, -1e200])) if k == c else x
+                            for k, x in enumerate(vertices[i]))
+    try:
+        return knot, Loop(vertices=tuple(vertices))
+    except ValueError:          # consecutive vertices coincide
+        assume(False)
+
+
+@SETTINGS
+@given(clearance_loops())
+def test_loop_clearance_agrees(case):
+    knot, loop = case
+    assert clearance_outcome(loop_clearance, knot, loop) == \
+        clearance_outcome(scan_loop_clearance, knot, loop)
+
+
+def test_hand_written_loops_agree():
+    huge = Loop(vertices=((1e200, 2, 3), (-5, 2, 3), (-5, -5, 3), (1e200, -5, 3)))
+    for knot, loop in ((canonical_trefoil(), AXIS_LOOP), (canonical_trefoil(), huge),
+                       (canonical_trefoil(), Loop(vertices=((2, 2, -3),) + AXIS_LOOP.vertices))):
+        assert clearance_outcome(loop_clearance, knot, loop) == \
+            clearance_outcome(scan_loop_clearance, knot, loop)
