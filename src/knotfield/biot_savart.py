@@ -81,9 +81,9 @@ def _stick_field(sticks: PackedSticks, points):
     pts = np.ascontiguousarray(points.T)
     m = pts.shape[1]
     b, near, nearest = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=np.intp)
-    (ax_a, ax_b, ax_c), (s_a, s_b, s_c) = sticks.roles, sticks.start[:, :, None]
-    sign, length, hand = sticks.sign[:, None], sticks.length[:, None], sticks.hand[:, None]
-    (lo_a, hi_a), on_z, slot = sticks.span[:, :, None], ax_a[:, None] == 2, 3 * np.arange(n)
+    (ax_a, ax_b, ax_c), (s_a, s_b, s_c), (lo_a, hi_a) = sticks.roles, sticks.start, sticks.span
+    sign, length, hand, on_z = sticks.sign, sticks.length, sticks.hand, sticks.along_z
+    slot = 3 * np.arange(n)
     tile = max(1, _TILE_PAIRS // n)
     # Far points overflow to inf, which the forms below turn into an exact
     # zero field and an infinite distance.
@@ -109,9 +109,7 @@ def _stick_field(sticks: PackedSticks, points):
             q -= p_a
             q *= q                                 # axial offset^2
             dist = np.sqrt(np.where(on_z, r2 + q, (q + tb2) + tc2))
-            j = dist.argmin(axis=0)
-            nearest[lo:lo + tile] = j
-            near[lo:lo + tile] = dist[j, np.arange(p.shape[1])]
+            nearest[lo:lo + tile], near[lo:lo + tile] = dist.argmin(axis=0), dist.min(axis=0)
             # Between the endpoints the direct form is stable (r2 == 0 there
             # only on the conductor, which contributes nothing); beyond them
             # cos t1 + cos t2 nearly cancels, so use the equivalent form with

@@ -101,13 +101,20 @@ class LatticeKnot:
         return PackedSticks.pack(*stick_ends(self))
 
 
+# Columns a = x, y, z: the roles (a, b, c), b < c, and the orientation of
+# (e_a, e_b, e_c).
+_ROLES, _HAND = np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1]]), np.array([1.0, -1.0, 1.0])
+
+
 class PackedSticks(NamedTuple):
-    """Sticks in flow order as the field kernel reads them.  Column j is
-    stick j: ``roles`` (3, N) the coordinate index of its axis a and of the
-    other two axes b < c, ``start`` (3, N) its start point's coordinates in
-    those roles, ``sign`` its flow direction along a (+1.0 or -1.0),
-    ``length``, ``hand`` the sign times the orientation of (e_a, e_b, e_c),
-    which is -1 for a y stick, and ``span`` (2, N) its low and high end on a."""
+    """Sticks in flow order as the field kernel reads them, each per-stick
+    value a column, row j for stick j, that broadcasts against a tile of
+    points.  ``roles`` (3, N) holds the coordinate index of the stick's axis
+    a and of the other two axes b < c; ``start`` (3, N, 1) its start point's
+    coordinates in those roles; ``sign`` (N, 1) its flow direction along a
+    (+1.0 or -1.0); ``length``; ``hand`` the sign times the orientation of
+    (e_a, e_b, e_c), which is -1 for a y stick; ``span`` (2, N, 1) its low
+    and high end on a; ``along_z`` whether a is z."""
 
     roles: np.ndarray
     start: np.ndarray
@@ -115,6 +122,7 @@ class PackedSticks(NamedTuple):
     length: np.ndarray
     hand: np.ndarray
     span: np.ndarray
+    along_z: np.ndarray
 
     @classmethod
     def pack(cls, starts, ends) -> PackedSticks:
@@ -122,9 +130,12 @@ class PackedSticks(NamedTuple):
         starts, ends = np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)
         u = ends - starts
         n, axis = np.arange(len(u)), np.argmax(u != 0.0, axis=1)
-        roles, sign = np.stack([axis, axis == 0, 2 - (axis == 2)]), np.sign(u[n, axis])
-        return cls(roles, starts[n, roles], sign, np.abs(u[n, axis]),
-                   np.where(axis == 1, -sign, sign), np.sort([starts[n, axis], ends[n, axis]], 0))
+        roles, u_a = _ROLES[:, axis], u[n, axis][:, None]
+        span = np.array((starts[n, axis], ends[n, axis]))[:, :, None]
+        span.sort(axis=0)
+        sign = np.sign(u_a)
+        return cls(roles, starts[n, roles][:, :, None], sign, np.abs(u_a),
+                   sign * _HAND[axis][:, None], span, axis[:, None] == 2)
 
 
 @dataclass(frozen=True)
