@@ -27,9 +27,13 @@ Alongside the field the kernel returns each point's clearance, the distance
 to its nearest stick and that stick's index, reduced within the tile: every
 exclusion decision reads that one answer.
 
-``segment_field_quadrature`` is a deliberately plain adaptive integrator of
-the raw current-element law dB = k dl x s / |s|^3 and serves as the
-independent oracle for the closed form everywhere in the test suite.
+The independent oracle for the closed form, in the test suite and in
+``verify``, is a plain adaptive integrator of the raw current-element law
+dB = k dl x s / |s|^3: depth-first interval halving with a Gauss panel
+rule.  It takes many (stick, point) rows at once, each row stepping
+through its own interval stack, so a row's bits are those it has alone;
+``segment_field_quadrature`` is the one-row case.  A k so large that the
+field overflows is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -126,6 +130,16 @@ def _stick_field(sticks: PackedSticks, points):
     return b, near, nearest
 
 
+def _times_k(b, k):
+    """b scaled by k in place; ValueError when k is so large that a finite
+    field overflows.  NaN rows stay NaN without a warning."""
+    with np.errstate(over="raise"):
+        try:
+            return np.multiply(b, k, out=b)
+        except FloatingPointError:
+            raise ValueError(f"k = {k!r} is too large: the result overflows") from None
+
+
 def segment_field(seg: Segment, point, k: float = 1.0,
                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Closed-form field of one stick at one point, in units of k."""
@@ -133,11 +147,84 @@ def segment_field(seg: Segment, point, k: float = 1.0,
                               np.asarray(point, dtype=float).reshape(1, 3))
     if near[0] < exclusion_radius:
         raise OnConductorError(point, near[0], segment_index=seg.index or None)
-    return k * b[0]
+    return _times_k(b[0], k)
 
 
 # Fixed-order Gauss panel rule, shared by the quadrature oracle and holonomy.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+# Rows the quadrature oracle integrates at once: bounds its stacks' memory.
+_QUAD_ROWS = 4096
+
+
+def _quadrature(starts, ends, points, k, tol, max_depth):
+    """k times dB = dl x s / |s|^3 integrated along stick i, starts[i] ->
+    ends[i], at points[i], for each of the M rows: (M, 3).
+
+    Each row runs depth-first interval halving on its own stack of
+    (lo, hi, coarse, budget, depth) intervals: pop one, accept its two
+    halves or push the left half, then the right.  Every numpy step pops
+    one interval from each unfinished row, so a row's intervals are summed
+    in the order it would take alone and its bits do not depend on the
+    other rows; blocks of ``_QUAD_ROWS`` rows run one after another.  Raises
+    QuadratureError for the lowest row that reaches ``max_depth`` above its
+    budget.
+    """
+    starts, ends, points = (np.asarray(x, dtype=float) for x in (starts, ends, points))
+    if len(points) > _QUAD_ROWS:
+        return np.concatenate([_quadrature(starts[i:i + _QUAD_ROWS], ends[i:i + _QUAD_ROWS],
+                                           points[i:i + _QUAD_ROWS], k, tol, max_depth)
+                               for i in range(0, len(points), _QUAD_ROWS)])
+    u, a = ends - starts, points - starts
+
+    # dl x (p - l(t)) = u x a for every t because u x u = 0, so the vector
+    # direction is constant and only the scalar 1/|p - l(t)|^3 is integrated.
+    c = np.cross(u, a)
+    cmax = np.max(np.abs(c), axis=1)
+
+    def panel(rows, lo, hi):
+        # The Gauss rule on (n, h) intervals [lo, hi], row i's along row
+        # rows[i]'s stick; a (1 x 10) @ (10 x 1) per interval takes the
+        # weights' dot product as one interval alone would.
+        t = 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * _GL_X
+        d = a[rows, None, None, :] - t[..., None] * u[rows, None, None, :]
+        w = np.sum(d * d, axis=3) ** 1.5
+        return 0.5 * (hi - lo) * (_GL_W @ (1.0 / w)[..., None])[..., 0]
+
+    total = np.zeros(len(a))
+    stack = np.empty((len(a), max_depth + 2, 5))
+    top = np.zeros(len(a), dtype=np.intp)
+    rows = np.flatnonzero(cmax > 0.0)
+    lo, hi = np.zeros((len(rows), 1)), np.ones((len(rows), 1))
+    stack[rows, 0] = np.column_stack((lo, hi, panel(rows, lo, hi), tol / cmax[rows], lo))
+    top[rows] = 1
+    failure = None
+    while rows.size:
+        lo, hi, coarse, budget, depth = stack[rows, top[rows] - 1].T
+        top[rows] -= 1
+        mid = 0.5 * (lo + hi)
+        left, right = panel(rows, np.stack((lo, mid), 1), np.stack((mid, hi), 1)).T
+        err = np.abs(left + right - coarse)
+        bottom = depth >= max_depth
+        done = (err <= budget) | bottom
+        total[rows[done]] += (left + right)[done]
+        split = ~done
+        s, half, deeper = rows[split], 0.5 * budget[split], depth[split] + 1
+        stack[s, top[s]] = np.array((lo[split], mid[split], left[split], half, deeper)).T
+        stack[s, top[s] + 1] = np.array((mid[split], hi[split], right[split], half, deeper)).T
+        top[s] += 2
+        failed = np.flatnonzero(bottom & (err > budget))
+        if failed.size:
+            # One row at a time, the rows past the first failure never run.
+            i = failed[0]
+            failure = (f"no convergence after depth {int(depth[i])} on "
+                       f"[{float(lo[i])}, {float(hi[i])}]")
+            top[rows[i]:] = 0
+        rows = np.flatnonzero(top)
+    if failure is not None:
+        raise QuadratureError(failure)
+    out = (k * c) * total[:, None]
+    out[cmax == 0.0] = 0.0
+    return out
 
 
 def segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1e-10,
@@ -146,45 +233,14 @@ def segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1
     """Direct numerical integration of dB = k dl x s / |s|^3 along the stick.
 
     Interval-halving adaptive quadrature with a fixed-order Gauss panel rule
-    and absolute tolerance per component.  Slower than the closed form by
-    construction; it exists to be independently auditable, not fast.
+    and absolute tolerance per component: the one-row case of the batched
+    oracle, refusing on-conductor points as ``segment_field`` does.  Slower
+    than the closed form by construction; it exists to be independently
+    auditable, not fast.
     """
     segment_field(seg, point, exclusion_radius=exclusion_radius)    # OnConductorError
-    start = np.asarray(seg.start, dtype=float)
-    u = np.asarray(seg.end, dtype=float) - start
-    a = np.asarray(point, dtype=float) - start
-
-    # dl x (p - l(t)) = u x a for every t because u x u = 0, so the vector
-    # direction is constant and only the scalar 1/|p - l(t)|^3 is integrated.
-    c = np.cross(u, a)
-    cmax = float(np.max(np.abs(c)))
-    if cmax == 0.0:
-        return np.zeros(3)
-    scalar_tol = tol / cmax
-
-    def panel(lo, hi):
-        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
-        d = a[None, :] - t[:, None] * u[None, :]
-        w = np.sum(d * d, axis=1) ** 1.5
-        return 0.5 * (hi - lo) * float(np.dot(_GL_W, 1.0 / w))
-
-    total = 0.0
-    stack = [(0.0, 1.0, panel(0.0, 1.0), scalar_tol, 0)]
-    while stack:
-        lo, hi, coarse, budget, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if abs(left + right - coarse) <= budget or depth >= max_depth:
-            if depth >= max_depth and abs(left + right - coarse) > budget:
-                raise QuadratureError(
-                    f"no convergence after depth {depth} on [{lo}, {hi}]"
-                )
-            total += left + right
-        else:
-            stack.append((lo, mid, left, 0.5 * budget, depth + 1))
-            stack.append((mid, hi, right, 0.5 * budget, depth + 1))
-    return k * c * total
+    return _quadrature([seg.start], [seg.end], np.reshape(point, (1, 3)), k, tol,
+                       max_depth)[0]
 
 
 def total_field(knot: LatticeKnot, point,
@@ -198,7 +254,7 @@ def total_field(knot: LatticeKnot, point,
     b, near, nearest = _stick_field(knot.sticks, np.asarray(point, dtype=float).reshape(1, 3))
     if near[0] < exclusion_radius:
         raise OnConductorError(point, near[0], segment_index=int(nearest[0]) + 1)
-    return knot.k * b[0]
+    return _times_k(b[0], knot.k)
 
 
 def total_field_many(knot: LatticeKnot, points,
@@ -211,7 +267,6 @@ def total_field_many(knot: LatticeKnot, points,
     a point is not finite.
     """
     b, near, _ = _stick_field(knot.sticks, np.asarray(points, dtype=float))
-    b *= knot.k
     mask = near < exclusion_radius
     b[mask] = np.nan
-    return b, mask
+    return _times_k(b, knot.k), mask

@@ -273,7 +273,8 @@ def _cmd_holonomy(args) -> int:
     else:
         for key, val in payload.items():
             print(f"{key}: {val}")
-    return EXIT_OK if abs(res.residual) < args.tol else EXIT_VERIFY_FAILED
+    # The residual scales with k, so the tolerance does too.
+    return EXIT_OK if abs(res.residual) < args.tol * abs(res.k) else EXIT_VERIFY_FAILED
 
 
 def _cmd_linking(args) -> int:

@@ -9,8 +9,9 @@ wire yet with non-trivial circulation around it.
 Two independent routes are implemented so they can catch each other's bugs:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
-  (per-edge interval-halving quadrature with a Richardson-style error
-  estimate from successive refinements);
+  (Gauss panels halved level by level on each edge, with a Richardson-style
+  error estimate from successive refinements; each level refines every edge
+  not yet converged in one kernel call);
 * ``linking_number`` sums the Gauss double integral exactly, one closed-form
   signed solid angle per (loop edge, knot stick) pair (Banchoff 1976;
   Klenin & Langowski 2000) -- no surface construction, no reuse of the
@@ -37,6 +38,7 @@ from .biot_savart import (
     _GL_W,
     _GL_X,
     _stick_field,
+    _times_k,
 )
 
 
@@ -159,55 +161,55 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     Each loop edge gets an equal share of the absolute tolerance and is
     integrated with composite fixed-order Gauss panels under interval
     halving; the Richardson-style error estimate is the difference between
-    successive refinement levels.  The loop is first checked with
-    ``loop_clearance``: LoopOnConductorError when it passes within the
-    exclusion radius, LinkingPrecisionError when it is not representable.
+    successive refinement levels.  Each level evaluates every unconverged
+    edge's nodes in one kernel call and reduces each edge's rows on their
+    own.  The loop is first checked with ``loop_clearance``:
+    LoopOnConductorError when it passes within the exclusion radius,
+    LinkingPrecisionError when it is not representable; ValueError when k
+    is so large that the result overflows.
     """
     clear, (i, j) = loop_clearance(knot, loop)
     if clear < exclusion_radius:
         raise LoopOnConductorError(i, j, clear)
 
-    edges = loop.edges()
-
-    budget = tol / len(edges)
-    value = 0.0
-    est = 0.0
-    for a, b in edges:
-        e = b - a
-
-        def edge_integral(n_panels):
-            # Gauss nodes of every panel evaluated in one batch.
-            offsets = (np.arange(n_panels)[:, None] + 0.5 * (_GL_X + 1.0)[None, :]) / n_panels
-            t = offsets.ravel()
-            pts = a[None, :] + t[:, None] * e[None, :]
-            b_along = np.einsum("mc,c->m", _stick_field(knot.sticks, pts)[0], e)
-            w = np.broadcast_to(_GL_W[None, :] / (2.0 * n_panels), offsets.shape).ravel()
-            return float(np.dot(w, b_along))
-
-        prev = edge_integral(1)
-        for level in range(1, max_levels + 1):
-            cur = edge_integral(2 ** level)
-            err = abs(cur - prev)
-            prev = cur
-            if err <= budget:
+    starts = np.array(loop.vertices)
+    steps = np.roll(starts, -1, axis=0) - starts
+    budget = tol / len(starts)
+    prev, cur, err = (np.empty(len(starts)) for _ in range(3))
+    live = np.arange(len(starts))
+    for level in range(max_levels + 1):
+        n_panels = 2 ** level
+        offsets = (np.arange(n_panels)[:, None] + 0.5 * (_GL_X + 1.0)[None, :]) / n_panels
+        t = offsets.ravel()
+        w = np.broadcast_to(_GL_W[None, :] / (2.0 * n_panels), offsets.shape).ravel()
+        pts = starts[live, None, :] + t[:, None] * steps[live, None, :]
+        b = _stick_field(knot.sticks, pts.reshape(-1, 3))[0].reshape(pts.shape)
+        cur[live] = [np.dot(w, np.einsum("mc,c->m", b_e, steps[e])) for e, b_e in zip(live, b)]
+        if level:
+            err[live] = np.abs(cur[live] - prev[live])
+            live = live[~(err[live] <= budget)]         # a NaN error never converges
+            if not live.size:
                 break
-        else:
-            raise QuadratureError(
-                f"holonomy edge failed to converge to {budget:.3g} "
-                f"after {max_levels} halvings"
-            )
-        value += cur
-        est += err
+        prev[live] = cur[live]
+    else:
+        raise QuadratureError(
+            f"holonomy edge failed to converge to {budget:.3g} "
+            f"after {max_levels} halvings"
+        )
+    value = est = 0.0
+    for c, e in zip(cur.tolist(), err.tolist()):
+        value += c
+        est += e
 
-    value *= knot.k
-    est *= abs(knot.k)
-    four_pi_k = 4.0 * math.pi * knot.k
+    # est >= 0, so |est * k| is est * |k|.
+    value, est, four_pi_k = _times_k(np.array([value, est, 4.0 * math.pi]), knot.k).tolist()
+    est = abs(est)
     inferred = int(round(value / four_pi_k)) if knot.k != 0 else 0
     residual = value - four_pi_k * inferred
     return HolonomyResult(
         value=value,
         estimated_error=est,
-        edges_evaluated=len(edges),
+        edges_evaluated=len(starts),
         inferred_linking=inferred,
         residual=residual,
         k=knot.k,

@@ -170,41 +170,37 @@ def _lin_values(form: LinForm, pts: np.ndarray) -> np.ndarray:
     return c + s * pts[:, _AXES.index(var)]
 
 
+def _printed_terms(label: str, pts: np.ndarray):
+    """Every printed term's values at the (M, 3) points, and the first
+    (component, term index) in table order whose denominator or a radicand
+    falls below the singularity floor at some point, or None."""
+    out, singular = {}, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for comp, terms in TERM_TABLES[label].items():
+            vals = np.empty((len(terms), len(pts)))
+            for t_i, t in enumerate(terms):
+                den = _lin_values(t.den[0], pts) ** 2 + _lin_values(t.den[1], pts) ** 2
+                rads = [sum(_lin_values(f, pts) ** 2 for f in entry.radicand)
+                        for entry in (t.first, t.second)]
+                if singular is None and np.any((den < SINGULARITY_FLOOR)
+                                               | (rads[0] < SINGULARITY_FLOOR)
+                                               | (rads[1] < SINGULARITY_FLOOR)):
+                    singular = comp, t.index
+                bracket = np.zeros(len(pts))
+                for entry, es, rad in zip((t.first, t.second), (1.0, -1.0), rads):
+                    bracket += es * _lin_values(entry.num, pts) / np.sqrt(rad)
+                vals[t_i] = t.sign * _lin_values(t.num, pts) / den * bracket
+            out[comp] = vals
+    return out, singular
+
+
 def term_values(label: str, points) -> dict[str, np.ndarray]:
     """Raw per-term values of every printed term at the given points.
 
     No singularity guard: a term evaluated on its own stick's axis yields
     inf/nan, which is the honest value of the printed expression there.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for comp, terms in TERM_TABLES[label].items():
-            vals = np.empty((len(terms), len(pts)))
-            for t_i, t in enumerate(terms):
-                den = _lin_values(t.den[0], pts) ** 2 + _lin_values(t.den[1], pts) ** 2
-                bracket = np.zeros(len(pts))
-                for entry, es in ((t.first, 1.0), (t.second, -1.0)):
-                    rad = sum(_lin_values(f, pts) ** 2 for f in entry.radicand)
-                    bracket += es * _lin_values(entry.num, pts) / np.sqrt(rad)
-                vals[t_i] = t.sign * _lin_values(t.num, pts) / den * bracket
-            out[comp] = vals
-    return out
-
-
-def _singular_terms(label: str, pts: np.ndarray):
-    for comp, terms in TERM_TABLES[label].items():
-        for t in terms:
-            den = _lin_values(t.den[0], pts) ** 2 + _lin_values(t.den[1], pts) ** 2
-            rads = [
-                sum(_lin_values(f, pts) ** 2 for f in entry.radicand)
-                for entry in (t.first, t.second)
-            ]
-            bad = (den < SINGULARITY_FLOOR) | (rads[0] < SINGULARITY_FLOOR) \
-                | (rads[1] < SINGULARITY_FLOOR)
-            if np.any(bad):
-                return comp, t.index
-    return None
+    return _printed_terms(label, np.atleast_2d(np.asarray(points, dtype=float)))[0]
 
 
 def eval_transcribed(label: str, point) -> np.ndarray:
@@ -217,13 +213,12 @@ def eval_transcribed(label: str, point) -> np.ndarray:
     stick's whole axis line, so that distance can be large.
     """
     pts = np.asarray(point, dtype=float).reshape(1, 3)
-    hit = _singular_terms(label, pts)
+    vals, hit = _printed_terms(label, pts)
     if hit is not None:
         dist = _stick_field(CANONICAL[label]().sticks, pts)[1][0]
         stick = next(e.segment_index for e in discrepancy_ledger(label).entries
                      if (e.component, e.index) == hit)
         raise OnConductorError(pts[0], dist, segment_index=stick)
-    vals = term_values(label, pts)
     return np.array([vals["Bx"].sum(), vals["By"].sum(), vals["Bz"].sum()])
 
 

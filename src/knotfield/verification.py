@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeKnot, PackedSticks, Segment, bounding_box, refine, segments
-from .biot_savart import _stick_field, segment_field, segment_field_quadrature, total_field
+from .biot_savart import _quadrature, _stick_field, segment_field, total_field
 from .topology import Loop, holonomy, linking_number, loop_clearance
 
 
@@ -88,50 +88,30 @@ def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
             return loop
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
-def suite_segment_kernel(seed: int = 0, n_pairs: int = 1000, clearance: float = 0.5,
-                         quad_tol: float = 1e-10, agree_tol: float = 1e-8) -> SuiteResult:
+def suite_segment_kernel(seed: int = 0, n_pairs: int = 1000):
     """Closed form vs. quadrature oracle on random (stick, point) pairs."""
     rng = np.random.default_rng(seed)
-
-    def run():
-        worst = 0.0
-        for _ in range(n_pairs):
-            seg = random_axis_segment(rng)
-            p = random_clear_point(rng, [seg], margin=4.0, clearance=clearance)
-            closed = segment_field(seg, p)
-            quad = segment_field_quadrature(seg, p, tol=quad_tol)
-            worst = max(worst, float(np.max(np.abs(closed - quad))))
-        return worst
-
-    worst, dt = _timed(run)
-    return SuiteResult(
-        name="segment-kernel-vs-quadrature",
-        passed=bool(worst <= agree_tol),
-        details={"pairs": n_pairs, "worst_abs_err": float(worst), "tol": agree_tol},
-        duration=dt,
-    )
+    segs, pts, closed = [], [], []
+    for _ in range(n_pairs):
+        seg = random_axis_segment(rng)
+        p = random_clear_point(rng, [seg], margin=4.0, clearance=0.5)
+        segs.append(seg)
+        pts.append(p)
+        closed.append(segment_field(seg, p))
+    quad = _quadrature(np.reshape([s.start for s in segs], (-1, 3)),
+                       np.reshape([s.end for s in segs], (-1, 3)),
+                       np.reshape(pts, (-1, 3)), 1.0, 1e-10, 40)
+    worst = float(np.max(np.abs(np.reshape(closed, (-1, 3)) - quad), initial=0.0))
+    return ("segment-kernel-vs-quadrature", worst <= 1e-8,
+            {"pairs": n_pairs, "worst_abs_err": worst, "tol": 1e-8})
 
 
-def suite_infinite_wire(half_length: int = 10 ** 6, rel_tol: float = 1e-9) -> SuiteResult:
+def suite_infinite_wire():
     """|B| -> 2k/r for a long stick, the Gaussian-units sanity anchor."""
-    def run():
-        seg = Segment((0, 0, -half_length), (0, 0, half_length))
-        b = segment_field(seg, (1.0, 0.0, 0.0))
-        return abs(float(np.linalg.norm(b)) - 2.0) / 2.0
-
-    rel_err, dt = _timed(run)
-    return SuiteResult(
-        name="infinite-wire-limit",
-        passed=bool(rel_err <= rel_tol),
-        details={"half_length": half_length, "rel_err": float(rel_err), "tol": rel_tol},
-        duration=dt,
-    )
+    b = segment_field(Segment((0, 0, -10 ** 6), (0, 0, 10 ** 6)), (1.0, 0.0, 0.0))
+    rel_err = abs(float(np.linalg.norm(b)) - 2.0) / 2.0
+    return ("infinite-wire-limit", rel_err <= 1e-9,
+            {"half_length": 10 ** 6, "rel_err": rel_err, "tol": 1e-9})
 
 
 def _central_difference_derivatives(knot, p, h):
@@ -144,122 +124,87 @@ def _central_difference_derivatives(knot, p, h):
     return d
 
 
-def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200,
-                   clearance: float = 1.0, h: float = 1e-3,
-                   bound: float = 1e-4) -> SuiteResult:
+def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
     """Central-difference curl and divergence vanish off the conductor."""
     rng = np.random.default_rng(seed)
     segs = segments(knot)
-
-    def run():
-        worst_curl = worst_div = 0.0
-        for _ in range(n_points):
-            p = random_clear_point(rng, segs, margin=3.0, clearance=clearance)
-            scale = float(np.linalg.norm(total_field(knot, p)))
-            d = _central_difference_derivatives(knot, p, h)
-            curl = np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
-            div = d[0, 0] + d[1, 1] + d[2, 2]
-            worst_curl = max(worst_curl, float(np.linalg.norm(curl)) / scale)
-            worst_div = max(worst_div, abs(div) / scale)
-        return worst_curl, worst_div
-
-    (worst_curl, worst_div), dt = _timed(run)
-    return SuiteResult(
-        name="flatness-and-divergence",
-        passed=bool(worst_curl <= bound and worst_div <= bound),
-        details={"points": n_points, "h": h, "worst_rel_curl": float(worst_curl),
-                 "worst_rel_div": float(worst_div), "bound": bound},
-        duration=dt,
-    )
+    worst_curl = worst_div = 0.0
+    for _ in range(n_points):
+        p = random_clear_point(rng, segs, margin=3.0, clearance=1.0)
+        scale = float(np.linalg.norm(total_field(knot, p)))
+        d = _central_difference_derivatives(knot, p, 1e-3)
+        curl = np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
+        div = d[0, 0] + d[1, 1] + d[2, 2]
+        worst_curl = max(worst_curl, float(np.linalg.norm(curl)) / scale)
+        worst_div = max(worst_div, abs(div) / scale)
+    return ("flatness-and-divergence", worst_curl <= 1e-4 and worst_div <= 1e-4,
+            {"points": n_points, "h": 1e-3, "worst_rel_curl": float(worst_curl),
+             "worst_rel_div": float(worst_div), "bound": 1e-4})
 
 
-def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100,
-                  factor: int = 2, rel_tol: float = 1e-9) -> SuiteResult:
-    """B(lambda x; lambda K) = B(x; K) / lambda."""
+def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
+    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 2."""
     rng = np.random.default_rng(seed)
     segs = segments(knot)
-    big = refine(knot, factor)
-
-    def run():
-        worst = 0.0
-        for _ in range(n_points):
-            p = random_clear_point(rng, segs, margin=3.0, clearance=0.5)
-            b = total_field(knot, p)
-            b_scaled = total_field(big, factor * p)
-            ref = float(np.linalg.norm(b))
-            worst = max(worst, float(np.max(np.abs(b_scaled - b / factor))) / ref)
-        return worst
-
-    worst, dt = _timed(run)
-    return SuiteResult(
-        name="scaling-law",
-        passed=bool(worst <= rel_tol),
-        details={"points": n_points, "factor": factor, "worst_rel_err": float(worst),
-                 "tol": rel_tol},
-        duration=dt,
-    )
+    big = refine(knot, 2)
+    worst = 0.0
+    for _ in range(n_points):
+        p = random_clear_point(rng, segs, margin=3.0, clearance=0.5)
+        b = total_field(knot, p)
+        b_scaled = total_field(big, 2 * p)
+        ref = float(np.linalg.norm(b))
+        worst = max(worst, float(np.max(np.abs(b_scaled - b / 2))) / ref)
+    return ("scaling-law", worst <= 1e-9,
+            {"points": n_points, "factor": 2, "worst_rel_err": float(worst), "tol": 1e-9})
 
 
-def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20,
-                           clearance: float = 0.5, tol: float = 1e-5) -> SuiteResult:
-    """holonomy = 4*pi*k*Lk on random rectangular loops in the complement."""
+def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
+    """holonomy = 4*pi*k*Lk on random rectangular loops in the complement,
+    compared in units of k."""
     rng = np.random.default_rng(seed)
-
-    def run():
-        worst = 0.0
-        linked = 0
-        for i in range(n_loops):
-            loop = random_rect_loop(rng, knot, clearance=clearance, name=f"loop{i}")
-            res = holonomy(knot, loop, tol=1e-6)
-            lk = linking_number(knot, loop)
-            linked += lk != 0
-            err = abs(res.value - 4.0 * math.pi * knot.k * lk)
-            worst = max(worst, err / max(1.0, abs(res.value)))
-        return worst, linked
-
-    (worst, linked), dt = _timed(run)
-    return SuiteResult(
-        name="holonomy-vs-linking",
-        passed=bool(worst < tol),
-        details={"loops": n_loops, "nonzero_linking": int(linked),
-                 "worst_rel_err": float(worst), "tol": tol},
-        duration=dt,
-    )
+    worst = 0.0
+    linked = 0
+    for i in range(n_loops):
+        loop = random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}")
+        per_k = holonomy(knot, loop, tol=1e-6).value / knot.k
+        lk = linking_number(knot, loop)
+        linked += lk != 0
+        worst = max(worst, abs(per_k - 4.0 * math.pi * lk) / max(1.0, abs(per_k)))
+    return ("holonomy-vs-linking", worst < 1e-5,
+            {"loops": n_loops, "nonzero_linking": int(linked),
+             "worst_rel_err": float(worst), "tol": 1e-5})
 
 
-def suite_refined_holonomy(knot: LatticeKnot, seed: int = 0, n_loops: int = 20,
-                           factor: int = 2, tol: float = 2e-5) -> SuiteResult:
-    """Refining knot and loop together leaves every holonomy unchanged."""
+def suite_refined_holonomy(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
+    """Refining knot and loop together by 2 leaves every holonomy unchanged,
+    compared in units of k."""
     rng = np.random.default_rng(seed)
-    big = refine(knot, factor)
-
-    def run():
-        worst = 0.0
-        for i in range(n_loops):
-            loop = random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}")
-            h1 = holonomy(knot, loop, tol=1e-6).value
-            h2 = holonomy(big, loop.scaled(factor), tol=1e-6).value
-            worst = max(worst, abs(h1 - h2))
-        return worst
-
-    worst, dt = _timed(run)
-    return SuiteResult(
-        name="refined-holonomy-invariance",
-        passed=bool(worst < tol),
-        details={"loops": n_loops, "factor": factor, "worst_abs_err": float(worst),
-                 "tol": tol},
-        duration=dt,
-    )
+    big = refine(knot, 2)
+    worst = 0.0
+    for i in range(n_loops):
+        loop = random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}")
+        h1 = holonomy(knot, loop, tol=1e-6).value
+        h2 = holonomy(big, loop.scaled(2), tol=1e-6).value
+        worst = max(worst, abs(h1 - h2) / abs(knot.k))
+    return ("refined-holonomy-invariance", worst < 2e-5,
+            {"loops": n_loops, "factor": 2, "worst_abs_err": float(worst), "tol": 2e-5})
 
 
 def run_verification(knot: LatticeKnot, seed: int = 0, loops: int = 20,
                      points: int = 200, kernel_pairs: int = 1000) -> list[SuiteResult]:
-    """The full battery, sized by the caller (CLI exposes the knobs)."""
-    return [
-        suite_segment_kernel(seed=seed, n_pairs=kernel_pairs),
-        suite_infinite_wire(),
-        suite_flatness(knot, seed=seed, n_points=points),
-        suite_scaling(knot, seed=seed, n_points=max(1, points // 2)),
-        suite_holonomy_linking(knot, seed=seed, n_loops=loops),
-        suite_refined_holonomy(knot, seed=seed, n_loops=max(1, loops // 2)),
-    ]
+    """The full battery, sized by the caller (CLI exposes the knobs).  Each
+    suite returns (name, passed, details), and is timed here on its own."""
+    suites = (
+        (suite_segment_kernel, (seed, kernel_pairs)),
+        (suite_infinite_wire, ()),
+        (suite_flatness, (knot, seed, points)),
+        (suite_scaling, (knot, seed, max(1, points // 2))),
+        (suite_holonomy_linking, (knot, seed, loops)),
+        (suite_refined_holonomy, (knot, seed, max(1, loops // 2))),
+    )
+    results = []
+    for suite, args in suites:
+        t0 = time.perf_counter()
+        name, passed, details = suite(*args)
+        results.append(SuiteResult(name, bool(passed), details, time.perf_counter() - t0))
+    return results

@@ -1,22 +1,41 @@
 """Reference oracles: the pairwise scans ``validate`` and ``projection_crossings``
-ran before their sort-and-search versions, and the one-edge-at-a-time scan
-``loop_clearance`` ran before its single (edge, stick) pass, kept verbatim
-apart from names.
+ran before their sort-and-search versions, the one-edge-at-a-time scan
+``loop_clearance`` ran before its single (edge, stick) pass, and the
+one-interval-at-a-time integrators ``segment_field_quadrature`` and
+``holonomy`` ran before they stepped every row or edge at once, kept
+verbatim apart from names.
 
 ``scan_validate`` compares every pair of edges' bounding boxes and
 ``scan_projection_crossings`` every pair of projected edges, both in
 O(N^2) pure Python; ``scan_loop_clearance`` walks the loop's edges in a
-Python loop.  They share no code with the engine's versions, so the
-property tests in ``test_scan_oracle.py`` check the engine against them.
+Python loop.  ``scan_segment_field_quadrature`` pops one interval at a
+time from a stack of tuples, and ``scan_holonomy`` refines one edge at a
+time with one kernel call per edge and level.  They share no code with
+the engine's versions beyond the kernel and the refusals, so the property
+tests in ``test_scan_oracle.py`` check the engine against them.
 """
 
 import math
 
 import numpy as np
 
+from knotfield.biot_savart import (
+    DEFAULT_EXCLUSION_RADIUS,
+    QuadratureError,
+    _GL_W,
+    _GL_X,
+    _stick_field,
+    segment_field,
+)
 from knotfield.braids import PlacementError, ProjectedCrossing
-from knotfield.geometry import Axis, LatticeKnot, ValidationReport, stick_ends
-from knotfield.topology import LinkingPrecisionError, Loop
+from knotfield.geometry import Axis, LatticeKnot, Segment, ValidationReport, stick_ends
+from knotfield.topology import (
+    HolonomyResult,
+    LinkingPrecisionError,
+    Loop,
+    LoopOnConductorError,
+    loop_clearance,
+)
 
 
 def _edge_box(a, b):
@@ -241,3 +260,113 @@ def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
             best = float(d[j])
             where = (i, j + 1)
     return best, where
+
+
+def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1e-10,
+                                  exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
+                                  max_depth: int = 40):
+    """Direct numerical integration of dB = k dl x s / |s|^3 along the stick.
+
+    Interval-halving adaptive quadrature with a fixed-order Gauss panel rule
+    and absolute tolerance per component.  Slower than the closed form by
+    construction; it exists to be independently auditable, not fast.
+    """
+    segment_field(seg, point, exclusion_radius=exclusion_radius)    # OnConductorError
+    start = np.asarray(seg.start, dtype=float)
+    u = np.asarray(seg.end, dtype=float) - start
+    a = np.asarray(point, dtype=float) - start
+
+    # dl x (p - l(t)) = u x a for every t because u x u = 0, so the vector
+    # direction is constant and only the scalar 1/|p - l(t)|^3 is integrated.
+    c = np.cross(u, a)
+    cmax = float(np.max(np.abs(c)))
+    if cmax == 0.0:
+        return np.zeros(3)
+    scalar_tol = tol / cmax
+
+    def panel(lo, hi):
+        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
+        d = a[None, :] - t[:, None] * u[None, :]
+        w = np.sum(d * d, axis=1) ** 1.5
+        return 0.5 * (hi - lo) * float(np.dot(_GL_W, 1.0 / w))
+
+    total = 0.0
+    stack = [(0.0, 1.0, panel(0.0, 1.0), scalar_tol, 0)]
+    while stack:
+        lo, hi, coarse, budget, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
+        if abs(left + right - coarse) <= budget or depth >= max_depth:
+            if depth >= max_depth and abs(left + right - coarse) > budget:
+                raise QuadratureError(
+                    f"no convergence after depth {depth} on [{lo}, {hi}]"
+                )
+            total += left + right
+        else:
+            stack.append((lo, mid, left, 0.5 * budget, depth + 1))
+            stack.append((mid, hi, right, 0.5 * budget, depth + 1))
+    return k * c * total
+
+
+def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
+                  exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
+                  max_levels: int = 18) -> HolonomyResult:
+    """Integrate the circuit's field along the loop.
+
+    Each loop edge gets an equal share of the absolute tolerance and is
+    integrated with composite fixed-order Gauss panels under interval
+    halving; the Richardson-style error estimate is the difference between
+    successive refinement levels.  The loop is first checked with
+    ``loop_clearance``: LoopOnConductorError when it passes within the
+    exclusion radius, LinkingPrecisionError when it is not representable.
+    """
+    clear, (i, j) = loop_clearance(knot, loop)
+    if clear < exclusion_radius:
+        raise LoopOnConductorError(i, j, clear)
+
+    edges = loop.edges()
+
+    budget = tol / len(edges)
+    value = 0.0
+    est = 0.0
+    for a, b in edges:
+        e = b - a
+
+        def edge_integral(n_panels):
+            # Gauss nodes of every panel evaluated in one batch.
+            offsets = (np.arange(n_panels)[:, None] + 0.5 * (_GL_X + 1.0)[None, :]) / n_panels
+            t = offsets.ravel()
+            pts = a[None, :] + t[:, None] * e[None, :]
+            b_along = np.einsum("mc,c->m", _stick_field(knot.sticks, pts)[0], e)
+            w = np.broadcast_to(_GL_W[None, :] / (2.0 * n_panels), offsets.shape).ravel()
+            return float(np.dot(w, b_along))
+
+        prev = edge_integral(1)
+        for level in range(1, max_levels + 1):
+            cur = edge_integral(2 ** level)
+            err = abs(cur - prev)
+            prev = cur
+            if err <= budget:
+                break
+        else:
+            raise QuadratureError(
+                f"holonomy edge failed to converge to {budget:.3g} "
+                f"after {max_levels} halvings"
+            )
+        value += cur
+        est += err
+
+    value *= knot.k
+    est *= abs(knot.k)
+    four_pi_k = 4.0 * math.pi * knot.k
+    inferred = int(round(value / four_pi_k)) if knot.k != 0 else 0
+    residual = value - four_pi_k * inferred
+    return HolonomyResult(
+        value=value,
+        estimated_error=est,
+        edges_evaluated=len(edges),
+        inferred_linking=inferred,
+        residual=residual,
+        k=knot.k,
+    )

@@ -84,6 +84,26 @@ class TestSegmentField:
         b2 = segment_field(seg, (1.0, 2.0, 0.5), k=2.0)
         assert np.array_equal(b2, 2.0 * b1)
 
+    def test_overflowing_k_refused(self):
+        # |B| = sqrt(2) here, so k = 1.5e308 overflows where k = 1e308 does not.
+        seg, p = Segment((0, 0, -1), (0, 0, 1)), (1.0, 0.0, 0.0)
+        assert np.isfinite(segment_field(seg, p, k=1e308)).all()
+        with pytest.raises(ValueError, match=r"k = 1\.5e\+308 is too large: the result overflows"):
+            segment_field(seg, p, k=1.5e308)
+        knot = canonical_trefoil(k=1e308)
+        with pytest.raises(ValueError, match=r"k = 1e\+308 is too large"):
+            total_field(knot, (2.5, 2.1, 1.0))
+        with pytest.raises(ValueError, match=r"k = 1e\+308 is too large"):
+            total_field_many(knot, [(2.5, 2.1, 1.0), (3.5, 2.1, 1.0)])
+
+    def test_huge_k_keeps_on_conductor_rows_masked(self):
+        # The field just inside the exclusion radius overflows at this k;
+        # the row is masked, not refused, and the other row is finite.
+        b, mask = total_field_many(canonical_trefoil(k=1e302),
+                                   [(2.0, 2.0 + 1e-7, 3.0), (4.0, 0.5, 1.0)])
+        assert mask.tolist() == [True, False]
+        assert np.isnan(b[0]).all() and np.isfinite(b[1]).all()
+
     def test_near_axis_extension_is_smooth(self):
         # The cancellation-free branch: tiny perpendicular offset far beyond
         # the end must agree with the quadrature oracle, not explode.

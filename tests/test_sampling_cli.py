@@ -258,6 +258,40 @@ class TestCli:
         assert payload["inferred_linking"] == -1
         assert abs(payload["value"] + 4 * math.pi) < 1e-5
 
+    def test_holonomy_residual_judged_in_units_of_k(self, tmp_path, capsys):
+        # At k = 1e6 the residual is about 1e-6 in absolute terms, 1e-12 in
+        # units of k: the answer is right and the exit code says so.
+        loop_file = tmp_path / "loop.txt"
+        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        rc = run_cli("holonomy", "--knot", "3_1", "--k", "1e6", "--loop", str(loop_file),
+                     "--format", "json")
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(payload["value_over_4pik"] + 1.0) < 1e-9
+        assert rc == 0
+
+    def test_verify_holonomy_suites_judged_in_units_of_k(self, capsys):
+        rc = run_cli("verify", "--knot", "3_1", "--k", "1e6", "--loops", "6", "--points", "10",
+                     "--kernel-pairs", "10", "--format", "json")
+        suites = {s["name"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+        assert suites["holonomy-vs-linking"]["details"]["worst_rel_err"] < 1e-9
+        assert rc == 0
+
+    @pytest.mark.parametrize("command", [
+        ("holonomy", "--loop", "LOOP"),
+        ("field", "sample", "--origin=2.5,2.1,1", "--spacing", "1", "--counts", "2,1,1"),
+        ("field", "sample", "--origin=2.5,2.1,1", "--spacing", "1", "--counts", "2,1,1",
+         "--out", "OUT"),
+    ], ids=["holonomy", "field-sample", "field-sample-out"])
+    def test_overflowing_k_exit_1(self, tmp_path, capsys, command):
+        loop_file, out = tmp_path / "loop.txt", tmp_path / "never.csv"
+        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        argv = [{"LOOP": str(loop_file), "OUT": str(out)}.get(a, a) for a in command]
+        assert run_cli(*argv, "--knot", "3_1", "--k", "1e308") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k = 1e+308 is too large: the result overflows\n"
+        assert not out.exists()
+
     def test_holonomy_loop_on_conductor_exit_3(self, tmp_path):
         loop_file = tmp_path / "bad.txt"
         write_loop_file(Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2))),

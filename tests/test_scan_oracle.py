@@ -1,5 +1,5 @@
-"""``validate``, ``projection_crossings`` and ``loop_clearance`` against the
-scan oracles.
+"""``validate``, ``projection_crossings``, ``loop_clearance``,
+``segment_field_quadrature`` and ``holonomy`` against the scan oracles.
 
 The engine finds touching edges by sorting and searching; the oracles in
 ``scan_oracle.py`` compare every pair.  Both must give the same report, the
@@ -7,13 +7,21 @@ same crossings in the same order, or the same PlacementError message, on
 braid closures, refined knots and corrupted polygons, viewed along each
 axis.  The engine measures a loop's clearance in one (edge, stick) pass; the
 oracle walks the loop one edge at a time.  Both must give the same value
-bits and (edge, stick), or the same LinkingPrecisionError message.
+bits and (edge, stick), or the same LinkingPrecisionError message.  The
+engine's integrators step every (stick, point) row, or every loop edge, at
+once; the oracles take one interval or one edge at a time.  Both must give
+the same bits in every field, or the same QuadratureError message.
 """
 
+import dataclasses
+import math
 import struct
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from knotfield.biot_savart import QuadratureError, _quadrature, segment_field_quadrature
 
 from knotfield.braids import (
     BraidWord,
@@ -27,15 +35,22 @@ from knotfield.geometry import (
     Axis,
     LatticeKnot,
     canonical_figure_eight,
+    Segment,
     canonical_trefoil,
     refine,
     segments,
     stick_ends,
     validate,
 )
-from knotfield.topology import LinkingPrecisionError, Loop, loop_clearance
-from knotfield.verification import random_rect_loop
-from scan_oracle import scan_loop_clearance, scan_projection_crossings, scan_validate
+from knotfield.topology import LinkingPrecisionError, Loop, holonomy, loop_clearance
+from knotfield.verification import random_axis_segment, random_clear_point, random_rect_loop
+from scan_oracle import (
+    scan_holonomy,
+    scan_loop_clearance,
+    scan_projection_crossings,
+    scan_segment_field_quadrature,
+    scan_validate,
+)
 from test_topology import AXIS_LOOP, square_around
 
 SETTINGS = settings(max_examples=50, deadline=None,
@@ -210,3 +225,127 @@ def test_hand_written_loops_agree():
                        (canonical_trefoil(), Loop(vertices=((2, 2, -3),) + AXIS_LOOP.vertices))):
         assert clearance_outcome(loop_clearance, knot, loop) == \
             clearance_outcome(scan_loop_clearance, knot, loop)
+
+
+# --- the integrators ---------------------------------------------------------
+
+KS = st.sampled_from((1.0, -2.5, 1e-3))
+
+
+def float_bits(value):
+    return (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
+
+
+def quadrature_outcome(route, *args, **kwargs):
+    try:
+        b = route(*args, **kwargs)
+    except QuadratureError as exc:
+        return f"QuadratureError: {exc}"
+    return b.shape, b.dtype.str, b.tobytes()
+
+
+@st.composite
+def stick_points(draw):
+    """The kernel-vs-quadrature orientation domain: a stick along
+    sign * e_axis, and a point at axial offset s along the flow from its
+    start and distance r = 10^U(-12, 0.7) off its axis: broadside, beyond
+    either end, or within 1e-3 of (or on) the axis extension."""
+    axis, sign = draw(st.integers(0, 2)), draw(st.sampled_from([1, -1]))
+    start, length = draw(st.tuples(*[st.integers(-6, 6)] * 3)), draw(st.integers(1, 8))
+    region = draw(st.sampled_from(["broadside", "before", "after",
+                                   "near-axis-before", "near-axis-after"]))
+    u, angle = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2 * math.pi))
+    end = list(start)
+    end[axis] += sign * length
+    r = 10.0 ** draw(st.floats(-12.0, 0.7))
+    if region == "broadside":
+        s, r = u * length, 0.05 + r
+    else:
+        s = -0.05 - 5 * u if region.endswith("before") else length + 0.05 + 5 * u
+        if region.startswith("near-axis"):
+            r = 0.0 if draw(st.booleans()) else min(r, 1e-3)
+    p = np.array(start, dtype=float)
+    p[axis] += sign * s
+    p[(axis + 1) % 3] += r * math.cos(angle)
+    p[(axis + 2) % 3] += r * math.sin(angle)
+    return Segment(start, tuple(end)), p
+
+
+def verify_pairs(seed, n):
+    """The (stick, point) pairs ``verify``'s kernel suite draws at a seed."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        seg = random_axis_segment(rng)
+        pairs.append((seg, random_clear_point(rng, [seg], margin=4.0, clearance=0.5)))
+    return pairs
+
+
+@SETTINGS
+@given(stick_points(), KS, st.sampled_from((1e-6, 1e-8, 1e-10)), st.sampled_from((1, 40)))
+def test_quadrature_agrees_in_every_orientation(case, k, tol, max_depth):
+    seg, p = case
+    assert quadrature_outcome(segment_field_quadrature, seg, p, k=k, tol=tol,
+                              max_depth=max_depth) == \
+        quadrature_outcome(scan_segment_field_quadrature, seg, p, k=k, tol=tol,
+                           max_depth=max_depth)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), KS)
+def test_batched_quadrature_agrees_on_verify_pairs(seed, k):
+    pairs = verify_pairs(seed, 200)
+    batched = _quadrature([s.start for s, _ in pairs], [s.end for s, _ in pairs],
+                          np.array([p for _, p in pairs]), k, 1e-10, 40)
+    want = np.array([scan_segment_field_quadrature(s, p, k=k, tol=1e-10) for s, p in pairs])
+    assert batched.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), KS,
+       st.sampled_from(((1e-6, 40), (1e-10, 40), (1e-14, 3))), st.data())
+def test_quadrature_rows_are_independent(seed, n, k, tol_depth, data):
+    """N rows at once give the N one-row answers, or the first one-row
+    failure, whether they run in one block or in blocks of 3; rows on a
+    stick's axis line are among them."""
+    tol, max_depth = tol_depth
+    pairs = verify_pairs(seed, n)
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        seg, _ = pairs[i]
+        pairs[i] = seg, np.array(seg.end) + 0.5 * (np.array(seg.end) - np.array(seg.start))
+    starts, ends = [[s.start] for s, _ in pairs], [[s.end] for s, _ in pairs]
+    alone = [quadrature_outcome(_quadrature, a, b, p.reshape(1, 3), k, tol, max_depth)
+             for a, b, (_, p) in zip(starts, ends, pairs)]
+    failed = [o for o in alone if isinstance(o, str)]
+    with mock.patch("knotfield.biot_savart._QUAD_ROWS", data.draw(st.sampled_from((3, 4096)))):
+        together = quadrature_outcome(_quadrature, np.vstack(starts), np.vstack(ends),
+                                      np.array([p for _, p in pairs]), k, tol, max_depth)
+    if failed:
+        assert together == failed[0]
+    else:
+        assert together[2] == b"".join(o[2] for o in alone)
+
+
+def holonomy_outcome(route, *args, **kwargs):
+    try:
+        res = route(*args, **kwargs)
+    except QuadratureError as exc:
+        return f"QuadratureError: {exc}"
+    return [(f.name, float_bits(getattr(res, f.name))) for f in dataclasses.fields(res)]
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from((canonical_trefoil(), canonical_figure_eight())),
+                 braid_closures(max_letters=20)),
+       st.sampled_from(["rect", "tight"]), st.data(), KS, st.sampled_from((1e-6, 1e-8)),
+       st.sampled_from((1, 18)))
+def test_holonomy_agrees(knot, kind, data, k, tol, max_levels):
+    knot = dataclasses.replace(knot, k=k)
+    if kind == "rect":
+        loop = random_rect_loop(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                                knot)
+    else:
+        loop = square_around(data.draw(st.sampled_from(segments(knot))),
+                             10.0 ** data.draw(st.floats(-5.0, -1.0)))
+    assert holonomy_outcome(holonomy, knot, loop, tol=tol, max_levels=max_levels) == \
+        holonomy_outcome(scan_holonomy, knot, loop, tol=tol, max_levels=max_levels)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ class TestHolonomy:
         from knotfield.biot_savart import QuadratureError
         with pytest.raises(QuadratureError):
             holonomy(canonical_trefoil(), paper_loop(), tol=1e-14, max_levels=1)
+
+    @pytest.mark.parametrize("k", [1e308, -1e308, 2e307])
+    def test_overflowing_k_refused(self, k):
+        # 4*pi*k overflows; the parent's rounding of value / inf hit NaN.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"k = {k!r} is too large: the result overflows")):
+            holonomy(canonical_trefoil(k=k), paper_loop())
 
 
 class TestLinkingNumber:
