@@ -499,3 +499,20 @@ def test_golden_stdout(tmp_path, capsys, argv, digest):
     write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
     assert run_cli(*[str(loop_file) if a == "LOOP" else a for a in argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+# SHA-256 of `verify --format json` at CLI defaults with every suite's
+# `duration` dropped: pins the random pairs, points and loops each suite
+# draws and every detail it reports, bit for bit.
+@pytest.mark.parametrize("knot, seed, digest", [
+    ("3_1", 0, "7689c36accf941ac9c6991b823583798e8054206ef1a86a99b80456855e4bf91"),
+    ("3_1", 3, "61c28d6d0d204790bcdde6f411191004976c92330a4fff7bf37b892c2cf83a31"),
+    ("4_1", 0, "b02209ae795a508434f008334753b97cfd3adbb32baa273dc1ed5a0192b058d1"),
+    ("4_1", 3, "70f1363838fc8a504e2ece8db532dd0ca3c317aedbff993f59eff9fba1a0fb3a"),
+])
+def test_golden_verify_json(capsys, knot, seed, digest):
+    assert run_cli("verify", "--knot", knot, "--seed", str(seed), "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    for suite in payload["suites"]:
+        del suite["duration"]
+    assert hashlib.sha256(json.dumps(payload).encode("ascii")).hexdigest() == digest
