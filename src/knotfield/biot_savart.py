@@ -19,13 +19,14 @@ point's offsets along them, u_hat x rho is h*tb in component c and -h*tc in
 component b, where h = s, or -s for a y stick.  That form vanishes smoothly
 on the stick's axis extension; beyond the endpoints the cosine sum is
 rearranged into a cancellation-free form so the near-axis limit stays
-accurate.  Points go in tiles of at most
-``_TILE_PAIRS`` (point, stick) pairs, so memory does not grow with the
-batch, and each point's field is summed over the sticks one at a time in
-flow order, so its bits depend on neither the tile, the batch nor the thread.
-Alongside the field the kernel returns each point's clearance, the distance
-to its nearest stick and that stick's index, reduced within the tile: every
-exclusion decision reads that one answer.
+accurate.  Points go in tiles of at most ``_TILE_PAIRS`` (point, stick)
+pairs, so memory does not grow with the batch, and each point's field is
+summed over the sticks one at a time in flow order, so its bits depend on
+neither the tile, the batch nor the thread.  Alongside the field the kernel
+returns each point's clearance, the distance to its nearest stick and that
+stick's index, reduced within the tile: every exclusion decision reads that
+one answer.  The same arithmetic evaluates paired rows, stick i alone at
+point i, with the bits of stick i's row; ``segment_field`` is the one-row case.
 
 The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
@@ -72,62 +73,82 @@ class QuadratureError(FieldError):
 _TILE_PAIRS = 1 << 15
 
 
+def _finite(points):
+    """ValueError naming the first of the (M, 3) points that is not finite."""
+    if not np.isfinite(points).all():
+        i = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise ValueError(f"point {i} {tuple(points[i].tolist())} is not finite")
+
+
+def _pair_terms(sticks: PackedSticks, p_a, p_b, p_c):
+    """The kernel's arithmetic: each stick's column of ``sticks`` against the
+    (N, T) coordinates of points along its axis a and its other axes b < c.
+    Returns (C, dist), C[j, :, t] the field (k = 1) of stick j at point t."""
+    (s_a, s_b, s_c), (lo_a, hi_a), length = sticks.start, sticks.span, sticks.length
+    # Far points overflow to inf, which the forms turn into an exact zero
+    # field and an infinite distance.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        az1 = sticks.sign * (p_a - s_a)        # axial coord of P from start
+        az2 = az1 - length                     # axial coord of P from end
+        tb, tc = p_b - s_b, p_c - s_c
+        tb2, tc2 = tb * tb, tc * tc
+        r2 = tb2 + tc2                         # perpendicular distance^2
+        na = np.sqrt(r2 + az1 * az1)           # |P - start|
+        nb = np.sqrt(r2 + az2 * az2)           # |P - end|
+        broadside = (az1 >= 0.0) & (az2 <= 0.0)
+        # Distance to each stick's closest point, its squared offsets summed
+        # in x, y, z order whatever the stick's axis, so sticks equally near,
+        # as at a shared vertex, tie exactly and the lowest index wins.
+        # (a, b, c) is (x, y, z), (y, x, z) or (z, x, y), so the axial offset
+        # comes first unless the stick is along z.
+        q = np.maximum(p_a, lo_a)
+        np.minimum(q, hi_a, out=q)
+        q -= p_a
+        q *= q                                 # axial offset^2
+        dist = np.sqrt(np.where(sticks.along_z, r2 + q, (q + tb2) + tc2))
+        # Between the endpoints the direct form is stable (r2 == 0 there only
+        # on the conductor, which contributes nothing); beyond them cos t1 +
+        # cos t2 nearly cancels, so use the equivalent form with the
+        # cancellation removed, which is smooth onto the axis.
+        factor = sticks.hand * np.where(
+            broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
+            length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
+        contrib, j = np.zeros((len(factor), 3, factor.shape[1])), np.arange(len(factor))
+        contrib[j, sticks.roles[2]] = tb * factor
+        contrib[j, sticks.roles[1]] = -tc * factor
+    return contrib, dist
+
+
 def _stick_field(sticks: PackedSticks, points):
     """Field (prefactor k = 1) of packed sticks at (M, 3) points, and each
     point's clearance from them: (B, near, nearest), with B of shape (M, 3),
     near the distance to the nearest stick and nearest that stick's 0-based
     index, the lowest on ties.  Raises ValueError naming the first point
     that is not finite."""
-    if not np.isfinite(points).all():
-        i = int(np.argmin(np.isfinite(points).all(axis=1)))
-        raise ValueError(f"point {i} {tuple(points[i].tolist())} is not finite")
-    n = len(sticks.sign)
+    _finite(points)
     pts = np.ascontiguousarray(points.T)
     m = pts.shape[1]
     b, near, nearest = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=np.intp)
-    (ax_a, ax_b, ax_c), (s_a, s_b, s_c), (lo_a, hi_a) = sticks.roles, sticks.start, sticks.span
-    sign, length, hand, on_z = sticks.sign, sticks.length, sticks.hand, sticks.along_z
-    slot = 3 * np.arange(n)
-    tile = max(1, _TILE_PAIRS // n)
-    # Far points overflow to inf, which the forms below turn into an exact
-    # zero field and an infinite distance.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, m, tile):
-            p = pts[:, lo:lo + tile]
-            p_a = p[ax_a]
-            az1 = sign * (p_a - s_a)               # axial coord of P from start
-            az2 = az1 - length                     # axial coord of P from end
-            tb, tc = p[ax_b] - s_b, p[ax_c] - s_c
-            tb2, tc2 = tb * tb, tc * tc
-            r2 = tb2 + tc2                         # perpendicular distance^2
-            na = np.sqrt(r2 + az1 * az1)           # |P - start|
-            nb = np.sqrt(r2 + az2 * az2)           # |P - end|
-            broadside = (az1 >= 0.0) & (az2 <= 0.0)
-            # Distance to each stick's closest point, its squared offsets
-            # summed in x, y, z order whatever the stick's axis, so sticks
-            # equally near, as at a shared vertex, tie exactly and the lowest
-            # index wins.  (a, b, c) is (x, y, z), (y, x, z) or (z, x, y), so
-            # the axial offset comes first unless the stick is along z.
-            q = np.maximum(p_a, lo_a)
-            np.minimum(q, hi_a, out=q)
-            q -= p_a
-            q *= q                                 # axial offset^2
-            dist = np.sqrt(np.where(on_z, r2 + q, (q + tb2) + tc2))
-            nearest[lo:lo + tile], near[lo:lo + tile] = dist.argmin(axis=0), dist.min(axis=0)
-            # Between the endpoints the direct form is stable (r2 == 0 there
-            # only on the conductor, which contributes nothing); beyond them
-            # cos t1 + cos t2 nearly cancels, so use the equivalent form with
-            # the cancellation removed, which is smooth onto the axis.
-            factor = hand * np.where(
-                broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
-                length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
-            # Rows (stick, component): summing over the leading axis adds
-            # the sticks one at a time in flow order.
-            contrib = np.zeros((3 * n, p.shape[1]))
-            contrib[slot + ax_c] = tb * factor
-            contrib[slot + ax_b] = -tc * factor
-            b[lo:lo + tile] = contrib.reshape(n, 3, -1).sum(axis=0).T
+    ax_a, ax_b, ax_c = sticks.roles
+    tile = max(1, _TILE_PAIRS // len(ax_a))
+    for lo in range(0, m, tile):
+        p = pts[:, lo:lo + tile]
+        contrib, dist = _pair_terms(sticks, p[ax_a], p[ax_b], p[ax_c])
+        nearest[lo:lo + tile], near[lo:lo + tile] = dist.argmin(axis=0), dist.min(axis=0)
+        # Summing over the leading axis adds the sticks onto zero one at a
+        # time in flow order.
+        b[lo:lo + tile] = contrib.sum(axis=0).T
     return b, near, nearest
+
+
+def _paired_field(sticks: PackedSticks, points):
+    """Field (prefactor k = 1) of stick i alone at point i, for M packed
+    sticks and (M, 3) points, and its distance: (B, dist), row i with the
+    bits of ``_stick_field``.  Raises ValueError for a point not finite."""
+    _finite(points)
+    rows = np.arange(len(points))
+    contrib, dist = _pair_terms(sticks, *(points[rows, ax][:, None] for ax in sticks.roles))
+    return contrib.sum(axis=2), dist[:, 0]     # onto zero, as ``_stick_field`` sums
 
 
 def _times_k(b, k):
@@ -143,8 +164,8 @@ def _times_k(b, k):
 def segment_field(seg: Segment, point, k: float = 1.0,
                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Closed-form field of one stick at one point, in units of k."""
-    b, near, _ = _stick_field(PackedSticks.pack([seg.start], [seg.end]),
-                              np.asarray(point, dtype=float).reshape(1, 3))
+    b, near = _paired_field(PackedSticks.pack([seg.start], [seg.end]),
+                            np.asarray(point, dtype=float).reshape(1, 3))
     if near[0] < exclusion_radius:
         raise OnConductorError(point, near[0], segment_index=seg.index or None)
     return _times_k(b[0], k)

@@ -42,7 +42,7 @@ from .geometry import (
     segments,
     validate,
 )
-from .biot_savart import DEFAULT_EXCLUSION_RADIUS, OnConductorError, QuadratureError, total_field
+from .biot_savart import DEFAULT_EXCLUSION_RADIUS, OnConductorError, QuadratureError
 from .braids import (
     MultiComponentError,
     close_braid_on_lattice,
@@ -61,7 +61,7 @@ from .topology import (
     read_loop_file,
 )
 from .transcription import discrepancy_ledger, eval_transcribed
-from .verification import random_clear_point, run_verification
+from .verification import clear_field, random_clear_points, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -306,11 +306,9 @@ def _cmd_verify_transcription(args) -> int:
     ledger = discrepancy_ledger(label)
     rng = np.random.default_rng(args.seed)
     knot = CANONICAL[label]()
-    worst = 0.0
-    for _ in range(args.points):
-        p = random_clear_point(rng, segments(knot), margin=3.0, clearance=1.0)
-        diff = eval_transcribed(label, p) - total_field(knot, p)
-        worst = max(worst, float(np.max(np.abs(diff))))
+    pts = random_clear_points(rng, segments(knot), args.points, margin=3.0, clearance=1.0)
+    printed = np.reshape([eval_transcribed(label, p) for p in pts], (-1, 3))
+    worst = float(np.max(np.abs(printed - clear_field(knot, pts)), initial=0.0))
     payload = {
         "knot": label,
         "counts": ledger.counts,

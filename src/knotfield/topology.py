@@ -76,10 +76,6 @@ class Loop:
             if verts[i] == verts[(i + 1) % len(verts)]:
                 raise ValueError(f"consecutive loop vertices {i} coincide: {verts[i]}")
 
-    def edges(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        v = [np.asarray(p, dtype=float) for p in self.vertices]
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
     def reversed(self) -> "Loop":
         return Loop(vertices=tuple(reversed(self.vertices)), name=self.name)
 

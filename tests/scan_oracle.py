@@ -2,8 +2,10 @@
 ran before their sort-and-search versions, the one-edge-at-a-time scan
 ``loop_clearance`` ran before its single (edge, stick) pass, and the
 one-interval-at-a-time integrators ``segment_field_quadrature`` and
-``holonomy`` ran before they stepped every row or edge at once, kept
-verbatim apart from names.
+``holonomy`` ran before they stepped every row or edge at once, and the
+one-point-at-a-time ``random_clear_point`` and self-check suites that
+``verify`` ran before it drew and evaluated each suite's points in a few
+kernel calls, kept verbatim apart from names.
 
 ``scan_validate`` compares every pair of edges' bounding boxes and
 ``scan_projection_crossings`` every pair of projected edges, both in
@@ -13,6 +15,9 @@ time from a stack of tuples, and ``scan_holonomy`` refines one edge at a
 time with one kernel call per edge and level.  They share no code with
 the engine's versions beyond the kernel and the refusals, so the property
 tests in ``test_scan_oracle.py`` check the engine against them.
+``scan_random_clear_point`` draws one candidate per kernel call, and
+``scan_suite_segment_kernel``, ``scan_suite_flatness`` and
+``scan_suite_scaling`` draw and evaluate one pair or point at a time.
 """
 
 import math
@@ -24,11 +29,22 @@ from knotfield.biot_savart import (
     QuadratureError,
     _GL_W,
     _GL_X,
+    _quadrature,
     _stick_field,
     segment_field,
+    total_field,
 )
 from knotfield.braids import PlacementError, ProjectedCrossing
-from knotfield.geometry import Axis, LatticeKnot, Segment, ValidationReport, stick_ends
+from knotfield.geometry import (
+    Axis,
+    LatticeKnot,
+    PackedSticks,
+    Segment,
+    ValidationReport,
+    refine,
+    segments,
+    stick_ends,
+)
 from knotfield.topology import (
     HolonomyResult,
     LinkingPrecisionError,
@@ -36,6 +52,7 @@ from knotfield.topology import (
     LoopOnConductorError,
     loop_clearance,
 )
+from knotfield.verification import random_axis_segment
 
 
 def _edge_box(a, b):
@@ -247,7 +264,8 @@ def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
     starts, ends = stick_ends(knot)
     best = math.inf
     where = (0, 1)
-    for i, (a, b) in enumerate(loop.edges()):
+    v = [np.asarray(p, dtype=float) for p in loop.vertices]
+    for i, (a, b) in enumerate((v[i], v[(i + 1) % len(v)]) for i in range(len(v))):
         d = _segment_segment_distances(a, b, starts, ends)
         bad = np.flatnonzero(~np.isfinite(d))
         if bad.size:
@@ -325,7 +343,8 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     if clear < exclusion_radius:
         raise LoopOnConductorError(i, j, clear)
 
-    edges = loop.edges()
+    v = [np.asarray(p, dtype=float) for p in loop.vertices]
+    edges = [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     budget = tol / len(edges)
     value = 0.0
@@ -370,3 +389,77 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
         residual=residual,
         k=knot.k,
     )
+
+
+def scan_random_clear_point(rng, sticks, margin: float, clearance: float):
+    """Uniform point in the sticks' inflated bounding box, at least
+    ``clearance`` from them by the field kernel's own distance."""
+    ends = np.array([(s.start, s.end) for s in sticks], dtype=float)    # (N, 2, 3)
+    packed = PackedSticks.pack(ends[:, 0], ends[:, 1])
+    lo, hi = ends.min(axis=(0, 1)) - margin, ends.max(axis=(0, 1)) + margin
+    while True:
+        p = rng.uniform(lo, hi)
+        if _stick_field(packed, p.reshape(1, 3))[1][0] >= clearance:
+            return p
+
+
+def scan_suite_segment_kernel(seed: int = 0, n_pairs: int = 1000):
+    """Closed form vs. quadrature oracle on random (stick, point) pairs."""
+    rng = np.random.default_rng(seed)
+    segs, pts, closed = [], [], []
+    for _ in range(n_pairs):
+        seg = random_axis_segment(rng)
+        p = scan_random_clear_point(rng, [seg], margin=4.0, clearance=0.5)
+        segs.append(seg)
+        pts.append(p)
+        closed.append(segment_field(seg, p))
+    quad = _quadrature(np.reshape([s.start for s in segs], (-1, 3)),
+                       np.reshape([s.end for s in segs], (-1, 3)),
+                       np.reshape(pts, (-1, 3)), 1.0, 1e-10, 40)
+    worst = float(np.max(np.abs(np.reshape(closed, (-1, 3)) - quad), initial=0.0))
+    return ("segment-kernel-vs-quadrature", worst <= 1e-8,
+            {"pairs": n_pairs, "worst_abs_err": worst, "tol": 1e-8})
+
+
+def _central_difference_derivatives(knot, p, h):
+    """d B_i / d x_j matrix by central differences."""
+    d = np.empty((3, 3))
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = h
+        d[:, j] = (total_field(knot, p + step) - total_field(knot, p - step)) / (2 * h)
+    return d
+
+
+def scan_suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
+    """Central-difference curl and divergence vanish off the conductor."""
+    rng = np.random.default_rng(seed)
+    segs = segments(knot)
+    worst_curl = worst_div = 0.0
+    for _ in range(n_points):
+        p = scan_random_clear_point(rng, segs, margin=3.0, clearance=1.0)
+        scale = float(np.linalg.norm(total_field(knot, p)))
+        d = _central_difference_derivatives(knot, p, 1e-3)
+        curl = np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
+        div = d[0, 0] + d[1, 1] + d[2, 2]
+        worst_curl = max(worst_curl, float(np.linalg.norm(curl)) / scale)
+        worst_div = max(worst_div, abs(div) / scale)
+    return ("flatness-and-divergence", worst_curl <= 1e-4 and worst_div <= 1e-4,
+            {"points": n_points, "h": 1e-3, "worst_rel_curl": float(worst_curl),
+             "worst_rel_div": float(worst_div), "bound": 1e-4})
+
+
+def scan_suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
+    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 2."""
+    rng = np.random.default_rng(seed)
+    segs = segments(knot)
+    big = refine(knot, 2)
+    worst = 0.0
+    for _ in range(n_points):
+        p = scan_random_clear_point(rng, segs, margin=3.0, clearance=0.5)
+        b = total_field(knot, p)
+        b_scaled = total_field(big, 2 * p)
+        ref = float(np.linalg.norm(b))
+        worst = max(worst, float(np.max(np.abs(b_scaled - b / 2))) / ref)
+    return ("scaling-law", worst <= 1e-9,
+            {"points": n_points, "factor": 2, "worst_rel_err": float(worst), "tol": 1e-9})

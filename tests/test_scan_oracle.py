@@ -11,6 +11,11 @@ bits and (edge, stick), or the same LinkingPrecisionError message.  The
 engine's integrators step every (stick, point) row, or every loop edge, at
 once; the oracles take one interval or one edge at a time.  Both must give
 the same bits in every field, or the same QuadratureError message.
+``verify`` draws its points in blocks, evaluates each suite's points in one
+kernel call and speculates the kernel suite's pairs a chunk at a time; the
+oracles draw and evaluate one point or pair at a time.  Both must give the
+same points, generator state and details.  The paired kernel rows must carry
+the bits of one-stick all-pairs rows, signed zeros included.
 """
 
 import dataclasses
@@ -19,9 +24,18 @@ import struct
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from knotfield.biot_savart import QuadratureError, _quadrature, segment_field_quadrature
+from knotfield import verification
+from knotfield.biot_savart import (
+    OnConductorError,
+    QuadratureError,
+    _paired_field,
+    _quadrature,
+    _stick_field,
+    segment_field_quadrature,
+)
 
 from knotfield.braids import (
     BraidWord,
@@ -34,6 +48,7 @@ from knotfield.braids import (
 from knotfield.geometry import (
     Axis,
     LatticeKnot,
+    PackedSticks,
     canonical_figure_eight,
     Segment,
     canonical_trefoil,
@@ -43,12 +58,24 @@ from knotfield.geometry import (
     validate,
 )
 from knotfield.topology import LinkingPrecisionError, Loop, holonomy, loop_clearance
-from knotfield.verification import random_axis_segment, random_clear_point, random_rect_loop
+from knotfield.verification import (
+    random_axis_segment,
+    random_clear_point,
+    random_clear_points,
+    random_rect_loop,
+    suite_flatness,
+    suite_scaling,
+    suite_segment_kernel,
+)
 from scan_oracle import (
     scan_holonomy,
     scan_loop_clearance,
     scan_projection_crossings,
+    scan_random_clear_point,
     scan_segment_field_quadrature,
+    scan_suite_flatness,
+    scan_suite_scaling,
+    scan_suite_segment_kernel,
     scan_validate,
 )
 from test_topology import AXIS_LOOP, square_around
@@ -349,3 +376,137 @@ def test_holonomy_agrees(knot, kind, data, k, tol, max_levels):
                              10.0 ** data.draw(st.floats(-5.0, -1.0)))
     assert holonomy_outcome(holonomy, knot, loop, tol=tol, max_levels=max_levels) == \
         holonomy_outcome(scan_holonomy, knot, loop, tol=tol, max_levels=max_levels)
+
+
+# --- verify's batched draws and suites ----------------------------------------
+
+@st.composite
+def clear_point_draws(draw):
+    """Sticks (one random stick, or a knot's), a margin, a clearance up to
+    1.3 margins, which leaves a few percent of a lone stick's box clear, and
+    a point count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    margin = draw(st.floats(0.25, 4.0))
+    if draw(st.booleans()):
+        sticks, clearance = [random_axis_segment(rng)], margin * draw(st.floats(0.0, 1.3))
+    else:
+        sticks, clearance = segments(draw(knots)), draw(st.floats(0.0, 0.6))
+    return rng, sticks, margin, clearance, draw(st.integers(0, 12))
+
+
+@SETTINGS
+@given(clear_point_draws())
+def test_random_clear_points_agree(case):
+    rng, sticks, margin, clearance, n = case
+    state = rng.bit_generator.state
+    points = random_clear_points(rng, sticks, n, margin, clearance)
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    want = [scan_random_clear_point(rng, sticks, margin, clearance) for _ in range(n)]
+    assert points.shape == (n, 3)
+    assert points.tobytes() == np.reshape(want, (-1, 3)).tobytes()
+    assert after == rng.bit_generator.state
+    rng.bit_generator.state = state
+    one = random_clear_point(rng, sticks, margin, clearance)
+    rng.bit_generator.state = state
+    assert one.tobytes() == scan_random_clear_point(rng, sticks, margin, clearance).tobytes()
+
+
+@st.composite
+def on_stick_points(draw):
+    """A stick and a point on it (distance 0), at an endpoint or inside, or
+    on its axis extension at a lattice or real offset."""
+    axis, sign = draw(st.integers(0, 2)), draw(st.sampled_from([1, -1]))
+    start, length = draw(st.tuples(*[st.integers(-6, 6)] * 3)), draw(st.integers(1, 8))
+    end = list(start)
+    end[axis] += sign * length
+    s = draw(st.one_of(st.sampled_from([0.0, float(length), -1.0, length + 1.0]),
+                       st.floats(-3.0, length + 3.0)))
+    p = np.array(start, dtype=float)
+    p[axis] += sign * s
+    return Segment(start, tuple(end)), p
+
+
+@SETTINGS
+@given(st.lists(st.one_of(stick_points(), on_stick_points()), min_size=1, max_size=20))
+def test_paired_rows_match_one_stick_rows(cases):
+    starts, ends = [s.start for s, _ in cases], [s.end for s, _ in cases]
+    points = np.array([p for _, p in cases])
+    b, dist = _paired_field(PackedSticks.pack(starts, ends), points)
+    for i, (seg, p) in enumerate(cases):
+        want_b, want_near, _ = _stick_field(PackedSticks.pack([seg.start], [seg.end]),
+                                            p.reshape(1, 3))
+        assert b[i].tobytes() == want_b[0].tobytes()
+        assert dist[i].tobytes() == want_near[0].tobytes()
+
+
+def suite_outcome(result):
+    """A suite's (name, passed, details) as ``run_verification`` reports it,
+    every detail as its repr."""
+    name, passed, details = result
+    return name, bool(passed), repr(details)
+
+
+# (seed, pairs, chunk, rejections): at seed 1 the first rejected pair is
+# pair 38, the first of the second chunk of 38 and the last of the first
+# chunk of 39; chunks of one make every rejection both; seed 9 rejects
+# pairs 29, 133, 440, 451 and 463, three of them in one chunk of 128.
+@pytest.mark.parametrize("seed, n_pairs, chunk, rejections", [
+    (1, 300, 38, 2), (1, 300, 39, 2), (11, 100, 1, 1), (9, 500, 128, 5)])
+def test_speculative_segment_suite_agrees(seed, n_pairs, chunk, rejections):
+    seen = {}
+
+    def recording(key):
+        def quadrature(starts, ends, points, *args):
+            seen[key] = np.asarray(points).tobytes()
+            return _quadrature(starts, ends, points, *args)
+        return quadrature
+
+    with mock.patch("knotfield.verification._CHUNK", chunk), \
+            mock.patch("knotfield.verification._quadrature", recording("new")), \
+            mock.patch("knotfield.verification.random_clear_point",
+                       wraps=random_clear_point) as finish:
+        got = suite_segment_kernel(seed, n_pairs)
+    with mock.patch("scan_oracle._quadrature", recording("old")):
+        want = scan_suite_segment_kernel(seed, n_pairs)
+    assert finish.call_count == rejections
+    assert seen["new"] == seen["old"]
+    assert suite_outcome(got) == suite_outcome(want)
+
+
+@pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight(),
+                                  close_braid_on_lattice(parse_braid("s1 s2^-1 s1 s2^-1"))])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batched_point_suites_agree(knot, seed):
+    assert suite_outcome(suite_flatness(knot, seed, 40)) == \
+        suite_outcome(scan_suite_flatness(knot, seed, 40))
+    assert suite_outcome(suite_scaling(knot, seed, 40)) == \
+        suite_outcome(scan_suite_scaling(knot, seed, 40))
+
+
+@pytest.mark.parametrize("suite", [suite_flatness, suite_scaling])
+def test_nan_row_fails_the_suite(suite):
+    """A NaN field row the kernel does not flag fails the suite instead of
+    being dropped by the running maximum."""
+    real = verification.total_field_many
+
+    def one_nan_row(knot, points):
+        b, on = real(knot, points)
+        b[len(b) // 2] = np.nan
+        return b, on
+
+    with mock.patch("knotfield.verification.total_field_many", one_nan_row):
+        name, passed, details = suite(canonical_trefoil(), 0, 10)
+    assert not passed
+
+
+@pytest.mark.parametrize("suite", [suite_flatness, suite_scaling])
+def test_on_conductor_row_refused(suite):
+    """A stencil or scaling point on the conductor raises OnConductorError
+    naming it, its distance and its nearest stick, as total_field does."""
+    on = np.array([[2.0, 2.0, 3.0], [9.0, 9.0, 9.0]])        # on trefoil stick 1
+    with mock.patch("knotfield.verification.random_clear_points", return_value=on), \
+            pytest.raises(OnConductorError) as exc:
+        suite(canonical_trefoil(), 0, 2)
+    assert exc.value.segment_index == 1
+    assert exc.value.distance < 1e-6
