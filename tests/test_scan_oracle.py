@@ -508,5 +508,5 @@ def test_on_conductor_row_refused(suite):
     with mock.patch("knotfield.verification.random_clear_points", return_value=on), \
             pytest.raises(OnConductorError) as exc:
         suite(canonical_trefoil(), 0, 2)
-    assert exc.value.segment_index == 1
-    assert exc.value.distance < 1e-6
+    assert (exc.value.point, exc.value.distance, exc.value.segment_index) == \
+        ((2.0, 2.0, 3.0), 0.0, 1)
