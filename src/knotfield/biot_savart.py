@@ -91,40 +91,37 @@ def _pair_terms(sticks: PackedSticks, pts, tiles):
     it back in, 1.7 times the page faults and 7% more time on 412 sticks."""
     (ax_a, ax_b, ax_c), (s_a, s_b, s_c), (lo_a, hi_a) = sticks.roles, sticks.start, sticks.span
     length = sticks.length
-    # Far points overflow to inf, which the forms turn into an exact zero
-    # field and an infinite distance.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for cols in tiles:
-            p_a = pts[ax_a, cols]
-            az1 = sticks.sign * (p_a - s_a)    # axial coord of P from start
-            az2 = az1 - length                 # axial coord of P from end
-            tb, tc = pts[ax_b, cols] - s_b, pts[ax_c, cols] - s_c
-            tb2, tc2 = tb * tb, tc * tc
-            r2 = tb2 + tc2                     # perpendicular distance^2
-            na = np.sqrt(r2 + az1 * az1)       # |P - start|
-            nb = np.sqrt(r2 + az2 * az2)       # |P - end|
-            broadside = (az1 >= 0.0) & (az2 <= 0.0)
-            # Distance to each stick's closest point, its squared offsets
-            # summed in x, y, z order whatever the stick's axis, so sticks
-            # equally near, as at a shared vertex, tie exactly and the lowest
-            # index wins.  (a, b, c) is (x, y, z), (y, x, z) or (z, x, y), so
-            # the axial offset comes first unless the stick is along z.
-            q = np.maximum(p_a, lo_a)
-            np.minimum(q, hi_a, out=q)
-            q -= p_a
-            q *= q                             # axial offset^2
-            dist = np.sqrt(np.where(sticks.along_z, r2 + q, (q + tb2) + tc2))
-            # Between the endpoints the direct form is stable (r2 == 0 there
-            # only on the conductor, which contributes nothing); beyond them
-            # cos t1 + cos t2 nearly cancels, so use the equivalent form with
-            # the cancellation removed, which is smooth onto the axis.
-            factor = sticks.hand * np.where(
-                broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
-                length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
-            contrib, j = np.zeros((len(factor), 3, factor.shape[1])), np.arange(len(factor))
-            contrib[j, ax_c] = tb * factor
-            contrib[j, ax_b] = -tc * factor
-            yield contrib, dist
+    for cols in tiles:
+        p_a = pts[ax_a, cols]
+        az1 = sticks.sign * (p_a - s_a)    # axial coord of P from start
+        az2 = az1 - length                 # axial coord of P from end
+        tb, tc = pts[ax_b, cols] - s_b, pts[ax_c, cols] - s_c
+        tb2, tc2 = tb * tb, tc * tc
+        r2 = tb2 + tc2                     # perpendicular distance^2
+        na = np.sqrt(r2 + az1 * az1)       # |P - start|
+        nb = np.sqrt(r2 + az2 * az2)       # |P - end|
+        broadside = (az1 >= 0.0) & (az2 <= 0.0)
+        # Distance to each stick's closest point, its squared offsets
+        # summed in x, y, z order whatever the stick's axis, so sticks
+        # equally near, as at a shared vertex, tie exactly and the lowest
+        # index wins.  (a, b, c) is (x, y, z), (y, x, z) or (z, x, y), so
+        # the axial offset comes first unless the stick is along z.
+        q = np.maximum(p_a, lo_a)
+        np.minimum(q, hi_a, out=q)
+        q -= p_a
+        q *= q                             # axial offset^2
+        dist = np.sqrt(np.where(sticks.along_z, r2 + q, (q + tb2) + tc2))
+        # Between the endpoints the direct form is stable (r2 == 0 there
+        # only on the conductor, which contributes nothing); beyond them
+        # cos t1 + cos t2 nearly cancels, so use the equivalent form with
+        # the cancellation removed, which is smooth onto the axis.
+        factor = sticks.hand * np.where(
+            broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
+            length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
+        contrib, j = np.zeros((len(factor), 3, factor.shape[1])), np.arange(len(factor))
+        contrib[j, ax_c] = tb * factor
+        contrib[j, ax_b] = -tc * factor
+        yield contrib, dist
 
 
 def _stick_field(sticks: PackedSticks, points):
@@ -139,14 +136,17 @@ def _stick_field(sticks: PackedSticks, points):
     b, near, nearest = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=np.intp)
     starts = range(0, m, max(1, _TILE_PAIRS // len(sticks.sign)))
     tiles = _pair_terms(sticks, pts, (slice(lo, lo + starts.step) for lo in starts))
-    for lo in starts:
-        contrib, dist = next(tiles)
-        hi = lo + starts.step
-        nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
-        # Summing over the leading axis adds the sticks onto zero one at a
-        # time in flow order.
-        b[lo:hi] = contrib.sum(axis=0).T
-        del contrib, dist          # the next tile replaces them in the kernel's frame
+    # Far points overflow to inf, which the forms turn into an exact zero
+    # field and an infinite distance.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in starts:
+            contrib, dist = next(tiles)
+            hi = lo + starts.step
+            nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
+            # Summing over the leading axis adds the sticks onto zero one at
+            # a time in flow order.
+            b[lo:hi] = contrib.sum(axis=0).T
+            del contrib, dist      # the next tile replaces them in the kernel's frame
     return b, near, nearest
 
 
@@ -155,7 +155,8 @@ def _paired_field(sticks: PackedSticks, points):
     sticks and (M, 3) points, and its distance: (B, dist), row i with the
     bits of ``_stick_field``.  Raises ValueError for a point not finite."""
     _finite(points)
-    contrib, dist = next(_pair_terms(sticks, points.T[:, :, None], [np.arange(len(points))]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        contrib, dist = next(_pair_terms(sticks, points.T[:, :, None], [np.arange(len(points))]))
     return contrib.sum(axis=2), dist[:, 0]     # onto zero, as ``_stick_field`` sums
 
 
