@@ -97,6 +97,16 @@ def _finite(what, ok):
     return parse
 
 
+def _positive_int(text):
+    """argparse type: a positive integer, else a usage error naming the flag."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+_positive_int.__name__ = "int"          # argparse's "invalid int value: 'x'"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="knotfield", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -121,7 +131,7 @@ def build_parser() -> _Parser:
         dest="field_command", required=True)
     sample = field_sub.add_parser("sample", help="sample the field on a grid")
     sample.set_defaults(func=_cmd_field_sample)
-    sample.add_argument("--threads", type=int, default=1)
+    sample.add_argument("--threads", type=_positive_int, default=1)
     sample.add_argument("--format", default="csv", choices=sorted(WRITERS))
     sample.add_argument("--origin", required=True, metavar="X,Y,Z")
     sample.add_argument("--spacing", required=True, type=float)
@@ -138,8 +148,8 @@ def build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="run the self-check suites, or the printed formulas' "
                          "with 'verify transcription'")
     ver.set_defaults(func=_cmd_verify)
-    ver.add_argument("--loops", type=int, default=20, help="loops per holonomy suite")
-    ver.add_argument("--kernel-pairs", type=int, default=1000,
+    ver.add_argument("--loops", type=_positive_int, default=20, help="loops per holonomy suite")
+    ver.add_argument("--kernel-pairs", type=_positive_int, default=1000,
                      help="pairs for the kernel-vs-quadrature suite")
     trans = _Parser(prog="knotfield verify transcription", allow_abbrev=False)
     trans.set_defaults(func=_cmd_verify_transcription)
@@ -147,7 +157,7 @@ def build_parser() -> _Parser:
     ver.words = {"transcription": trans}
     for p in (ver, trans):
         p.add_argument("--seed", type=int, default=0, help="seed for random suites")
-        p.add_argument("--points", type=int, default=200, help="points per field suite")
+        p.add_argument("--points", type=_positive_int, default=200, help="points per field suite")
 
     for p in (info, emit, sample, hol, link, ver):
         g = p.add_mutually_exclusive_group(required=True)
@@ -307,8 +317,7 @@ def _cmd_verify_transcription(args) -> int:
     rng = np.random.default_rng(args.seed)
     knot = CANONICAL[label]()
     pts = random_clear_points(rng, segments(knot), args.points, margin=3.0, clearance=1.0)
-    printed = np.reshape([eval_transcribed(label, p) for p in pts], (-1, 3))
-    worst = float(np.max(np.abs(printed - clear_field(knot, pts)), initial=0.0))
+    worst = float(np.max(np.abs(eval_transcribed(label, pts) - clear_field(knot, pts))))
     payload = {
         "knot": label,
         "counts": ledger.counts,

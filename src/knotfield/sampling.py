@@ -121,13 +121,13 @@ def write_jsonl(sample: FieldSample, fh) -> None:
         fh.write(text)
 
 
-def write_vtk(sample: FieldSample, fh, title: str = "knotfield sample") -> None:
+def write_vtk(sample: FieldSample, fh) -> None:
     """Legacy ASCII structured-points dataset with one vector field."""
     nx, ny, nz = sample.grid.counts
     ox, oy, oz = sample.grid.origin
     s = float(sample.grid.spacing)
     fh.write("# vtk DataFile Version 3.0\n")
-    fh.write(title + "\n")
+    fh.write("knotfield sample\n")
     fh.write("ASCII\n")
     fh.write("DATASET STRUCTURED_POINTS\n")
     fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")

@@ -79,13 +79,6 @@ class Loop:
     def reversed(self) -> "Loop":
         return Loop(vertices=tuple(reversed(self.vertices)), name=self.name)
 
-    def translated(self, offset) -> "Loop":
-        off = tuple(float(c) for c in offset)
-        return Loop(
-            vertices=tuple(tuple(c + o for c, o in zip(v, off)) for v in self.vertices),
-            name=self.name,
-        )
-
     def scaled(self, factor: float) -> "Loop":
         return Loop(
             vertices=tuple(tuple(c * factor for c in v) for v in self.vertices),

@@ -8,12 +8,14 @@ shape
 
 They are transcribed here exactly as printed, including the misprints
 (dropped signs, a wrong endpoint constant, one bad radicand), because the
-printed formulas are themselves an artifact worth testing against.  The
-generic superposition engine is the source of truth; ``discrepancy_ledger``
-matches every printed term to the engine stick it describes (terms pair up
-uniquely by the denominator, which names the stick's two fixed transverse
-coordinates) and enumerates exactly where the two disagree.  Corrections
-live only in that ledger, never in the tables.
+printed formulas are themselves an artifact worth testing against.  Every
+lattice knot has a table of that same shape, derived from its sticks by
+``_derived_terms``; it is the engine's side, and one evaluator reads both
+kinds of table.  ``discrepancy_ledger`` matches every printed term to the
+derived term of the stick it describes (terms pair up by the denominator,
+which names the stick's two fixed transverse coordinates) and enumerates
+exactly where the two disagree.  Corrections live only in that ledger,
+never in the tables.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .biot_savart import OnConductorError, _stick_field
 from .geometry import CANONICAL, LatticeKnot, segments
 
 _AXES = "xyz"
+_COMPONENTS = ("Bx", "By", "Bz")
 
 # value = const + sign * coordinate
 LinForm = tuple[float, int, str]
@@ -61,7 +64,7 @@ class BracketEntry:
 @dataclass(frozen=True)
 class TranscribedTerm:
     component: str            # "Bx" | "By" | "Bz"
-    index: int                # 1-based position within the printed component
+    index: int                # 1-based: position in the printed component, or stick
     sign: int                 # leading sign as printed (+1 when none printed)
     num: LinForm
     den: tuple[LinForm, LinForm]
@@ -165,71 +168,95 @@ TERM_TABLES = {
 SINGULARITY_FLOOR = 1e-6
 
 
+def _derived_terms(knot: LatticeKnot) -> dict[str, tuple[TranscribedTerm, ...]]:
+    """The knot's own term table, shaped like ``TERM_TABLES[label]``.
+
+    A stick s -> e along axis w, with fixed coordinates c_b and c_c, gives
+    one term for each transverse component i: sign (c_v - v) / ((c_b - b)^2
+    + (c_c - c)^2) * [(e - w)/sqrt(R_e) - (s - w)/sqrt(R_s)], where v is the
+    third axis, R_p is the squared distance to the stick's endpoint p, and
+    the sign is -1 when (w - i) mod 3 = 1, else +1.  A derived term's
+    ``index`` is its stick's 1-based index.
+    """
+    out = {comp: [] for comp in _COMPONENTS}
+    for seg in segments(knot):
+        w = int(seg.axis)
+        fixed = {int(ax): (float(c), -1, _AXES[ax]) for ax, c in seg.transverse}   # (c_a - a)
+        first, second = (BracketEntry((float(p[w]), -1, _AXES[w]),
+                                      tuple((float(c), -1, a) for c, a in zip(p, _AXES)))
+                         for p in (seg.end, seg.start))
+        for i in fixed:
+            out[_COMPONENTS[i]].append(TranscribedTerm(
+                _COMPONENTS[i], seg.index, -1 if (w - i) % 3 == 1 else 1,
+                fixed[3 - i - w], tuple(fixed.values()), first, second))
+    return {comp: tuple(terms) for comp, terms in out.items()}
+
+
 def _lin_values(form: LinForm, pts: np.ndarray) -> np.ndarray:
     c, s, var = form
     return c + s * pts[:, _AXES.index(var)]
 
 
-def _printed_terms(label: str, pts: np.ndarray):
-    """Every printed term's values at the (M, 3) points, and the first
-    (component, term index) in table order whose denominator or a radicand
-    falls below the singularity floor at some point, or None."""
-    out, singular = {}, None
+def _printed_terms(tables, pts: np.ndarray):
+    """Every term's values at the (M, 3) points, component -> (M, T), and the
+    (M, T) mask, over all terms in table order, of where a point falls below
+    the singularity floor of a term's denominator or a radicand.  Reads
+    printed and derived tables alike."""
+    vals, near = {}, []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for comp, terms in TERM_TABLES[label].items():
-            vals = np.empty((len(terms), len(pts)))
+        for comp, terms in tables.items():
+            vals[comp] = np.empty((len(pts), len(terms)))
             for t_i, t in enumerate(terms):
                 den = _lin_values(t.den[0], pts) ** 2 + _lin_values(t.den[1], pts) ** 2
                 rads = [sum(_lin_values(f, pts) ** 2 for f in entry.radicand)
                         for entry in (t.first, t.second)]
-                if singular is None and np.any((den < SINGULARITY_FLOOR)
-                                               | (rads[0] < SINGULARITY_FLOOR)
-                                               | (rads[1] < SINGULARITY_FLOOR)):
-                    singular = comp, t.index
+                near.append((den < SINGULARITY_FLOOR) | (rads[0] < SINGULARITY_FLOOR)
+                            | (rads[1] < SINGULARITY_FLOOR))
                 bracket = np.zeros(len(pts))
                 for entry, es, rad in zip((t.first, t.second), (1.0, -1.0), rads):
                     bracket += es * _lin_values(entry.num, pts) / np.sqrt(rad)
-                vals[t_i] = t.sign * _lin_values(t.num, pts) / den * bracket
-            out[comp] = vals
-    return out, singular
+                vals[comp][:, t_i] = t.sign * _lin_values(t.num, pts) / den * bracket
+    return vals, np.array(near).T
 
 
 def term_values(label: str, points) -> dict[str, np.ndarray]:
-    """Raw per-term values of every printed term at the given points.
+    """Raw per-term values of every printed term at the given points, as
+    component -> (T, M).
 
     No singularity guard: a term evaluated on its own stick's axis yields
     inf/nan, which is the honest value of the printed expression there.
     """
-    return _printed_terms(label, np.atleast_2d(np.asarray(points, dtype=float)))[0]
+    vals, _ = _printed_terms(TERM_TABLES[label], np.atleast_2d(np.asarray(points, dtype=float)))
+    return {comp: v.T for comp, v in vals.items()}
 
 
-def eval_transcribed(label: str, point) -> np.ndarray:
-    """Literal evaluation of the printed component formulas (k = 1).
+def eval_transcribed(label: str, points) -> np.ndarray:
+    """Literal evaluation of the printed component formulas (k = 1), at a
+    (3,) point or at (M, 3) points.
 
     Faithful to the page: any misprint in the source expressions is
-    reproduced, not repaired.  A point within the singularity floor of a
-    term is refused with OnConductorError naming the term's 1-based stick
-    and the point's distance from the circuit; a term is singular on its
-    stick's whole axis line, so that distance can be large.
+    reproduced, not repaired.  Each point's terms are summed on their own,
+    so a point's value has the bits of a one-point call.  When a point lies
+    within the singularity floor of a term, the first such point is refused
+    with OnConductorError naming the term's 1-based stick and the point's
+    distance from the circuit; a term is singular on its stick's whole axis
+    line, so that distance can be large.
     """
-    pts = np.asarray(point, dtype=float).reshape(1, 3)
-    vals, hit = _printed_terms(label, pts)
-    if hit is not None:
-        dist = _stick_field(CANONICAL[label]().sticks, pts)[1][0]
-        stick = next(e.segment_index for e in discrepancy_ledger(label).entries
-                     if (e.component, e.index) == hit)
-        raise OnConductorError(pts[0], dist, segment_index=stick)
-    return np.array([vals["Bx"].sum(), vals["By"].sum(), vals["Bz"].sum()])
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 3)
+    tables = TERM_TABLES[label]
+    vals, near = _printed_terms(tables, flat)
+    if near.any():
+        p_i, t_i = np.unravel_index(np.argmax(near), near.shape)
+        term = [t for terms in tables.values() for t in terms][t_i]
+        knot = CANONICAL[label]()
+        stick = _by_stick(_derived_terms(knot))[term.component, _den_key(term)].index
+        dist = _stick_field(knot.sticks, flat[p_i:p_i + 1])[1][0]
+        raise OnConductorError(flat[p_i], dist, segment_index=stick)
+    return np.stack([vals[comp].sum(axis=1) for comp in _COMPONENTS], axis=1).reshape(pts.shape)
 
 
-# --- structural matching against the generic engine -------------------------
-
-# Parity of (i, w, v) as a permutation of (0, 1, 2).
-_EPS = {
-    (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-    (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
-}
-
+# --- structural matching against the derived table ---------------------------
 
 def _canon_squared(form: LinForm) -> tuple[str, float]:
     """(c + s*v)^2 is insensitive to overall sign: canonicalize to (v, c')."""
@@ -243,41 +270,14 @@ def _canon_numerator(form: LinForm) -> tuple[str, float, int]:
     return (var, c + 0.0, 1) if s == -1 else (var, -c + 0.0, -1)
 
 
-@dataclass(frozen=True)
-class _EngineTerm:
-    component: str
-    segment_index: int
-    den_key: tuple
-    num: tuple            # (var, const)
-    atoms: frozenset      # {(G, endpoint, radicand_key)}
+def _den_key(term: TranscribedTerm) -> tuple:
+    """The stick's fixed transverse coordinates, as the denominator names them."""
+    return tuple(sorted(_canon_squared(d) for d in term.den))
 
 
-def _engine_terms(knot: LatticeKnot) -> dict[tuple, "_EngineTerm"]:
-    """Expected printed shape of every stick's two component contributions."""
-    out = {}
-    for seg in segments(knot):
-        w = int(seg.axis)
-        trans = {int(ax): c for ax, c in seg.transverse}
-        s_w, e_w = seg.span
-        den_key = tuple(sorted((_AXES[ax], float(c)) for ax, c in trans.items()))
-        for i in range(3):
-            if i == w:
-                continue
-            v = 3 - i - w
-            p = -_EPS[(i, w, v)]
-            atoms = frozenset(
-                (g, float(end), tuple(sorted(den_key + ((_AXES[w], float(end)),))))
-                for g, end in ((-p, s_w), (p, e_w))
-            )
-            term = _EngineTerm(
-                component="B" + _AXES[i],
-                segment_index=seg.index,
-                den_key=den_key,
-                num=(_AXES[v], float(trans[v])),
-                atoms=atoms,
-            )
-            out[(term.component, den_key)] = term
-    return out
+def _by_stick(tables) -> dict[tuple, TranscribedTerm]:
+    """Each term by (component, denominator key)."""
+    return {(t.component, _den_key(t)): t for terms in tables.values() for t in terms}
 
 
 @dataclass(frozen=True)
@@ -318,42 +318,35 @@ def _printed_atoms(term: TranscribedTerm):
     return atoms
 
 
-def _compare(term: TranscribedTerm, eng: _EngineTerm) -> tuple[str, tuple[str, ...]]:
+def _compare(term: TranscribedTerm, want: TranscribedTerm) -> tuple[str, tuple[str, ...]]:
+    """Status and notes of a printed term against the derived term of its stick."""
     notes = []
-    num_var, num_const, _ = _canon_numerator(term.num)
-    if (num_var, num_const) != eng.num:
-        notes.append(
-            f"numerator ({num_const:g}-{num_var}) should be ({eng.num[1]:g}-{eng.num[0]})"
-        )
+    (v, c, _), (want_v, want_c, _) = _canon_numerator(term.num), _canon_numerator(want.num)
+    if (v, c) != (want_v, want_c):
+        notes.append(f"numerator ({c:g}-{v}) should be ({want_c:g}-{want_v})")
 
     printed = _printed_atoms(term)
     as_set = frozenset((g, c, r) for g, _v, c, r in printed)
-    # Bracket entries must vary along the stick's own axis, which is the one
-    # radicand letter the denominator does not fix.
-    stick_axis = set(a for a, _c in next(iter(eng.atoms))[2]) - set(
-        a for a, _c in eng.den_key
-    )
-    for _g, v, _c, _r in printed:
-        if stick_axis and v not in stick_axis:
-            notes.append(f"bracket entry varies along {v}, stick runs along "
-                         f"{''.join(sorted(stick_axis))}")
+    wanted = frozenset((g, c, r) for g, _v, c, r in _printed_atoms(want))
+    # Bracket entries must vary along the stick's own axis.
+    axis = want.first.num[2]
+    notes += [f"bracket entry varies along {v}, stick runs along {axis}"
+              for _g, v, _c, _r in printed if v != axis]
 
-    if not notes and as_set == eng.atoms:
+    if not notes and as_set == wanted:
         return "exact", ()
-    flipped = frozenset((-g, c, r) for g, c, r in as_set)
-    if not notes and flipped == eng.atoms:
+    if not notes and frozenset((-g, c, r) for g, c, r in as_set) == wanted:
         return "sign_flipped", ("printed with the opposite overall sign",)
 
-    # Itemize: pair printed and engine atoms by endpoint, then by order.
-    eng_atoms = sorted(eng.atoms, key=lambda a: a[1])
+    # Itemize: pair printed and derived atoms by endpoint.
+    by_end = {c: (g, r) for g, c, r in wanted}
     for g, v, c, r in printed:
-        match = [a for a in eng_atoms if a[1] == c]
-        if not match:
-            ends = ", ".join(f"{a[1]:g}" for a in eng_atoms)
+        if c not in by_end:
+            ends = ", ".join(f"{e:g}" for e in sorted(by_end))
             notes.append(f"bracket endpoint {c:g} not an endpoint of the stick "
                          f"(expected one of: {ends})")
             continue
-        g_e, c_e, r_e = match[0]
+        g_e, r_e = by_end[c]
         if r != r_e:
             notes.append(f"radicand at endpoint {c:g} disagrees: printed "
                          f"{_fmt_rad(r)}, engine {_fmt_rad(r_e)}")
@@ -367,31 +360,31 @@ def _fmt_rad(rad_key) -> str:
 
 
 def discrepancy_ledger(label: str, tables=None) -> TranscriptionLedger:
-    """Match every printed term to its engine stick and report disagreements.
+    """Match every printed term to its stick's derived term and report
+    disagreements.
 
-    Terms pair up by denominator (the stick's fixed transverse coordinates);
-    the ledger then checks signs, endpoints and radicands.  The engine is
-    authoritative: a flagged term documents a misprint, it never changes
-    what the engine computes.
+    Terms pair up by denominator (the stick's fixed transverse coordinates),
+    so two printed terms may match one stick; the ledger then checks signs,
+    endpoints and radicands.  The derived table is authoritative: a flagged
+    term documents a misprint, it never changes what the engine computes.
     """
     tables = tables if tables is not None else TERM_TABLES[label]
-    engine = _engine_terms(CANONICAL[label]())
+    derived = _by_stick(_derived_terms(CANONICAL[label]()))
     entries = []
     seen = set()
-    for comp in ("Bx", "By", "Bz"):
+    for comp in _COMPONENTS:
         for term in tables[comp]:
-            den_key = tuple(sorted(_canon_squared(d) for d in term.den))
-            eng = engine.get((comp, den_key))
-            if eng is None:
+            key = (comp, _den_key(term))
+            want = derived.get(key)
+            if want is None:
                 entries.append(LedgerEntry(comp, term.index, None, "unmatched",
                                            (f"no stick with fixed coordinates "
-                                            f"{_fmt_rad(den_key)}",)))
+                                            f"{_fmt_rad(key[1])}",)))
                 continue
-            seen.add((comp, den_key))
-            status, notes = _compare(term, eng)
-            entries.append(LedgerEntry(comp, term.index, eng.segment_index, status, notes))
-    for key, eng in sorted(engine.items()):
-        if key not in seen:
-            entries.append(LedgerEntry(eng.component, 0, eng.segment_index, "unmatched",
-                                       ("engine contribution has no printed term",)))
+            seen.add(key)
+            status, notes = _compare(term, want)
+            entries.append(LedgerEntry(comp, term.index, want.index, status, notes))
+    for key in sorted(derived.keys() - seen):
+        entries.append(LedgerEntry(key[0], 0, derived[key].index, "unmatched",
+                                   ("engine contribution has no printed term",)))
     return TranscriptionLedger(label=label, entries=tuple(entries))

@@ -18,9 +18,14 @@ tests in ``test_scan_oracle.py`` check the engine against them.
 ``scan_random_clear_point`` draws one candidate per kernel call, and
 ``scan_suite_segment_kernel``, ``scan_suite_flatness`` and
 ``scan_suite_scaling`` draw and evaluate one pair or point at a time.
+``scan_discrepancy_ledger`` is the transcription ledger from before the
+engine's side became the derived term table: it builds each stick's
+expected term as a set of bracket atoms from a parity table, and shares
+only the printed-term canonicalisation with the engine's ledger.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from knotfield.biot_savart import (
 )
 from knotfield.braids import PlacementError, ProjectedCrossing
 from knotfield.geometry import (
+    CANONICAL,
     Axis,
     LatticeKnot,
     PackedSticks,
@@ -51,6 +57,17 @@ from knotfield.topology import (
     Loop,
     LoopOnConductorError,
     loop_clearance,
+)
+from knotfield.transcription import (
+    _AXES,
+    LedgerEntry,
+    TERM_TABLES,
+    TranscribedTerm,
+    TranscriptionLedger,
+    _canon_numerator,
+    _canon_squared,
+    _fmt_rad,
+    _printed_atoms,
 )
 from knotfield.verification import random_axis_segment
 
@@ -463,3 +480,122 @@ def scan_suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
         worst = max(worst, float(np.max(np.abs(b_scaled - b / 2))) / ref)
     return ("scaling-law", worst <= 1e-9,
             {"points": n_points, "factor": 2, "worst_rel_err": float(worst), "tol": 1e-9})
+
+
+# Parity of (i, w, v) as a permutation of (0, 1, 2).
+_EPS = {
+    (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+    (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
+}
+
+
+@dataclass(frozen=True)
+class _EngineTerm:
+    component: str
+    segment_index: int
+    den_key: tuple
+    num: tuple            # (var, const)
+    atoms: frozenset      # {(G, endpoint, radicand_key)}
+
+
+def _engine_terms(knot: LatticeKnot) -> dict[tuple, "_EngineTerm"]:
+    """Expected printed shape of every stick's two component contributions."""
+    out = {}
+    for seg in segments(knot):
+        w = int(seg.axis)
+        trans = {int(ax): c for ax, c in seg.transverse}
+        s_w, e_w = seg.span
+        den_key = tuple(sorted((_AXES[ax], float(c)) for ax, c in trans.items()))
+        for i in range(3):
+            if i == w:
+                continue
+            v = 3 - i - w
+            p = -_EPS[(i, w, v)]
+            atoms = frozenset(
+                (g, float(end), tuple(sorted(den_key + ((_AXES[w], float(end)),))))
+                for g, end in ((-p, s_w), (p, e_w))
+            )
+            term = _EngineTerm(
+                component="B" + _AXES[i],
+                segment_index=seg.index,
+                den_key=den_key,
+                num=(_AXES[v], float(trans[v])),
+                atoms=atoms,
+            )
+            out[(term.component, den_key)] = term
+    return out
+
+
+def _compare(term: TranscribedTerm, eng: _EngineTerm) -> tuple[str, tuple[str, ...]]:
+    notes = []
+    num_var, num_const, _ = _canon_numerator(term.num)
+    if (num_var, num_const) != eng.num:
+        notes.append(
+            f"numerator ({num_const:g}-{num_var}) should be ({eng.num[1]:g}-{eng.num[0]})"
+        )
+
+    printed = _printed_atoms(term)
+    as_set = frozenset((g, c, r) for g, _v, c, r in printed)
+    # Bracket entries must vary along the stick's own axis, which is the one
+    # radicand letter the denominator does not fix.
+    stick_axis = set(a for a, _c in next(iter(eng.atoms))[2]) - set(
+        a for a, _c in eng.den_key
+    )
+    for _g, v, _c, _r in printed:
+        if stick_axis and v not in stick_axis:
+            notes.append(f"bracket entry varies along {v}, stick runs along "
+                         f"{''.join(sorted(stick_axis))}")
+
+    if not notes and as_set == eng.atoms:
+        return "exact", ()
+    flipped = frozenset((-g, c, r) for g, c, r in as_set)
+    if not notes and flipped == eng.atoms:
+        return "sign_flipped", ("printed with the opposite overall sign",)
+
+    # Itemize: pair printed and engine atoms by endpoint, then by order.
+    eng_atoms = sorted(eng.atoms, key=lambda a: a[1])
+    for g, v, c, r in printed:
+        match = [a for a in eng_atoms if a[1] == c]
+        if not match:
+            ends = ", ".join(f"{a[1]:g}" for a in eng_atoms)
+            notes.append(f"bracket endpoint {c:g} not an endpoint of the stick "
+                         f"(expected one of: {ends})")
+            continue
+        g_e, c_e, r_e = match[0]
+        if r != r_e:
+            notes.append(f"radicand at endpoint {c:g} disagrees: printed "
+                         f"{_fmt_rad(r)}, engine {_fmt_rad(r_e)}")
+        if g != g_e:
+            notes.append(f"bracket entry at endpoint {c:g} has flipped sign")
+    return "mismatch", tuple(notes)
+
+
+def scan_discrepancy_ledger(label: str, tables=None) -> TranscriptionLedger:
+    """Match every printed term to its engine stick and report disagreements.
+
+    Terms pair up by denominator (the stick's fixed transverse coordinates);
+    the ledger then checks signs, endpoints and radicands.  The engine is
+    authoritative: a flagged term documents a misprint, it never changes
+    what the engine computes.
+    """
+    tables = tables if tables is not None else TERM_TABLES[label]
+    engine = _engine_terms(CANONICAL[label]())
+    entries = []
+    seen = set()
+    for comp in ("Bx", "By", "Bz"):
+        for term in tables[comp]:
+            den_key = tuple(sorted(_canon_squared(d) for d in term.den))
+            eng = engine.get((comp, den_key))
+            if eng is None:
+                entries.append(LedgerEntry(comp, term.index, None, "unmatched",
+                                           (f"no stick with fixed coordinates "
+                                            f"{_fmt_rad(den_key)}",)))
+                continue
+            seen.add((comp, den_key))
+            status, notes = _compare(term, eng)
+            entries.append(LedgerEntry(comp, term.index, eng.segment_index, status, notes))
+    for key, eng in sorted(engine.items()):
+        if key not in seen:
+            entries.append(LedgerEntry(eng.component, 0, eng.segment_index, "unmatched",
+                                       ("engine contribution has no printed term",)))
+    return TranscriptionLedger(label=label, entries=tuple(entries))

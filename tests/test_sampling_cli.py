@@ -343,6 +343,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: argument {flag}: must be finite")
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("field", "sample", "--knot", "3_1", "--origin=0,0,0", "--spacing", "1",
+          "--counts", "1,1,1"), "--threads", "0"),
+        (("verify", "--knot", "3_1"), "--loops", "-2"),
+        (("verify", "--knot", "3_1"), "--points", "-5"),
+        (("verify", "transcription", "--knot", "3_1"), "--points", "0"),
+        (("verify", "--knot", "3_1"), "--kernel-pairs", "-7"),
+    ], ids=["threads", "loops", "points", "transcription-points", "kernel-pairs"])
+    def test_count_below_one_exit_1(self, capsys, argv, flag, value):
+        assert run_cli(*argv, flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: argument {flag}: must be a positive integer, got '{value}'\n"
+
     def test_holonomy_quadrature_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise QuadratureError("holonomy edge failed to converge")
@@ -486,6 +501,9 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
      "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
     (("verify", "transcription", "--knot", "3_1", "--points", "5"),
      "52382ba420b3b3d65c3d333f1b2c7bf53ea8cb9556d7c7d6a5fdf892c439b5b8"),
+    (("verify", "transcription", "--knot", "4_1", "--seed", "3", "--points", "200",
+      "--format", "json"),
+     "2137a8c4ca99b110d2f7a74c5016afdd1412207d40621e41b65655664a596d9a"),
     # A 20-letter 3-strand word whose closure is a knot, sampled over its
     # bounding box at spacing 1: many sticks, several kernel tiles, and
     # on-conductor rows on the lattice points of the circuit.
@@ -493,7 +511,8 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
       "s1^-1 s2 s1^-1 s2 s2^-1 s1", "--origin=-6,0,2", "--spacing", "1", "--counts", "93,3,11"),
      "76f42f73d86ae528ea7c627e19ca1fa7e63099da19f1a2092401f01f7bae2030"),
 ], ids=["csv", "jsonl", "vtk", "braid-4_1", "braid-12-letters", "knot-info", "knot-emit",
-        "holonomy-text", "holonomy-json", "linking", "verify-transcription", "braid-field-csv"])
+        "holonomy-text", "holonomy-json", "linking", "verify-transcription",
+        "verify-transcription-4_1-json", "braid-field-csv"])
 def test_golden_stdout(tmp_path, capsys, argv, digest):
     loop_file = tmp_path / "loop.txt"
     write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)

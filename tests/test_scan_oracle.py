@@ -15,7 +15,11 @@ the same bits in every field, or the same QuadratureError message.
 kernel call and speculates the kernel suite's pairs a chunk at a time; the
 oracles draw and evaluate one point or pair at a time.  Both must give the
 same points, generator state and details.  The paired kernel rows must carry
-the bits of one-stick all-pairs rows, signed zeros included.
+the bits of one-stick all-pairs rows, signed zeros included.  The
+transcription ledger reads each printed term against its stick's derived
+term; the oracle builds the stick's expected bracket atoms from a parity
+table.  On printed tables with injected faults both must give the same
+entries.
 """
 
 import dataclasses
@@ -58,6 +62,7 @@ from knotfield.geometry import (
     validate,
 )
 from knotfield.topology import LinkingPrecisionError, Loop, holonomy, loop_clearance
+from knotfield.transcription import TERM_TABLES, discrepancy_ledger
 from knotfield.verification import (
     random_axis_segment,
     random_clear_point,
@@ -68,6 +73,7 @@ from knotfield.verification import (
     suite_segment_kernel,
 )
 from scan_oracle import (
+    scan_discrepancy_ledger,
     scan_holonomy,
     scan_loop_clearance,
     scan_projection_crossings,
@@ -510,3 +516,53 @@ def test_on_conductor_row_refused(suite):
         suite(canonical_trefoil(), 0, 2)
     assert (exc.value.point, exc.value.distance, exc.value.segment_index) == \
         ((2.0, 2.0, 3.0), 0.0, 1)
+
+
+@st.composite
+def faulty_tables(draw):
+    """A built-in knot's printed tables with one to four injected faults: a
+    flipped sign, a moved bracket endpoint, a bracket entry along another
+    axis, a changed radicand or denominator constant, a dropped term or a
+    duplicated term."""
+    label = draw(st.sampled_from(sorted(TERM_TABLES)))
+    tables = {c: list(terms) for c, terms in TERM_TABLES[label].items()}
+    for _ in range(draw(st.integers(1, 4))):
+        terms = tables[draw(st.sampled_from(sorted(tables)))]
+        i = draw(st.integers(0, len(terms) - 1))
+        t, side = terms[i], draw(st.sampled_from(("first", "second")))
+        entry, shift = getattr(t, side), draw(st.sampled_from((-4.0, -2.0, 1.0, 2.0, 6.0)))
+
+        def moved(form):
+            return (form[0] + shift,) + form[1:]
+
+        fault = draw(st.sampled_from(("sign", "endpoint", "variable", "radicand",
+                                      "denominator", "drop", "duplicate")))
+        if fault == "sign":
+            terms[i] = dataclasses.replace(t, sign=-t.sign)
+        elif fault == "endpoint":
+            terms[i] = dataclasses.replace(
+                t, **{side: dataclasses.replace(entry, num=moved(entry.num))})
+        elif fault == "variable":
+            num = entry.num[:2] + (draw(st.sampled_from("xyz")),)
+            terms[i] = dataclasses.replace(t, **{side: dataclasses.replace(entry, num=num)})
+        elif fault == "radicand":
+            k = draw(st.integers(0, 2))
+            rad = entry.radicand[:k] + (moved(entry.radicand[k]),) + entry.radicand[k + 1:]
+            terms[i] = dataclasses.replace(
+                t, **{side: dataclasses.replace(entry, radicand=rad)})
+        elif fault == "denominator":
+            terms[i] = dataclasses.replace(t, den=(moved(t.den[0]), t.den[1]))
+        elif fault == "drop":
+            del terms[i]
+        else:
+            terms.insert(i, t)
+    return label, {c: tuple(terms) for c, terms in tables.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_tables())
+def test_ledger_agrees_on_faulty_tables(case):
+    """The ledger read through the derived table gives the entries of the
+    parity-table ledger, field for field, however the tables are damaged."""
+    label, tables = case
+    assert discrepancy_ledger(label, tables) == scan_discrepancy_ledger(label, tables)

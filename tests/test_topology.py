@@ -124,7 +124,7 @@ class TestHolonomy:
     def test_translate_with_same_linking_matches(self):
         knot = canonical_trefoil()
         base = paper_loop()
-        moved = base.translated((0.0, 0.0, -0.75))
+        moved = Loop(vertices=((5, 3, 1.25), (7, 3, 1.25), (7, 5, 1.25), (5, 5, 1.25)))
         assert linking_number(knot, base) == linking_number(knot, moved)
         h1 = holonomy(knot, base, tol=1e-8).value
         h2 = holonomy(knot, moved, tol=1e-8).value

@@ -3,16 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from knotfield.geometry import canonical_figure_eight, canonical_trefoil, segments
-from knotfield.biot_savart import OnConductorError, segment_field, total_field
+from knotfield.geometry import (
+    canonical_figure_eight,
+    canonical_trefoil,
+    refine,
+    segments,
+    stick_ends,
+)
+from knotfield.biot_savart import OnConductorError, segment_field, total_field, total_field_many
 from knotfield.transcription import (
     TERM_TABLES,
+    _derived_terms,
+    _printed_terms,
     discrepancy_ledger,
     eval_transcribed,
     term_values,
 )
 from knotfield.verification import random_clear_point
+from test_scan_oracle import braid_closures
 
 
 def test_term_counts():
@@ -164,3 +174,68 @@ def test_corrupted_transcription_is_flagged():
 def test_eval_transcribed_is_pure():
     p = (1.25, -0.5, 7.0)
     assert np.array_equal(eval_transcribed("4_1", p), eval_transcribed("4_1", p))
+
+
+@pytest.mark.parametrize("label", ["3_1", "4_1"])
+def test_batch_matches_one_point_calls_bit_for_bit(label):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-3.0, 13.0, size=(300, 3))
+    pts[::3, 2] = np.round(pts[::3, 2])         # zero numerators: signed zeros
+    batch = eval_transcribed(label, pts)
+    assert batch.shape == (300, 3)
+    assert batch.tobytes() == np.array([eval_transcribed(label, p) for p in pts]).tobytes()
+
+
+SINGULAR = [(2.0, 2.0, 10.0), (2.0001, 2.0, 3.0), (6.0, 3.0, 0.0)]
+
+
+@pytest.mark.parametrize("first", range(len(SINGULAR)))
+def test_batch_refuses_with_its_first_singular_points_error(first):
+    clear = [(1.25, -0.5, 7.0), (9.5, 8.25, -1.5)]
+    batch = clear[:1] + SINGULAR[first:] + SINGULAR[:first] + clear[1:]
+    with pytest.raises(OnConductorError) as want:
+        eval_transcribed("3_1", SINGULAR[first])
+    with pytest.raises(OnConductorError) as got:
+        eval_transcribed("3_1", batch)
+    assert (got.value.point, got.value.distance, got.value.segment_index, str(got.value)) == \
+        (want.value.point, want.value.distance, want.value.segment_index, str(want.value))
+
+
+@st.composite
+def lattice_knots(draw):
+    """A braid closure of up to 20 letters, or a built-in knot refined by a
+    factor of up to 1000, with its lattice spacing."""
+    if draw(st.booleans()):
+        return draw(braid_closures(max_letters=20)), 1
+    knot, factor = draw(st.sampled_from((canonical_trefoil(), canonical_figure_eight()))), \
+        draw(st.integers(1, 1000))
+    return refine(knot, factor), factor
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(lattice_knots(), st.integers(0, 2**32 - 1))
+def test_derived_terms_sum_to_the_engine_field(case, seed):
+    """The paper's method holds for every lattice knot: one printed-shape term
+    per stick per transverse component sums to the superposed field, at
+    points in the inflated bounding box at least 0.05 lattice spacings from
+    every stick's axis line, half of them within 0.5 of one such line."""
+    knot, spacing = case
+    starts, ends = stick_ends(knot)
+    axis = np.argmax(ends != starts, axis=1)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(starts.min(0) - 3.0, starts.max(0) + 3.0, size=(50, 3))
+    stick = rng.integers(0, len(starts), size=25)
+    across = (axis[stick, None] + [1, 2]) % 3                   # each stick's transverse axes
+    radius, angle = spacing * rng.uniform(0.05, 0.5, size=25), rng.uniform(0.0, 2 * np.pi, size=25)
+    pts[np.arange(25)[:, None], across] = starts[stick[:, None], across] + \
+        radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    offsets = pts[:, None, :] - starts[None]
+    offsets[:, np.arange(len(starts)), axis] = 0.0
+    pts = pts[np.sqrt((offsets ** 2).sum(axis=2)).min(axis=1) >= 0.05 * spacing]
+    vals, near = _printed_terms(_derived_terms(knot), pts)
+    assert not near.any()
+    derived = np.stack([vals[c].sum(axis=1) for c in ("Bx", "By", "Bz")], axis=1)
+    engine, _ = total_field_many(knot, pts)
+    assert np.all(np.abs(derived - engine)
+                  <= 1e-12 * np.linalg.norm(engine, axis=1, keepdims=True))
