@@ -19,14 +19,14 @@ point's offsets along them, u_hat x rho is h*tb in component c and -h*tc in
 component b, where h = s, or -s for a y stick.  That form vanishes smoothly
 on the stick's axis extension; beyond the endpoints the cosine sum is
 rearranged into a cancellation-free form so the near-axis limit stays
-accurate.  Points go in tiles of at most ``_TILE_PAIRS`` (point, stick)
-pairs, so memory does not grow with the batch, and each point's field is
-summed over the sticks one at a time in flow order, so its bits depend on
-neither the tile, the batch nor the thread.  Alongside the field the kernel
-returns each point's clearance, the distance to its nearest stick and that
-stick's index, reduced within the tile: every exclusion decision reads that
-one answer.  The same arithmetic evaluates paired rows, stick i alone at
-point i, with the bits of stick i's row; ``segment_field`` is the one-row case.
+accurate.  Alongside the field the kernel returns each point's clearance,
+the distance to its nearest stick and that stick's index: every exclusion
+decision reads that one answer.  That arithmetic is written once, and three
+drivers feed it: tiles of scattered points, at most ``_TILE_PAIRS`` (point,
+stick) pairs each; a grid's 1-D axes, one stick at a time; and stick i
+alone at point i, of which ``segment_field`` is the one-row case.  Each
+point's field is summed onto zero over the sticks in flow order, so its
+bits depend on neither the driver, the tile, the batch nor the thread.
 
 The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
@@ -80,22 +80,28 @@ def _finite(points):
         raise ValueError(f"point {i} {tuple(points[i].tolist())} is not finite")
 
 
-def _pair_terms(sticks: PackedSticks, pts, tiles):
-    """The kernel's arithmetic.  For each index ``cols`` in ``tiles``, takes
-    the coordinates pts[ax, cols] along each stick's axis a and its other
-    axes b < c, which broadcast against the stick columns of ``sticks`` to
-    (N, T), and yields (C, dist): C[j, :, t] the field (k = 1) of stick j at
-    point t, dist[j, t] its distance.  One frame serves every tile, so each
-    array replaces the last tile's one at a time, as in a plain loop; freeing
-    them all at once between tiles made glibc return the heap top and fault
-    it back in, 1.7 times the page faults and 7% more time on 412 sticks."""
-    (ax_a, ax_b, ax_c), (s_a, s_b, s_c), (lo_a, hi_a) = sticks.roles, sticks.start, sticks.span
-    length = sticks.length
-    for cols in tiles:
-        p_a = pts[ax_a, cols]
+def _live(cond, if_true, if_false):
+    """np.where(cond, if_true(), if_false()), but only the form a Python bool picks."""
+    if isinstance(cond, bool):
+        return (if_true if cond else if_false)()
+    return np.where(cond, if_true(), if_false())
+
+
+def _pair_terms(operands):
+    """The kernel's arithmetic.  ``operands`` yields (sticks, p_a, p_b, p_c):
+    packed sticks, a tile's as columns or one stick's as Python scalars, and
+    the points' coordinates along each stick's axis a and its other axes
+    b < c, shaped by the driver to broadcast.  Yields (C_b, C_c, dist) for
+    each: the field (k = 1) along b and c and the distance of each stick at
+    each point.  One frame serves every item, so each array replaces the
+    last item's one at a time, as in a plain loop; freeing them all at once
+    between tiles made glibc return the heap top and fault it back in, 1.7
+    times the page faults and 7% more time on 412 sticks."""
+    for sticks, p_a, tb, tc in operands:
+        (s_a, s_b, s_c), (lo_a, hi_a), length = sticks.start, sticks.span, sticks.length
         az1 = sticks.sign * (p_a - s_a)    # axial coord of P from start
         az2 = az1 - length                 # axial coord of P from end
-        tb, tc = pts[ax_b, cols] - s_b, pts[ax_c, cols] - s_c
+        tb, tc = tb - s_b, tc - s_c        # rebound: frees a tile's gathered p_b, p_c
         tb2, tc2 = tb * tb, tc * tc
         r2 = tb2 + tc2                     # perpendicular distance^2
         na = np.sqrt(r2 + az1 * az1)       # |P - start|
@@ -110,18 +116,24 @@ def _pair_terms(sticks: PackedSticks, pts, tiles):
         np.minimum(q, hi_a, out=q)
         q -= p_a
         q *= q                             # axial offset^2
-        dist = np.sqrt(np.where(sticks.along_z, r2 + q, (q + tb2) + tc2))
+        dist = np.sqrt(_live(sticks.along_z, lambda: r2 + q, lambda: (q + tb2) + tc2))
         # Between the endpoints the direct form is stable (r2 == 0 there
         # only on the conductor, which contributes nothing); beyond them
         # cos t1 + cos t2 nearly cancels, so use the equivalent form with
-        # the cancellation removed, which is smooth onto the axis.
-        factor = sticks.hand * np.where(
+        # the cancellation removed, which is smooth onto the axis.  The
+        # hand, +-1, scales the offsets exactly as it would the factor.
+        factor = np.where(
             broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
             length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
-        contrib, j = np.zeros((len(factor), 3, factor.shape[1])), np.arange(len(factor))
-        contrib[j, ax_c] = tb * factor
-        contrib[j, ax_b] = -tc * factor
-        yield contrib, dist
+        yield (-sticks.hand * tc) * factor, (sticks.hand * tb) * factor, dist
+
+
+def _by_axis(sticks: PackedSticks, c_b, c_c):
+    """Each stick's field, (N, 3, ...), from its components along b and c."""
+    (_, ax_b, ax_c), j = sticks.roles, np.arange(len(c_b))
+    contrib = np.zeros((len(c_b), 3) + c_b.shape[1:])
+    contrib[j, ax_b], contrib[j, ax_c] = c_b, c_c
+    return contrib
 
 
 def _stick_field(sticks: PackedSticks, points):
@@ -135,19 +147,43 @@ def _stick_field(sticks: PackedSticks, points):
     m = pts.shape[1]
     b, near, nearest = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=np.intp)
     starts = range(0, m, max(1, _TILE_PAIRS // len(sticks.sign)))
-    tiles = _pair_terms(sticks, pts, (slice(lo, lo + starts.step) for lo in starts))
+    terms = _pair_terms((sticks, *(pts[ax, lo:lo + starts.step] for ax in sticks.roles))
+                        for lo in starts)
     # Far points overflow to inf, which the forms turn into an exact zero
     # field and an infinite distance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in starts:
-            contrib, dist = next(tiles)
+        for lo, (c_b, c_c, dist) in zip(starts, terms):
             hi = lo + starts.step
             nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
             # Summing over the leading axis adds the sticks onto zero one at
             # a time in flow order.
+            contrib = _by_axis(sticks, c_b, c_c)     # like the terms, replaced by the next tile's
             b[lo:hi] = contrib.sum(axis=0).T
-            del contrib, dist      # the next tile replaces them in the kernel's frame
+            del c_b, c_c, dist     # the next tile replaces them in the kernel's frame
     return b, near, nearest
+
+
+def _grid_field(sticks: PackedSticks, axes):
+    """``_stick_field``, bit for bit, at the grid of the finite 1-D arrays
+    ``axes`` (x, y, z), z fastest.  Each stick's coordinates are the axes
+    shaped to broadcast to (n_x, n_y, n_z), so a term depending on fewer
+    axes is computed at that size.  A running minimum with a strict < keeps
+    the lowest index on ties, as argmin does."""
+    shape, grid = tuple(map(len, axes)), (axes[0][:, None, None], axes[1][:, None], axes[2])
+    b, near = np.zeros((3,) + shape), np.full(shape, np.inf)
+    nearest, closer = np.zeros(shape, dtype=np.intp), np.empty(shape, dtype=bool)
+    fields = (sticks.roles.T, sticks.start[..., 0].T, sticks.sign[:, 0], sticks.length[:, 0],
+              sticks.hand[:, 0], sticks.span[..., 0].T, sticks.along_z[:, 0])
+    each = [PackedSticks(*row) for row in zip(*(f.tolist() for f in fields))]
+    terms = _pair_terms((s, *(grid[i] for i in s.roles)) for s in each)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j, (s, (c_b, c_c, dist)) in enumerate(zip(each, terms)):
+            b[s.roles[1]] += c_b
+            b[s.roles[2]] += c_c
+            np.less(dist, near, out=closer)
+            np.copyto(near, dist, where=closer)
+            np.copyto(nearest, j, where=closer)
+    return b.reshape(3, -1).T, near.ravel(), nearest.ravel()
 
 
 def _paired_field(sticks: PackedSticks, points):
@@ -155,9 +191,10 @@ def _paired_field(sticks: PackedSticks, points):
     sticks and (M, 3) points, and its distance: (B, dist), row i with the
     bits of ``_stick_field``.  Raises ValueError for a point not finite."""
     _finite(points)
+    pts = points.T[sticks.roles, np.arange(len(points)), None]     # (3, M, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        contrib, dist = next(_pair_terms(sticks, points.T[:, :, None], [np.arange(len(points))]))
-    return contrib.sum(axis=2), dist[:, 0]     # onto zero, as ``_stick_field`` sums
+        c_b, c_c, dist = next(_pair_terms([(sticks, *pts)]))
+    return _by_axis(sticks, c_b, c_c).sum(axis=2), dist[:, 0]     # onto zero, as in the tiles
 
 
 def _times_k(b, k):
@@ -168,6 +205,12 @@ def _times_k(b, k):
             return np.multiply(b, k, out=b)
         except FloatingPointError:
             raise ValueError(f"k = {k!r} is too large: the result overflows") from None
+
+
+def _exclude(b, near, exclusion_radius, k):
+    """(b, mask): b's rows within the exclusion radius set NaN, then b scaled by k, in place."""
+    b[mask := near < exclusion_radius] = np.nan
+    return _times_k(b, k), mask
 
 
 def segment_field(seg: Segment, point, k: float = 1.0,
@@ -297,6 +340,4 @@ def total_field_many(knot: LatticeKnot, points,
     a point is not finite.
     """
     b, near, _ = _stick_field(knot.sticks, np.asarray(points, dtype=float))
-    mask = near < exclusion_radius
-    b[mask] = np.nan
-    return _times_k(b, knot.k), mask
+    return _exclude(b, near, exclusion_radius, knot.k)

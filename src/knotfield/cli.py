@@ -86,25 +86,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _finite(what, ok):
-    """argparse type: a finite float for which ok holds, else a usage error
-    naming the flag and what its value must be."""
+def _checked(cast, what, ok):
+    """argparse type: a value of type cast for which ok holds, else a usage
+    error naming the flag and what its value must be."""
     def parse(text):
-        if not (math.isfinite(value := float(text)) and ok(value)):
-            raise argparse.ArgumentTypeError(f"must be finite and {what}, got {text!r}")
+        if not ok(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
-    parse.__name__ = "float"            # argparse's "invalid float value: 'x'"
+    parse.__name__ = cast.__name__      # argparse's "invalid float value: 'x'"
     return parse
 
 
-def _positive_int(text):
-    """argparse type: a positive integer, else a usage error naming the flag."""
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _finite(what, ok):
+    return _checked(float, f"finite and {what}", lambda v: math.isfinite(v) and ok(v))
 
 
-_positive_int.__name__ = "int"          # argparse's "invalid int value: 'x'"
+_positive_int = _checked(int, "a positive integer", lambda v: v >= 1)
 
 
 def build_parser() -> _Parser:
@@ -156,7 +153,8 @@ def build_parser() -> _Parser:
     trans.add_argument("--knot", required=True, choices=sorted(CANONICAL))
     ver.words = {"transcription": trans}
     for p in (ver, trans):
-        p.add_argument("--seed", type=int, default=0, help="seed for random suites")
+        p.add_argument("--seed", type=_checked(int, "a non-negative integer", lambda v: v >= 0),
+                       default=0, help="seed for random suites")
         p.add_argument("--points", type=_positive_int, default=200, help="points per field suite")
 
     for p in (info, emit, sample, hol, link, ver):

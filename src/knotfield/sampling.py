@@ -1,8 +1,9 @@
 """Field sampling over rectangular grids and the interchange writers.
 
 Rows are ordered z-fastest (x outer, y middle, z inner) and the output is
-byte-for-byte deterministic: the segment summation order is fixed and the
-thread pool only partitions rows, never reassociates a single row's sum.
+byte-for-byte deterministic: threads take blocks of whole x-planes or
+z-lines, and the stick summation order is fixed, so neither the blocks nor
+the threads reassociate a single row's sum.
 Points on the conductor are kept as NaN rows with a flag rather than
 dropped, so downstream reshaping to (nx, ny, nz) stays trivial.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeKnot
-from .biot_savart import DEFAULT_EXCLUSION_RADIUS, total_field_many
+from .biot_savart import DEFAULT_EXCLUSION_RADIUS, _exclude, _finite, _grid_field
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,13 @@ class GridSpec:
         nx, ny, nz = self.counts
         return nx * ny * nz
 
+    def _axes(self) -> list[np.ndarray]:
+        """The grid's coordinates along x, y and z: origin + spacing * index."""
+        return [o + self.spacing * np.arange(n) for o, n in zip(self.origin, self.counts)]
+
     def points(self) -> np.ndarray:
         """All grid points, z-fastest."""
-        nx, ny, nz = self.counts
-        ix, iy, iz = np.meshgrid(
-            np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-        )
-        idx = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
-        return np.asarray(self.origin) + self.spacing * idx
+        return np.stack(np.meshgrid(*self._axes(), indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -62,30 +62,46 @@ class FieldSample:
     on_conductor: np.ndarray    # (M,) bool
 
 
+def _blocks(counts, threads, chunk):
+    """The sampler's blocks as (rows, xs, ys) slices: threads times
+    ceil(rows / (threads * chunk)) runs of whole x-planes, at most one a
+    plane, or, where one plane exceeds ``chunk``, ceil(plane / chunk) runs
+    of whole z-lines in each plane, so that rows stay contiguous."""
+    nx, ny, nz = counts
+    px, py = min(nx, threads * -(-nx * ny * nz // (threads * chunk))), min(ny, -(-ny * nz // chunk))
+    xe, ye = ([i * n // p for i in range(p + 1)] for n, p in ((nx, px), (ny, py)))
+    return [(slice((x0 * ny + y0) * nz, ((x1 - 1) * ny + y1) * nz), slice(x0, x1), slice(y0, y1))
+            for x0, x1 in zip(xe, xe[1:]) for y0, y1 in zip(ye, ye[1:])]
+
+
 def sample_field(knot: LatticeKnot, grid: GridSpec,
                  exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-                 threads: int = 1, chunk: int = 4096) -> FieldSample:
+                 threads: int = 1, chunk: int = 1 << 15) -> FieldSample:
     """Evaluate the knot's field on every grid point.
 
-    ``threads`` partitions the fixed chunk decomposition; every chunk is an
-    independent vectorized evaluation, so results are identical for any
-    thread count.
+    ``threads`` workers take the blocks of ``_blocks``, each one pass of the
+    kernel's grid driver over its slice of the grid's axes, so results are
+    identical for any thread count and ``chunk``.  Raises ValueError naming
+    the first grid point that is not finite.
     """
-    pts = grid.points()
+    if chunk < 1:
+        raise ValueError(f"chunk must be a positive number of rows, got {chunk!r}")
+    pts, axes = grid.points(), grid._axes()
+    _finite(pts)
     b = np.empty_like(pts)
     mask = np.empty(len(pts), dtype=bool)
-    ranges = [(lo, min(lo + chunk, len(pts))) for lo in range(0, len(pts), chunk)]
 
-    def work(bounds):
-        lo, hi = bounds
-        b[lo:hi], mask[lo:hi] = total_field_many(knot, pts[lo:hi], exclusion_radius)
+    def work(block):
+        rows, xs, ys = block
+        b[rows], near, _ = _grid_field(knot.sticks, (axes[0][xs], axes[1][ys], axes[2]))
+        mask[rows] = _exclude(b[rows], near, exclusion_radius, knot.k)[1]
 
+    blocks = _blocks(grid.counts, max(threads, 1), chunk)
     if threads <= 1:
-        for r in ranges:
-            work(r)
+        list(map(work, blocks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, ranges))
+            list(pool.map(work, blocks))
     return FieldSample(grid=grid, points=pts, b=b, on_conductor=mask)
 
 

@@ -3,8 +3,10 @@
 ``perfbench/workloads.py`` calls ``knotfield.cli.main`` with the argv shapes
 below and reads attributes of ``build_parser().parse_args`` of the same
 argv to replay each job through the library; its kernel probe reads
-``sample_field``'s default chunk size.  These tests pin all three, so a
-change that would break the benchmark fails here first.
+``sample_field``'s default ``chunk``, the rows in one of the sampler's
+blocks of whole x-planes, and times ``total_field_many`` on runs of that
+many grid rows.  These tests pin all three, so a change that would break
+the benchmark fails here first.
 """
 
 import inspect
@@ -48,6 +50,6 @@ def test_verify_argv(knot, extra, loops, points, kernel_pairs):
 
 
 def test_sample_field_chunk_default():
-    # The benchmark's kernel probe reads the sampler's chunk size from here.
+    # The benchmark's kernel probe reads the sampler's rows per block from here.
     chunk = inspect.signature(sample_field).parameters["chunk"]
     assert type(chunk.default) is int and chunk.default > 0

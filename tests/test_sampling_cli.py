@@ -3,14 +3,29 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from knotfield import cli
 from knotfield.cli import build_parser, main
-from knotfield.geometry import canonical_trefoil, read_knot_file, validate
-from knotfield.biot_savart import QuadratureError, total_field
+from knotfield.geometry import (
+    PackedSticks,
+    canonical_figure_eight,
+    canonical_trefoil,
+    read_knot_file,
+    stick_ends,
+    validate,
+)
+from knotfield.biot_savart import (
+    QuadratureError,
+    _grid_field,
+    _stick_field,
+    total_field,
+    total_field_many,
+)
 from knotfield.sampling import (
     FieldSample,
     CSV_HEADER,
@@ -20,7 +35,10 @@ from knotfield.sampling import (
     write_jsonl,
     write_vtk,
 )
+from knotfield.sampling import _blocks
 from knotfield.topology import Loop, write_loop_file
+
+from test_transcription import lattice_knots
 
 
 class TestGridSpec:
@@ -70,6 +88,24 @@ class TestSampling:
         s4 = sample_field(knot, grid, threads=4)
         assert np.array_equal(s1.b, s4.b, equal_nan=True)
         assert np.array_equal(s1.on_conductor, s4.on_conductor)
+
+    @pytest.mark.parametrize("counts, threads, chunk, sizes", [
+        ((41, 41, 41), 1, 1 << 15, [13 * 1681, 14 * 1681, 14 * 1681]),
+        ((41, 41, 41), 2, 1 << 15, [10 * 1681, 10 * 1681, 10 * 1681, 11 * 1681]),
+        ((177, 7, 15), 1, 1 << 15, [177 * 105]),
+        ((3, 4, 5), 8, 1 << 15, [20, 20, 20]),        # at most one block per plane
+        ((2, 5, 3), 1, 7, [3, 6, 6] * 2),             # planes over chunk: runs of z-lines
+        ((2, 2, 9), 2, 4, [9] * 4),                   # a z-line over chunk: one line a block
+    ])
+    def test_blocks_are_contiguous_row_ranges(self, counts, threads, chunk, sizes):
+        blocks = _blocks(counts, threads, chunk)
+        assert [r.stop - r.start for r, _, _ in blocks] == sizes
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == math.prod(counts)
+        assert all(a.stop == b.start for (a, _, _), (b, _, _) in zip(blocks, blocks[1:]))
+        nz = counts[2]
+        for rows, xs, ys in blocks:
+            assert rows.stop - rows.start == (xs.stop - xs.start) * (ys.stop - ys.start) * nz
+            assert rows.start == (xs.start * counts[1] + ys.start) * nz
 
     def test_csv_shape_and_header(self, tmp_path):
         knot = canonical_trefoil()
@@ -141,6 +177,79 @@ class TestSampling:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@st.composite
+def knot_grids(draw):
+    """A closure of up to 20 letters, a refined or a built-in knot, and a
+    grid of 1-7 points a side in its bounding box inflated by two lattice
+    steps: a random origin, or one on the lattice so that rows fall on
+    sticks and vertices, and a spacing of 0.3, 0.25, 1 or 1.7 steps."""
+    if draw(st.booleans()):
+        knot, step = draw(lattice_knots())
+    else:
+        knot, step = draw(st.sampled_from((canonical_trefoil(), canonical_figure_eight()))), 1
+    starts, _ = stick_ends(knot)
+    lo, hi = starts.min(axis=0) - 2 * step, starts.max(axis=0) + 2 * step
+    origin = lo + np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) * (hi - lo)
+    if draw(st.booleans()):
+        origin = np.round(origin / step) * step
+    spacing = step * draw(st.sampled_from([0.3, 0.25, 1.0, 1.7]))
+    counts = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    return knot, GridSpec(tuple(origin.tolist()), spacing, counts)
+
+
+class TestGridDriver:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(case=knot_grids(), run=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_grid_driver_is_the_tile_driver_bit_for_bit(self, case, run):
+        # On the knot and on a run of its sticks, an open chain.
+        knot, grid = case
+        starts, ends = stick_ends(knot)
+        lo, hi = sorted(int(f * (len(starts) - 1)) for f in run)
+        for sticks in (knot.sticks, PackedSticks.pack(starts[lo:hi + 1], ends[lo:hi + 1])):
+            got = _grid_field(sticks, grid._axes())
+            want = _stick_field(sticks, grid.points())
+            for name, g, w in zip(("B", "near", "nearest"), got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    def test_grid_driver_sums_onto_zero(self):
+        # In the plane z = 0 a -y stick's x terms are all -0.0; the tile
+        # driver's sum starts from +0.0, so its Bx is +0.0.
+        sticks = PackedSticks.pack([(0, 1, 0)], [(0, 0, 0)])
+        grid = GridSpec((-1, -1, 0), 1.0, (3, 3, 1))
+        got, want = _grid_field(sticks, grid._axes())[0], _stick_field(sticks, grid.points())[0]
+        assert got.tobytes() == want.tobytes()
+        assert np.all(want[:, 0] == 0.0) and not np.signbit(want[:, 0]).any()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(case=knot_grids())
+    def test_sample_bytes_do_not_depend_on_blocks_or_threads(self, case):
+        knot, grid = case
+        _, ny, nz = grid.counts
+        want_b, want_mask = total_field_many(knot, grid.points())
+        for threads in (1, 2, 3):
+            for chunk in (1, nz, max(1, ny * nz - 1), None):
+                sample = sample_field(knot, grid, threads=threads,
+                                      **({} if chunk is None else {"chunk": chunk}))
+                assert sample.b.tobytes() == want_b.tobytes(), (threads, chunk)
+                assert sample.on_conductor.tobytes() == want_mask.tobytes(), (threads, chunk)
+
+    def test_many_threads_on_many_blocks(self):
+        # More workers than cores, switching often, each writing its own rows
+        # of the shared arrays: 4 * 9 one-line blocks of the 4_1 grid.
+        knot, grid = canonical_figure_eight(), GridSpec((-1.5, -1.5, -1.5), 0.5, (4, 9, 19))
+        want_b, want_mask = total_field_many(knot, grid.points())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sample = sample_field(knot, grid, threads=8, chunk=19)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sample.b.tobytes() == want_b.tobytes()
+        assert sample.on_conductor.tobytes() == want_mask.tobytes()
 
 
 def test_cli_requires_exactly_one_source(tmp_path, capsys):
@@ -357,6 +466,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == \
             f"error: argument {flag}: must be a positive integer, got '{value}'\n"
+
+    @pytest.mark.parametrize("argv", [("verify", "--knot", "3_1"),
+                                      ("verify", "transcription", "--knot", "3_1")],
+                             ids=["verify", "transcription"])
+    def test_negative_seed_exit_1(self, capsys, argv):
+        # Refused by the parser, naming the flag, before numpy sees the seed.
+        assert run_cli(*argv, "--seed", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: argument --seed: must be a non-negative integer, got '-1'\n"
 
     def test_holonomy_quadrature_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
