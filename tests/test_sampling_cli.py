@@ -592,6 +592,9 @@ class TestCli:
 
 GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0.75",
         "--counts", "9,9,9")
+# 9,261 rows, more than two of the writers' blocks, 96 of them on the conductor.
+BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0.5",
+          "--counts", "21,21,21")
 
 
 # SHA-256 of stdout.  These pin the engine's arithmetic, the writers'
@@ -604,6 +607,12 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
      "16defb887fe4ba1ae2cc6f1e721f1eca009f37f2689600ef9e5d29d502d2ee4e"),
     (GRID + ("--format", "vtk"),
      "d0ec1806b9d5c94d91f027bde2306bc2f59c90c3283e468490ccc19f9c327c17"),
+    (BLOCKS + ("--format", "csv"),
+     "c9ae516a8a62bf9a49115874d64c8455e72b59fd9b6a166b94444a2dc983f7a1"),
+    (BLOCKS + ("--format", "jsonl"),
+     "720539e6184d5f32eb15329a9f1aebe20f0655ddfd2b3d2e1c1cec0c0f0e3cee"),
+    (BLOCKS + ("--format", "vtk"),
+     "a91ad860e8cc51853f5c8ff3bee810d71047b59ffabe0724da56d18735e3a046"),
     (("braid", "build", "--word", "s1 s2^-1 s1 s2^-1"),
      "7bf0f704cfc7456f4a974529a4c3e4ea0635b0e666e1c4917cec8a903eeafba8"),
     (("braid", "build", "--word", "s1 s2 s1^-1 s2 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1"),
@@ -629,9 +638,9 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
     (("field", "sample", "--braid", "s2 s1 s1 s2 s1^-1 s1^-1 s2^-1 s1 s2 s1 s2^-1 s2 s2 s1 "
       "s1^-1 s2 s1^-1 s2 s2^-1 s1", "--origin=-6,0,2", "--spacing", "1", "--counts", "93,3,11"),
      "76f42f73d86ae528ea7c627e19ca1fa7e63099da19f1a2092401f01f7bae2030"),
-], ids=["csv", "jsonl", "vtk", "braid-4_1", "braid-12-letters", "knot-info", "knot-emit",
-        "holonomy-text", "holonomy-json", "linking", "verify-transcription",
-        "verify-transcription-4_1-json", "braid-field-csv"])
+], ids=["csv", "jsonl", "vtk", "csv-blocks", "jsonl-blocks", "vtk-blocks", "braid-4_1",
+        "braid-12-letters", "knot-info", "knot-emit", "holonomy-text", "holonomy-json",
+        "linking", "verify-transcription", "verify-transcription-4_1-json", "braid-field-csv"])
 def test_golden_stdout(tmp_path, capsys, argv, digest):
     loop_file = tmp_path / "loop.txt"
     write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
