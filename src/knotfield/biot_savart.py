@@ -23,8 +23,10 @@ accurate.  Alongside the field the kernel returns each point's clearance,
 the distance to its nearest stick and that stick's index: every exclusion
 decision reads that one answer.  That arithmetic is written once, and three
 drivers feed it: tiles of scattered points, at most ``_TILE_PAIRS`` (point,
-stick) pairs each; a grid's 1-D axes, one stick at a time; and stick i
-alone at point i, of which ``segment_field`` is the one-row case.  Each
+stick) pairs each; a grid's 1-D axes, one stick at a time, which takes the
+broadside form only on the stick's slab and returns (B, near) without the
+index; and stick i alone at point i, of which ``segment_field`` is the
+one-row case.  Each
 point's field is summed onto zero over the sticks in flow order, so its
 bits depend on neither the driver, the tile, the batch nor the thread.
 
@@ -91,12 +93,12 @@ def _pair_terms(operands):
     """The kernel's arithmetic.  ``operands`` yields (sticks, p_a, p_b, p_c):
     packed sticks, a tile's as columns or one stick's as Python scalars, and
     the points' coordinates along each stick's axis a and its other axes
-    b < c, shaped by the driver to broadcast.  Yields (C_b, C_c, dist) for
-    each: the field (k = 1) along b and c and the distance of each stick at
-    each point.  One frame serves every item, so each array replaces the
-    last item's one at a time, as in a plain loop; freeing them all at once
-    between tiles made glibc return the heap top and fault it back in, 1.7
-    times the page faults and 7% more time on 412 sticks."""
+    b < c, shaped by the driver to broadcast.  Yields (C_b, C_c, dist2) for
+    each: the field (k = 1) along b and c and the squared distance of each
+    stick at each point.  One frame serves every item, so each array
+    replaces the last item's one at a time, as in a plain loop; freeing
+    them all at once between tiles made glibc return the heap top and fault
+    it back in, 1.7 times the page faults and 7% more time on 412 sticks."""
     for sticks, p_a, tb, tc in operands:
         (s_a, s_b, s_c), (lo_a, hi_a), length = sticks.start, sticks.span, sticks.length
         az1 = sticks.sign * (p_a - s_a)    # axial coord of P from start
@@ -116,16 +118,23 @@ def _pair_terms(operands):
         np.minimum(q, hi_a, out=q)
         q -= p_a
         q *= q                             # axial offset^2
-        dist = np.sqrt(_live(sticks.along_z, lambda: r2 + q, lambda: (q + tb2) + tc2))
+        dist2 = _live(sticks.along_z, lambda: r2 + q, lambda: (q + tb2) + tc2)
         # Between the endpoints the direct form is stable (r2 == 0 there
         # only on the conductor, which contributes nothing); beyond them
         # cos t1 + cos t2 nearly cancels, so use the equivalent form with
         # the cancellation removed, which is smooth onto the axis.  The
         # hand, +-1, scales the offsets exactly as it would the factor.
-        factor = np.where(
-            broadside, np.where(r2 > 0.0, (az1 / na - az2 / nb) / r2, 0.0),
-            length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)))
-        yield (-sticks.hand * tc) * factor, (sticks.hand * tb) * factor, dist
+        # One stick over a grid's axes has broadside (n_a, 1, ...), a
+        # function of p_a alone, so it takes the direct form only on the
+        # slab of a-indices from its first to its last broadside one.
+        factor, s = length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)), ...
+        if isinstance(sticks.along_z, bool):
+            on = np.flatnonzero(broadside)
+            lo, hi = on.min(initial=0), on.max(initial=-1) + 1
+            s = (..., slice(lo, hi)) + (slice(None),) * (az1.ndim - 1)
+        np.copyto(factor[s], np.where(r2 > 0.0, (az1[s] / na[s] - az2[s] / nb[s]) / r2, 0.0),
+                  where=broadside[s])
+        yield (-sticks.hand * tc) * factor, (sticks.hand * tb) * factor, dist2
 
 
 def _by_axis(sticks: PackedSticks, c_b, c_c):
@@ -152,38 +161,37 @@ def _stick_field(sticks: PackedSticks, points):
     # Far points overflow to inf, which the forms turn into an exact zero
     # field and an infinite distance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, (c_b, c_c, dist) in zip(starts, terms):
-            hi = lo + starts.step
+        for lo, (c_b, c_c, dist2) in zip(starts, terms):
+            hi, dist = lo + starts.step, np.sqrt(dist2)
             nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
             # Summing over the leading axis adds the sticks onto zero one at
             # a time in flow order.
             contrib = _by_axis(sticks, c_b, c_c)     # like the terms, replaced by the next tile's
             b[lo:hi] = contrib.sum(axis=0).T
-            del c_b, c_c, dist     # the next tile replaces them in the kernel's frame
+            del c_b, c_c, dist2, dist     # the next tile replaces them in the kernel's frame
     return b, near, nearest
 
 
 def _grid_field(sticks: PackedSticks, axes):
-    """``_stick_field``, bit for bit, at the grid of the finite 1-D arrays
-    ``axes`` (x, y, z), z fastest.  Each stick's coordinates are the axes
-    shaped to broadcast to (n_x, n_y, n_z), so a term depending on fewer
-    axes is computed at that size.  A running minimum with a strict < keeps
-    the lowest index on ties, as argmin does."""
+    """(B, near) of ``_stick_field``, bit for bit, at the grid of the finite
+    1-D arrays ``axes`` (x, y, z), z fastest.  Each stick's coordinates are
+    the axes shaped to broadcast to (n_x, n_y, n_z), so a term depending on
+    fewer axes is computed at that size, and the direct form only on the
+    stick's slab.  near is the sqrt of a running minimum of squared
+    distances, which is the minimum distance: sqrt is monotone and
+    correctly rounded."""
     shape, grid = tuple(map(len, axes)), (axes[0][:, None, None], axes[1][:, None], axes[2])
-    b, near = np.zeros((3,) + shape), np.full(shape, np.inf)
-    nearest, closer = np.zeros(shape, dtype=np.intp), np.empty(shape, dtype=bool)
+    b, near2 = np.zeros((3,) + shape), np.full(shape, np.inf)
     fields = (sticks.roles.T, sticks.start[..., 0].T, sticks.sign[:, 0], sticks.length[:, 0],
               sticks.hand[:, 0], sticks.span[..., 0].T, sticks.along_z[:, 0])
     each = [PackedSticks(*row) for row in zip(*(f.tolist() for f in fields))]
     terms = _pair_terms((s, *(grid[i] for i in s.roles)) for s in each)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j, (s, (c_b, c_c, dist)) in enumerate(zip(each, terms)):
+        for s, (c_b, c_c, dist2) in zip(each, terms):
             b[s.roles[1]] += c_b
             b[s.roles[2]] += c_c
-            np.less(dist, near, out=closer)
-            np.copyto(near, dist, where=closer)
-            np.copyto(nearest, j, where=closer)
-    return b.reshape(3, -1).T, near.ravel(), nearest.ravel()
+            np.minimum(near2, dist2, out=near2)
+    return b.reshape(3, -1).T, np.sqrt(near2).ravel()
 
 
 def _paired_field(sticks: PackedSticks, points):
@@ -193,8 +201,9 @@ def _paired_field(sticks: PackedSticks, points):
     _finite(points)
     pts = points.T[sticks.roles, np.arange(len(points)), None]     # (3, M, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c_b, c_c, dist = next(_pair_terms([(sticks, *pts)]))
-    return _by_axis(sticks, c_b, c_c).sum(axis=2), dist[:, 0]     # onto zero, as in the tiles
+        c_b, c_c, dist2 = next(_pair_terms([(sticks, *pts)]))
+    # Summed onto zero, as in the tiles.
+    return _by_axis(sticks, c_b, c_c).sum(axis=2), np.sqrt(dist2[:, 0])
 
 
 def _times_k(b, k):

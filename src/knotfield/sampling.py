@@ -10,11 +10,13 @@ dropped, so downstream reshaping to (nx, ny, nz) stays trivial.
 Formats: CSV (default), JSON lines, and legacy ASCII VTK structured points
 for visualization tools.  Note VTK's own convention is x-fastest, so the
 VTK writer permutes rows to match its format; the CSV/JSONL row order is
-authoritative for everything else.
+authoritative for everything else.  The writers format a block of rows at
+a time, with one ``%`` per block, and spell each distinct coordinate once.
 """
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,7 +95,7 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
 
     def work(block):
         rows, xs, ys = block
-        b[rows], near, _ = _grid_field(knot.sticks, (axes[0][xs], axes[1][ys], axes[2]))
+        b[rows], near = _grid_field(knot.sticks, (axes[0][xs], axes[1][ys], axes[2]))
         mask[rows] = _exclude(b[rows], near, exclusion_radius, knot.k)[1]
 
     blocks = _blocks(grid.counts, max(threads, 1), chunk)
@@ -111,30 +113,41 @@ CSV_HEADER = "x,y,z,Bx,By,Bz,on_conductor"
 _BLOCK_ROWS = 4096
 
 
+def _spelled(column, spell):
+    """``column``'s floats spelled by ``spell`` once per distinct bit pattern,
+    so that -0.0 stays apart from 0.0, as an object array of str."""
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    return np.array([spell(v) for v in bits.view(float).tolist()], dtype=object)[inverse]
+
+
+def _formatted(row, columns, order=None):
+    """Rows ``order`` (default: all) of ``columns`` in the %-template ``row``,
+    a str per ``_BLOCK_ROWS`` rows, each one ``%`` of ``row`` repeated once
+    per row over the block's values, interleaved row by row."""
+    order = np.arange(len(columns[0])) if order is None else order
+    for lo in range(0, len(order), _BLOCK_ROWS):
+        rows = order[lo:lo + _BLOCK_ROWS]
+        values = [None] * (len(columns) * len(rows))
+        for i, column in enumerate(columns):
+            values[i::len(columns)] = column[rows].tolist()
+        yield row * len(rows) % tuple(values)
+
+
 def write_csv(sample: FieldSample, fh) -> None:
     fh.write(CSV_HEADER + "\n")
-    for lo in range(0, len(sample.points), _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        rows = zip(sample.points[block].tolist(), sample.b[block].tolist(),
-                   sample.on_conductor[block].tolist())
-        fh.write("".join(f"{x!r},{y!r},{z!r},{bx!r},{by!r},{bz!r},{m:d}\n"
-                         for (x, y, z), (bx, by, bz), m in rows))
+    fh.writelines(_formatted("%s,%s,%s,%r,%r,%r,%d\n", [
+        *(_spelled(p, repr) for p in sample.points.T), *sample.b.T, sample.on_conductor]))
 
 
 def write_jsonl(sample: FieldSample, fh) -> None:
     """One JSON object per row, byte for byte what ``json.dumps`` writes."""
-    for lo in range(0, len(sample.points), _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        rows = zip(sample.points[block].tolist(), sample.b[block].tolist(),
-                   sample.on_conductor[block].tolist())
-        text = "".join(f'{{"x": {x!r}, "y": {y!r}, "z": {z!r}, "Bx": {bx!r}, "By": {by!r}, '
-                       f'"Bz": {bz!r}, "on_conductor": {"true" if m else "false"}}}\n'
-                       for (x, y, z), (bx, by, bz), m in rows)
-        # json.dumps spells non-finite floats NaN, Infinity and -Infinity;
-        # points are finite, and no key or finite float holds "nan" or "inf".
-        if not np.isfinite(sample.b[block]).all():
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        fh.write(text)
+    text = _formatted('{"x": %s, "y": %s, "z": %s, "Bx": %r, "By": %r, "Bz": %r, '
+                      '"on_conductor": %s}\n', [
+                          *(_spelled(p, json.dumps) for p in sample.points.T), *sample.b.T,
+                          np.where(sample.on_conductor, "true", "false")])
+    # json.dumps spells non-finite floats NaN, Infinity and -Infinity, as the
+    # coordinates are; no key, finite float or such spelling holds nan or inf.
+    fh.writelines(t.replace("nan", "NaN").replace("inf", "Infinity") for t in text)
 
 
 def write_vtk(sample: FieldSample, fh) -> None:
@@ -153,9 +166,7 @@ def write_vtk(sample: FieldSample, fh) -> None:
     fh.write("VECTORS B double\n")
     # Our rows are z-fastest; VTK wants x-fastest.
     order = np.arange(sample.grid.n_points).reshape(nx, ny, nz).transpose(2, 1, 0).ravel()
-    for lo in range(0, len(order), _BLOCK_ROWS):
-        rows = sample.b[order[lo:lo + _BLOCK_ROWS]].tolist()
-        fh.write("".join(f"{bx!r} {by!r} {bz!r}\n" for bx, by, bz in rows))
+    fh.writelines(_formatted("%r %r %r\n", sample.b.T, order))
 
 
 WRITERS = {"csv": write_csv, "jsonl": write_jsonl, "vtk": write_vtk}

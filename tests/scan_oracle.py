@@ -22,8 +22,14 @@ tests in ``test_scan_oracle.py`` check the engine against them.
 engine's side became the derived term table: it builds each stick's
 expected term as a set of bracket atoms from a parity table, and shares
 only the printed-term canonicalisation with the engine's ledger.
+``scan_write_csv``, ``scan_write_jsonl`` and ``scan_write_vtk`` are the
+writers from before they formatted each block with one ``%``: they format a
+row at a time with f-strings and spell every coordinate with ``repr``.
+``dumps_write_jsonl`` writes each row with ``json.dumps``: the JSON-lines
+writer before it formatted blocks, and the reference for JSON spelling.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -51,6 +57,7 @@ from knotfield.geometry import (
     segments,
     stick_ends,
 )
+from knotfield.sampling import CSV_HEADER, FieldSample, _BLOCK_ROWS
 from knotfield.topology import (
     HolonomyResult,
     LinkingPrecisionError,
@@ -599,3 +606,59 @@ def scan_discrepancy_ledger(label: str, tables=None) -> TranscriptionLedger:
             entries.append(LedgerEntry(eng.component, 0, eng.segment_index, "unmatched",
                                        ("engine contribution has no printed term",)))
     return TranscriptionLedger(label=label, entries=tuple(entries))
+
+
+def scan_write_csv(sample: FieldSample, fh) -> None:
+    fh.write(CSV_HEADER + "\n")
+    for lo in range(0, len(sample.points), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        rows = zip(sample.points[block].tolist(), sample.b[block].tolist(),
+                   sample.on_conductor[block].tolist())
+        fh.write("".join(f"{x!r},{y!r},{z!r},{bx!r},{by!r},{bz!r},{m:d}\n"
+                         for (x, y, z), (bx, by, bz), m in rows))
+
+
+def scan_write_jsonl(sample: FieldSample, fh) -> None:
+    """One JSON object per row, byte for byte what ``json.dumps`` writes."""
+    for lo in range(0, len(sample.points), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        rows = zip(sample.points[block].tolist(), sample.b[block].tolist(),
+                   sample.on_conductor[block].tolist())
+        text = "".join(f'{{"x": {x!r}, "y": {y!r}, "z": {z!r}, "Bx": {bx!r}, "By": {by!r}, '
+                       f'"Bz": {bz!r}, "on_conductor": {"true" if m else "false"}}}\n'
+                       for (x, y, z), (bx, by, bz), m in rows)
+        # json.dumps spells non-finite floats NaN, Infinity and -Infinity;
+        # points are finite, and no key or finite float holds "nan" or "inf".
+        if not np.isfinite(sample.b[block]).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        fh.write(text)
+
+
+def dumps_write_jsonl(sample: FieldSample, fh) -> None:
+    for p, b, m in zip(sample.points, sample.b, sample.on_conductor):
+        fh.write(json.dumps({
+            "x": float(p[0]), "y": float(p[1]), "z": float(p[2]),
+            "Bx": float(b[0]), "By": float(b[1]), "Bz": float(b[2]),
+            "on_conductor": bool(m),
+        }) + "\n")
+
+
+def scan_write_vtk(sample: FieldSample, fh) -> None:
+    """Legacy ASCII structured-points dataset with one vector field."""
+    nx, ny, nz = sample.grid.counts
+    ox, oy, oz = sample.grid.origin
+    s = float(sample.grid.spacing)
+    fh.write("# vtk DataFile Version 3.0\n")
+    fh.write("knotfield sample\n")
+    fh.write("ASCII\n")
+    fh.write("DATASET STRUCTURED_POINTS\n")
+    fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")
+    fh.write(f"ORIGIN {ox!r} {oy!r} {oz!r}\n")
+    fh.write(f"SPACING {s!r} {s!r} {s!r}\n")
+    fh.write(f"POINT_DATA {sample.grid.n_points}\n")
+    fh.write("VECTORS B double\n")
+    # Our rows are z-fastest; VTK wants x-fastest.
+    order = np.arange(sample.grid.n_points).reshape(nx, ny, nz).transpose(2, 1, 0).ravel()
+    for lo in range(0, len(order), _BLOCK_ROWS):
+        rows = sample.b[order[lo:lo + _BLOCK_ROWS]].tolist()
+        fh.write("".join(f"{bx!r} {by!r} {bz!r}\n" for bx, by, bz in rows))

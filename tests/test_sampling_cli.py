@@ -38,6 +38,7 @@ from knotfield.sampling import (
 from knotfield.sampling import _blocks
 from knotfield.topology import Loop, write_loop_file
 
+from scan_oracle import dumps_write_jsonl
 from test_transcription import lattice_knots
 
 
@@ -130,19 +131,10 @@ class TestSampling:
         assert rows[0]["x"] == 5.0 and rows[0]["on_conductor"] is False
         assert rows[0]["Bz"] == pytest.approx(total_field(knot, (5, 3, 2))[2])
 
-    @staticmethod
-    def json_dumps_writer(sample, fh):
-        """The row-at-a-time writer that write_jsonl replaced: the reference."""
-        for p, b, m in zip(sample.points, sample.b, sample.on_conductor):
-            fh.write(json.dumps({
-                "x": float(p[0]), "y": float(p[1]), "z": float(p[2]),
-                "Bx": float(b[0]), "By": float(b[1]), "Bz": float(b[2]),
-                "on_conductor": bool(m),
-            }) + "\n")
-
     def test_jsonl_bytes_match_json_dumps(self):
-        # Two blocks of rows, with the trefoil's masked rows, signed zeros
-        # and infinite fields.
+        # Two blocks of rows, with the trefoil's masked rows, signed zeros,
+        # infinite fields and non-finite coordinates, in a block of finite
+        # fields and in one with infinite fields.
         sample = sample_field(canonical_trefoil(),
                               GridSpec(origin=(-1, -1, -1), spacing=0.5, counts=(17, 17, 17)))
         assert sample.on_conductor.any()
@@ -150,10 +142,11 @@ class TestSampling:
         b[5], b[4500] = (-0.0, 0.0, -0.0), (math.inf, -math.inf, 1e-320)
         points = sample.points.copy()
         points[7] = (-0.0, 1e-300, -2.5e17)
+        points[9], points[4501] = (math.inf, -math.inf, math.nan), (-math.inf, 0.5, math.inf)
         for s in (sample, FieldSample(sample.grid, points, b, sample.on_conductor)):
             got, want = io.StringIO(), io.StringIO()
             write_jsonl(s, got)
-            self.json_dumps_writer(s, want)
+            dumps_write_jsonl(s, want)
             assert got.getvalue() == want.getvalue()
 
     def test_vtk_structure_and_x_fastest_order(self, tmp_path):
@@ -182,20 +175,33 @@ def run_cli(*argv):
 @st.composite
 def knot_grids(draw):
     """A closure of up to 20 letters, a refined or a built-in knot, and a
-    grid of 1-7 points a side in its bounding box inflated by two lattice
-    steps: a random origin, or one on the lattice so that rows fall on
-    sticks and vertices, and a spacing of 0.3, 0.25, 1 or 1.7 steps."""
+    grid of 1-7 points a side, often one, placed in one of four ways:
+    - at a random origin in the knot's bounding box inflated by two lattice
+      steps, with a spacing of 0.3, 0.25, 1 or 1.7 steps;
+    - the same with the origin on the lattice, so that rows fall on sticks;
+    - with a vertex on the grid and a spacing of 0.25, 0.5 or 1 step, so
+      that rows fall exactly on the ends of the sticks that meet there;
+    - with some axes moved beyond 1e154, where the squared offsets overflow."""
     if draw(st.booleans()):
         knot, step = draw(lattice_knots())
     else:
         knot, step = draw(st.sampled_from((canonical_trefoil(), canonical_figure_eight()))), 1
     starts, _ = stick_ends(knot)
-    lo, hi = starts.min(axis=0) - 2 * step, starts.max(axis=0) + 2 * step
-    origin = lo + np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) * (hi - lo)
-    if draw(st.booleans()):
-        origin = np.round(origin / step) * step
-    spacing = step * draw(st.sampled_from([0.3, 0.25, 1.0, 1.7]))
     counts = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    placing = draw(st.sampled_from(["random", "lattice", "vertex", "far"]))
+    if placing == "vertex":
+        spacing = step * draw(st.sampled_from([0.25, 0.5, 1.0]))
+        offsets = np.array(draw(st.tuples(*[st.integers(0, n - 1) for n in counts])))
+        origin = starts[draw(st.integers(0, len(starts) - 1))] - spacing * offsets
+    else:
+        spacing = step * draw(st.sampled_from([0.3, 0.25, 1.0, 1.7]))
+        lo, hi = starts.min(axis=0) - 2 * step, starts.max(axis=0) + 2 * step
+        origin = lo + np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) * (hi - lo)
+        if placing == "lattice":
+            origin = np.round(origin / step) * step
+        elif placing == "far":
+            far = st.one_of(st.just(0.0), st.floats(1.5e154, 1e308), st.floats(-1e308, -1.5e154))
+            origin = origin + np.array(draw(st.tuples(*[far] * 3)))
     return knot, GridSpec(tuple(origin.tolist()), spacing, counts)
 
 
@@ -204,14 +210,16 @@ class TestGridDriver:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(case=knot_grids(), run=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
     def test_grid_driver_is_the_tile_driver_bit_for_bit(self, case, run):
-        # On the knot and on a run of its sticks, an open chain.
+        # B and near, on the knot, on a run of its sticks (an open chain) and
+        # on the knot reversed, so that every stick flows the other way.
         knot, grid = case
         starts, ends = stick_ends(knot)
         lo, hi = sorted(int(f * (len(starts) - 1)) for f in run)
-        for sticks in (knot.sticks, PackedSticks.pack(starts[lo:hi + 1], ends[lo:hi + 1])):
+        for sticks in (knot.sticks, PackedSticks.pack(starts[lo:hi + 1], ends[lo:hi + 1]),
+                       PackedSticks.pack(ends[::-1], starts[::-1])):
             got = _grid_field(sticks, grid._axes())
             want = _stick_field(sticks, grid.points())
-            for name, g, w in zip(("B", "near", "nearest"), got, want):
+            for name, g, w in zip(("B", "near"), got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
     def test_grid_driver_sums_onto_zero(self):

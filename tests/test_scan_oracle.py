@@ -19,10 +19,13 @@ the bits of one-stick all-pairs rows, signed zeros included.  The
 transcription ledger reads each printed term against its stick's derived
 term; the oracle builds the stick's expected bracket atoms from a parity
 table.  On printed tables with injected faults both must give the same
-entries.
+entries.  The writers format each block of rows with one ``%`` and spell
+each distinct coordinate once; the oracles format a row at a time.  Both
+must write the same bytes.
 """
 
 import dataclasses
+import io
 import math
 import struct
 from unittest import mock
@@ -61,6 +64,7 @@ from knotfield.geometry import (
     stick_ends,
     validate,
 )
+from knotfield.sampling import _BLOCK_ROWS, FieldSample, GridSpec, write_csv, write_jsonl, write_vtk
 from knotfield.topology import LinkingPrecisionError, Loop, holonomy, loop_clearance
 from knotfield.transcription import TERM_TABLES, discrepancy_ledger
 from knotfield.verification import (
@@ -82,7 +86,11 @@ from scan_oracle import (
     scan_suite_flatness,
     scan_suite_scaling,
     scan_suite_segment_kernel,
+    dumps_write_jsonl,
     scan_validate,
+    scan_write_csv,
+    scan_write_jsonl,
+    scan_write_vtk,
 )
 from test_topology import AXIS_LOOP, square_around
 
@@ -566,3 +574,57 @@ def test_ledger_agrees_on_faulty_tables(case):
     parity-table ledger, field for field, however the tables are damaged."""
     label, tables = case
     assert discrepancy_ledger(label, tables) == scan_discrepancy_ledger(label, tables)
+
+
+# Floats whose spelling is an edge case: signed zeros, subnormals, the
+# neighbours of 1e16 and 1e-4, where repr switches between positional and
+# exponent notation, and the non-finite values, NaN of either sign.
+SPELLING_EDGES = (0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e16, 9999999999999998.0,
+                  1.0000000000000002e16, -1e16, 1e-4, 9.999999999999999e-05,
+                  1.0000000000000002e-04, -1e-4, 0.1, 1.5, -2.5e17, 1e300,
+                  math.inf, -math.inf, math.nan, -math.nan)
+# Grids of _BLOCK_ROWS - 1, _BLOCK_ROWS and _BLOCK_ROWS + 1 rows.
+BLOCK_EDGE_COUNTS = ((5, 9, 91), (16, 16, 16), (17, 1, 241))
+
+
+@st.composite
+def field_samples(draw):
+    """A FieldSample of 1-12 points a side, or of one row fewer than, as
+    many as or one more than a writer block, in some axis order.  Its
+    coordinates take a few values each, its fields are log-uniform over
+    every magnitude, and both draw from ``SPELLING_EDGES`` and from floats
+    hypothesis picks; on-conductor rows are NaN."""
+    assert BLOCK_EDGE_COUNTS[1][0] ** 3 == _BLOCK_ROWS
+    counts = draw(st.one_of(st.tuples(*[st.integers(1, 12)] * 3),
+                            st.sampled_from(BLOCK_EDGE_COUNTS).flatmap(st.permutations)))
+    n = math.prod(counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(SPELLING_EDGES + tuple(draw(st.lists(st.floats(), max_size=8))))
+    coordinates = rng.choice(np.concatenate([pool, rng.uniform(-9, 9, 6)]), size=(n, 3))
+    b = np.where(rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.05, 0.5])),
+                 rng.choice(pool, size=(n, 3)),
+                 rng.choice([-1.0, 1.0], size=(n, 3)) * 10.0 ** rng.uniform(-330, 308, (n, 3)))
+    mask = rng.random(n) < 0.05
+    b[mask] = np.nan
+    if draw(st.booleans()):
+        coordinates[~np.isfinite(coordinates)] = 1.0
+    return FieldSample(GridSpec((0.5, -1.0, 3.0), 0.25, counts), coordinates, b, mask)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(field_samples())
+def test_writers_match_row_at_a_time_writers(sample):
+    """Each writer gives the row-at-a-time oracle's bytes.  The oracle wrote
+    a non-finite coordinate as Python spells it, which is not JSON, so there
+    the JSON-lines writer is checked against json.dumps instead."""
+    def text(writer):
+        fh = io.StringIO()
+        writer(sample, fh)
+        return fh.getvalue()
+
+    assert text(write_csv) == text(scan_write_csv)
+    assert text(write_vtk) == text(scan_write_vtk)
+    want = (scan_write_jsonl if np.isfinite(sample.points).all()
+            else dumps_write_jsonl)
+    assert text(write_jsonl) == text(want)
