@@ -129,9 +129,8 @@ def _pair_terms(operands):
         # slab of a-indices from its first to its last broadside one.
         factor, s = length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)), ...
         if isinstance(sticks.along_z, bool):
-            on = np.flatnonzero(broadside)
-            lo, hi = on.min(initial=0), on.max(initial=-1) + 1
-            s = (..., slice(lo, hi)) + (slice(None),) * (az1.ndim - 1)
+            on = np.flatnonzero(broadside).tolist() or [0, -1]     # no slab: 0:0
+            s = (..., slice(on[0], on[-1] + 1)) + (slice(None),) * (az1.ndim - 1)
         np.copyto(factor[s], np.where(r2 > 0.0, (az1[s] / na[s] - az2[s] / nb[s]) / r2, 0.0),
                   where=broadside[s])
         yield (-sticks.hand * tc) * factor, (sticks.hand * tb) * factor, dist2

@@ -10,8 +10,7 @@ dropped, so downstream reshaping to (nx, ny, nz) stays trivial.
 Formats: CSV (default), JSON lines, and legacy ASCII VTK structured points
 for visualization tools.  Note VTK's own convention is x-fastest, so the
 VTK writer permutes rows to match its format; the CSV/JSONL row order is
-authoritative for everything else.  The writers format a block of rows at
-a time, with one ``%`` per block, and spell each distinct coordinate once.
+authoritative for everything else.  The writers format a block of rows per ``%``.
 """
 
 from __future__ import annotations
@@ -113,38 +112,40 @@ CSV_HEADER = "x,y,z,Bx,By,Bz,on_conductor"
 _BLOCK_ROWS = 4096
 
 
-def _spelled(column, spell):
-    """``column``'s floats spelled by ``spell`` once per distinct bit pattern,
-    so that -0.0 stays apart from 0.0, as an object array of str."""
-    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    return np.array([spell(v) for v in bits.view(float).tolist()], dtype=object)[inverse]
+def _spelled(values, spell):
+    """``values`` spelled by ``spell`` once per distinct bit pattern, so that
+    -0.0 stays apart from 0.0, as a list of str."""
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    spelled = np.array([spell(v) for v in bits.view(values.dtype).tolist()], dtype=object)
+    return spelled[inverse].tolist()
 
 
-def _formatted(row, columns, order=None):
-    """Rows ``order`` (default: all) of ``columns`` in the %-template ``row``,
-    a str per ``_BLOCK_ROWS`` rows, each one ``%`` of ``row`` repeated once
-    per row over the block's values, interleaved row by row."""
-    order = np.arange(len(columns[0])) if order is None else order
+def _formatted(row, columns, order):
+    """The rows ``order`` of ``columns`` in the %-template ``row``, a str per
+    ``_BLOCK_ROWS`` rows, each one ``%`` of ``row`` repeated once per row
+    over the block's values, interleaved row by row.  A column given as
+    (values, spell) is ``_spelled`` a block at a time."""
     for lo in range(0, len(order), _BLOCK_ROWS):
         rows = order[lo:lo + _BLOCK_ROWS]
         values = [None] * (len(columns) * len(rows))
-        for i, column in enumerate(columns):
-            values[i::len(columns)] = column[rows].tolist()
+        for i, c in enumerate(columns):
+            values[i::len(columns)] = (_spelled(c[0][rows], c[1]) if isinstance(c, tuple)
+                                       else c[rows].tolist())
         yield row * len(rows) % tuple(values)
 
 
 def write_csv(sample: FieldSample, fh) -> None:
     fh.write(CSV_HEADER + "\n")
-    fh.writelines(_formatted("%s,%s,%s,%r,%r,%r,%d\n", [
-        *(_spelled(p, repr) for p in sample.points.T), *sample.b.T, sample.on_conductor]))
+    columns = [*((p, repr) for p in sample.points.T), *sample.b.T, sample.on_conductor]
+    fh.writelines(_formatted("%s,%s,%s,%r,%r,%r,%d\n", columns, np.arange(len(sample.b))))
 
 
 def write_jsonl(sample: FieldSample, fh) -> None:
     """One JSON object per row, byte for byte what ``json.dumps`` writes."""
+    columns = [*((p, json.dumps) for p in sample.points.T), *sample.b.T,
+               (sample.on_conductor, json.dumps)]
     text = _formatted('{"x": %s, "y": %s, "z": %s, "Bx": %r, "By": %r, "Bz": %r, '
-                      '"on_conductor": %s}\n', [
-                          *(_spelled(p, json.dumps) for p in sample.points.T), *sample.b.T,
-                          np.where(sample.on_conductor, "true", "false")])
+                      '"on_conductor": %s}\n', columns, np.arange(len(sample.b)))
     # json.dumps spells non-finite floats NaN, Infinity and -Infinity, as the
     # coordinates are; no key, finite float or such spelling holds nan or inf.
     fh.writelines(t.replace("nan", "NaN").replace("inf", "Infinity") for t in text)
