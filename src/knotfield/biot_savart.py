@@ -161,7 +161,7 @@ def _stick_field(sticks: PackedSticks, points):
     # field and an infinite distance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo, (c_b, c_c, dist2) in zip(starts, terms):
-            hi, dist = lo + starts.step, np.sqrt(dist2)
+            hi, dist = lo + starts.step, np.sqrt(dist2, out=dist2)
             nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
             # Summing over the leading axis adds the sticks onto zero one at
             # a time in flow order.
