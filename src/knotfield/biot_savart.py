@@ -23,10 +23,9 @@ accurate.  Alongside the field the kernel returns each point's clearance,
 the distance to its nearest stick and that stick's index: every exclusion
 decision reads that one answer.  That arithmetic is written once, and three
 drivers feed it: tiles of scattered points, at most ``_TILE_PAIRS`` (point,
-stick) pairs each; a grid's 1-D axes, one stick at a time, which takes the
-broadside form only on the stick's slab and returns (B, near) without the
-index; and stick i alone at point i, of which ``segment_field`` is the
-one-row case.  Each
+stick) pairs each; a grid's 1-D axes, one stick at a time, taking the
+broadside form only on the stick's slab and returning (B, near); and stick
+i alone at point i, of which ``segment_field`` is the one-row case.  Each
 point's field is summed onto zero over the sticks in flow order, so its
 bits depend on neither the driver, the tile, the batch nor the thread.
 
@@ -124,15 +123,18 @@ def _pair_terms(operands):
         # cos t1 + cos t2 nearly cancels, so use the equivalent form with
         # the cancellation removed, which is smooth onto the axis.  The
         # hand, +-1, scales the offsets exactly as it would the factor.
-        # One stick over a grid's axes has broadside (n_a, 1, ...), a
-        # function of p_a alone, so it takes the direct form only on the
-        # slab of a-indices from its first to its last broadside one.
-        factor, s = length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)), ...
+        def direct(s=...):
+            return np.where(r2 > 0.0, (az1[s] / na[s] - az2[s] / nb[s]) / r2, 0.0)
+        factor = length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na))
         if isinstance(sticks.along_z, bool):
+            # One stick over a grid's axes has broadside (n_a, 1, ...), a
+            # function of p_a alone, so it takes the direct form only on the
+            # slab of a-indices from its first to its last broadside one.
             on = np.flatnonzero(broadside).tolist() or [0, -1]     # no slab: 0:0
             s = (..., slice(on[0], on[-1] + 1)) + (slice(None),) * (az1.ndim - 1)
-        np.copyto(factor[s], np.where(r2 > 0.0, (az1[s] / na[s] - az2[s] / nb[s]) / r2, 0.0),
-                  where=broadside[s])
+            np.copyto(factor[s], direct(s), where=broadside[s])
+        else:
+            factor = np.where(broadside, direct(), factor)
         yield (-sticks.hand * tc) * factor, (sticks.hand * tb) * factor, dist2
 
 

@@ -112,9 +112,9 @@ CSV_HEADER = "x,y,z,Bx,By,Bz,on_conductor"
 _BLOCK_ROWS = 4096
 
 
-def _spelled(values, spell):
-    """``values`` spelled by ``spell`` once per distinct bit pattern, so that
-    -0.0 stays apart from 0.0, as a list of str."""
+def _spelled(values, spell, rows):
+    """``values[rows]`` spelled by ``spell`` once per bit pattern, so -0.0 apart from 0.0."""
+    values = values[rows]
     bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     spelled = np.array([spell(v) for v in bits.view(values.dtype).tolist()], dtype=object)
     return spelled[inverse].tolist()
@@ -127,11 +127,10 @@ def _formatted(row, columns, order):
     (values, spell) is ``_spelled`` a block at a time."""
     for lo in range(0, len(order), _BLOCK_ROWS):
         rows = order[lo:lo + _BLOCK_ROWS]
-        values = [None] * (len(columns) * len(rows))
+        cells = [None] * (len(columns) * len(rows))
         for i, c in enumerate(columns):
-            values[i::len(columns)] = (_spelled(c[0][rows], c[1]) if isinstance(c, tuple)
-                                       else c[rows].tolist())
-        yield row * len(rows) % tuple(values)
+            cells[i::len(columns)] = _spelled(*c, rows) if type(c) is tuple else c[rows].tolist()
+        yield row * len(rows) % tuple(cells)
 
 
 def write_csv(sample: FieldSample, fh) -> None:
@@ -146,8 +145,7 @@ def write_jsonl(sample: FieldSample, fh) -> None:
                (sample.on_conductor, json.dumps)]
     text = _formatted('{"x": %s, "y": %s, "z": %s, "Bx": %r, "By": %r, "Bz": %r, '
                       '"on_conductor": %s}\n', columns, np.arange(len(sample.b)))
-    # json.dumps spells non-finite floats NaN, Infinity and -Infinity, as the
-    # coordinates are; no key, finite float or such spelling holds nan or inf.
+    # As json.dumps spells non-finite floats; no key or other spelling holds nan or inf.
     fh.writelines(t.replace("nan", "NaN").replace("inf", "Infinity") for t in text)
 
 
