@@ -175,7 +175,7 @@ def run_cli(*argv):
 @st.composite
 def knot_grids(draw):
     """A closure of up to 20 letters, a refined or a built-in knot, and a
-    grid of 1-7 points a side, often one, placed in one of four ways:
+    grid of 1-7 points a side, placed in one of four ways:
     - at a random origin in the knot's bounding box inflated by two lattice
       steps, with a spacing of 0.3, 0.25, 1 or 1.7 steps;
     - the same with the origin on the lattice, so that rows fall on sticks;
@@ -211,7 +211,9 @@ class TestGridDriver:
     @given(case=knot_grids(), run=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
     def test_grid_driver_is_the_tile_driver_bit_for_bit(self, case, run):
         # B and near, on the knot, on a run of its sticks (an open chain) and
-        # on the knot reversed, so that every stick flows the other way.
+        # on the knot reversed, so that every stick flows the other way.  The
+        # grid driver keeps no stick index; the tile driver's is checked by
+        # test_near_and_nearest_match_clamp_oracle.
         knot, grid = case
         starts, ends = stick_ends(knot)
         lo, hi = sorted(int(f * (len(starts) - 1)) for f in run)
