@@ -585,6 +585,7 @@ SPELLING_EDGES = (0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e16, 999999999999
                   math.inf, -math.inf, math.nan, -math.nan)
 # Grids of _BLOCK_ROWS - 1, _BLOCK_ROWS and _BLOCK_ROWS + 1 rows.
 BLOCK_EDGE_COUNTS = ((5, 9, 91), (16, 16, 16), (17, 1, 241))
+assert [math.prod(c) - _BLOCK_ROWS for c in BLOCK_EDGE_COUNTS] == [-1, 0, 1]
 
 
 @st.composite
@@ -594,7 +595,6 @@ def field_samples(draw):
     coordinates take a few values each, its fields are log-uniform over
     every magnitude, and both draw from ``SPELLING_EDGES`` and from floats
     hypothesis picks; on-conductor rows are NaN."""
-    assert BLOCK_EDGE_COUNTS[1][0] ** 3 == _BLOCK_ROWS
     counts = draw(st.one_of(st.tuples(*[st.integers(1, 12)] * 3),
                             st.sampled_from(BLOCK_EDGE_COUNTS).flatmap(st.permutations)))
     n = math.prod(counts)
@@ -625,6 +625,5 @@ def test_writers_match_row_at_a_time_writers(sample):
 
     assert text(write_csv) == text(scan_write_csv)
     assert text(write_vtk) == text(scan_write_vtk)
-    want = (scan_write_jsonl if np.isfinite(sample.points).all()
-            else dumps_write_jsonl)
+    want = scan_write_jsonl if np.isfinite(sample.points).all() else dumps_write_jsonl
     assert text(write_jsonl) == text(want)
