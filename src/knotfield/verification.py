@@ -38,18 +38,6 @@ class SuiteResult:
         return f"{status} {self.name} ({self.duration:.2f}s): {self.details}"
 
 
-def random_axis_segment(rng, lo: int = -8, hi: int = 8) -> Segment:
-    """A random axis-aligned stick with integer endpoints."""
-    while True:
-        start = rng.integers(lo, hi + 1, size=3)
-        end = start.copy()
-        axis = int(rng.integers(0, 3))
-        step = int(rng.integers(1, hi - lo + 1)) * (1 if rng.random() < 0.5 else -1)
-        end[axis] += step
-        if lo <= end[axis] <= hi:
-            return Segment(tuple(int(c) for c in start), tuple(int(c) for c in end))
-
-
 def random_clear_points(rng, sticks, n: int, margin: float, clearance: float):
     """(n, 3) uniform points in the sticks' inflated bounding box, at least
     ``clearance`` from them by the kernel's own distance.  Each round draws
@@ -97,44 +85,76 @@ def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
             return loop
 
 
-_CHUNK = 128        # pairs the kernel suite draws, judges and evaluates at once
+class _Raws:
+    """``default_rng(seed)``'s draws replayed from PCG64's raw outputs, as numpy
+    2 makes them.  ``integers(lo, hi)`` is lo + (m >> 32) for m = u * (hi - lo)
+    and the first 32-bit half u with m % 2**32 >= 2**32 % (hi - lo) (Lemire, ACM
+    TOMACS 29(1), 2019), low halves first and the high one kept in ``half`` while
+    ``has`` is 1.  A double is a raw's top 53 bits and leaves that buffer alone."""
+
+    def __init__(self, seed, n):
+        self.bits, self.pos, self.has, self.half = np.random.PCG64(seed), 0, 0, 0
+        self.raws = memoryview(self.bits.random_raw(n))
+
+    def raw(self):
+        if self.pos == len(self.raws):
+            self.raws = memoryview(np.append(self.raws, self.bits.random_raw(len(self.raws) + 1)))
+        self.pos += 1
+        return self.raws[self.pos - 1]
+
+    def integer(self, lo, hi):
+        """``integers(lo, hi)``, for 1 < hi - lo <= 2**32."""
+        while True:
+            self.has ^= 1
+            self.half, u = divmod(self.raw(), 2 ** 32) if self.has else (self.half, self.half)
+            if (m := u * (hi - lo)) % 2 ** 32 >= 2 ** 32 % (hi - lo):
+                return lo + (m >> 32)
+
+    def random(self):
+        return (self.raw() >> 11) * 2.0 ** -53
 
 
-def _draw_pair(rng):
-    """A random stick and the first point ``random_clear_point`` draws for it."""
-    seg = random_axis_segment(rng)
-    return seg, rng.uniform(np.minimum(seg.start, seg.end) - 4.0,
-                            np.maximum(seg.start, seg.end) + 4.0)
+def _axis_stick(draws, lo=-8, hi=8):
+    """A random axis-aligned stick with integer endpoints, as (start, end) tuples."""
+    while True:
+        start = [draws.integer(lo, hi + 1) for _ in range(3)]
+        end, axis = start.copy(), draws.integer(0, 3)
+        end[axis] += draws.integer(1, hi - lo + 1) * (1 if draws.random() < 0.5 else -1)
+        if lo <= end[axis] <= hi:
+            return tuple(start), tuple(end)
 
 
 def suite_segment_kernel(seed: int = 0, n_pairs: int = 1000):
-    """Closed form vs. quadrature oracle on random (stick, point) pairs.
-    Chunks of pairs are drawn as if every first point were clear and judged
-    and evaluated in one paired kernel call; at the first that is not, the
-    chunk is replayed up to that pair, whose point ``random_clear_point``
-    draws: the pairs are those drawn one by one."""
-    rng = np.random.default_rng(seed)
-    pairs, closed = [], []
-    while len(pairs) < n_pairs:
-        state = rng.bit_generator.state
-        chunk = [_draw_pair(rng) for _ in range(min(_CHUNK, n_pairs - len(pairs)))]
-        b, dist = _paired_field(PackedSticks.pack([s.start for s, _ in chunk],
-                                                  [s.end for s, _ in chunk]),
-                                np.array([p for _, p in chunk]))
-        take = np.append(np.flatnonzero(dist < 0.5), len(chunk))[0]
-        pairs += chunk[:take]
-        closed += list(b[:take])
-        if take < len(chunk):
-            rng.bit_generator.state = state
-            for _ in range(take):
-                _draw_pair(rng)
-            seg = random_axis_segment(rng)
-            pairs.append((seg, random_clear_point(rng, [seg], margin=4.0, clearance=0.5)))
-            closed.append(segment_field(*pairs[-1]))
-    quad = _quadrature(np.reshape([s.start for s, _ in pairs], (-1, 3)),
-                       np.reshape([s.end for s, _ in pairs], (-1, 3)),
-                       np.reshape([p for _, p in pairs], (-1, 3)), 1.0, 1e-10, 40)
-    worst = float(np.max(np.abs(np.reshape(closed, (-1, 3)) - quad), initial=0.0))
+    """Closed form vs. quadrature oracle on (stick, point) pairs drawn in turn
+    from ``default_rng(seed)``, each point 0.5 or more from its stick in its box
+    inflated by 4.  Draws are replayed from raws as if each first point were
+    clear, and judged in one paired kernel call; the first that is not is drawn
+    again, and the stream after it soon reaches states already decoded."""
+    draws, decoded, tail = _Raws(seed, 12 * n_pairs), {}, []
+    starts, ends, points, closed = [], [], [np.empty((0, 3))], [np.empty((0, 3))]
+    def point(stick):       # a stick, and the state after its point's three raws
+        draws.raw(), draws.raw(), draws.raw()
+        return *stick, (draws.pos, draws.has, draws.half)
+    while len(starts) < n_pairs:
+        for _ in range(n_pairs - len(starts) - len(tail)):
+            if (state := (draws.pos, draws.has, draws.half)) not in decoded:
+                decoded[state] = point(_axis_stick(draws))
+            tail.append(decoded[state])
+            draws.pos, draws.has, draws.half = tail[-1][2]
+        s, e, after = zip(*tail)
+        u = np.asarray(draws.raws)[np.array([a[0] for a in after])[:, None] - (3, 2, 1)]
+        lo, hi = np.minimum(s, e) - 4.0, np.maximum(s, e) + 4.0
+        p = lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
+        b, dist = _paired_field(PackedSticks.pack(s, e), p)
+        take = np.append(np.flatnonzero(dist < 0.5), len(tail))[0]
+        starts, ends = starts + list(s[:take]), ends + list(e[:take])
+        points, closed = points + [p[:take]], closed + [b[:take]]
+        if take < len(tail):
+            draws.pos, draws.has, draws.half = after[take]
+            tail = [point((s[take], e[take]))]
+    quad = _quadrature(np.reshape(starts, (-1, 3)), np.reshape(ends, (-1, 3)),
+                       np.concatenate(points), 1.0, 1e-10, 40)
+    worst = float(np.max(np.abs(np.concatenate(closed) - quad), initial=0.0))
     return ("segment-kernel-vs-quadrature", worst <= 1e-8,
             {"pairs": n_pairs, "worst_abs_err": worst, "tol": 1e-8})
 

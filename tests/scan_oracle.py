@@ -17,7 +17,9 @@ the engine's versions beyond the kernel and the refusals, so the property
 tests in ``test_scan_oracle.py`` check the engine against them.
 ``scan_random_clear_point`` draws one candidate per kernel call, and
 ``scan_suite_segment_kernel``, ``scan_suite_flatness`` and
-``scan_suite_scaling`` draw and evaluate one pair or point at a time.
+``scan_suite_scaling`` draw and evaluate one pair or point at a time;
+``random_axis_segment`` draws the kernel suite's sticks with ``Generator``
+calls, one at a time, where the suite replays them from the raw stream.
 ``scan_discrepancy_ledger`` is the transcription ledger from before the
 engine's side became the derived term table: it builds each stick's
 expected term as a set of bracket atoms from a parity table, and shares
@@ -76,7 +78,6 @@ from knotfield.transcription import (
     _fmt_rad,
     _printed_atoms,
 )
-from knotfield.verification import random_axis_segment
 
 
 def _edge_box(a, b):
@@ -413,6 +414,18 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
         residual=residual,
         k=knot.k,
     )
+
+
+def random_axis_segment(rng, lo: int = -8, hi: int = 8) -> Segment:
+    """A random axis-aligned stick with integer endpoints."""
+    while True:
+        start = rng.integers(lo, hi + 1, size=3)
+        end = start.copy()
+        axis = int(rng.integers(0, 3))
+        step = int(rng.integers(1, hi - lo + 1)) * (1 if rng.random() < 0.5 else -1)
+        end[axis] += step
+        if lo <= end[axis] <= hi:
+            return Segment(tuple(int(c) for c in start), tuple(int(c) for c in end))
 
 
 def scan_random_clear_point(rng, sticks, margin: float, clearance: float):

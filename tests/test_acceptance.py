@@ -29,11 +29,8 @@ from knotfield.braids import (
 from knotfield.sampling import GridSpec, sample_field, write_csv
 from knotfield.topology import holonomy, linking_number
 from knotfield.transcription import discrepancy_ledger
-from knotfield.verification import (
-    random_axis_segment,
-    random_clear_point,
-    random_rect_loop,
-)
+from knotfield.verification import random_clear_point, random_rect_loop
+from scan_oracle import random_axis_segment
 
 FOUR_PI = 4.0 * math.pi
 

@@ -24,7 +24,8 @@ from knotfield.biot_savart import (
     total_field,
     total_field_many,
 )
-from knotfield.verification import random_axis_segment, random_clear_point
+from knotfield.verification import random_clear_point
+from scan_oracle import random_axis_segment
 
 
 # A 40-letter 3-strand word whose closure is a 412-stick knot.

@@ -12,16 +12,16 @@ engine's integrators step every (stick, point) row, or every loop edge, at
 once; the oracles take one interval or one edge at a time.  Both must give
 the same bits in every field, or the same QuadratureError message.
 ``verify`` draws its points in blocks, evaluates each suite's points in one
-kernel call and speculates the kernel suite's pairs a chunk at a time; the
-oracles draw and evaluate one point or pair at a time.  Both must give the
-same points, generator state and details.  The paired kernel rows must carry
-the bits of one-stick all-pairs rows, signed zeros included.  The
-transcription ledger reads each printed term against its stick's derived
-term; the oracle builds the stick's expected bracket atoms from a parity
-table.  On printed tables with injected faults both must give the same
-entries.  The writers format each block of rows with one ``%`` and spell
-each distinct coordinate once; the oracles format a row at a time.  Both
-must write the same bytes.
+kernel call and replays the kernel suite's pairs from the raw stream; the
+oracles draw and evaluate one point or pair at a time with ``Generator``
+calls.  Both must give the same points, generator state and details.  The
+paired kernel rows must carry the bits of one-stick all-pairs rows, signed
+zeros included.  The transcription ledger reads each printed term against
+its stick's derived term; the oracle builds the stick's expected bracket
+atoms from a parity table.  On printed tables with injected faults both must
+give the same entries.  The writers format each block of rows with one
+``%`` and spell each distinct coordinate once; the oracles format a row at a
+time.  Both must write the same bytes.
 """
 
 import dataclasses
@@ -68,7 +68,6 @@ from knotfield.sampling import _BLOCK_ROWS, FieldSample, GridSpec, write_csv, wr
 from knotfield.topology import LinkingPrecisionError, Loop, holonomy, loop_clearance
 from knotfield.transcription import TERM_TABLES, discrepancy_ledger
 from knotfield.verification import (
-    random_axis_segment,
     random_clear_point,
     random_clear_points,
     random_rect_loop,
@@ -87,6 +86,7 @@ from scan_oracle import (
     scan_suite_scaling,
     scan_suite_segment_kernel,
     dumps_write_jsonl,
+    random_axis_segment,
     scan_validate,
     scan_write_csv,
     scan_write_jsonl,
@@ -461,31 +461,38 @@ def suite_outcome(result):
     return name, bool(passed), repr(details)
 
 
-# (seed, pairs, chunk, rejections): at seed 1 the first rejected pair is
-# pair 38, the first of the second chunk of 38 and the last of the first
-# chunk of 39; chunks of one make every rejection both; seed 9 rejects
-# pairs 29, 133, 440, 451 and 463, three of them in one chunk of 128.
-@pytest.mark.parametrize("seed, n_pairs, chunk, rejections", [
-    (1, 300, 38, 2), (1, 300, 39, 2), (11, 100, 1, 1), (9, 500, 128, 5)])
-def test_speculative_segment_suite_agrees(seed, n_pairs, chunk, rejections):
-    seen = {}
+def segment_suite_run(suite, quadrature_at, seed, n_pairs):
+    """A kernel suite's outcome at (seed, n_pairs), and the dtype, shape and
+    bytes of the starts, ends and points it hands to ``_quadrature``."""
+    seen = []
 
-    def recording(key):
-        def quadrature(starts, ends, points, *args):
-            seen[key] = np.asarray(points).tobytes()
-            return _quadrature(starts, ends, points, *args)
-        return quadrature
+    def quadrature(*args):
+        seen.extend((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, args[:3]))
+        return _quadrature(*args)
 
-    with mock.patch("knotfield.verification._CHUNK", chunk), \
-            mock.patch("knotfield.verification._quadrature", recording("new")), \
-            mock.patch("knotfield.verification.random_clear_point",
-                       wraps=random_clear_point) as finish:
-        got = suite_segment_kernel(seed, n_pairs)
-    with mock.patch("scan_oracle._quadrature", recording("old")):
-        want = scan_suite_segment_kernel(seed, n_pairs)
-    assert finish.call_count == rejections
-    assert seen["new"] == seen["old"]
-    assert suite_outcome(got) == suite_outcome(want)
+    with mock.patch(quadrature_at, quadrature):
+        return suite_outcome(suite(seed, n_pairs)), seen
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_replayed_segment_suite_agrees(seed, n_pairs):
+    assert segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
+                             seed, n_pairs) == \
+        segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature", seed, n_pairs)
+
+
+# (seed, pairs, redraws): the oracle rejects a first point and draws another
+# at seed 1 for pairs 38 and 277, at seed 11 for pair 25, and at seed 9 for
+# pairs 29, 133, 440, 451 and 463, so the replay must rewind to agree.
+@pytest.mark.parametrize("seed, n_pairs, redraws", [(1, 300, 2), (9, 500, 5), (11, 100, 1)])
+def test_replayed_segment_suite_rewinds(seed, n_pairs, redraws):
+    with mock.patch("scan_oracle._stick_field", wraps=_stick_field) as judge:
+        want = segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature",
+                                 seed, n_pairs)
+    assert judge.call_count - n_pairs == redraws
+    assert segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
+                             seed, n_pairs) == want
 
 
 @pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight(),
