@@ -495,6 +495,21 @@ def test_replayed_segment_suite_rewinds(seed, n_pairs, redraws):
                              seed, n_pairs) == want
 
 
+# (seed, pairs, cut, redraws): the replay speculates every first point of a
+# run at once.  At seed 1 the first redraw is pair 38, so a run of 38 pairs
+# ends just before it and a run of 39 ends on it, leaving a tail of one pair
+# to judge again.  The cut runs and the full run all agree with the oracle.
+@pytest.mark.parametrize("seed, n_pairs, cut, redraws", [(1, 300, 38, 2), (1, 300, 39, 2)])
+def test_speculative_segment_suite_agrees(seed, n_pairs, cut, redraws):
+    for pairs, want_redraws in ((cut, int(cut > 38)), (n_pairs, redraws)):
+        with mock.patch("scan_oracle._stick_field", wraps=_stick_field) as judge:
+            want = segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature",
+                                     seed, pairs)
+        assert judge.call_count - pairs == want_redraws
+        assert segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
+                                 seed, pairs) == want
+
+
 @pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight(),
                                   close_braid_on_lattice(parse_braid("s1 s2^-1 s1 s2^-1"))])
 @pytest.mark.parametrize("seed", [0, 5])
