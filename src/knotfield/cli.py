@@ -258,7 +258,7 @@ def _cmd_field_sample(args) -> int:
     sample = sample_field(knot, grid, exclusion_radius=args.exclusion,
                           threads=args.threads)
     with _output(args.out) as out:
-        WRITERS[args.format](sample, out)
+        WRITERS[args.format](sample, out, threads=args.threads)
     return EXIT_OK
 
 

@@ -11,11 +11,17 @@ Formats: CSV (default), JSON lines, and legacy ASCII VTK structured points
 for visualization tools.  Note VTK's own convention is x-fastest, so the
 VTK writer permutes rows to match its format; the CSV/JSONL row order is
 authoritative for everything else.  The writers format a block of rows per ``%``.
+With ``threads`` > 1 a writer forks up to ``threads`` - 1 worker processes,
+each formatting a contiguous run of blocks, and writes their text after its
+own run in file order, so the bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,6 +69,11 @@ class FieldSample:
     on_conductor: np.ndarray    # (M,) bool
 
 
+def _check_count(name, value, unit):
+    if value < 1:
+        raise ValueError(f"{name} must be a positive number of {unit}, got {value!r}")
+
+
 def _blocks(counts, threads, chunk):
     """The sampler's blocks as (rows, xs, ys) slices: threads times
     ceil(rows / (threads * chunk)) runs of whole x-planes, at most one a
@@ -85,8 +96,8 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
     identical for any thread count and ``chunk``.  Raises ValueError naming
     the first grid point that is not finite.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be a positive number of rows, got {chunk!r}")
+    _check_count("chunk", chunk, "rows")
+    _check_count("threads", threads, "workers")
     pts, axes = grid.points(), grid._axes()
     _finite(pts)
     b = np.empty_like(pts)
@@ -97,8 +108,8 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
         b[rows], near = _grid_field(knot.sticks, (axes[0][xs], axes[1][ys], axes[2]))
         mask[rows] = _exclude(b[rows], near, exclusion_radius, knot.k)[1]
 
-    blocks = _blocks(grid.counts, max(threads, 1), chunk)
-    if threads <= 1:
+    blocks = _blocks(grid.counts, threads, chunk)
+    if threads == 1:
         list(map(work, blocks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -108,7 +119,8 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
 
 CSV_HEADER = "x,y,z,Bx,By,Bz,on_conductor"
 
-# Rows formatted per write: bounds the formatted text held at once.
+# Rows formatted per %: bounds the text a one-process writer holds at once.
+# A writer worker holds its whole run's text, so that is not bounded by it.
 _BLOCK_ROWS = 4096
 
 
@@ -120,52 +132,105 @@ def _spelled(values, spell, rows):
     return spelled[inverse].tolist()
 
 
-def _formatted(row, columns, order):
+def _formatted(row, columns, order, final=str):
     """The rows ``order`` of ``columns`` in the %-template ``row``, a str per
     ``_BLOCK_ROWS`` rows, each one ``%`` of ``row`` repeated once per row
-    over the block's values, interleaved row by row.  A column given as
-    (values, spell) is ``_spelled`` a block at a time."""
+    over the block's values, interleaved row by row, then passed through
+    ``final``.  A column given as (values, spell) is ``_spelled`` a block at
+    a time."""
     for lo in range(0, len(order), _BLOCK_ROWS):
         rows = order[lo:lo + _BLOCK_ROWS]
         cells = [None] * (len(columns) * len(rows))
         for i, c in enumerate(columns):
             cells[i::len(columns)] = _spelled(*c, rows) if type(c) is tuple else c[rows].tolist()
-        yield row * len(rows) % tuple(cells)
+        yield final(row * len(rows) % tuple(cells))
 
 
-def write_csv(sample: FieldSample, fh) -> None:
-    fh.write(CSV_HEADER + "\n")
+def _write(fh, head, threads, row, columns, order, final=str):
+    """``head``, then ``_formatted``'s blocks, in up to ``threads`` processes.
+
+    The blocks are split into min(threads, blocks) contiguous runs in file
+    order.  A forked child formats each run after the first in full, then
+    writes it to its pipe; the parent writes run 0, then copies each pipe to
+    ``fh`` in order.  A child ends in ``os._exit``, so it never flushes a
+    buffer it inherited.  Every child is reaped, killed first if the parent
+    fails; a failed child raises ChildProcessError.
+    """
+    _check_count("threads", threads, "workers")
+    fh.write(head)
+    blocks = -(-len(order) // _BLOCK_ROWS)
+    runs = min(threads, blocks) or 1
+    edges = [i * blocks // runs * _BLOCK_ROWS for i in range(runs)] + [len(order)]
+    pids, pipes = [], []
+    try:
+        for lo, hi in zip(edges[1:], edges[2:]):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        text = list(_formatted(row, columns, order[lo:hi], final))
+                        with open(w, "w", encoding="ascii", newline="") as pipe:
+                            pipe.writelines(text)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        fh.writelines(_formatted(row, columns, order[:edges[1]], final))
+        for r in pipes:
+            with open(r, encoding="ascii", newline="", closefd=False) as pipe:
+                shutil.copyfileobj(pipe, fh, 1 << 16)
+            pid, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                raise ChildProcessError(f"writer worker {pid} exited with "
+                                        f"{os.waitstatus_to_exitcode(status)}")
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in pipes:
+            os.close(r)
+
+
+def write_csv(sample: FieldSample, fh, threads: int = 1) -> None:
     columns = [*((p, repr) for p in sample.points.T), *sample.b.T, sample.on_conductor]
-    fh.writelines(_formatted("%s,%s,%s,%r,%r,%r,%d\n", columns, np.arange(len(sample.b))))
+    _write(fh, CSV_HEADER + "\n", threads, "%s,%s,%s,%r,%r,%r,%d\n", columns,
+           np.arange(len(sample.b)))
 
 
-def write_jsonl(sample: FieldSample, fh) -> None:
+def write_jsonl(sample: FieldSample, fh, threads: int = 1) -> None:
     """One JSON object per row, byte for byte what ``json.dumps`` writes."""
     columns = [*((p, json.dumps) for p in sample.points.T), *sample.b.T,
                (sample.on_conductor, json.dumps)]
-    text = _formatted('{"x": %s, "y": %s, "z": %s, "Bx": %r, "By": %r, "Bz": %r, '
-                      '"on_conductor": %s}\n', columns, np.arange(len(sample.b)))
-    # As json.dumps spells non-finite floats; no key or other spelling holds nan or inf.
-    fh.writelines(t.replace("nan", "NaN").replace("inf", "Infinity") for t in text)
+    # As json.dumps spells non-finite floats; no key or other spelling holds nan
+    # or inf.  Each block is respelled whole, before a worker's pipe can split it.
+    _write(fh, "", threads, '{"x": %s, "y": %s, "z": %s, "Bx": %r, "By": %r, "Bz": %r, '
+           '"on_conductor": %s}\n', columns, np.arange(len(sample.b)),
+           lambda text: text.replace("nan", "NaN").replace("inf", "Infinity"))
 
 
-def write_vtk(sample: FieldSample, fh) -> None:
+def write_vtk(sample: FieldSample, fh, threads: int = 1) -> None:
     """Legacy ASCII structured-points dataset with one vector field."""
     nx, ny, nz = sample.grid.counts
     ox, oy, oz = sample.grid.origin
     s = float(sample.grid.spacing)
-    fh.write("# vtk DataFile Version 3.0\n")
-    fh.write("knotfield sample\n")
-    fh.write("ASCII\n")
-    fh.write("DATASET STRUCTURED_POINTS\n")
-    fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")
-    fh.write(f"ORIGIN {ox!r} {oy!r} {oz!r}\n")
-    fh.write(f"SPACING {s!r} {s!r} {s!r}\n")
-    fh.write(f"POINT_DATA {sample.grid.n_points}\n")
-    fh.write("VECTORS B double\n")
+    head = ("# vtk DataFile Version 3.0\n"
+            "knotfield sample\n"
+            "ASCII\n"
+            "DATASET STRUCTURED_POINTS\n"
+            f"DIMENSIONS {nx} {ny} {nz}\n"
+            f"ORIGIN {ox!r} {oy!r} {oz!r}\n"
+            f"SPACING {s!r} {s!r} {s!r}\n"
+            f"POINT_DATA {sample.grid.n_points}\n"
+            "VECTORS B double\n")
     # Our rows are z-fastest; VTK wants x-fastest.
     order = np.arange(sample.grid.n_points).reshape(nx, ny, nz).transpose(2, 1, 0).ravel()
-    fh.writelines(_formatted("%r %r %r\n", sample.b.T, order))
+    _write(fh, head, threads, "%r %r %r\n", sample.b.T, order)
 
 
 WRITERS = {"csv": write_csv, "jsonl": write_jsonl, "vtk": write_vtk}

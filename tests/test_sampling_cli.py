@@ -3,13 +3,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from knotfield import cli
+from knotfield import cli, sampling
 from knotfield.cli import build_parser, main
 from knotfield.geometry import (
     PackedSticks,
@@ -90,6 +92,18 @@ class TestSampling:
         assert np.array_equal(s1.b, s4.b, equal_nan=True)
         assert np.array_equal(s1.on_conductor, s4.on_conductor)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_refused(self, threads):
+        knot, grid = canonical_trefoil(), GridSpec(origin=(5, 3, 2), spacing=1.0, counts=(1, 1, 2))
+        with pytest.raises(ValueError, match=rf"^threads .*, got {threads}$"):
+            sample_field(knot, grid, threads=threads)
+        sample = sample_field(knot, grid)
+        for writer in (write_csv, write_jsonl, write_vtk):
+            fh = io.StringIO()
+            with pytest.raises(ValueError, match=rf"^threads .*, got {threads}$"):
+                writer(sample, fh, threads=threads)
+            assert fh.getvalue() == ""
+
     @pytest.mark.parametrize("counts, threads, chunk, sizes", [
         ((41, 41, 41), 1, 1 << 15, [13 * 1681, 14 * 1681, 14 * 1681]),
         ((41, 41, 41), 2, 1 << 15, [10 * 1681, 10 * 1681, 10 * 1681, 11 * 1681]),
@@ -166,6 +180,53 @@ class TestSampling:
         # our own layout is z-fastest, so row 1 here is our row 2.
         assert data[1] == pytest.approx(tuple(sample.b[2]))
         assert data[2] == pytest.approx(tuple(sample.b[1]))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_jsonl, write_vtk])
+def test_writer_workers_are_reaped(writer, monkeypatch):
+    # Three one-block runs of the 21^3 grid, each over a pipe's 64 KiB, so
+    # the workers are still blocked writing when the parent fails.
+    sample = sample_field(canonical_trefoil(),
+                          GridSpec(origin=(-1, -1, -1), spacing=0.5, counts=(21, 21, 21)))
+    want, got = io.StringIO(), io.StringIO()
+    writer(sample, want)
+    writer(sample, got, threads=3)
+    assert got.getvalue() == want.getvalue()
+    assert_no_child_left()
+
+    parent, formatted = os.getpid(), sampling._formatted
+
+    def failing_in(where):
+        def fail(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ArithmeticError(where)
+            return formatted(*args)
+        return fail
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_formatted", failing_in("worker"))
+        with pytest.raises(ChildProcessError, match="exited with 1$"):
+            writer(sample, io.StringIO(), threads=3)
+    assert_no_child_left()
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_formatted", failing_in("parent"))
+        with pytest.raises(ArithmeticError, match="parent"):
+            writer(sample, io.StringIO(), threads=3)
+    assert_no_child_left()
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "shutil", SimpleNamespace(copyfileobj=interrupt))
+        with pytest.raises(KeyboardInterrupt):
+            writer(sample, io.StringIO(), threads=3)
+    assert_no_child_left()
 
 
 def run_cli(*argv):
@@ -623,6 +684,18 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
      "720539e6184d5f32eb15329a9f1aebe20f0655ddfd2b3d2e1c1cec0c0f0e3cee"),
     (BLOCKS + ("--format", "vtk"),
      "a91ad860e8cc51853f5c8ff3bee810d71047b59ffabe0724da56d18735e3a046"),
+    (BLOCKS + ("--format", "csv", "--threads", "2"),
+     "c9ae516a8a62bf9a49115874d64c8455e72b59fd9b6a166b94444a2dc983f7a1"),
+    (BLOCKS + ("--format", "jsonl", "--threads", "2"),
+     "720539e6184d5f32eb15329a9f1aebe20f0655ddfd2b3d2e1c1cec0c0f0e3cee"),
+    (BLOCKS + ("--format", "vtk", "--threads", "2"),
+     "a91ad860e8cc51853f5c8ff3bee810d71047b59ffabe0724da56d18735e3a046"),
+    (BLOCKS + ("--format", "csv", "--threads", "4"),
+     "c9ae516a8a62bf9a49115874d64c8455e72b59fd9b6a166b94444a2dc983f7a1"),
+    (BLOCKS + ("--format", "jsonl", "--threads", "4"),
+     "720539e6184d5f32eb15329a9f1aebe20f0655ddfd2b3d2e1c1cec0c0f0e3cee"),
+    (BLOCKS + ("--format", "vtk", "--threads", "4"),
+     "a91ad860e8cc51853f5c8ff3bee810d71047b59ffabe0724da56d18735e3a046"),
     (("braid", "build", "--word", "s1 s2^-1 s1 s2^-1"),
      "7bf0f704cfc7456f4a974529a4c3e4ea0635b0e666e1c4917cec8a903eeafba8"),
     (("braid", "build", "--word", "s1 s2 s1^-1 s2 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1"),
@@ -648,7 +721,9 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
     (("field", "sample", "--braid", "s2 s1 s1 s2 s1^-1 s1^-1 s2^-1 s1 s2 s1 s2^-1 s2 s2 s1 "
       "s1^-1 s2 s1^-1 s2 s2^-1 s1", "--origin=-6,0,2", "--spacing", "1", "--counts", "93,3,11"),
      "76f42f73d86ae528ea7c627e19ca1fa7e63099da19f1a2092401f01f7bae2030"),
-], ids=["csv", "jsonl", "vtk", "csv-blocks", "jsonl-blocks", "vtk-blocks", "braid-4_1",
+], ids=["csv", "jsonl", "vtk", "csv-blocks", "jsonl-blocks", "vtk-blocks",
+        "csv-blocks-threads-2", "jsonl-blocks-threads-2", "vtk-blocks-threads-2",
+        "csv-blocks-threads-4", "jsonl-blocks-threads-4", "vtk-blocks-threads-4", "braid-4_1",
         "braid-12-letters", "knot-info", "knot-emit", "holonomy-text", "holonomy-json",
         "linking", "verify-transcription", "verify-transcription-4_1-json", "braid-field-csv"])
 def test_golden_stdout(tmp_path, capsys, argv, digest):

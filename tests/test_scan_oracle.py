@@ -32,9 +32,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from knotfield import verification
+from knotfield import sampling, verification
 from knotfield.biot_savart import (
     OnConductorError,
     QuadratureError,
@@ -610,15 +610,18 @@ BLOCK_EDGE_COUNTS = ((5, 9, 91), (16, 16, 16), (17, 1, 241))
 assert [math.prod(c) - _BLOCK_ROWS for c in BLOCK_EDGE_COUNTS] == [-1, 0, 1]
 
 
+BLOCK_COUNTS = st.one_of(st.tuples(*[st.integers(1, 12)] * 3),
+                         st.sampled_from(BLOCK_EDGE_COUNTS).flatmap(st.permutations))
+
+
 @st.composite
-def field_samples(draw):
-    """A FieldSample of 1-12 points a side, or of one row fewer than, as
-    many as or one more than a writer block, in some axis order.  Its
-    coordinates take a few values each, its fields are log-uniform over
-    every magnitude, and both draw from ``SPELLING_EDGES`` and from floats
-    hypothesis picks; on-conductor rows are NaN."""
-    counts = draw(st.one_of(st.tuples(*[st.integers(1, 12)] * 3),
-                            st.sampled_from(BLOCK_EDGE_COUNTS).flatmap(st.permutations)))
+def field_samples(draw, counts=BLOCK_COUNTS):
+    """A FieldSample of ``counts`` points: by default 1-12 a side, or one row
+    fewer than, as many as or one more than a writer block, in some axis
+    order.  Its coordinates take a few values each, its fields are
+    log-uniform over every magnitude, and both draw from ``SPELLING_EDGES``
+    and from floats hypothesis picks; on-conductor rows are NaN."""
+    counts = draw(counts)
     n = math.prod(counts)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.array(SPELLING_EDGES + tuple(draw(st.lists(st.floats(), max_size=8))))
@@ -633,19 +636,70 @@ def field_samples(draw):
     return FieldSample(GridSpec((0.5, -1.0, 3.0), 0.25, counts), coordinates, b, mask)
 
 
+def _written(writer, sample, **kwargs):
+    fh = io.StringIO()
+    writer(sample, fh, **kwargs)
+    return fh.getvalue()
+
+
+def _oracle_texts(sample):
+    """Each writer's oracle text.  The oracle wrote a non-finite coordinate
+    as Python spells it, which is not JSON, so there the JSON-lines writer's
+    oracle is json.dumps instead."""
+    jsonl = scan_write_jsonl if np.isfinite(sample.points).all() else dumps_write_jsonl
+    return {write_csv: _written(scan_write_csv, sample), write_jsonl: _written(jsonl, sample),
+            write_vtk: _written(scan_write_vtk, sample)}
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(field_samples())
 def test_writers_match_row_at_a_time_writers(sample):
-    """Each writer gives the row-at-a-time oracle's bytes.  The oracle wrote
-    a non-finite coordinate as Python spells it, which is not JSON, so there
-    the JSON-lines writer is checked against json.dumps instead."""
-    def text(writer):
-        fh = io.StringIO()
-        writer(sample, fh)
-        return fh.getvalue()
+    """Each writer gives the row-at-a-time oracle's bytes."""
+    for writer, want in _oracle_texts(sample).items():
+        assert _written(writer, sample) == want
 
-    assert text(write_csv) == text(scan_write_csv)
-    assert text(write_vtk) == text(scan_write_vtk)
-    want = scan_write_jsonl if np.isfinite(sample.points).all() else dumps_write_jsonl
-    assert text(write_jsonl) == text(want)
+
+SMALL_BLOCK_ROWS = 7
+
+
+@st.composite
+def small_block_counts(draw):
+    """Grid counts of 1 row, of 1-9 whole 7-row blocks or of one row more,
+    split over the three axes in some order."""
+    k = draw(st.integers(1, 9))
+    n = draw(st.sampled_from([1, SMALL_BLOCK_ROWS * k, SMALL_BLOCK_ROWS * k + 1]))
+    a = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    b = draw(st.sampled_from([d for d in range(1, n // a + 1) if n // a % d == 0]))
+    return draw(st.permutations((a, b, n // a // b)))
+
+
+def _across_worker_edges():
+    """Two 7-row blocks and one row: non-finite coordinates and NaN fields on
+    both sides of the edge after row 6, where a second worker's run starts,
+    and after row 13, where a third's does."""
+    n = 2 * SMALL_BLOCK_ROWS + 1
+    points = np.tile([0.5, -1.0, 3.0], (n, 1))
+    points[[6, 7, 13]] = [(math.inf, -0.0, math.nan), (math.nan, -math.inf, 1.0),
+                          (-math.inf, math.inf, math.nan)]
+    b = np.full((n, 3), 1e-5)
+    b[[0, 8, 14]] = [(math.inf, -math.inf, 0.0), (-0.0, math.inf, 2.5e17), (math.inf, 1, -1)]
+    mask = np.isin(np.arange(n), [5, 6, 7, 12, 13])
+    b[mask] = np.nan
+    return FieldSample(GridSpec((0.5, -1.0, 3.0), 0.25, (3, 1, 5)), points, b, mask)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(field_samples(counts=small_block_counts()))
+@example(_across_worker_edges())
+def test_writer_bytes_do_not_depend_on_workers(sample):
+    """With 7-row blocks, each writer gives the oracle's bytes at 1-4 worker
+    processes: one-block runs, a partial last block, more workers than
+    blocks, and JSON's respelling of nan and inf next to a run's edge."""
+    want = _oracle_texts(sample)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_BLOCK_ROWS", SMALL_BLOCK_ROWS)
+        for writer, text in want.items():
+            for threads in (1, 2, 3, 4):
+                assert _written(writer, sample, threads=threads) == text, (writer, threads)
