@@ -24,7 +24,6 @@ from .geometry import (
     refine,
     segments,
     validate,
-    write_knot_file,
 )
 from .biot_savart import (
     FieldError,
@@ -53,7 +52,6 @@ from .braids import (
     EmbeddingPlan,
     MultiComponentError,
     PlacementError,
-    braid_permutation,
     close_braid_on_lattice,
     crossing_count,
     format_braid,
@@ -67,7 +65,6 @@ from .transcription import (
     TranscriptionLedger,
     discrepancy_ledger,
     eval_transcribed,
-    term_values,
 )
 from .sampling import FieldSample, GridSpec, sample_field
 from .verification import run_verification

@@ -21,13 +21,22 @@ on the stick's axis extension; beyond the endpoints the cosine sum is
 rearranged into a cancellation-free form so the near-axis limit stays
 accurate.  Alongside the field the kernel returns each point's clearance,
 the distance to its nearest stick and that stick's index: every exclusion
-decision reads that one answer.  That arithmetic is written once, and three
-drivers feed it: tiles of scattered points, at most ``_TILE_PAIRS`` (point,
-stick) pairs each; a grid's 1-D axes, one stick at a time, taking the
-broadside form only on the stick's slab and returning (B, near); and stick
-i alone at point i, of which ``segment_field`` is the one-row case.  Each
-point's field is summed onto zero over the sticks in flow order, so its
-bits depend on neither the driver, the tile, the batch nor the thread.
+decision reads that one answer.  That arithmetic is written once, giving
+the offsets h*tb, -h*tc and the factor they multiply, and three drivers
+feed it: tiles of scattered points, at most ``_TILE_PAIRS`` (point, stick)
+pairs each; a grid's 1-D axes, returning (B, near); and stick i alone at
+point i, of which ``segment_field`` is the one-row case.  On a grid, sticks
+of one axis, direction and length whose starts differ by whole grid steps
+share a template: the first one's terms on a window covering the others'
+translated grids, sliced, are theirs bit for bit when every offset p - s
+is exact, that is, with 2^-q the finest power of two in the step, the
+axes' first values and the stick coordinates, when each axis is its
+progression exactly and every coordinate of the grid, a window or a stick
+times 2^q is an integer below 2^52.  Else each stick is its own group over
+the grid.  A stick joins its latest template only if this grows the window
+by fewer cells than the grid has.  Each point's field is summed onto zero
+over the sticks in flow order, so its bits depend on neither the driver,
+the tile, the batch nor the thread.
 
 The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
@@ -39,6 +48,8 @@ field overflows is refused with ValueError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -81,23 +92,17 @@ def _finite(points):
         raise ValueError(f"point {i} {tuple(points[i].tolist())} is not finite")
 
 
-def _live(cond, if_true, if_false):
-    """np.where(cond, if_true(), if_false()), but only the form a Python bool picks."""
-    if isinstance(cond, bool):
-        return (if_true if cond else if_false)()
-    return np.where(cond, if_true(), if_false())
-
-
 def _pair_terms(operands):
     """The kernel's arithmetic.  ``operands`` yields (sticks, p_a, p_b, p_c):
     packed sticks, a tile's as columns or one stick's as Python scalars, and
     the points' coordinates along each stick's axis a and its other axes
-    b < c, shaped by the driver to broadcast.  Yields (C_b, C_c, dist2) for
-    each: the field (k = 1) along b and c and the squared distance of each
-    stick at each point.  One frame serves every item, so each array
-    replaces the last item's one at a time, as in a plain loop; freeing
-    them all at once between tiles made glibc return the heap top and fault
-    it back in, 1.7 times the page faults and 7% more time on 412 sticks."""
+    b < c, shaped by the driver to broadcast.  Yields (h_b, h_c, factor,
+    dist2): the field (k = 1) along b and c is h_b and h_c times factor, and
+    dist2 each stick's squared distance at each point.  One frame serves
+    every item, so each array replaces the last item's one at a time, as in
+    a plain loop; freeing them all at once between tiles made glibc return
+    the heap top and fault it back in, 1.7 times the page faults and 7% more
+    time on 412 sticks."""
     for sticks, p_a, tb, tc in operands:
         (s_a, s_b, s_c), (lo_a, hi_a), length = sticks.start, sticks.span, sticks.length
         az1 = sticks.sign * (p_a - s_a)    # axial coord of P from start
@@ -117,7 +122,6 @@ def _pair_terms(operands):
         np.minimum(q, hi_a, out=q)
         q -= p_a
         q *= q                             # axial offset^2
-        dist2 = _live(sticks.along_z, lambda: r2 + q, lambda: (q + tb2) + tc2)
         # Between the endpoints the direct form is stable (r2 == 0 there
         # only on the conductor, which contributes nothing); beyond them
         # cos t1 + cos t2 nearly cancels, so use the equivalent form with
@@ -125,7 +129,11 @@ def _pair_terms(operands):
         # hand, +-1, scales the offsets exactly as it would the factor.
         def direct(s=...):
             return np.where(r2 > 0.0, (az1[s] / na[s] - az2[s] / nb[s]) / r2, 0.0)
-        factor = length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na))
+        # length * (az1 + az2) / (na * nb * (az1 * nb + az2 * na)), in place
+        factor = az1 * nb
+        factor += az2 * na
+        factor *= na * nb
+        np.divide(length * (az1 + az2), factor, out=factor)
         if isinstance(sticks.along_z, bool):
             # One stick over a grid's axes has broadside (n_a, 1, ...), a
             # function of p_a alone, so it takes the direct form only on the
@@ -133,16 +141,19 @@ def _pair_terms(operands):
             on = np.flatnonzero(broadside).tolist() or [0, -1]     # no slab: 0:0
             s = (..., slice(on[0], on[-1] + 1)) + (slice(None),) * (az1.ndim - 1)
             np.copyto(factor[s], direct(s), where=broadside[s])
+            dist2 = r2 + q if sticks.along_z else (q + tb2) + tc2
         else:
             factor = np.where(broadside, direct(), factor)
-        yield (-sticks.hand * tc) * factor, (sticks.hand * tb) * factor, dist2
+            dist2 = np.where(sticks.along_z, r2 + q, (q + tb2) + tc2)
+        yield -sticks.hand * tc, sticks.hand * tb, factor, dist2
 
 
-def _by_axis(sticks: PackedSticks, c_b, c_c):
-    """Each stick's field, (N, 3, ...), from its components along b and c."""
-    (_, ax_b, ax_c), j = sticks.roles, np.arange(len(c_b))
-    contrib = np.zeros((len(c_b), 3) + c_b.shape[1:])
-    contrib[j, ax_b], contrib[j, ax_c] = c_b, c_c
+def _by_axis(sticks: PackedSticks, h_b, h_c, factor):
+    """Each stick's field, (N, 3, ...), from ``_pair_terms``' offsets and
+    factor; the offsets become its components along b and c in place."""
+    (_, ax_b, ax_c), j = sticks.roles, np.arange(len(h_b))
+    contrib = np.zeros((len(h_b), 3) + h_b.shape[1:])
+    contrib[j, ax_b], contrib[j, ax_c] = (np.multiply(h, factor, out=h) for h in (h_b, h_c))
     return contrib
 
 
@@ -162,36 +173,75 @@ def _stick_field(sticks: PackedSticks, points):
     # Far points overflow to inf, which the forms turn into an exact zero
     # field and an infinite distance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, (c_b, c_c, dist2) in zip(starts, terms):
+        for lo, (h_b, h_c, factor, dist2) in zip(starts, terms):
             hi, dist = lo + starts.step, np.sqrt(dist2, out=dist2)
             nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
             # Summing over the leading axis adds the sticks onto zero one at
             # a time in flow order.
-            contrib = _by_axis(sticks, c_b, c_c)     # like the terms, replaced by the next tile's
+            contrib = _by_axis(sticks, h_b, h_c, factor)     # replaced by the next tile's
             b[lo:hi] = contrib.sum(axis=0).T
-            del c_b, c_c, dist2, dist     # the next tile replaces them in the kernel's frame
+            del h_b, h_c, factor, dist2, dist  # the next tile replaces them in the kernel's frame
     return b, near, nearest
 
 
-def _grid_field(sticks: PackedSticks, axes):
+def _templates(each, axes, step):
+    """``_grid_field``'s templates by first stick: (window axes, [(index, window slices)])."""
+    n, cells = [len(a) for a in axes], lambda lo, hi: math.prod(h - l for l, h in zip(lo, hi))
+    ratios = {x: x.as_integer_ratio() for x in {
+        step, *(float(a[0]) for a in axes), *(c for s in each for c in (*s.start, *s.span))}}
+    q = max(d for _, d in ratios.values()).bit_length() - 1
+    exact = {x: m * (1 << q) // d for x, (m, d) in ratios.items()}      # x * 2^q
+    first, unit = [exact[float(a[0])] for a in axes], exact[step]
+    groups, latest = [], {}
+    for j, s in enumerate(each):
+        start = sorted(zip(s.roles, s.start))            # (axis, coordinate) in x, y, z order
+        shift, rest = zip(*(divmod(exact[c] - first[r], unit) for r, c in start))
+        if g := latest.get(key := (s.roles[0], s.sign, s.length, rest)):
+            e = [t - x for t, x in zip(g[0], shift)]    # the window index of stick j's grid
+            lo, hi = list(map(min, g[1], e)), [max(h, x + m) for h, x, m in zip(g[2], e, n)]
+            if cells(lo, hi) - cells(g[1], g[2]) < math.prod(n):
+                g[1:] = lo, hi, [*g[3], (j, e)]
+                continue
+        latest[key] = g = [shift, [0] * 3, n, [(j, [0] * 3)]]
+        groups.append(g)
+    ends = [f + unit * x for g in groups for f, l, h in zip(first, g[1], g[2]) for x in (l, h - 1)]
+    if max(map(abs, (*exact.values(), *ends))) >= 2 ** 52 or not all(np.array_equal(
+            np.ldexp(f + unit * np.arange(m), -q), a) for f, m, a in zip(first, n, axes)):
+        return [(axes, [(j, (slice(None),) * 3)]) for j in range(len(each))]
+    return [([a if (l, h) == (0, m) else np.ldexp(f + unit * np.arange(l, h), -q)
+              for a, f, l, h, m in zip(axes, first, lo, hi, n)],
+             [(j, tuple(slice(x - l, x - l + m) for x, l, m in zip(e, lo, n))) for j, e in members])
+            for _, lo, hi, members in groups]
+
+
+def _grid_field(sticks: PackedSticks, axes, step):
     """(B, near) of ``_stick_field``, bit for bit, at the grid of the finite
-    1-D arrays ``axes`` (x, y, z), z fastest.  Each stick's coordinates are
-    the axes shaped to broadcast to (n_x, n_y, n_z), so a term depending on
-    fewer axes is computed at that size, and the direct form only on the
-    stick's slab.  near is the sqrt of a running minimum of squared
-    distances, which is the minimum distance: sqrt is monotone and
-    correctly rounded."""
-    shape, grid = tuple(map(len, axes)), (axes[0][:, None, None], axes[1][:, None], axes[2])
-    b, near2 = np.zeros((3,) + shape), np.full(shape, np.inf)
+    1-D arrays ``axes`` (x, y, z), z fastest, each a progression of ``step``.
+    A template is built at its first stick on its window's axes shaped to
+    broadcast, so a term depending on fewer axes is computed at that size
+    and the direct form only on the stick's slab.  Its members' squared
+    distances go into a running minimum at once, whose sqrt (monotone and
+    correctly rounded) is near; its factor and offsets, each sliced on the
+    one axis it varies along, stay until its last member."""
+    shape = tuple(map(len, axes))
+    b, near2, term = np.zeros((3,) + shape), np.full(shape, np.inf), np.empty(shape)
     fields = (sticks.roles.T, sticks.start[..., 0].T, sticks.sign[:, 0], sticks.length[:, 0],
               sticks.hand[:, 0], sticks.span[..., 0].T, sticks.along_z[:, 0])
     each = [PackedSticks(*row) for row in zip(*(f.tolist() for f in fields))]
-    terms = _pair_terms((s, *(grid[i] for i in s.roles)) for s in each)
+    groups, live = _templates(each, axes, step), {}
+    at = {j: (g, place) for g, (_, members) in enumerate(groups) for j, place in members}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s, (c_b, c_c, dist2) in zip(each, terms):
-            b[s.roles[1]] += c_b
-            b[s.roles[2]] += c_c
-            np.minimum(near2, dist2, out=near2)
+        for j, s in enumerate(each):
+            (g, place), ((wx, wy, wz), members) = at[j], groups[at[j][0]]
+            if g not in live:
+                t, grid = each[members[0][0]], (wx[:, None, None], wy[:, None], wz)
+                live[g] = next(_pair_terms([(t, *(grid[i] for i in t.roles))]))
+                for _, p in members:
+                    np.minimum(near2, live[g][3][p], out=near2)
+                live[g] = live[g][:3]                        # frees the squared distances
+            h_b, h_c, factor = live.pop(g) if j == members[-1][0] else live[g]
+            b[s.roles[1]] += np.multiply(h_b[place[s.roles[2]]], factor[place], out=term)
+            b[s.roles[2]] += np.multiply(h_c[place[s.roles[1]]], factor[place], out=term)
     return b.reshape(3, -1).T, np.sqrt(near2).ravel()
 
 
@@ -202,9 +252,9 @@ def _paired_field(sticks: PackedSticks, points):
     _finite(points)
     pts = points.T[sticks.roles, np.arange(len(points)), None]     # (3, M, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c_b, c_c, dist2 = next(_pair_terms([(sticks, *pts)]))
+        h_b, h_c, factor, dist2 = next(_pair_terms([(sticks, *pts)]))
     # Summed onto zero, as in the tiles.
-    return _by_axis(sticks, c_b, c_c).sum(axis=2), np.sqrt(dist2[:, 0])
+    return _by_axis(sticks, h_b, h_c, factor).sum(axis=2), np.sqrt(dist2[:, 0])
 
 
 def _times_k(b, k):

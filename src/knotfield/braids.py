@@ -124,20 +124,12 @@ def writhe(word: BraidWord) -> int:
     return sum(sign for _gi, sign in word.letters)
 
 
-def braid_permutation(word: BraidWord) -> tuple[int, ...]:
-    """perm[j] = slot (0-based) where the strand starting in slot j ends."""
+def permutation_cycles(word: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """Cycles of perm, perm[j] the slot (0-based) where the strand starting in slot j ends."""
     occupant = list(range(word.strands))
     for gi, _sign in word.letters:
-        i = gi - 1
-        occupant[i], occupant[i + 1] = occupant[i + 1], occupant[i]
-    perm = [0] * word.strands
-    for slot, strand in enumerate(occupant):
-        perm[strand] = slot
-    return tuple(perm)
-
-
-def permutation_cycles(word: BraidWord) -> tuple[tuple[int, ...], ...]:
-    perm = braid_permutation(word)
+        occupant[gi - 1], occupant[gi] = occupant[gi], occupant[gi - 1]
+    perm = sorted(range(word.strands), key=occupant.__getitem__)     # occupant's inverse
     seen = set()
     cycles = []
     for start in range(len(perm)):

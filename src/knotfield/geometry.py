@@ -59,11 +59,6 @@ class Segment:
         return 1 if self.end[a] > self.start[a] else -1
 
     @property
-    def length(self) -> int:
-        a = self.axis
-        return abs(self.end[a] - self.start[a])
-
-    @property
     def transverse(self) -> tuple[tuple[Axis, int], tuple[Axis, int]]:
         """The two fixed (axis, coordinate) pairs of this stick."""
         a = self.axis
@@ -377,6 +372,3 @@ def format_knot(knot: LatticeKnot, header_comments: tuple[str, ...] = ()) -> str
     lines += [f"{x} {y} {z}" for x, y, z in knot.vertices]
     return "\n".join(lines) + "\n"
 
-
-def write_knot_file(knot: LatticeKnot, path, header_comments: tuple[str, ...] = ()) -> None:
-    Path(path).write_text(format_knot(knot, header_comments), encoding="ascii")

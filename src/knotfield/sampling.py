@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeKnot
-from .biot_savart import DEFAULT_EXCLUSION_RADIUS, _exclude, _finite, _grid_field
+from .biot_savart import DEFAULT_EXCLUSION_RADIUS, _exclude, _grid_field
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,9 @@ class GridSpec:
             raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
         if any(c < 1 for c in self.counts):
             raise ValueError(f"grid counts must be >= 1, got {self.counts}")
+        for axis, o, n in zip("xyz", self.origin, self.counts):     # past 2**1023, n has no float
+            if not np.isfinite(last := o + float(self.spacing) * min(n - 1, 2 ** 1023)):
+                raise ValueError(f"grid {axis} axis must end at a finite coordinate, got {last}")
 
     @property
     def n_points(self) -> int:
@@ -93,19 +96,16 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
 
     ``threads`` workers take the blocks of ``_blocks``, each one pass of the
     kernel's grid driver over its slice of the grid's axes, so results are
-    identical for any thread count and ``chunk``.  Raises ValueError naming
-    the first grid point that is not finite.
+    identical for any thread count and ``chunk``.
     """
     _check_count("chunk", chunk, "rows")
     _check_count("threads", threads, "workers")
-    pts, axes = grid.points(), grid._axes()
-    _finite(pts)
-    b = np.empty_like(pts)
-    mask = np.empty(len(pts), dtype=bool)
+    axes = grid._axes()
+    b, mask = np.empty((grid.n_points, 3)), np.empty(grid.n_points, dtype=bool)
 
     def work(block):
         rows, xs, ys = block
-        b[rows], near = _grid_field(knot.sticks, (axes[0][xs], axes[1][ys], axes[2]))
+        b[rows], near = _grid_field(knot.sticks, (axes[0][xs], axes[1][ys], axes[2]), grid.spacing)
         mask[rows] = _exclude(b[rows], near, exclusion_radius, knot.k)[1]
 
     blocks = _blocks(grid.counts, threads, chunk)
@@ -114,7 +114,7 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
-    return FieldSample(grid=grid, points=pts, b=b, on_conductor=mask)
+    return FieldSample(grid=grid, points=grid.points(), b=b, on_conductor=mask)
 
 
 CSV_HEADER = "x,y,z,Bx,By,Bz,on_conductor"

@@ -219,17 +219,6 @@ def _printed_terms(tables, pts: np.ndarray):
     return vals, np.array(near).T
 
 
-def term_values(label: str, points) -> dict[str, np.ndarray]:
-    """Raw per-term values of every printed term at the given points, as
-    component -> (T, M).
-
-    No singularity guard: a term evaluated on its own stick's axis yields
-    inf/nan, which is the honest value of the printed expression there.
-    """
-    vals, _ = _printed_terms(TERM_TABLES[label], np.atleast_2d(np.asarray(points, dtype=float)))
-    return {comp: v.T for comp, v in vals.items()}
-
-
 def eval_transcribed(label: str, points) -> np.ndarray:
     """Literal evaluation of the printed component formulas (k = 1), at a
     (3,) point or at (M, 3) points.

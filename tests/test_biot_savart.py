@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from knotfield.braids import close_braid_on_lattice, parse_braid
 from knotfield.geometry import (
     LatticeKnot,
+    PackedSticks,
     Segment,
     canonical_figure_eight,
     canonical_trefoil,
@@ -193,7 +194,7 @@ class TestSegmentFrame:
             seg = random_axis_segment(rng)
             p = random_clear_point(rng, [seg], margin=4.0, clearance=0.5)
             start, end = np.array(seg.start, dtype=float), np.array(seg.end, dtype=float)
-            uhat = (end - start) / seg.length
+            uhat = (end - start) / PackedSticks.pack([start], [end]).length[0, 0]
             rho = (p - start) - np.dot(p - start, uhat) * uhat
             g = field_direction(seg, p)
             assert abs(np.dot(g, uhat)) < 1e-12

@@ -7,7 +7,6 @@ from knotfield.braids import (
     BraidParseError,
     BraidWord,
     MultiComponentError,
-    braid_permutation,
     close_braid_on_lattice,
     crossing_count,
     format_braid,
@@ -89,8 +88,8 @@ class TestDiagnostics:
         assert writhe(neg) == -3
 
     def test_permutation(self):
-        assert braid_permutation(parse_braid("s1 s1 s1")) == (1, 0)
-        assert braid_permutation(parse_braid("s1 s1")) == (0, 1)
+        assert permutation_cycles(parse_braid("s1 s1 s1")) == ((0, 1),)
+        assert permutation_cycles(parse_braid("s1 s1")) == ((0,), (1,))
 
     def test_cycles(self):
         assert len(permutation_cycles(parse_braid("s1 s1 s1"))) == 1

@@ -5,16 +5,19 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from knotfield import cli, sampling
+from knotfield import biot_savart, cli, sampling
+from knotfield.braids import close_braid_on_lattice, parse_braid
 from knotfield.cli import build_parser, main
 from knotfield.geometry import (
     PackedSticks,
+    bounding_box,
     canonical_figure_eight,
     canonical_trefoil,
     read_knot_file,
@@ -41,6 +44,7 @@ from knotfield.sampling import _blocks
 from knotfield.topology import Loop, write_loop_file
 
 from scan_oracle import dumps_write_jsonl
+from test_biot_savart import BRAID_20, BRAID_40
 from test_transcription import lattice_knots
 
 
@@ -55,6 +59,11 @@ class TestGridSpec:
                 GridSpec(origin=(0, 0, 0), spacing=bad, counts=(2, 2, 2))
             with pytest.raises(ValueError, match="origin"):
                 GridSpec(origin=(0, bad, 0), spacing=0.5, counts=(2, 2, 2))
+        # Each coordinate is finite, but the computed last one overflows.
+        with pytest.raises(ValueError, match="grid x axis must end at a finite coordinate, got inf"):
+            GridSpec(origin=(1e308, 0, 0), spacing=1e308, counts=(3, 1, 1))
+        with pytest.raises(ValueError, match="grid z axis must end at a finite coordinate, got inf"):
+            GridSpec(origin=(0, 0, 0), spacing=2.0, counts=(1, 1, 10 ** 400))
 
     def test_points_are_z_fastest(self):
         grid = GridSpec(origin=(0, 0, 0), spacing=1.0, counts=(2, 2, 2))
@@ -234,23 +243,33 @@ def run_cli(*argv):
 
 
 @st.composite
-def knot_grids(draw):
+def knot_grids(draw, placings=("random", "lattice", "vertex", "far", "box")):
     """A closure of up to 20 letters, a refined or a built-in knot, and a
-    grid of 1-7 points a side, placed in one of four ways:
+    grid placed in one of five ways, the first four 1-7 points a side:
     - at a random origin in the knot's bounding box inflated by two lattice
       steps, with a spacing of 0.3, 0.25, 1 or 1.7 steps;
     - the same with the origin on the lattice, so that rows fall on sticks;
     - with a vertex on the grid and a spacing of 0.25, 0.5 or 1 step, so
       that rows fall exactly on the ends of the sticks that meet there;
-    - with some axes moved beyond 1e154, where the squared offsets overflow."""
+    - with some axes moved beyond 1e154, where the squared offsets overflow;
+    - covering the bounding box inflated by a step, from a lattice or a
+      half-step origin, at a spacing of 1, 1/2, 1/4 or 3/4 of a step, so
+      that sticks which are translates of one another share templates; at
+      most 65,536 points."""
     if draw(st.booleans()):
         knot, step = draw(lattice_knots())
     else:
         knot, step = draw(st.sampled_from((canonical_trefoil(), canonical_figure_eight()))), 1
     starts, _ = stick_ends(knot)
     counts = draw(st.tuples(*[st.integers(1, 7)] * 3))
-    placing = draw(st.sampled_from(["random", "lattice", "vertex", "far"]))
-    if placing == "vertex":
+    placing = draw(st.sampled_from(placings))
+    if placing == "box":
+        spacing = step * draw(st.sampled_from([1.0, 0.5, 0.25, 0.75]))
+        lo, hi = starts.min(axis=0) - step, starts.max(axis=0) + step
+        origin = lo + step * draw(st.sampled_from([0.0, 0.5]))
+        counts = tuple(int(c) + 1 for c in np.ceil((hi - origin) / spacing))
+        assume(math.prod(counts) <= 1 << 16)        # keeps the tile driver's oracle quick
+    elif placing == "vertex":
         spacing = step * draw(st.sampled_from([0.25, 0.5, 1.0]))
         offsets = np.array(draw(st.tuples(*[st.integers(0, n - 1) for n in counts])))
         origin = starts[draw(st.integers(0, len(starts) - 1))] - spacing * offsets
@@ -280,23 +299,87 @@ class TestGridDriver:
         lo, hi = sorted(int(f * (len(starts) - 1)) for f in run)
         for sticks in (knot.sticks, PackedSticks.pack(starts[lo:hi + 1], ends[lo:hi + 1]),
                        PackedSticks.pack(ends[::-1], starts[::-1])):
-            got = _grid_field(sticks, grid._axes())
+            got = _grid_field(sticks, grid._axes(), grid.spacing)
             want = _stick_field(sticks, grid.points())
             for name, g, w in zip(("B", "near"), got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    @staticmethod
+    def kernel_runs(monkeypatch, sticks, axes, step):
+        """How many times ``_grid_field`` runs the kernel on the grid of
+        ``axes``, after checking its bytes against the tile driver's."""
+        items, pair_terms = [], biot_savart._pair_terms
+
+        def counted(operands):
+            for item in pair_terms(operands):
+                items.append(len(item))
+                yield item
+
+        with monkeypatch.context() as patch:
+            patch.setattr(biot_savart, "_pair_terms", counted)
+            got = _grid_field(sticks, axes, step)
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        for g, w in zip(got, _stick_field(sticks, points)):
+            assert g.tobytes() == w.tobytes()
+        return len(items)
+
+    @pytest.mark.parametrize("spacing, shift, shared", [
+        (1.0, 0.0, True), (0.75, 0.5, True), (1.0, 0.1, False), (1.0, 2.0 ** 60, False),
+        (1.0, None, False)],
+        ids=["lattice", "three-quarter-step", "not-dyadic", "beyond-2**52", "not-a-progression"])
+    def test_translates_share_templates(self, monkeypatch, spacing, shift, shared):
+        # Sticks that are translates of one another by whole grid steps are
+        # evaluated once per group, and the sum keeps the tile driver's
+        # bits.  Where the offsets would not be exact every stick is
+        # evaluated alone: an origin off the dyadic lattice, coordinates
+        # beyond 2**52, or an axis that is not its progression of the step.
+        knot = close_braid_on_lattice(parse_braid(BRAID_20))
+        lo, hi = bounding_box(knot)
+        axes = [np.arange(l - 2.0, h + 2.0 + spacing / 2, spacing) + (shift or 0.0)
+                for l, h in zip(lo, hi)]
+        if shift is None:
+            axes[0][-1] += spacing / 2
+        runs = self.kernel_runs(monkeypatch, knot.sticks, axes, spacing)
+        assert len(knot) == 212
+        assert 0 < runs < len(knot) if shared else runs == len(knot)
+
+    def test_translate_joins_while_the_window_grows_less_than_the_grid(self, monkeypatch):
+        # Two +z sticks 3 or 4 steps apart over a grid of 4 points along x:
+        # a window of 7 x-planes serves both, but not one of 8.
+        axes = [np.arange(4.0), np.array([0.5]), np.array([0.5])]
+        for apart, runs in ((3, 1), (4, 2)):
+            sticks = PackedSticks.pack([(0, 0, 0), (apart, 0, 0)], [(0, 0, 1), (apart, 0, 1)])
+            assert self.kernel_runs(monkeypatch, sticks, axes, 1.0) == runs
+
+    def test_templates_memory(self):
+        # A template lives from its first to its last stick and keeps only
+        # its offsets and factor.  On the 412-stick closure's 177 x 7 x 15
+        # box grid the peak was 5.87 MB when this bound was set; evaluating
+        # each stick alone over the grid, it was 2.36 MB.
+        knot = close_braid_on_lattice(parse_braid(BRAID_40))
+        lo, hi = bounding_box(knot)
+        grid = GridSpec(tuple(c - 2 for c in lo), 1.0, tuple(h - l + 5 for l, h in zip(lo, hi)))
+        _grid_field(knot.sticks, grid._axes(), grid.spacing)       # pack the circuit first
+        tracemalloc.start()
+        try:
+            _grid_field(knot.sticks, grid._axes(), grid.spacing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2 ** 20
 
     def test_grid_driver_sums_onto_zero(self):
         # In the plane z = 0 a -y stick's x terms are all -0.0; the tile
         # driver's sum starts from +0.0, so its Bx is +0.0.
         sticks = PackedSticks.pack([(0, 1, 0)], [(0, 0, 0)])
         grid = GridSpec((-1, -1, 0), 1.0, (3, 3, 1))
-        got, want = _grid_field(sticks, grid._axes())[0], _stick_field(sticks, grid.points())[0]
+        got, want = _grid_field(sticks, grid._axes(), grid.spacing)[0], _stick_field(sticks, grid.points())[0]
         assert got.tobytes() == want.tobytes()
         assert np.all(want[:, 0] == 0.0) and not np.signbit(want[:, 0]).any()
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-    @given(case=knot_grids())
+    @given(case=knot_grids(placings=("random", "lattice", "vertex", "far")))
     def test_sample_bytes_do_not_depend_on_blocks_or_threads(self, case):
         knot, grid = case
         _, ny, nz = grid.counts
@@ -639,6 +722,17 @@ class TestCli:
                      "--spacing", spacing, "--counts", "2,1,1", "--out", str(out))
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: grid ")
+        assert not out.exists()
+
+    def test_field_sample_overflowing_grid_exit_1(self, tmp_path, capsys):
+        # Each number given is finite, but the last x coordinate overflows:
+        # one typed error line, with no overflow warning before it.
+        out = tmp_path / "never.csv"
+        rc = run_cli("field", "sample", "--knot", "3_1", "--origin=1e308,0,0",
+                     "--spacing", "1e308", "--counts", "3,1,1", "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: grid x axis must end at a finite coordinate, got inf\n"
         assert not out.exists()
 
     def test_knot_file_beyond_int64_exit_1(self, tmp_path, capsys):

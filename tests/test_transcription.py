@@ -19,7 +19,6 @@ from knotfield.transcription import (
     _printed_terms,
     discrepancy_ledger,
     eval_transcribed,
-    term_values,
 )
 from knotfield.verification import random_clear_point
 from test_scan_oracle import braid_closures
@@ -34,13 +33,13 @@ def test_term_counts():
 
 def test_trefoil_bx_term1_frozen_value():
     # First printed Bx term at (0, 0, 1): -(1/37) * (4/sqrt(53) - 2/sqrt(41)).
-    vals = term_values("3_1", [(0.0, 0.0, 1.0)])
+    vals, _ = _printed_terms(TERM_TABLES["3_1"], np.array([(0.0, 0.0, 1.0)]))
     expect = -(1.0 / 37.0) * (4.0 / math.sqrt(53.0) - 2.0 / math.sqrt(41.0))
     assert vals["Bx"][0, 0] == pytest.approx(expect, rel=1e-14)
 
 
 def test_trefoil_bx_term1_vanishes_at_z0():
-    vals = term_values("3_1", [(1.0, 2.5, 0.0)])
+    vals, _ = _printed_terms(TERM_TABLES["3_1"], np.array([(1.0, 2.5, 0.0)]))
     assert vals["Bx"][0, 0] == 0.0
 
 
@@ -121,7 +120,7 @@ def test_exact_terms_equal_engine_contributions(label, builder):
     rng = np.random.default_rng(5)
     pts = np.array([random_clear_point(rng, segs, margin=3.0, clearance=1.0)
                     for _ in range(20)])
-    vals = term_values(label, pts)
+    vals, _ = _printed_terms(TERM_TABLES[label], pts)
     checked = 0
     for comp_i, comp in enumerate(("Bx", "By", "Bz")):
         for t_idx in range(len(TERM_TABLES[label][comp])):
@@ -131,7 +130,7 @@ def test_exact_terms_equal_engine_contributions(label, builder):
             seg = segs[entry.segment_index - 1]
             for p_i, p in enumerate(pts):
                 engine = segment_field(seg, p)[comp_i]
-                assert vals[comp][t_idx, p_i] == pytest.approx(engine, rel=1e-11, abs=1e-15)
+                assert vals[comp][p_i, t_idx] == pytest.approx(engine, rel=1e-11, abs=1e-15)
                 checked += 1
     assert checked >= 300
 
@@ -145,12 +144,12 @@ def test_total_deviation_is_exactly_the_flagged_terms(label, builder):
     rng = np.random.default_rng(9)
     p = random_clear_point(rng, segs, margin=3.0, clearance=1.0)
     diff = eval_transcribed(label, p) - total_field(knot, p)
-    vals = term_values(label, p.reshape(1, 3))
+    vals, _ = _printed_terms(TERM_TABLES[label], p.reshape(1, 3))
     delta = np.zeros(3)
     for e in ledger.flagged:
         comp_i = ("Bx", "By", "Bz").index(e.component)
         seg = segs[e.segment_index - 1]
-        delta[comp_i] += vals[e.component][e.index - 1, 0] - segment_field(seg, p)[comp_i]
+        delta[comp_i] += vals[e.component][0, e.index - 1] - segment_field(seg, p)[comp_i]
     assert np.allclose(diff, delta, rtol=1e-9, atol=1e-14)
 
 
