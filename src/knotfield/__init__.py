@@ -44,7 +44,6 @@ from .topology import (
     linking_number,
     loop_clearance,
     read_loop_file,
-    write_loop_file,
 )
 from .braids import (
     BraidParseError,

@@ -31,12 +31,14 @@ share a template: the first one's terms on a window covering the others'
 translated grids, sliced, are theirs bit for bit when every offset p - s
 is exact, that is, with 2^-q the finest power of two in the step, the
 axes' first values and the stick coordinates, when each axis is its
-progression exactly and every coordinate of the grid, a window or a stick
-times 2^q is an integer below 2^52.  Else each stick is its own group over
-the grid.  A stick joins its latest template only if this grows the window
-by fewer cells than the grid has.  Each point's field is summed onto zero
+progression exactly and every coordinate of a stick, or of the grid
+widened on each side by the spread of the sticks' whole steps from its
+first point, times 2^q is an integer below 2^52.  That is decided before
+any stick is grouped; else each stick is its own group over the grid.  A
+stick joins its latest template only if this grows the window by fewer
+cells than the grid has.  Each point's field is summed onto zero
 over the sticks in flow order, so its bits depend on neither the driver,
-the tile, the batch nor the thread.
+the tile, the block nor the batch.
 
 The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
@@ -192,10 +194,17 @@ def _templates(each, axes, step):
     q = max(d for _, d in ratios.values()).bit_length() - 1
     exact = {x: m * (1 << q) // d for x, (m, d) in ratios.items()}      # x * 2^q
     first, unit = [exact[float(a[0])] for a in axes], exact[step]
+    # Each stick's start from the grid's first point: (whole steps, rest) along x, y, z.
+    offsets = [tuple(zip(*(divmod(exact[c] - first[r], unit)
+                           for r, c in sorted(zip(s.roles, s.start))))) for s in each]
+    # A window reaches past the grid by at most the spread of the sticks' steps.
+    ends = [f + unit * x for f, m, *steps in zip(first, n, *(shift for shift, _ in offsets))
+            for x in (min(steps) - max(steps), m - 1 + max(steps) - min(steps))]
+    if max(map(abs, (*exact.values(), *ends))) >= 2 ** 52 or not all(np.array_equal(
+            np.ldexp(f + unit * np.arange(m), -q), a) for f, m, a in zip(first, n, axes)):
+        return [(axes, [(j, (slice(None),) * 3)]) for j in range(len(each))]
     groups, latest = [], {}
-    for j, s in enumerate(each):
-        start = sorted(zip(s.roles, s.start))            # (axis, coordinate) in x, y, z order
-        shift, rest = zip(*(divmod(exact[c] - first[r], unit) for r, c in start))
+    for j, (s, (shift, rest)) in enumerate(zip(each, offsets)):
         if g := latest.get(key := (s.roles[0], s.sign, s.length, rest)):
             e = [t - x for t, x in zip(g[0], shift)]    # the window index of stick j's grid
             lo, hi = list(map(min, g[1], e)), [max(h, x + m) for h, x, m in zip(g[2], e, n)]
@@ -204,10 +213,6 @@ def _templates(each, axes, step):
                 continue
         latest[key] = g = [shift, [0] * 3, n, [(j, [0] * 3)]]
         groups.append(g)
-    ends = [f + unit * x for g in groups for f, l, h in zip(first, g[1], g[2]) for x in (l, h - 1)]
-    if max(map(abs, (*exact.values(), *ends))) >= 2 ** 52 or not all(np.array_equal(
-            np.ldexp(f + unit * np.arange(m), -q), a) for f, m, a in zip(first, n, axes)):
-        return [(axes, [(j, (slice(None),) * 3)]) for j in range(len(each))]
     return [([a if (l, h) == (0, m) else np.ldexp(f + unit * np.arange(l, h), -q)
               for a, f, l, h, m in zip(axes, first, lo, hi, n)],
              [(j, tuple(slice(x - l, x - l + m) for x, l, m in zip(e, lo, n))) for j, e in members])
@@ -253,8 +258,9 @@ def _paired_field(sticks: PackedSticks, points):
     pts = points.T[sticks.roles, np.arange(len(points)), None]     # (3, M, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h_b, h_c, factor, dist2 = next(_pair_terms([(sticks, *pts)]))
-    # Summed onto zero, as in the tiles.
-    return _by_axis(sticks, h_b, h_c, factor).sum(axis=2), np.sqrt(dist2[:, 0])
+        # Summed onto zero, as in the tiles; a zero offset times an infinite
+        # factor is NaN there too.
+        return _by_axis(sticks, h_b, h_c, factor).sum(axis=2), np.sqrt(dist2[:, 0])
 
 
 def _times_k(b, k):

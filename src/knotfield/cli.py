@@ -255,8 +255,7 @@ def _cmd_field_sample(args) -> int:
         spacing=args.spacing,
         counts=_parse_triple(args.counts, int, "--counts"),
     )
-    sample = sample_field(knot, grid, exclusion_radius=args.exclusion,
-                          threads=args.threads)
+    sample = sample_field(knot, grid, exclusion_radius=args.exclusion)
     with _output(args.out) as out:
         WRITERS[args.format](sample, out, threads=args.threads)
     return EXIT_OK

@@ -1,9 +1,9 @@
 """Field sampling over rectangular grids and the interchange writers.
 
 Rows are ordered z-fastest (x outer, y middle, z inner) and the output is
-byte-for-byte deterministic: threads take blocks of whole x-planes or
-z-lines, and the stick summation order is fixed, so neither the blocks nor
-the threads reassociate a single row's sum.
+byte-for-byte deterministic: the sampler evaluates blocks of whole x-planes
+or z-lines one after another, and the stick summation order is fixed, so
+the blocks do not reassociate a single row's sum.
 Points on the conductor are kept as NaN rows with a flag rather than
 dropped, so downstream reshaping to (nx, ny, nz) stays trivial.
 
@@ -22,7 +22,6 @@ import json
 import os
 import shutil
 import signal
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +76,13 @@ def _check_count(name, value, unit):
         raise ValueError(f"{name} must be a positive number of {unit}, got {value!r}")
 
 
-def _blocks(counts, threads, chunk):
-    """The sampler's blocks as (rows, xs, ys) slices: threads times
-    ceil(rows / (threads * chunk)) runs of whole x-planes, at most one a
-    plane, or, where one plane exceeds ``chunk``, ceil(plane / chunk) runs
-    of whole z-lines in each plane, so that rows stay contiguous."""
+def _blocks(counts, chunk):
+    """The sampler's blocks as (rows, xs, ys) slices: ceil(rows / chunk)
+    runs of whole x-planes, at most one a plane, or, where one plane
+    exceeds ``chunk``, ceil(plane / chunk) runs of whole z-lines in each
+    plane, so that rows stay contiguous."""
     nx, ny, nz = counts
-    px, py = min(nx, threads * -(-nx * ny * nz // (threads * chunk))), min(ny, -(-ny * nz // chunk))
+    px, py = min(nx, -(-nx * ny * nz // chunk)), min(ny, -(-ny * nz // chunk))
     xe, ye = ([i * n // p for i in range(p + 1)] for n, p in ((nx, px), (ny, py)))
     return [(slice((x0 * ny + y0) * nz, ((x1 - 1) * ny + y1) * nz), slice(x0, x1), slice(y0, y1))
             for x0, x1 in zip(xe, xe[1:]) for y0, y1 in zip(ye, ye[1:])]
@@ -94,26 +93,20 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
                  threads: int = 1, chunk: int = 1 << 15) -> FieldSample:
     """Evaluate the knot's field on every grid point.
 
-    ``threads`` workers take the blocks of ``_blocks``, each one pass of the
-    kernel's grid driver over its slice of the grid's axes, so results are
-    identical for any thread count and ``chunk``.
+    The blocks of ``_blocks`` are evaluated in order in the calling thread,
+    each one pass of the kernel's grid driver over its slice of the grid's
+    axes, so results are identical for any ``chunk``.  ``threads`` is
+    checked to be at least 1 and otherwise unused: the benchmark's replay
+    still passes it.
     """
     _check_count("chunk", chunk, "rows")
     _check_count("threads", threads, "workers")
     axes = grid._axes()
     b, mask = np.empty((grid.n_points, 3)), np.empty(grid.n_points, dtype=bool)
-
-    def work(block):
-        rows, xs, ys = block
+    for rows, xs, ys in _blocks(grid.counts, chunk):
         b[rows], near = _grid_field(knot.sticks, (axes[0][xs], axes[1][ys], axes[2]), grid.spacing)
         mask[rows] = _exclude(b[rows], near, exclusion_radius, knot.k)[1]
-
-    blocks = _blocks(grid.counts, threads, chunk)
-    if threads == 1:
-        list(map(work, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, blocks))
+        del near                    # freed before the next block's kernel run
     return FieldSample(grid=grid, points=grid.points(), b=b, on_conductor=mask)
 
 

@@ -269,13 +269,3 @@ def parse_loop_text(text: str, name: str = "") -> Loop:
 def read_loop_file(path, name: str | None = None) -> Loop:
     p = Path(path)
     return parse_loop_text(p.read_text(encoding="ascii"), name=name or p.stem)
-
-
-def format_loop(loop: Loop, header_comments: tuple[str, ...] = ()) -> str:
-    lines = [f"# {c}" for c in header_comments]
-    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in loop.vertices]
-    return "\n".join(lines) + "\n"
-
-
-def write_loop_file(loop: Loop, path, header_comments: tuple[str, ...] = ()) -> None:
-    Path(path).write_text(format_loop(loop, header_comments), encoding="ascii")

@@ -221,9 +221,9 @@ def test_criterion_9_field_sample_determinism(tmp_path, knots):
     grid = GridSpec(origin=(-2.0, -2.0, -2.0), spacing=0.5, counts=(21, 21, 21))
 
     def emit(threads, path):
-        sample = sample_field(knots["3_1"], grid, threads=threads)
+        sample = sample_field(knots["3_1"], grid)
         with open(path, "w", newline="\n") as fh:
-            write_csv(sample, fh)
+            write_csv(sample, fh, threads=threads)
         return path.read_bytes()
 
     one = emit(1, tmp_path / "t1.csv")

@@ -2,10 +2,11 @@
 
 ``perfbench/workloads.py`` calls ``knotfield.cli.main`` with the argv shapes
 below and reads attributes of ``build_parser().parse_args`` of the same
-argv to replay each job through the library; its kernel probe reads
+argv to replay each job through the library; its grid replay and probes
+pass ``sample_field`` a ``threads`` keyword; its kernel probe reads
 ``sample_field``'s default ``chunk``, the rows in one of the sampler's
 blocks of whole x-planes, and times ``total_field_many`` on runs of that
-many grid rows.  These tests pin all three, so a change that would break
+many grid rows.  These tests pin all four, so a change that would break
 the benchmark fails here first.
 """
 
@@ -53,3 +54,9 @@ def test_sample_field_chunk_default():
     # The benchmark's kernel probe reads the sampler's rows per block from here.
     chunk = inspect.signature(sample_field).parameters["chunk"]
     assert type(chunk.default) is int and chunk.default > 0
+
+
+def test_sample_field_threads_keyword():
+    # The benchmark's grid replay and probes pass the sampler ``threads=``.
+    threads = inspect.signature(sample_field).parameters["threads"]
+    assert threads.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and threads.default == 1

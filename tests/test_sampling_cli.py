@@ -4,13 +4,13 @@ import io
 import json
 import math
 import os
-import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from knotfield import biot_savart, cli, sampling
 from knotfield.braids import close_braid_on_lattice, parse_braid
@@ -41,11 +41,13 @@ from knotfield.sampling import (
     write_vtk,
 )
 from knotfield.sampling import _blocks
-from knotfield.topology import Loop, write_loop_file
 
 from scan_oracle import dumps_write_jsonl
 from test_biot_savart import BRAID_20, BRAID_40
 from test_transcription import lattice_knots
+
+# The paper's loop around the trefoil, in the loop-file format.
+PAPER_LOOP = "5 3 2\n7 3 2\n7 5 2\n5 5 2\n"
 
 
 class TestGridSpec:
@@ -101,6 +103,17 @@ class TestSampling:
         assert np.array_equal(s1.b, s4.b, equal_nan=True)
         assert np.array_equal(s1.on_conductor, s4.on_conductor)
 
+    def test_sampling_starts_no_thread(self, tmp_path, monkeypatch):
+        # The sampler evaluates its blocks in the calling thread whatever
+        # ``threads`` says; ``--threads`` sizes only the forked writer workers.
+        def refuse(thread):
+            raise AssertionError(f"{thread.name} started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        knot, grid = canonical_trefoil(), GridSpec((-2, -2, -2), 0.5, (9, 9, 9))
+        sample_field(knot, grid, threads=4, chunk=81)             # 9 blocks
+        for threads in ("1", "2"):
+            assert run_cli(*BLOCKS, "--threads", threads, "--out", str(tmp_path / "f.csv")) == 0
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_refused(self, threads):
         knot, grid = canonical_trefoil(), GridSpec(origin=(5, 3, 2), spacing=1.0, counts=(1, 1, 2))
@@ -113,16 +126,16 @@ class TestSampling:
                 writer(sample, fh, threads=threads)
             assert fh.getvalue() == ""
 
-    @pytest.mark.parametrize("counts, threads, chunk, sizes", [
-        ((41, 41, 41), 1, 1 << 15, [13 * 1681, 14 * 1681, 14 * 1681]),
-        ((41, 41, 41), 2, 1 << 15, [10 * 1681, 10 * 1681, 10 * 1681, 11 * 1681]),
-        ((177, 7, 15), 1, 1 << 15, [177 * 105]),
-        ((3, 4, 5), 8, 1 << 15, [20, 20, 20]),        # at most one block per plane
-        ((2, 5, 3), 1, 7, [3, 6, 6] * 2),             # planes over chunk: runs of z-lines
-        ((2, 2, 9), 2, 4, [9] * 4),                   # a z-line over chunk: one line a block
+    @pytest.mark.parametrize("counts, chunk, sizes", [
+        ((41, 41, 41), 1 << 15, [13 * 1681, 14 * 1681, 14 * 1681]),
+        ((41, 41, 41), 20000, [10 * 1681, 10 * 1681, 10 * 1681, 11 * 1681]),
+        ((177, 7, 15), 1 << 15, [177 * 105]),
+        ((3, 4, 5), 20, [20, 20, 20]),                # a plane at chunk: one block a plane
+        ((2, 5, 3), 7, [3, 6, 6] * 2),                # planes over chunk: runs of z-lines
+        ((2, 2, 9), 4, [9] * 4),                      # a z-line over chunk: one line a block
     ])
-    def test_blocks_are_contiguous_row_ranges(self, counts, threads, chunk, sizes):
-        blocks = _blocks(counts, threads, chunk)
+    def test_blocks_are_contiguous_row_ranges(self, counts, chunk, sizes):
+        blocks = _blocks(counts, chunk)
         assert [r.stop - r.start for r, _, _ in blocks] == sizes
         assert blocks[0][0].start == 0 and blocks[-1][0].stop == math.prod(counts)
         assert all(a.stop == b.start for (a, _, _), (b, _, _) in zip(blocks, blocks[1:]))
@@ -380,30 +393,16 @@ class TestGridDriver:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(case=knot_grids(placings=("random", "lattice", "vertex", "far")))
+    # 4 * 9 one-line blocks of the 4_1 grid at chunk = nz.
+    @example(case=(canonical_figure_eight(), GridSpec((-1.5, -1.5, -1.5), 0.5, (4, 9, 19))))
     def test_sample_bytes_do_not_depend_on_blocks_or_threads(self, case):
         knot, grid = case
         _, ny, nz = grid.counts
         want_b, want_mask = total_field_many(knot, grid.points())
-        for threads in (1, 2, 3):
-            for chunk in (1, nz, max(1, ny * nz - 1), None):
-                sample = sample_field(knot, grid, threads=threads,
-                                      **({} if chunk is None else {"chunk": chunk}))
-                assert sample.b.tobytes() == want_b.tobytes(), (threads, chunk)
-                assert sample.on_conductor.tobytes() == want_mask.tobytes(), (threads, chunk)
-
-    def test_many_threads_on_many_blocks(self):
-        # More workers than cores, switching often, each writing its own rows
-        # of the shared arrays: 4 * 9 one-line blocks of the 4_1 grid.
-        knot, grid = canonical_figure_eight(), GridSpec((-1.5, -1.5, -1.5), 0.5, (4, 9, 19))
-        want_b, want_mask = total_field_many(knot, grid.points())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            sample = sample_field(knot, grid, threads=8, chunk=19)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sample.b.tobytes() == want_b.tobytes()
-        assert sample.on_conductor.tobytes() == want_mask.tobytes()
+        for chunk in (1, nz, max(1, ny * nz - 1), None):
+            sample = sample_field(knot, grid, **({} if chunk is None else {"chunk": chunk}))
+            assert sample.b.tobytes() == want_b.tobytes(), chunk
+            assert sample.on_conductor.tobytes() == want_mask.tobytes(), chunk
 
 
 def test_cli_requires_exactly_one_source(tmp_path, capsys):
@@ -459,7 +458,7 @@ REFUSED += [("holonomy", ("--format", "csv")), ("field sample", ("--format", "js
                          ids=[f"{c}-{' '.join(e)}".replace(" ", "_") for c, e in REFUSED])
 def test_inapplicable_option_is_a_usage_error(tmp_path, capsys, command, extra):
     loop_file = tmp_path / "loop.txt"
-    write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+    loop_file.write_text(PAPER_LOOP)
     base = [str(loop_file) if a == "LOOP" else a for a in BASE_ARGV[command]]
     build_parser().parse_args(base)             # the invocation is valid without it
     assert run_cli(*base, *extra) == 1
@@ -510,10 +509,7 @@ class TestCli:
 
     def test_holonomy_paper_loop(self, tmp_path, capsys):
         loop_file = tmp_path / "loop.txt"
-        write_loop_file(
-            Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="paper"),
-            loop_file,
-        )
+        loop_file.write_text(PAPER_LOOP)
         rc = run_cli("holonomy", "--knot", "3_1", "--loop", str(loop_file),
                      "--format", "json")
         assert rc == 0
@@ -525,7 +521,7 @@ class TestCli:
         # At k = 1e6 the residual is about 1e-6 in absolute terms, 1e-12 in
         # units of k: the answer is right and the exit code says so.
         loop_file = tmp_path / "loop.txt"
-        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        loop_file.write_text(PAPER_LOOP)
         rc = run_cli("holonomy", "--knot", "3_1", "--k", "1e6", "--loop", str(loop_file),
                      "--format", "json")
         payload = json.loads(capsys.readouterr().out)
@@ -547,7 +543,7 @@ class TestCli:
     ], ids=["holonomy", "field-sample", "field-sample-out"])
     def test_overflowing_k_exit_1(self, tmp_path, capsys, command):
         loop_file, out = tmp_path / "loop.txt", tmp_path / "never.csv"
-        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        loop_file.write_text(PAPER_LOOP)
         argv = [{"LOOP": str(loop_file), "OUT": str(out)}.get(a, a) for a in command]
         assert run_cli(*argv, "--knot", "3_1", "--k", "1e308") == 1
         captured = capsys.readouterr()
@@ -557,15 +553,12 @@ class TestCli:
 
     def test_holonomy_loop_on_conductor_exit_3(self, tmp_path):
         loop_file = tmp_path / "bad.txt"
-        write_loop_file(Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2))),
-                        loop_file)
+        loop_file.write_text("2 2 3\n7 3 2\n7 5 2\n5 5 2\n")
         assert run_cli("holonomy", "--knot", "3_1", "--loop", str(loop_file)) == 3
 
     def test_linking_output(self, tmp_path, capsys):
         loop_file = tmp_path / "loop.txt"
-        write_loop_file(
-            Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file
-        )
+        loop_file.write_text(PAPER_LOOP)
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == 0
         assert capsys.readouterr().out.strip() == "-1"
 
@@ -578,7 +571,7 @@ class TestCli:
     ], ids=["tight-square", "overflow"])
     def test_linking_exit_codes(self, tmp_path, capsys, vertices, rc, out):
         loop_file = tmp_path / "loop.txt"
-        write_loop_file(Loop(vertices=vertices), loop_file)
+        loop_file.write_text("".join("%r %r %r\n" % v for v in vertices))
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == rc
         assert capsys.readouterr().out.strip() == out
 
@@ -600,7 +593,7 @@ class TestCli:
     ])
     def test_bad_number_exit_1(self, tmp_path, capsys, argv, flag):
         loop_file = tmp_path / "loop.txt"
-        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        loop_file.write_text(PAPER_LOOP)
         assert run_cli(*[str(loop_file) if a == "LOOP" else a for a in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -636,7 +629,7 @@ class TestCli:
             raise QuadratureError("holonomy edge failed to converge")
         monkeypatch.setattr(cli, "holonomy", no_convergence)
         loop_file = tmp_path / "loop.txt"
-        write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+        loop_file.write_text(PAPER_LOOP)
         assert run_cli("holonomy", "--knot", "3_1", "--loop", str(loop_file)) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -658,8 +651,7 @@ class TestCli:
         # Edge 0 runs through trefoil stick 1 at (2,2,3), but its length
         # squared overflows: a typed refusal, not a traceback or a number.
         loop_file = tmp_path / "huge.txt"
-        write_loop_file(Loop(vertices=((1e200, 2, 3), (-5, 2, 3), (-5, -5, 3),
-                                       (1e200, -5, 3))), loop_file)
+        loop_file.write_text("1e200 2 3\n-5 2 3\n-5 -5 3\n1e200 -5 3\n")
         assert run_cli("holonomy", "--knot", "3_1", "--loop", str(loop_file)) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -822,7 +814,7 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
         "linking", "verify-transcription", "verify-transcription-4_1-json", "braid-field-csv"])
 def test_golden_stdout(tmp_path, capsys, argv, digest):
     loop_file = tmp_path / "loop.txt"
-    write_loop_file(Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2))), loop_file)
+    loop_file.write_text(PAPER_LOOP)
     assert run_cli(*[str(loop_file) if a == "LOOP" else a for a in argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 

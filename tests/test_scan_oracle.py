@@ -443,6 +443,9 @@ def on_stick_points(draw):
 
 @SETTINGS
 @given(st.lists(st.one_of(stick_points(), on_stick_points()), min_size=1, max_size=20))
+# On the axis extension so near the start that |P - start| underflows to 0:
+# the factor is infinite and a zero offset times it is NaN, without a warning.
+@example([(Segment((0, 0, 0), (1, 0, 0)), np.array([-2.0 ** -860, 0.0, 0.0]))])
 def test_paired_rows_match_one_stick_rows(cases):
     starts, ends = [s.start for s, _ in cases], [s.end for s, _ in cases]
     points = np.array([p for _, p in cases])

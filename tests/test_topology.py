@@ -22,7 +22,6 @@ from knotfield.topology import (
     loop_clearance,
     parse_loop_text,
     read_loop_file,
-    write_loop_file,
 )
 from knotfield.verification import random_rect_loop
 
@@ -292,7 +291,8 @@ class TestLoopFiles:
         loop = Loop(vertices=((0.5, 0.25, -1.75), (1.5, 0.25, -1.75), (1.5, 1.25, -1.75)),
                     name="frac")
         path = tmp_path / "loop.txt"
-        write_loop_file(loop, path, header_comments=("loop",))
+        path.write_text("# loop\n0.5 0.25 -1.75\n1.5 0.25 -1.75\n1.5 1.25 -1.75\n",
+                        encoding="ascii")
         back = read_loop_file(path, name="frac")
         assert back == loop
 
