@@ -286,7 +286,7 @@ def _merge_collinear(points):
 class ProjectedCrossing:
     position: tuple[int, int]    # (x, z) of the double point
     sign: int
-    over_edge: int               # 0-based edge indices into segments(knot)
+    over_edge: int               # edge indices: edge i runs from vertex i to i + 1
     under_edge: int
 
 

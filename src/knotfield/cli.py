@@ -15,7 +15,7 @@ usage error.  SOURCE is exactly one of --knot, --braid, --knot-file.
   verify transcription
                  --knot --seed --format {text,json} --points
 
-Exit codes: 0 ok, 1 usage or input error, 2 multi-component braid closure,
+Exit codes: 0 ok, 1 usage, input or memory error, 2 multi-component braid closure,
 3 field/holonomy evaluation on the conductor, 4 verification failure,
 a loop the linking sum cannot represent, or a quadrature that does not converge.
 """
@@ -34,12 +34,11 @@ import numpy as np
 from . import __version__
 from .geometry import (
     CANONICAL,
-    Axis,
     LatticeKnot,
     bounding_box,
     format_knot,
     read_knot_file,
-    segments,
+    stick_ends,
     validate,
 )
 from .biot_savart import DEFAULT_EXCLUSION_RADIUS, OnConductorError, QuadratureError
@@ -200,16 +199,15 @@ def _output(path):
 
 def _cmd_knot_info(args) -> int:
     knot = _build_knot(args, args.k)
-    segs = segments(knot)
-    per_axis = ", ".join(f"{ax.name.lower()}: {sum(s.axis == ax for s in segs)}"
-                         for ax in Axis)
+    counts = np.bincount(knot.sticks.roles[0], minlength=3).tolist()
+    per_axis = ", ".join(f"{ax}: {n}" for ax, n in zip("xyz", counts))
     lo, hi = bounding_box(knot)
     with _output(args.out) as out:
         # Every source is validated by _build_knot, so a knot that gets
         # here is valid.
         out.write(f"name: {knot.name}\n"
                   f"vertices: {len(knot.vertices)}\n"
-                  f"segments: {len(segs)} ({per_axis})\n"
+                  f"segments: {len(knot.vertices)} ({per_axis})\n"
                   f"bounding box: {lo} .. {hi}\n"
                   f"k: {knot.k}\n"
                   "valid: True\n")
@@ -313,7 +311,7 @@ def _cmd_verify_transcription(args) -> int:
     ledger = discrepancy_ledger(label)
     rng = np.random.default_rng(args.seed)
     knot = CANONICAL[label]()
-    pts = random_clear_points(rng, segments(knot), args.points, margin=3.0, clearance=1.0)
+    pts = random_clear_points(rng, *stick_ends(knot), args.points, margin=3.0, clearance=1.0)
     worst = float(np.max(np.abs(eval_transcribed(label, pts) - clear_field(knot, pts))))
     payload = {
         "knot": label,
@@ -356,6 +354,8 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_VERIFY_FAILED)
     except (_UsageError, ValueError, OSError) as exc:   # BraidParseError is a ValueError
         return _fail(exc, EXIT_USAGE)
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory", EXIT_USAGE)
 
 
 if __name__ == "__main__":

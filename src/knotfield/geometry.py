@@ -263,7 +263,8 @@ def validate(knot: LatticeKnot) -> ValidationReport:
 
 
 def segments(knot: LatticeKnot) -> list[Segment]:
-    """Decompose the knot into directed sticks, indexed 1..n in flow order."""
+    """The public per-stick view: the knot's directed sticks as ``Segment``s,
+    indexed 1..n in flow order.  No engine path reads it."""
     v = knot.vertices
     return [Segment(v[i], v[(i + 1) % len(v)], index=i + 1) for i in range(len(v))]
 
@@ -328,11 +329,8 @@ CANONICAL = {"3_1": canonical_trefoil, "4_1": canonical_figure_eight}
 
 
 def bounding_box(knot: LatticeKnot) -> tuple[LatticePoint, LatticePoint]:
-    v = knot.vertices
-    return (
-        tuple(min(p[i] for p in v) for i in range(3)),
-        tuple(max(p[i] for p in v) for i in range(3)),
-    )
+    v = np.array(knot.vertices)
+    return tuple(v.min(axis=0).tolist()), tuple(v.max(axis=0).tolist())
 
 
 # --- knot file format -------------------------------------------------------

@@ -38,13 +38,13 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if not all(np.isfinite(self.origin)):
             raise ValueError(f"grid origin must be finite, got {self.origin}")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
-        if any(c < 1 for c in self.counts):
-            raise ValueError(f"grid counts must be >= 1, got {self.counts}")
+        if any(c != int(c) or c < 1 for c in self.counts):
+            raise ValueError(f"grid counts must be integers >= 1, got {self.counts}")
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         for axis, o, n in zip("xyz", self.origin, self.counts):     # past 2**1023, n has no float
             if not np.isfinite(last := o + float(self.spacing) * min(n - 1, 2 ** 1023)):
                 raise ValueError(f"grid {axis} axis must end at a finite coordinate, got {last}")

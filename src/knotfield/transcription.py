@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biot_savart import OnConductorError, _stick_field
-from .geometry import CANONICAL, LatticeKnot, segments
+from .geometry import CANONICAL, LatticeKnot
 
 _AXES = "xyz"
 _COMPONENTS = ("Bx", "By", "Bz")
@@ -178,16 +178,16 @@ def _derived_terms(knot: LatticeKnot) -> dict[str, tuple[TranscribedTerm, ...]]:
     the sign is -1 when (w - i) mod 3 = 1, else +1.  A derived term's
     ``index`` is its stick's 1-based index.
     """
-    out = {comp: [] for comp in _COMPONENTS}
-    for seg in segments(knot):
-        w = int(seg.axis)
-        fixed = {int(ax): (float(c), -1, _AXES[ax]) for ax, c in seg.transverse}   # (c_a - a)
+    out, v = {comp: [] for comp in _COMPONENTS}, knot.vertices
+    for j, (w, *across) in enumerate(knot.sticks.roles.T.tolist()):
+        start, end = v[j], v[(j + 1) % len(v)]
+        fixed = {ax: (float(start[ax]), -1, _AXES[ax]) for ax in across}   # (c_a - a)
         first, second = (BracketEntry((float(p[w]), -1, _AXES[w]),
                                       tuple((float(c), -1, a) for c, a in zip(p, _AXES)))
-                         for p in (seg.end, seg.start))
+                         for p in (end, start))
         for i in fixed:
             out[_COMPONENTS[i]].append(TranscribedTerm(
-                _COMPONENTS[i], seg.index, -1 if (w - i) % 3 == 1 else 1,
+                _COMPONENTS[i], j + 1, -1 if (w - i) % 3 == 1 else 1,
                 fixed[3 - i - w], tuple(fixed.values()), first, second))
     return {comp: tuple(terms) for comp, terms in out.items()}
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LatticeKnot, PackedSticks, Segment, bounding_box, refine, segments
+from .geometry import LatticeKnot, PackedSticks, Segment, bounding_box, refine, stick_ends
 from .biot_savart import (_paired_field, _quadrature, _stick_field, segment_field, total_field,
                           total_field_many)
 from .topology import Loop, holonomy, linking_number, loop_clearance
@@ -38,14 +38,14 @@ class SuiteResult:
         return f"{status} {self.name} ({self.duration:.2f}s): {self.details}"
 
 
-def random_clear_points(rng, sticks, n: int, margin: float, clearance: float):
-    """(n, 3) uniform points in the sticks' inflated bounding box, at least
-    ``clearance`` from them by the kernel's own distance.  Each round draws
-    one candidate per missing point, so the points and the generator's final
-    state are those of drawing one candidate at a time."""
-    ends = np.array([(s.start, s.end) for s in sticks], dtype=float)    # (N, 2, 3)
-    packed = PackedSticks.pack(ends[:, 0], ends[:, 1])
-    lo, hi = ends.min(axis=(0, 1)) - margin, ends.max(axis=(0, 1)) + margin
+def random_clear_points(rng, starts, ends, n: int, margin: float, clearance: float):
+    """(n, 3) uniform points in the inflated box of the sticks from (N, 3)
+    ``starts`` to ``ends``, at least ``clearance`` from them by the kernel's
+    own distance.  Each round draws one candidate per missing point, so the
+    points and the generator's final state are those of drawing one at a time."""
+    packed = PackedSticks.pack(starts, ends)
+    both = np.concatenate([starts, ends])
+    lo, hi = both.min(axis=0) - margin, both.max(axis=0) + margin
     points = np.empty((0, 3))
     while len(points) < n:
         p = rng.uniform(lo, hi, size=(n - len(points), 3))
@@ -54,8 +54,9 @@ def random_clear_points(rng, sticks, n: int, margin: float, clearance: float):
 
 
 def random_clear_point(rng, sticks, margin: float, clearance: float):
-    """One point of ``random_clear_points``."""
-    return random_clear_points(rng, sticks, 1, margin, clearance)[0]
+    """One point of ``random_clear_points`` for a list of ``Segment``s."""
+    ends = np.array([(s.start, s.end) for s in sticks], dtype=float)    # (N, 2, 3)
+    return random_clear_points(rng, ends[:, 0], ends[:, 1], 1, margin, clearance)[0]
 
 
 def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
@@ -178,7 +179,7 @@ def clear_field(knot: LatticeKnot, points):
 def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
     """Central-difference curl and divergence vanish off the conductor."""
     rng = np.random.default_rng(seed)
-    p = random_clear_points(rng, segments(knot), n_points, margin=3.0, clearance=1.0)
+    p = random_clear_points(rng, *stick_ends(knot), n_points, margin=3.0, clearance=1.0)
     # Each point, then its neighbours +h and -h along x, y and z.
     step = 1e-3 * np.eye(3)
     stencil = np.concatenate([p[:, None], p[:, None] + step, p[:, None] - step], axis=1)
@@ -198,7 +199,7 @@ def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
 def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
     """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 2."""
     rng = np.random.default_rng(seed)
-    p = random_clear_points(rng, segments(knot), n_points, margin=3.0, clearance=0.5)
+    p = random_clear_points(rng, *stick_ends(knot), n_points, margin=3.0, clearance=0.5)
     b = clear_field(knot, p)
     b_scaled = clear_field(refine(knot, 2), 2 * p)
     ref = np.array([np.linalg.norm(r) for r in b])

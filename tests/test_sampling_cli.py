@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from knotfield import biot_savart, cli, sampling
+from knotfield import biot_savart, cli, geometry, sampling, transcription, verification
 from knotfield.braids import close_braid_on_lattice, parse_braid
 from knotfield.cli import build_parser, main
 from knotfield.geometry import (
@@ -56,6 +56,8 @@ class TestGridSpec:
             GridSpec(origin=(0, 0, 0), spacing=0.0, counts=(2, 2, 2))
         with pytest.raises(ValueError):
             GridSpec(origin=(0, 0, 0), spacing=0.5, counts=(2, 0, 2))
+        with pytest.raises(ValueError, match=r"counts .*\(2\.5, 1, 1\)"):
+            GridSpec(origin=(0, 0, 0), spacing=1.0, counts=(2.5, 1, 1))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="spacing"):
                 GridSpec(origin=(0, 0, 0), spacing=bad, counts=(2, 2, 2))
@@ -727,6 +729,29 @@ class TestCli:
             "error: grid x axis must end at a finite coordinate, got inf\n"
         assert not out.exists()
 
+    def test_field_sample_grid_beyond_memory_exit_1(self, tmp_path, capsys):
+        # 576 PiB of field rows: above any 64-bit host's address space, so
+        # the allocation fails at once, and below numpy's "too big" ValueError.
+        out = tmp_path / "never.csv"
+        rc = run_cli("field", "sample", "--knot", "3_1", "--origin=0,0,0", "--spacing", "1",
+                     "--counts", "300000,300000,300000", "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_engine_paths_build_no_segments(self, monkeypatch, capsys):
+        # ``knot info``, the derived term table and the clear-point draws read
+        # the vertex list and its arrays, never the per-stick ``Segment`` view.
+        def refuse(knot):
+            raise AssertionError("segments() called")
+        for module in (geometry, cli, transcription, verification):
+            monkeypatch.setattr(module, "segments", refuse, raising=False)
+        assert run_cli("knot", "info", "--knot", "3_1") == 0
+        assert run_cli("verify", "transcription", "--knot", "3_1", "--points", "5") == 0
+        assert run_cli("verify", "--knot", "3_1", "--loops", "2", "--points", "4",
+                       "--kernel-pairs", "4") == 0
+
     def test_knot_file_beyond_int64_exit_1(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text(f"0 0 0\n{2**63} 0 0\n{2**63} 2 0\n0 2 0\n")
@@ -788,6 +813,10 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
      "05d3b51f840281fc43ea85e5ae28fcc77db950a0d406f7f1dcfd5e56769bfba1"),
     (("knot", "info", "--knot", "3_1"),
      "8d68667e61acceac005b01f79299f23b06f44a5a74be093a997f150a345032f7"),
+    (("knot", "info", "--knot", "4_1"),                      # x 4, y 6, z 4
+     "1dff904efff95e8533e9fc0864d4178b552e425b6e9ddcfa093cb2817f259032"),
+    (("knot", "info", "--braid", "s1 s2 s1^-1 s2 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1"),
+     "6368dbf06ce55dab4372ac3ac28cd866704d5e16df89aea596a750784a528be7"),   # x 66, y 24, z 42
     (("knot", "emit", "--knot", "4_1"),
      "9cf902d29e8590ca53e6a6cacbb7f33d2153921ba8faf63182e21c2fa0b3962a"),
     (("holonomy", "--knot", "3_1", "--loop", "LOOP"),
@@ -810,8 +839,9 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
 ], ids=["csv", "jsonl", "vtk", "csv-blocks", "jsonl-blocks", "vtk-blocks",
         "csv-blocks-threads-2", "jsonl-blocks-threads-2", "vtk-blocks-threads-2",
         "csv-blocks-threads-4", "jsonl-blocks-threads-4", "vtk-blocks-threads-4", "braid-4_1",
-        "braid-12-letters", "knot-info", "knot-emit", "holonomy-text", "holonomy-json",
-        "linking", "verify-transcription", "verify-transcription-4_1-json", "braid-field-csv"])
+        "braid-12-letters", "knot-info", "knot-info-4_1", "knot-info-braid-12-letters",
+        "knot-emit", "holonomy-text", "holonomy-json", "linking", "verify-transcription",
+        "verify-transcription-4_1-json", "braid-field-csv"])
 def test_golden_stdout(tmp_path, capsys, argv, digest):
     loop_file = tmp_path / "loop.txt"
     loop_file.write_text(PAPER_LOOP)

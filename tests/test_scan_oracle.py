@@ -413,7 +413,8 @@ def clear_point_draws(draw):
 def test_random_clear_points_agree(case):
     rng, sticks, margin, clearance, n = case
     state = rng.bit_generator.state
-    points = random_clear_points(rng, sticks, n, margin, clearance)
+    ends = np.array([(s.start, s.end) for s in sticks], dtype=float)
+    points = random_clear_points(rng, ends[:, 0], ends[:, 1], n, margin, clearance)
     after = rng.bit_generator.state
     rng.bit_generator.state = state
     want = [scan_random_clear_point(rng, sticks, margin, clearance) for _ in range(n)]
