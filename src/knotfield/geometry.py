@@ -192,63 +192,55 @@ def validate(knot: LatticeKnot) -> ValidationReport:
     Violations are returned as data, never raised: degenerate input is a
     reportable condition, not an exception.  Each violation names the
     offending vertex or edge pair, in scan order: vertices, edges, corners,
-    then edge pairs (i, j), i < j.  Vertices and edges are checked one by one.
-    The edges that pass, as int64 boxes (a stick is its bounding box), go to
-    ``touching_pairs`` for self-avoidance: O(N log N) plus the hits and the
-    perpendicular near misses, where a pairwise scan is O(N^2).
+    then edge pairs (i, j), i < j.  Past the type check the vertices are one
+    int64 array, checked as a whole.  The sticks, as boxes (a stick is its
+    bounding box), go to ``touching_pairs`` for self-avoidance: O(N log N)
+    plus the hits and the perpendicular near misses, not O(N^2) pairs.
     """
     v = knot.vertices
     n = len(v)
-    violations = []
+    violations = [f"too few vertices: {n} < 4"] if n < 4 else []
 
-    if n < 4:
-        violations.append(f"too few vertices: {n} < 4")
-
-    bad_vertices = set()
+    good = [True] * n
     for i, p in enumerate(v):
         if len(p) != 3 or any(not isinstance(c, int) or isinstance(c, bool) for c in p):
             violations.append(f"vertex {i} {p} has non-integer coordinates")
-            bad_vertices.add(i)
+            good[i] = False
         elif any(not -2**63 <= c < 2**63 for c in p):
             violations.append(f"vertex {i} {p} has a coordinate outside the int64 range")
-            bad_vertices.add(i)
+            good[i] = False
 
     seen = {}
     for i, p in enumerate(v):
         if seen.setdefault(p, i) != i:
             violations.append(f"repeated vertex {p} at positions {seen[p]} and {i}")
 
-    # Edge-level checks; edges that fail here, or touch a vertex flagged
-    # above, are excluded from the pair checks.
-    good_edges = {}
-    for i in range(n):
-        if {i, (i + 1) % n} & bad_vertices:
-            continue
-        a, b = v[i], v[(i + 1) % n]
-        moving = [c for c in range(3) if a[c] != b[c]]
-        if not moving:
-            violations.append(f"edge {i} {a}->{b} has zero length")
-        elif len(moving) > 1:
-            violations.append(f"edge {i} {a}->{b} not axis-aligned")
-        else:
-            good_edges[i] = (a, b, moving[0])
+    # Edge i runs from row i of ``a`` to row i of ``b``; an edge into or out
+    # of a flagged vertex is checked no further.
+    a = np.array([p if ok else (0, 0, 0) for p, ok in zip(v, good)], np.int64).reshape(n, 3)
+    b, good = np.roll(a, -1, axis=0), np.array(good, bool)
+    moving = a != b
+    count, axis = moving.sum(axis=1), moving.argmax(axis=1)
+    checked = good & np.roll(good, -1)
+    for i in np.flatnonzero(checked & (count != 1)).tolist():
+        fault = "has zero length" if count[i] == 0 else "not axis-aligned"
+        violations.append(f"edge {i} {v[i]}->{v[(i + 1) % n]} {fault}")
 
-    # True corners only: consecutive edges must change axis.
-    for i in range(n):
+    # True corners only: consecutive sticks must change axis.
+    stick = checked & (count == 1)
+    for i in np.flatnonzero(stick & np.roll(stick, -1) & (axis == np.roll(axis, -1))).tolist():
         j = (i + 1) % n
-        if i in good_edges and j in good_edges and good_edges[i][2] == good_edges[j][2]:
-            violations.append(f"vertex {j} {v[j]} is not a corner (edges {i},{j} collinear)")
+        violations.append(f"vertex {j} {v[j]} is not a corner (edges {i},{j} collinear)")
 
     # Self-avoidance.  Consecutive edges always share their joint vertex and
     # fault only when they meet beyond it; any other meeting is a fault.
-    idx = np.fromiter(good_edges, np.int64, len(good_edges))
-    ends = np.array([e[:2] for e in good_edges.values()], np.int64).reshape(-1, 2, 3)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    p, q = touching_pairs(lo, hi, np.array([e[2] for e in good_edges.values()], int))
+    idx = np.flatnonzero(stick)
+    lo, hi = np.minimum(a, b)[idx], np.maximum(a, b)[idx]
+    p, q = touching_pairs(lo, hi, axis[idx])
     i, j = idx[p], idx[q]
     follows = j - i == 1
     adjacent = follows | ((i == 0) & (j == n - 1))
-    shared = np.where(follows[:, None], ends[q, 0], ends[p, 0])
+    shared = a[np.where(follows, j, i)]
     meet_lo, meet_hi = np.maximum(lo[p], lo[q]), np.minimum(hi[p], hi[q])
     fault = ~adjacent | (meet_lo != shared).any(axis=1) | (meet_hi != shared).any(axis=1)
     for i, j, adj, at, mlo, mhi in zip(*(x[fault].tolist() for x in

@@ -42,7 +42,7 @@ class GridSpec:
             raise ValueError(f"grid origin must be finite, got {self.origin}")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
-        if any(c != int(c) or c < 1 for c in self.counts):
+        if not all(c >= 1 and c % 1 == 0 for c in self.counts):   # False for inf and nan
             raise ValueError(f"grid counts must be integers >= 1, got {self.counts}")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         for axis, o, n in zip("xyz", self.origin, self.counts):     # past 2**1023, n has no float
@@ -72,7 +72,7 @@ class FieldSample:
 
 
 def _check_count(name, value, unit):
-    if value < 1:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive number of {unit}, got {value!r}")
 
 

@@ -62,6 +62,16 @@ def test_collinear_interior_vertex_flagged():
     assert any("not a corner" in v for v in report.violations)
 
 
+def test_corners_reported_in_edge_order():
+    # Vertex 0 lies between the last edge and edge 0, so it is reported last.
+    knot = LatticeKnot(vertices=((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0),
+                                 (-1, 2, 0), (-1, 0, 0)))
+    assert validate(knot).violations == (
+        "vertex 1 (1, 0, 0) is not a corner (edges 0,1 collinear)",
+        "vertex 0 (0, 0, 0) is not a corner (edges 5,0 collinear)",
+    )
+
+
 def test_repeated_vertex_flagged():
     knot = LatticeKnot(vertices=((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0),
                                  (0, 0, 0), (2, 0, 0)))

@@ -58,6 +58,9 @@ class TestGridSpec:
             GridSpec(origin=(0, 0, 0), spacing=0.5, counts=(2, 0, 2))
         with pytest.raises(ValueError, match=r"counts .*\(2\.5, 1, 1\)"):
             GridSpec(origin=(0, 0, 0), spacing=1.0, counts=(2.5, 1, 1))
+        for bad in ((math.inf, 1, 1), (1, math.nan, 1)):
+            with pytest.raises(ValueError, match=r"^grid counts must be integers >= 1, got "):
+                GridSpec(origin=(0, 0, 0), spacing=1.0, counts=bad)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="spacing"):
                 GridSpec(origin=(0, 0, 0), spacing=bad, counts=(2, 2, 2))
@@ -126,6 +129,22 @@ class TestSampling:
             fh = io.StringIO()
             with pytest.raises(ValueError, match=rf"^threads .*, got {threads}$"):
                 writer(sample, fh, threads=threads)
+            assert fh.getvalue() == ""
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_non_integer_counts_refused(self, count):
+        # Refused before anything is written: 25^3 rows make four writer
+        # blocks, so a fractional count would reach the block slicing after
+        # the header.
+        knot, grid = canonical_trefoil(), GridSpec((-1, -1, -1), 0.5, (25, 25, 25))
+        for name in ("threads", "chunk"):
+            with pytest.raises(ValueError, match=rf"^{name} .*, got {count}$"):
+                sample_field(knot, grid, **{name: count})
+        sample = sample_field(knot, grid)
+        for writer in (write_csv, write_jsonl, write_vtk):
+            fh = io.StringIO()
+            with pytest.raises(ValueError, match=rf"^threads .*, got {count}$"):
+                writer(sample, fh, threads=count)
             assert fh.getvalue() == ""
 
     @pytest.mark.parametrize("counts, chunk, sizes", [
