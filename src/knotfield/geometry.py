@@ -199,7 +199,10 @@ def validate(knot: LatticeKnot) -> ValidationReport:
     """
     v = knot.vertices
     n = len(v)
-    violations = [f"too few vertices: {n} < 4"] if n < 4 else []
+    violations = []
+
+    if n < 4:
+        violations.append(f"too few vertices: {n} < 4")
 
     good = [True] * n
     for i, p in enumerate(v):
