@@ -307,8 +307,9 @@ def projection_crossings(knot: LatticeKnot, view_axis: Axis = Axis.Y) -> tuple[P
     va = int(view_axis)
     plane = [i for i in range(3) if i != va]
     a = np.array(knot.vertices).reshape(-1, 3)
-    if a.size and a.dtype != np.int64:
-        raise ValueError(f"vertex coordinates must be integers within int64, not {a.dtype}")
+    kind = "bool" if any(type(c) is bool for p in knot.vertices for c in p) else a.dtype
+    if a.size and kind != np.int64:
+        raise ValueError(f"vertex coordinates must be integers within int64, not {kind}")
     b = np.roll(a, -1, axis=0)
     idx = np.flatnonzero((a[:, plane] != b[:, plane]).any(axis=1))
     a, b = a[idx], b[idx]

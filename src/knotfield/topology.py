@@ -9,9 +9,9 @@ wire yet with non-trivial circulation around it.
 Two independent routes are implemented so they can catch each other's bugs:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
-  (Gauss panels halved level by level on each edge, with a Richardson-style
-  error estimate from successive refinements; each level refines every edge
-  not yet converged in one kernel call);
+  (Gauss panels halved per level, error estimated from successive levels;
+  each level's kernel calls span all loops, one per edge axis from the sticks
+  off that axis, and a lone loop, not pruned, makes one from all the sticks);
 * ``linking_number`` sums the Gauss double integral exactly, one closed-form
   signed solid angle per (loop edge, knot stick) pair (Banchoff 1976;
   Klenin & Langowski 2000) -- no surface construction, no reuse of the
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import LatticeKnot, parse_point_lines, stick_ends
+from .geometry import LatticeKnot, PackedSticks, parse_point_lines, stick_ends
 from .biot_savart import (
     DEFAULT_EXCLUSION_RADIUS,
     FieldError,
@@ -150,59 +150,77 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     Each loop edge gets an equal share of the absolute tolerance and is
     integrated with composite fixed-order Gauss panels under interval
     halving; the Richardson-style error estimate is the difference between
-    successive refinement levels.  Each level evaluates every unconverged
-    edge's nodes in one kernel call and reduces each edge's rows on their
-    own.  The loop is first checked with ``loop_clearance``:
-    LoopOnConductorError when it passes within the exclusion radius,
-    LinkingPrecisionError when it is not representable; ValueError when k
-    is so large that the result overflows.
+    successive refinement levels.  This is the one-loop case of
+    ``_holonomy_results``, which prunes only a batch of loops: each level
+    is one kernel call from all the sticks.  The loop is first checked with
+    ``loop_clearance``: LoopOnConductorError when it passes within the
+    exclusion radius, LinkingPrecisionError when it is not representable;
+    ValueError when k is so large that the result overflows.
     """
-    clear, (i, j) = loop_clearance(knot, loop)
-    if clear < exclusion_radius:
-        raise LoopOnConductorError(i, j, clear)
+    return _holonomy_results(knot, [loop], tol, exclusion_radius, max_levels)[0]
 
-    starts = np.array(loop.vertices)
-    steps = np.roll(starts, -1, axis=0) - starts
-    budget = tol / len(starts)
-    prev, cur, err = (np.empty(len(starts)) for _ in range(3))
-    live = np.arange(len(starts))
+
+def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
+                      exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
+                      max_levels: int = 18) -> list[HolonomyResult]:
+    """``holonomy`` of each loop, bit for bit, or the first error it raises on
+    the loops in order; each loop keeps its clearance check, budget and edge
+    sum, and each edge's rows are reduced on their own.  A level spans every
+    loop's unconverged edges: one kernel call per edge axis a from the
+    sticks off a (which add B_a, all an edge along a reads), and one from
+    all the sticks for the rest.  A lone loop's few rows cost less unpruned.
+    """
+    vertices, refusal = [], None
+    try:
+        for loop in loops:
+            clear, (i, j) = loop_clearance(knot, loop)
+            if clear < exclusion_radius:
+                raise LoopOnConductorError(i, j, clear)
+            vertices.append(loop.vertices)
+    except (LinkingPrecisionError, LoopOnConductorError) as exc:
+        refusal = exc           # raised after the loops before it
+    sizes = [len(v) for v in vertices]
+    firsts = np.cumsum([0] + sizes).tolist()
+    starts = np.array([p for v in vertices for p in v]).reshape(-1, 3)
+    steps = starts[[lo + (i + 1) % n for lo, n in zip(firsts, sizes) for i in range(n)]] - starts
+    budget, along = np.array([tol / n for n in sizes for _ in range(n)]), knot.sticks.roles[0]
+    live = {3: np.arange(len(starts))}         # unconverged edges by axis, 3 for all the sticks
+    if len(loops) > 1 and (along != along[0]).any():    # else an axis may have no stick off it
+        axis = np.where(np.count_nonzero(steps, axis=1) == 1, np.argmax(steps != 0, 1), 3)
+        live = {a: np.flatnonzero(axis == a) for a in sorted(set(axis.tolist()))}
+    sticks = {a: PackedSticks.pack(*(e[along != a] for e in stick_ends(knot))) if a < 3
+              else knot.sticks for a in live}
+    prev, cur, err = np.empty((3, len(starts)))
     for level in range(max_levels + 1):
         n_panels = 2 ** level
         offsets = (np.arange(n_panels)[:, None] + 0.5 * (_GL_X + 1.0)[None, :]) / n_panels
-        t = offsets.ravel()
         w = np.broadcast_to(_GL_W[None, :] / (2.0 * n_panels), offsets.shape).ravel()
-        pts = starts[live, None, :] + t[:, None] * steps[live, None, :]
-        b = _stick_field(knot.sticks, pts.reshape(-1, 3))[0].reshape(pts.shape)
-        cur[live] = [np.dot(w, np.einsum("mc,c->m", b_e, steps[e])) for e, b_e in zip(live, b)]
-        if level:
-            err[live] = np.abs(cur[live] - prev[live])
-            live = live[~(err[live] <= budget)]         # a NaN error never converges
-            if not live.size:
-                break
-        prev[live] = cur[live]
-    else:
-        raise QuadratureError(
-            f"holonomy edge failed to converge to {budget:.3g} "
-            f"after {max_levels} halvings"
-        )
-    value = est = 0.0
-    for c, e in zip(cur.tolist(), err.tolist()):
-        value += c
-        est += e
-
-    # est >= 0, so |est * k| is est * |k|.
-    value, est, four_pi_k = _times_k(np.array([value, est, 4.0 * math.pi]), knot.k).tolist()
-    est = abs(est)
-    inferred = int(round(value / four_pi_k)) if knot.k != 0 else 0
-    residual = value - four_pi_k * inferred
-    return HolonomyResult(
-        value=value,
-        estimated_error=est,
-        edges_evaluated=len(starts),
-        inferred_linking=inferred,
-        residual=residual,
-        k=knot.k,
-    )
+        for a, edges in live.items():
+            pts = starts[edges, None, :] + offsets.reshape(-1, 1) * steps[edges, None, :]
+            b = _stick_field(sticks[a], pts.reshape(-1, 3))[0].reshape(pts.shape)
+            cur[edges] = [np.dot(w, np.einsum("mc,c->m", b_e, steps[e]))
+                          for e, b_e in zip(edges, b)]
+            if level:
+                err[edges] = np.abs(cur[edges] - prev[edges])
+                live[a] = edges = edges[~(err[edges] <= budget[edges])]    # NaN never converges
+            prev[edges] = cur[edges]
+        if not (live := {a: edges for a, edges in live.items() if edges.size}):
+            break
+    results, failed = [], min((edges[0] for edges in live.values()), default=len(starts))
+    for size, lo in zip(sizes, firsts):
+        if failed < lo + size:                          # the first loop left unconverged
+            raise QuadratureError(f"holonomy edge failed to converge to {tol / size:.3g} "
+                                  f"after {max_levels} halvings")
+        # The loop's edges added onto zero in order; est >= 0, so |est * k| is est * |k|.
+        value, est = np.add.accumulate(np.array([(0.0, 0.0), *zip(
+            cur[lo:lo + size].tolist(), err[lo:lo + size].tolist())]))[-1].tolist()
+        value, est, four_pi_k = _times_k(np.array([value, est, 4.0 * math.pi]), knot.k).tolist()
+        inferred = int(round(value / four_pi_k)) if knot.k != 0 else 0
+        results.append(HolonomyResult(value, abs(est), size, inferred,
+                                      value - four_pi_k * inferred, knot.k))
+    if refusal is not None:
+        raise refusal
+    return results
 
 
 def _unit_normals(a, b):

@@ -17,7 +17,10 @@ the engine's versions beyond the kernel and the refusals, so the property
 tests in ``test_scan_oracle.py`` check the engine against them.
 ``scan_random_clear_point`` draws one candidate per kernel call, and
 ``scan_suite_segment_kernel``, ``scan_suite_flatness`` and
-``scan_suite_scaling`` draw and evaluate one pair or point at a time;
+``scan_suite_scaling`` draw and evaluate one pair or point at a time, and
+``scan_suite_holonomy_linking`` and ``scan_suite_refined_holonomy`` call
+``holonomy`` one loop at a time, where the suites refine every loop's
+edges together;
 ``random_axis_segment`` draws the kernel suite's sticks with ``Generator``
 calls, one at a time, where the suite replays them from the raw stream.
 ``scan_discrepancy_ledger`` is the transcription ledger from before the
@@ -65,6 +68,8 @@ from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
     LoopOnConductorError,
+    holonomy,
+    linking_number,
     loop_clearance,
 )
 from knotfield.transcription import (
@@ -78,6 +83,7 @@ from knotfield.transcription import (
     _fmt_rad,
     _printed_atoms,
 )
+from knotfield.verification import random_rect_loop
 
 
 def _edge_box(a, b):
@@ -500,6 +506,38 @@ def scan_suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
         worst = max(worst, float(np.max(np.abs(b_scaled - b / 2))) / ref)
     return ("scaling-law", worst <= 1e-9,
             {"points": n_points, "factor": 2, "worst_rel_err": float(worst), "tol": 1e-9})
+
+
+def scan_suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
+    """holonomy = 4*pi*k*Lk on random rectangular loops in the complement,
+    compared in units of k."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    linked = 0
+    for i in range(n_loops):
+        loop = random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}")
+        per_k = holonomy(knot, loop, tol=1e-6).value / knot.k
+        lk = linking_number(knot, loop)
+        linked += lk != 0
+        worst = max(worst, abs(per_k - 4.0 * math.pi * lk) / max(1.0, abs(per_k)))
+    return ("holonomy-vs-linking", worst < 1e-5,
+            {"loops": n_loops, "nonzero_linking": int(linked),
+             "worst_rel_err": float(worst), "tol": 1e-5})
+
+
+def scan_suite_refined_holonomy(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
+    """Refining knot and loop together by 2 leaves every holonomy unchanged,
+    compared in units of k."""
+    rng = np.random.default_rng(seed)
+    big = refine(knot, 2)
+    worst = 0.0
+    for i in range(n_loops):
+        loop = random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}")
+        h1 = holonomy(knot, loop, tol=1e-6).value
+        h2 = holonomy(big, loop.scaled(2), tol=1e-6).value
+        worst = max(worst, abs(h1 - h2) / abs(knot.k))
+    return ("refined-holonomy-invariance", worst < 2e-5,
+            {"loops": n_loops, "factor": 2, "worst_abs_err": float(worst), "tol": 2e-5})
 
 
 # Parity of (i, w, v) as a permutation of (0, 1, 2).

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotfield.geometry import LatticeKnot, bounding_box, refine, validate
+from knotfield.geometry import Axis, LatticeKnot, bounding_box, refine, validate
 from knotfield.braids import (
     BraidParseError,
     BraidWord,
@@ -185,6 +185,13 @@ class TestLongWords:
         knot = LatticeKnot(vertices=((big, 0, 0), (big + 1, 0, 0), (big + 1, 0, 2), (big, 0, 2)))
         with pytest.raises(ValueError, match="within int64"):
             projection_crossings(knot)
+
+    @pytest.mark.parametrize("c, kind", [(True, "bool"), (1.0, "float64")])
+    def test_projection_refuses_non_integer_coordinates(self, c, kind):
+        # np.array of these vertices is int64 when c is True, not bool.
+        knot = LatticeKnot(vertices=((0, 0, 0), (c, 0, 0), (1, 1, 0), (0, 1, 0)))
+        with pytest.raises(ValueError, match=f"must be integers within int64, not {kind}$"):
+            projection_crossings(knot, Axis.Z)
 
     def test_refined_40_letter_closure_validates(self):
         rng = np.random.default_rng(40)

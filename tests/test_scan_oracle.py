@@ -36,6 +36,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from knotfield import sampling, verification
 from knotfield.biot_savart import (
+    FieldError,
     OnConductorError,
     QuadratureError,
     _paired_field,
@@ -65,13 +66,15 @@ from knotfield.geometry import (
     validate,
 )
 from knotfield.sampling import _BLOCK_ROWS, FieldSample, GridSpec, write_csv, write_jsonl, write_vtk
-from knotfield.topology import LinkingPrecisionError, Loop, holonomy, loop_clearance
+from knotfield.topology import LinkingPrecisionError, Loop, _holonomy_results, holonomy, loop_clearance
 from knotfield.transcription import TERM_TABLES, discrepancy_ledger
 from knotfield.verification import (
     random_clear_point,
     random_clear_points,
     random_rect_loop,
     suite_flatness,
+    suite_holonomy_linking,
+    suite_refined_holonomy,
     suite_scaling,
     suite_segment_kernel,
 )
@@ -83,6 +86,8 @@ from scan_oracle import (
     scan_random_clear_point,
     scan_segment_field_quadrature,
     scan_suite_flatness,
+    scan_suite_holonomy_linking,
+    scan_suite_refined_holonomy,
     scan_suite_scaling,
     scan_suite_segment_kernel,
     dumps_write_jsonl,
@@ -186,8 +191,12 @@ def test_refined_knots_agree(knot, factor):
 def test_corrupted_polygons_agree(knot):
     report = validate(knot)
     assert report == scan_validate(knot)
-    # projection_crossings raises ValueError on a float or two-coordinate vertex.
-    if not any("non-integer" in v for v in report.violations):
+    # projection_crossings raises ValueError on a float, bool or two-coordinate vertex.
+    if any("non-integer" in v for v in report.violations):
+        for view_axis in Axis:
+            with pytest.raises(ValueError):
+                projection_crossings(knot, view_axis)
+    else:
         assert_agrees(knot)
 
 
@@ -228,12 +237,12 @@ def clearance_outcome(route, knot, loop):
 
 
 @st.composite
-def clearance_loops(draw):
-    """A knot and a loop around it: a random rectangle, a square of
-    half-width 10^[-5, -1] around a stick, a polygon with a vertex on a
-    stick's axis extension or an edge along it, or a polygon with a
+def clearance_loops(draw, knot_draws=knots):
+    """A knot from ``knot_draws`` and a loop around it: a random rectangle, a
+    square of half-width 10^[-5, -1] around a stick, a polygon with a vertex
+    on a stick's axis extension or an edge along it, or a polygon with a
     coordinate of 1e200."""
-    knot = draw(knots)
+    knot = draw(knot_draws)
     kind = draw(st.sampled_from(["rect", "tight", "axis-vertex", "axis-edge", "huge"]))
     if kind == "rect":
         return knot, random_rect_loop(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), knot)
@@ -379,12 +388,18 @@ def test_quadrature_rows_are_independent(seed, n, k, tol_depth, data):
         assert together[2] == b"".join(o[2] for o in alone)
 
 
+def result_bits(res):
+    return [(f.name, float_bits(getattr(res, f.name))) for f in dataclasses.fields(res)]
+
+
 def holonomy_outcome(route, *args, **kwargs):
+    """Every field's bits of the route's result, or of each result in its
+    list, or the type and message of the error it raises."""
     try:
         res = route(*args, **kwargs)
-    except QuadratureError as exc:
-        return f"QuadratureError: {exc}"
-    return [(f.name, float_bits(getattr(res, f.name))) for f in dataclasses.fields(res)]
+    except (FieldError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [result_bits(r) for r in res] if isinstance(res, list) else result_bits(res)
 
 
 @SETTINGS
@@ -402,6 +417,80 @@ def test_holonomy_agrees(knot, kind, data, k, tol, max_levels):
                              10.0 ** data.draw(st.floats(-5.0, -1.0)))
     assert holonomy_outcome(holonomy, knot, loop, tol=tol, max_levels=max_levels) == \
         holonomy_outcome(scan_holonomy, knot, loop, tol=tol, max_levels=max_levels)
+
+
+def loop_at_a_time(knot, loops, tol, max_levels):
+    """``holonomy_outcome`` of ``holonomy`` on each loop in turn, up to the
+    first that raises, whose error is then the outcome."""
+    want = []
+    for loop in loops:
+        want.append(holonomy_outcome(holonomy, knot, loop, tol=tol, max_levels=max_levels))
+        if isinstance(want[-1], str):
+            return want[-1]
+    return want
+
+
+@SETTINGS
+@given(st.data(), KS, st.sampled_from((1e-6, 1e-8)), st.sampled_from((1, 18)))
+def test_batched_holonomy_agrees(data, k, tol, max_levels):
+    """The batched entry equals ``holonomy`` loop by loop, bit for bit, or
+    raises the first error that ``holonomy`` raises on the loops in order."""
+    knot, loop = data.draw(clearance_loops())
+    more = data.draw(st.lists(clearance_loops(st.just(knot)), max_size=4))
+    knot, loops = dataclasses.replace(knot, k=k), [loop] + [l for _, l in more]
+    assert holonomy_outcome(_holonomy_results, knot, loops, tol, max_levels=max_levels) == \
+        loop_at_a_time(knot, loops, tol, max_levels)
+
+
+def test_batched_holonomy_raises_the_first_error():
+    """Loop 0 fails to converge and loop 1 touches the conductor: each order
+    raises the error of the loop that comes first."""
+    unreachable = Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
+    touching = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
+    knot = canonical_trefoil()
+    for loops, error in (([unreachable, touching], "QuadratureError"),
+                         ([touching, unreachable], "LoopOnConductorError")):
+        got = holonomy_outcome(_holonomy_results, knot, loops, 1e-14, max_levels=1)
+        assert got.startswith(error + ": ")
+        assert got == loop_at_a_time(knot, loops, 1e-14, 1)
+
+
+def stick_field_calls(call, *args):
+    """``call(*args)`` with ``topology._stick_field`` wrapped: its result and
+    the (sticks, points) of every kernel call it made."""
+    with mock.patch("knotfield.topology._stick_field", wraps=_stick_field) as kernel:
+        result = call(*args)
+    return result, [c.args for c in kernel.call_args_list]
+
+
+def test_holonomy_makes_one_call_per_level():
+    """A lone loop is not pruned: level j is one call from all the sticks on
+    10 * 2^j nodes of each edge not yet converged, 4 edges at level 0."""
+    knot = canonical_trefoil()
+    loop = random_rect_loop(np.random.default_rng(0), knot, clearance=0.5)
+    _, calls = stick_field_calls(holonomy, knot, loop)
+    live = [len(points) / (10 * 2 ** j) for j, (_, points) in enumerate(calls)]
+    assert all(sticks is knot.sticks for sticks, _ in calls)
+    assert live[0] == 4 and live == sorted(live, reverse=True) and len(calls) > 2
+    assert all(n == int(n) and n > 0 for n in live)
+
+
+def test_holonomy_suite_calls_per_level():
+    """The trefoil's 20 loops cost 88 kernel calls one loop at a time, one per
+    loop and level; the batched suite makes at most 4 per level reached, one
+    per edge axis and one for edges off the axes."""
+    knot = canonical_trefoil()
+    rng = np.random.default_rng(0)
+    levels = [len(stick_field_calls(holonomy, knot, random_rect_loop(
+        rng, knot, clearance=0.5, name=f"loop{i}"))[1]) for i in range(20)]
+    assert sum(levels) == 88
+    result, calls = stick_field_calls(verification.suite_holonomy_linking, knot, 0, 20)
+    assert result[1] and len(calls) <= 4 * max(levels)
+    # Every rectangle edge is along an axis a and meets only the sticks off a.
+    along = knot.sticks.roles[0]
+    for sticks, _ in calls:
+        (a,) = {0, 1, 2} - set(sticks.roles[0].tolist())
+        assert len(sticks.sign) == np.sum(along != a)
 
 
 # --- verify's batched draws and suites ----------------------------------------
@@ -534,6 +623,19 @@ def test_batched_point_suites_agree(knot, seed):
         suite_outcome(scan_suite_flatness(knot, seed, 40))
     assert suite_outcome(suite_scaling(knot, seed, 40)) == \
         suite_outcome(scan_suite_scaling(knot, seed, 40))
+
+
+@settings(SETTINGS, max_examples=12)
+@given(st.one_of(st.sampled_from((canonical_trefoil(), canonical_figure_eight())),
+                 braid_closures()), st.sampled_from((0, 3, 9, 1300)), KS)
+def test_batched_holonomy_suites_agree(knot, seed, k):
+    """At ``verify``'s loop counts, the batched suites report what calling
+    ``holonomy`` one loop at a time reports."""
+    knot = dataclasses.replace(knot, k=k)
+    assert suite_outcome(suite_holonomy_linking(knot, seed, 20)) == \
+        suite_outcome(scan_suite_holonomy_linking(knot, seed, 20))
+    assert suite_outcome(suite_refined_holonomy(knot, seed, 10)) == \
+        suite_outcome(scan_suite_refined_holonomy(knot, seed, 10))
 
 
 @pytest.mark.parametrize("suite", [suite_flatness, suite_scaling])
