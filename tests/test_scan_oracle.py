@@ -10,13 +10,17 @@ oracle walks the loop one edge at a time.  Both must give the same value
 bits and (edge, stick), or the same LinkingPrecisionError message.  The
 engine's integrators step every (stick, point) row, or every loop edge, at
 once; the oracles take one interval or one edge at a time.  Both must give
-the same bits in every field, or the same QuadratureError message.
+the same bits in every field, or the same QuadratureError message.  The
+batched holonomy entry refines many loops' edges together and must give
+each loop the bits of ``holonomy`` on it alone, or the first error that
+``holonomy`` raises on the loops in order, with the same message.
 ``verify`` draws its points in blocks, evaluates each suite's points in one
-kernel call and replays the kernel suite's pairs from the raw stream; the
-oracles draw and evaluate one point or pair at a time with ``Generator``
-calls.  Both must give the same points, generator state and details.  The
-paired kernel rows must carry the bits of one-stick all-pairs rows, signed
-zeros included.  The transcription ledger reads each printed term against
+kernel call, replays the kernel suite's pairs from the raw stream and
+integrates each holonomy suite's loops in one batch; the oracles draw and
+evaluate one point, pair or loop at a time with ``Generator`` calls.  Both
+must give the same points, generator state and details.  The paired kernel
+rows must carry the bits of one-stick all-pairs rows, signed zeros
+included.  The transcription ledger reads each printed term against
 its stick's derived term; the oracle builds the stick's expected bracket
 atoms from a parity table.  On printed tables with injected faults both must
 give the same entries.  The writers format each block of rows with one
@@ -66,7 +70,13 @@ from knotfield.geometry import (
     validate,
 )
 from knotfield.sampling import _BLOCK_ROWS, FieldSample, GridSpec, write_csv, write_jsonl, write_vtk
-from knotfield.topology import LinkingPrecisionError, Loop, _holonomy_results, holonomy, loop_clearance
+from knotfield.topology import (
+    LinkingPrecisionError,
+    Loop,
+    _holonomy_results,
+    holonomy,
+    loop_clearance,
+)
 from knotfield.transcription import TERM_TABLES, discrepancy_ledger
 from knotfield.verification import (
     random_clear_point,
