@@ -42,11 +42,11 @@ the tile, the block nor the batch.
 
 The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
-dB = k dl x s / |s|^3: depth-first interval halving with a Gauss panel
-rule.  It takes many (stick, point) rows at once, each row stepping
-through its own interval stack, so a row's bits are those it has alone;
-``segment_field_quadrature`` is the one-row case.  A k so large that the
-field overflows is refused with ValueError.
+dB = k dl x s / |s|^3: per-panel bisection with a Gauss panel rule, the
+integrator ``_bisect`` that holonomy also runs.  It takes many (stick,
+point) rows at once, one depth per step, so a row's bits are those it has
+alone; ``segment_field_quadrature`` is the one-row case.  A k so large
+that the field overflows is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -291,22 +291,62 @@ def segment_field(seg: Segment, point, k: float = 1.0,
 
 # Fixed-order Gauss panel rule, shared by the quadrature oracle and holonomy.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
-# Rows the quadrature oracle integrates at once: bounds its stacks' memory.
+# Rows the quadrature oracle integrates at once: bounds its panels' memory.
 _QUAD_ROWS = 4096
+
+
+def _check_bounds(tol, max_depth, depth_name):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not isinstance(max_depth, int) or max_depth < 0:
+        raise ValueError(f"{depth_name} must be an integer >= 0, got {max_depth!r}")
+
+
+def _bisect(integrand, budget, max_depth):
+    """Adaptive bisection (QUADPACK's QAG, Piessens et al. 1983) of M rows
+    over [0, 1]: ((M, 2) value and error sums, failure).  ``integrand(rows,
+    t)`` is row rows[i]'s integrand at the (n, h, 10) Gauss nodes t[i], as
+    alone.  A panel is accepted when its halves agree with it within its
+    budget, half its parent's, or 64 ulps of the largest |value| from it up
+    to the root (Gander & Gautschi, BIT 40:84, 2000).  One call per depth.  A
+    row fails at ``max_depth`` or on an estimate not finite: failure is None
+    or (row, depth, lo, hi) of the lowest failing row's rightmost failing
+    panel, and later rows stop.  Accepted halves are summed onto zero right
+    to left, as a depth-first scan would, so a row's bits are its own.
+    """
+    def panel(rows, lo, hi):        # each (1 x 10) @ (10 x 1) dot as one interval's alone
+        f = integrand(rows, 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * _GL_X)
+        return 0.5 * (hi - lo) * (_GL_W @ f[..., None])[..., 0]
+
+    rows, total = np.arange(len(budget)), np.zeros((len(budget), 2))
+    ends = np.zeros((len(rows), 1)) + (0.0, 0.5, 1.0)      # each live panel's lo, mid, hi
+    parts = panel(rows, ends[:, [0, 0, 1]], ends[:, [2, 1, 2]])     # each panel and its halves
+    scale, failure, depth, kept = np.abs(parts[:, 0]), None, 0, []
+    while True:
+        err = np.abs((fine := parts[:, 1] + parts[:, 2]) - parts[:, 0])
+        done = err <= np.maximum(budget, 2.0 ** -46 * scale)        # 64 ulps of 1 times scale
+        kept.append((rows[done], ends[done, 0], np.column_stack((fine, err))[done]))
+        if (bad := np.flatnonzero(~(np.isfinite(err) & (done | (depth < max_depth))))).size:
+            i = bad[rows[bad] == rows[bad[0]]][-1]      # rows, and each row's panels, in order
+            failure = (int(rows[i]), depth, float(ends[i, 0]), float(ends[i, 2]))
+            done |= (rows > rows[i]) | (rows == rows[i]) & (ends[:, 0] <= ends[i, 0])
+        if not (go := np.flatnonzero(~done)).size:
+            break
+        rows, budget, scale = (np.repeat(x[go], 2) for x in (rows, 0.5 * budget, scale))
+        ends = ends[go[:, None], [0, 1, 1, 2]].reshape(-1, 2)[:, [0, 0, 1]]
+        ends[:, 1] = 0.5 * (ends[:, 0] + ends[:, 2])
+        coarse = parts[go, 1:].ravel()
+        scale, depth = np.maximum(scale, np.abs(coarse)), depth + 1
+        parts = np.column_stack((coarse, panel(rows, ends[:, :2], ends[:, 1:])))
+    rows, lo, sums = (np.concatenate(x) for x in zip(*kept))
+    np.add.at(total, rows[order := np.argsort(-lo)], sums[order])     # one add at a time
+    return total, failure
 
 
 def _quadrature(starts, ends, points, k, tol, max_depth):
     """k times dB = dl x s / |s|^3 integrated along stick i, starts[i] ->
-    ends[i], at points[i], for each of the M rows: (M, 3).
-
-    Each row runs depth-first interval halving on its own stack of
-    (lo, hi, coarse, budget, depth) intervals: pop one, accept its two
-    halves or push the left half, then the right.  Every numpy step pops
-    one interval from each unfinished row, so a row's intervals are summed
-    in the order it would take alone and its bits do not depend on the
-    other rows; blocks of ``_QUAD_ROWS`` rows run one after another.  Raises
-    QuadratureError for the lowest row that reaches ``max_depth`` above its
-    budget.
+    ends[i], at points[i], for each of the M rows: (M, 3), by ``_bisect`` in
+    blocks of ``_QUAD_ROWS`` rows.  QuadratureError for the lowest failing row.
     """
     starts, ends, points = (np.asarray(x, dtype=float) for x in (starts, ends, points))
     if len(points) > _QUAD_ROWS:
@@ -319,50 +359,16 @@ def _quadrature(starts, ends, points, k, tol, max_depth):
     # direction is constant and only the scalar 1/|p - l(t)|^3 is integrated.
     c = np.cross(u, a)
     cmax = np.max(np.abs(c), axis=1)
+    live = np.flatnonzero(cmax > 0.0)
 
-    def panel(rows, lo, hi):
-        # The Gauss rule on (n, h) intervals [lo, hi], row i's along row
-        # rows[i]'s stick; a (1 x 10) @ (10 x 1) per interval takes the
-        # weights' dot product as one interval alone would.
-        t = 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * _GL_X
-        d = a[rows, None, None, :] - t[..., None] * u[rows, None, None, :]
-        w = np.sum(d * d, axis=3) ** 1.5
-        return 0.5 * (hi - lo) * (_GL_W @ (1.0 / w)[..., None])[..., 0]
+    def integrand(rows, t):
+        d = a[live[rows], None, None, :] - t[..., None] * u[live[rows], None, None, :]
+        return 1.0 / np.sum(d * d, axis=3) ** 1.5
 
-    total = np.zeros(len(a))
-    stack = np.empty((len(a), max_depth + 2, 5))
-    top = np.zeros(len(a), dtype=np.intp)
-    rows = np.flatnonzero(cmax > 0.0)
-    lo, hi = np.zeros((len(rows), 1)), np.ones((len(rows), 1))
-    stack[rows, 0] = np.column_stack((lo, hi, panel(rows, lo, hi), tol / cmax[rows], lo))
-    top[rows] = 1
-    failure = None
-    while rows.size:
-        lo, hi, coarse, budget, depth = stack[rows, top[rows] - 1].T
-        top[rows] -= 1
-        mid = 0.5 * (lo + hi)
-        left, right = panel(rows, np.stack((lo, mid), 1), np.stack((mid, hi), 1)).T
-        err = np.abs(left + right - coarse)
-        bottom = depth >= max_depth
-        done = (err <= budget) | bottom
-        total[rows[done]] += (left + right)[done]
-        split = ~done
-        s, half, deeper = rows[split], 0.5 * budget[split], depth[split] + 1
-        stack[s, top[s]] = np.array((lo[split], mid[split], left[split], half, deeper)).T
-        stack[s, top[s] + 1] = np.array((mid[split], hi[split], right[split], half, deeper)).T
-        top[s] += 2
-        failed = np.flatnonzero(bottom & (err > budget))
-        if failed.size:
-            # One row at a time, the rows past the first failure never run.
-            i = failed[0]
-            failure = (f"no convergence after depth {int(depth[i])} on "
-                       f"[{float(lo[i])}, {float(hi[i])}]")
-            top[rows[i]:] = 0
-        rows = np.flatnonzero(top)
+    (sums, failure), out = _bisect(integrand, tol / cmax[live], max_depth), np.zeros_like(c)
     if failure is not None:
-        raise QuadratureError(failure)
-    out = (k * c) * total[:, None]
-    out[cmax == 0.0] = 0.0
+        raise QuadratureError("no convergence after depth {1} on [{2}, {3}]".format(*failure))
+    out[live] = (k * c[live]) * sums[:, :1]
     return out
 
 
@@ -373,10 +379,11 @@ def segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1
 
     Interval-halving adaptive quadrature with a fixed-order Gauss panel rule
     and absolute tolerance per component: the one-row case of the batched
-    oracle, refusing on-conductor points as ``segment_field`` does.  Slower
-    than the closed form by construction; it exists to be independently
-    auditable, not fast.
+    oracle, refusing on-conductor points as ``segment_field`` does and bad
+    bounds with ValueError.  Slower than the closed form by construction;
+    it exists to be independently auditable, not fast.
     """
+    _check_bounds(tol, max_depth, "max_depth")
     segment_field(seg, point, exclusion_radius=exclusion_radius)    # OnConductorError
     return _quadrature([seg.start], [seg.end], np.reshape(point, (1, 3)), k, tol,
                        max_depth)[0]

@@ -9,9 +9,9 @@ wire yet with non-trivial circulation around it.
 Two independent routes are implemented so they can catch each other's bugs:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
-  (Gauss panels halved per level, error estimated from successive levels;
-  each level's kernel calls span all loops, one per edge axis from the sticks
-  off that axis, and a lone loop, not pruned, makes one from all the sticks);
+  (Gauss panels bisected by the quadrature oracle's integrator; each depth's
+  kernel calls span all loops, one per edge axis from the sticks off that
+  axis, and a lone loop, not pruned, makes one from all the sticks);
 * ``linking_number`` sums the Gauss double integral exactly, one closed-form
   signed solid angle per (loop edge, knot stick) pair (Banchoff 1976;
   Klenin & Langowski 2000) -- no surface construction, no reuse of the
@@ -35,8 +35,8 @@ from .biot_savart import (
     DEFAULT_EXCLUSION_RADIUS,
     FieldError,
     QuadratureError,
-    _GL_W,
-    _GL_X,
+    _bisect,
+    _check_bounds,
     _stick_field,
     _times_k,
 )
@@ -144,32 +144,32 @@ def loop_clearance(knot: LatticeKnot, loop: Loop):
 
 def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
              exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-             max_levels: int = 18) -> HolonomyResult:
+             max_levels: int = 40) -> HolonomyResult:
     """Integrate the circuit's field along the loop.
 
     Each loop edge gets an equal share of the absolute tolerance and is
-    integrated with composite fixed-order Gauss panels under interval
-    halving; the Richardson-style error estimate is the difference between
-    successive refinement levels.  This is the one-loop case of
-    ``_holonomy_results``, which prunes only a batch of loops: each level
-    is one kernel call from all the sticks.  The loop is first checked with
-    ``loop_clearance``: LoopOnConductorError when it passes within the
-    exclusion radius, LinkingPrecisionError when it is not representable;
-    ValueError when k is so large that the result overflows.
+    integrated by adaptive bisection of Gauss panels at most ``max_levels``
+    deep, its error estimated from each accepted panel's halves: the
+    one-loop case of ``_holonomy_results``.  Raises LoopOnConductorError or
+    LinkingPrecisionError from ``loop_clearance``'s check of the loop,
+    QuadratureError when an edge does not converge, and ValueError for a
+    tol not finite and > 0, a max_levels not an int >= 0, or a k so large
+    that the result overflows.
     """
     return _holonomy_results(knot, [loop], tol, exclusion_radius, max_levels)[0]
 
 
 def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
                       exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-                      max_levels: int = 18) -> list[HolonomyResult]:
+                      max_levels: int = 40) -> list[HolonomyResult]:
     """``holonomy`` of each loop, bit for bit, or the first error it raises on
     the loops in order; each loop keeps its clearance check, budget and edge
-    sum, and each edge's rows are reduced on their own.  A level spans every
-    loop's unconverged edges: one kernel call per edge axis a from the
-    sticks off a (which add B_a, all an edge along a reads), and one from
-    all the sticks for the rest.  A lone loop's few rows cost less unpruned.
+    sum, and each edge is one ``_bisect`` row.  A depth makes one kernel
+    call per edge axis a from the sticks off a (which add B_a, all an edge
+    along a reads), and one from all the sticks for the rest; a lone loop's
+    few nodes cost less unpruned.
     """
+    _check_bounds(tol, max_levels, "max_levels")
     vertices, refusal = [], None
     try:
         for loop in loops:
@@ -184,36 +184,28 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
     starts = np.array([p for v in vertices for p in v]).reshape(-1, 3)
     steps = starts[[lo + (i + 1) % n for lo, n in zip(firsts, sizes) for i in range(n)]] - starts
     budget, along = np.array([tol / n for n in sizes for _ in range(n)]), knot.sticks.roles[0]
-    live = {3: np.arange(len(starts))}         # unconverged edges by axis, 3 for all the sticks
-    if len(loops) > 1 and (along != along[0]).any():    # else an axis may have no stick off it
-        axis = np.where(np.count_nonzero(steps, axis=1) == 1, np.argmax(steps != 0, 1), 3)
-        live = {a: np.flatnonzero(axis == a) for a in sorted(set(axis.tolist()))}
+    prune = len(loops) > 1 and (along != along[0]).any()    # else an axis may have no stick off it
+    axis = np.where(prune & (np.count_nonzero(steps, axis=1) == 1), np.argmax(steps != 0, 1), 3)
     sticks = {a: PackedSticks.pack(*(e[along != a] for e in stick_ends(knot))) if a < 3
-              else knot.sticks for a in live}
-    prev, cur, err = np.empty((3, len(starts)))
-    for level in range(max_levels + 1):
-        n_panels = 2 ** level
-        offsets = (np.arange(n_panels)[:, None] + 0.5 * (_GL_X + 1.0)[None, :]) / n_panels
-        w = np.broadcast_to(_GL_W[None, :] / (2.0 * n_panels), offsets.shape).ravel()
-        for a, edges in live.items():
-            pts = starts[edges, None, :] + offsets.reshape(-1, 1) * steps[edges, None, :]
+              else knot.sticks for a in set(axis.tolist())}
+
+    def integrand(rows, t):         # B . step at edge rows[i]'s nodes t[i]
+        f = np.empty(t.shape)
+        for a in set(axis[rows].tolist()) if len(sticks) > 1 else sticks:
+            i = np.flatnonzero(axis[rows] == a) if len(sticks) > 1 else slice(None)
+            step = steps[rows[i], None, None, :]
+            pts = starts[rows[i], None, None, :] + t[i, ..., None] * step
             b = _stick_field(sticks[a], pts.reshape(-1, 3))[0].reshape(pts.shape)
-            cur[edges] = [np.dot(w, np.einsum("mc,c->m", b_e, steps[e]))
-                          for e, b_e in zip(edges, b)]
-            if level:
-                err[edges] = np.abs(cur[edges] - prev[edges])
-                live[a] = edges = edges[~(err[edges] <= budget[edges])]    # NaN never converges
-            prev[edges] = cur[edges]
-        if not (live := {a: edges for a, edges in live.items() if edges.size}):
-            break
-    results, failed = [], min((edges[0] for edges in live.values()), default=len(starts))
+            f[i] = (b * step).sum(axis=3)
+        return f
+
+    (sums, failure), results = _bisect(integrand, budget, max_levels), []
     for size, lo in zip(sizes, firsts):
-        if failed < lo + size:                          # the first loop left unconverged
+        if failure and failure[0] < lo + size:          # the first loop left unconverged
             raise QuadratureError(f"holonomy edge failed to converge to {tol / size:.3g} "
                                   f"after {max_levels} halvings")
         # The loop's edges added onto zero in order; est >= 0, so |est * k| is est * |k|.
-        value, est = np.add.accumulate(np.array([(0.0, 0.0), *zip(
-            cur[lo:lo + size].tolist(), err[lo:lo + size].tolist())]))[-1].tolist()
+        value, est = np.add.accumulate(np.vstack(((0.0, 0.0), sums[lo:lo + size])))[-1].tolist()
         value, est, four_pi_k = _times_k(np.array([value, est, 4.0 * math.pi]), knot.k).tolist()
         inferred = int(round(value / four_pi_k)) if knot.k != 0 else 0
         results.append(HolonomyResult(value, abs(est), size, inferred,

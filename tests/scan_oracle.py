@@ -1,18 +1,19 @@
 """Reference oracles: the pairwise scans ``validate`` and ``projection_crossings``
 ran before their sort-and-search versions, the one-edge-at-a-time scan
 ``loop_clearance`` ran before its single (edge, stick) pass, and the
-one-interval-at-a-time integrators ``segment_field_quadrature`` and
-``holonomy`` ran before they stepped every row or edge at once, and the
 one-point-at-a-time ``random_clear_point`` and self-check suites that
 ``verify`` ran before it drew and evaluated each suite's points in a few
-kernel calls, kept verbatim apart from names.
+kernel calls, kept verbatim apart from names; and depth-first,
+one-interval-at-a-time versions of the adaptive bisection that
+``segment_field_quadrature`` and ``holonomy`` run breadth-first over every
+row or edge at once.
 
 ``scan_validate`` compares every pair of edges' bounding boxes and
 ``scan_projection_crossings`` every pair of projected edges, both in
 O(N^2) pure Python; ``scan_loop_clearance`` walks the loop's edges in a
-Python loop.  ``scan_segment_field_quadrature`` pops one interval at a
-time from a stack of tuples, and ``scan_holonomy`` refines one edge at a
-time with one kernel call per edge and level.  They share no code with
+Python loop.  ``scan_segment_field_quadrature`` and ``scan_holonomy`` pop
+one interval at a time from a stack of tuples, ``bisect_stack``, one edge
+at a time and one kernel call per interval.  They share no code with
 the engine's versions beyond the kernel and the refusals, so the property
 tests in ``test_scan_oracle.py`` check the engine against them.
 ``scan_random_clear_point`` draws one candidate per kernel call, and
@@ -339,35 +340,55 @@ def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: floa
         w = np.sum(d * d, axis=1) ** 1.5
         return 0.5 * (hi - lo) * float(np.dot(_GL_W, 1.0 / w))
 
-    total = 0.0
-    stack = [(0.0, 1.0, panel(0.0, 1.0), scalar_tol, 0)]
+    total, _ = bisect_stack(panel, scalar_tol, max_depth, lambda depth, lo, hi: QuadratureError(
+        f"no convergence after depth {depth} on [{lo}, {hi}]"))
+    return k * c * total
+
+
+# A panel is accepted within this many ulps of its scale, whatever its budget.
+ULPS = 64 * np.finfo(float).eps
+
+
+def bisect_stack(panel, budget, max_depth, error):
+    """(value, error) of ``panel`` over [0, 1] by adaptive bisection on a
+    stack of (lo, hi, coarse, budget, depth, scale) intervals: pop one,
+    accept its halves when they agree with it within its budget or ULPS
+    times the largest |value| from it up to the root, or push the left
+    half, then the right, each with half the budget.  Raises
+    ``error(depth, lo, hi)`` for the first interval not accepted at
+    ``max_depth`` or whose estimate is not finite."""
+    coarse = panel(0.0, 1.0)
+    total = est = 0.0
+    stack = [(0.0, 1.0, coarse, budget, 0, abs(coarse))]
     while stack:
-        lo, hi, coarse, budget, depth = stack.pop()
+        lo, hi, coarse, budget, depth, scale = stack.pop()
         mid = 0.5 * (lo + hi)
         left = panel(lo, mid)
         right = panel(mid, hi)
-        if abs(left + right - coarse) <= budget or depth >= max_depth:
-            if depth >= max_depth and abs(left + right - coarse) > budget:
-                raise QuadratureError(
-                    f"no convergence after depth {depth} on [{lo}, {hi}]"
-                )
+        err = abs(left + right - coarse)
+        if not math.isfinite(err):
+            raise error(depth, lo, hi)
+        if err <= max(budget, ULPS * scale):
             total += left + right
+            est += err
+        elif depth >= max_depth:
+            raise error(depth, lo, hi)
         else:
-            stack.append((lo, mid, left, 0.5 * budget, depth + 1))
-            stack.append((mid, hi, right, 0.5 * budget, depth + 1))
-    return k * c * total
+            stack.append((lo, mid, left, 0.5 * budget, depth + 1, max(scale, abs(left))))
+            stack.append((mid, hi, right, 0.5 * budget, depth + 1, max(scale, abs(right))))
+    return total, est
 
 
 def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-                  max_levels: int = 18) -> HolonomyResult:
+                  max_levels: int = 40) -> HolonomyResult:
     """Integrate the circuit's field along the loop.
 
     Each loop edge gets an equal share of the absolute tolerance and is
-    integrated with composite fixed-order Gauss panels under interval
-    halving; the Richardson-style error estimate is the difference between
-    successive refinement levels.  The loop is first checked with
-    ``loop_clearance``: LoopOnConductorError when it passes within the
+    integrated by ``bisect_stack`` with fixed-order Gauss panels, one
+    interval and one kernel call at a time; the error estimate is the sum
+    of the accepted intervals' disagreements.  The loop is first checked
+    with ``loop_clearance``: LoopOnConductorError when it passes within the
     exclusion radius, LinkingPrecisionError when it is not representable.
     """
     clear, (i, j) = loop_clearance(knot, loop)
@@ -380,30 +401,16 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     budget = tol / len(edges)
     value = 0.0
     est = 0.0
-    for a, b in edges:
-        e = b - a
+    for a, e in ((a, b - a) for a, b in edges):
 
-        def edge_integral(n_panels):
-            # Gauss nodes of every panel evaluated in one batch.
-            offsets = (np.arange(n_panels)[:, None] + 0.5 * (_GL_X + 1.0)[None, :]) / n_panels
-            t = offsets.ravel()
+        def panel(lo, hi):
+            t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
             pts = a[None, :] + t[:, None] * e[None, :]
-            b_along = np.einsum("mc,c->m", _stick_field(knot.sticks, pts)[0], e)
-            w = np.broadcast_to(_GL_W[None, :] / (2.0 * n_panels), offsets.shape).ravel()
-            return float(np.dot(w, b_along))
+            b_along = np.sum(_stick_field(knot.sticks, pts)[0] * e, axis=1)
+            return 0.5 * (hi - lo) * float(np.dot(_GL_W, b_along))
 
-        prev = edge_integral(1)
-        for level in range(1, max_levels + 1):
-            cur = edge_integral(2 ** level)
-            err = abs(cur - prev)
-            prev = cur
-            if err <= budget:
-                break
-        else:
-            raise QuadratureError(
-                f"holonomy edge failed to converge to {budget:.3g} "
-                f"after {max_levels} halvings"
-            )
+        cur, err = bisect_stack(panel, budget, max_levels, lambda *_: QuadratureError(
+            f"holonomy edge failed to converge to {budget:.3g} after {max_levels} halvings"))
         value += cur
         est += err
 

@@ -145,6 +145,20 @@ class TestQuadratureOracle:
             segment_field_quadrature(Segment((0, 0, -8), (0, 0, 8)), (0.6, 0.0, 0.0),
                                      tol=1e-16, max_depth=1)
 
+    @pytest.mark.parametrize("bounds, match", [
+        ({"tol": math.nan}, "tol must be finite and > 0, got nan"),
+        ({"tol": -1.0}, "tol must be finite and > 0"),
+        ({"tol": 0.0}, "tol must be finite and > 0"),
+        ({"tol": math.inf}, "tol must be finite and > 0"),
+        ({"max_depth": -1}, "max_depth must be an integer >= 0, got -1"),
+        ({"max_depth": 2.5}, "max_depth must be an integer >= 0"),
+    ], ids=["nan", "negative", "zero", "inf", "depth-negative", "depth-float"])
+    def test_invalid_bounds_refused(self, bounds, match):
+        # The point is on the conductor: the bounds are refused before the
+        # kernel is asked about it.
+        with pytest.raises(ValueError, match=match):
+            segment_field_quadrature(Segment((0, 0, 0), (0, 0, 2)), (0.0, 0.0, 1.0), **bounds)
+
 
 def field_direction(seg, point):
     b = segment_field(seg, point)
@@ -374,7 +388,8 @@ class TestKernelProperties:
         p[(axis + 2) % 3] += r * math.sin(angle)
         closed = segment_field(seg, p)
         scale = float(np.linalg.norm(closed))
-        quad = segment_field_quadrature(seg, p, tol=1e-13 * scale)
+        # On the axis extension the field is an exact zero, and tol must be > 0.
+        quad = segment_field_quadrature(seg, p, tol=1e-13 * scale or 1e-13)
         assert np.max(np.abs(closed - quad)) <= 1e-9 * scale
 
 

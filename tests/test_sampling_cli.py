@@ -839,9 +839,9 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
     (("knot", "emit", "--knot", "4_1"),
      "9cf902d29e8590ca53e6a6cacbb7f33d2153921ba8faf63182e21c2fa0b3962a"),
     (("holonomy", "--knot", "3_1", "--loop", "LOOP"),
-     "e98148a5c463a1aedd4b9669c6ccea6dd24ab852e1e6d5fc29ba6e3f87fa4735"),
+     "e2f7d126e32b096823c140b4a299eb04e4f362d20d38bff230497ecf40145bae"),
     (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--format", "json"),
-     "834c4dd56a7d1f294d850e0c76709a6cb78a0399c33451113ba56a4378bc0261"),
+     "a84e72d80f968b60ee7be89d7c7e51eefb6646c9d85bdcf3ef5264cc03f3f79d"),
     (("linking", "--knot", "3_1", "--loop", "LOOP"),
      "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
     (("verify", "transcription", "--knot", "3_1", "--points", "5"),
@@ -872,10 +872,10 @@ def test_golden_stdout(tmp_path, capsys, argv, digest):
 # `duration` dropped: pins the random pairs, points and loops each suite
 # draws and every detail it reports, bit for bit.
 @pytest.mark.parametrize("knot, seed, digest", [
-    ("3_1", 0, "7689c36accf941ac9c6991b823583798e8054206ef1a86a99b80456855e4bf91"),
-    ("3_1", 3, "61c28d6d0d204790bcdde6f411191004976c92330a4fff7bf37b892c2cf83a31"),
-    ("4_1", 0, "b02209ae795a508434f008334753b97cfd3adbb32baa273dc1ed5a0192b058d1"),
-    ("4_1", 3, "70f1363838fc8a504e2ece8db532dd0ca3c317aedbff993f59eff9fba1a0fb3a"),
+    ("3_1", 0, "8a23ee89802f0c32490d479b4c3cb64cb151e34c0ddef5248d6bab17c01103df"),
+    ("3_1", 3, "37c67395a1bf44a5ae98db3f88baf7112e946d3985feb92a3440f64d62c4b24c"),
+    ("4_1", 0, "e5e44c32c874e5ef7ed4effbfa8ac86486d8d1c3325792c7e566fc581b3da00b"),
+    ("4_1", 3, "61ae994b6ea5750c8d8c3d08a19666821c413e02367ff9d43b23fc488277a709"),
 ])
 def test_golden_verify_json(capsys, knot, seed, digest):
     assert run_cli("verify", "--knot", knot, "--seed", str(seed), "--format", "json") == 0

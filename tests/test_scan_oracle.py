@@ -32,6 +32,7 @@ import dataclasses
 import io
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from knotfield import sampling, verification
 from knotfield.biot_savart import (
+    DEFAULT_EXCLUSION_RADIUS,
     FieldError,
     OnConductorError,
     QuadratureError,
@@ -75,6 +77,7 @@ from knotfield.topology import (
     Loop,
     _holonomy_results,
     holonomy,
+    linking_number,
     loop_clearance,
 )
 from knotfield.transcription import TERM_TABLES, discrepancy_ledger
@@ -474,33 +477,101 @@ def stick_field_calls(call, *args):
 
 
 def test_holonomy_makes_one_call_per_level():
-    """A lone loop is not pruned: level j is one call from all the sticks on
-    10 * 2^j nodes of each edge not yet converged, 4 edges at level 0."""
+    """A lone loop is not pruned: its first call is from all the sticks on
+    the 30 Gauss nodes of each of its 4 edges and their two halves, and
+    each later depth one on the 20 nodes of both halves of every panel
+    still live, at most twice as many as at the depth before."""
     knot = canonical_trefoil()
     loop = random_rect_loop(np.random.default_rng(0), knot, clearance=0.5)
     _, calls = stick_field_calls(holonomy, knot, loop)
-    live = [len(points) / (10 * 2 ** j) for j, (_, points) in enumerate(calls)]
+    live = [8] + [len(points) / 20 for _, points in calls[1:]]
     assert all(sticks is knot.sticks for sticks, _ in calls)
-    assert live[0] == 4 and live == sorted(live, reverse=True) and len(calls) > 2
-    assert all(n == int(n) and n > 0 for n in live)
+    assert len(calls[0][1]) == 120 and len(calls) > 2
+    assert all(n == int(n) and 0 < n <= 2 * m for m, n in zip(live, live[1:]))
 
 
 def test_holonomy_suite_calls_per_level():
-    """The trefoil's 20 loops cost 88 kernel calls one loop at a time, one per
-    loop and level; the batched suite makes at most 4 per level reached, one
-    per edge axis and one for edges off the axes."""
+    """The trefoil's 20 loops cost 72 kernel calls one loop at a time, one per
+    loop and depth; the batched suite makes at most 4 per depth reached, one
+    per edge axis with a live panel and one for edges off the axes, and
+    never one on no points."""
     knot = canonical_trefoil()
     rng = np.random.default_rng(0)
     levels = [len(stick_field_calls(holonomy, knot, random_rect_loop(
         rng, knot, clearance=0.5, name=f"loop{i}"))[1]) for i in range(20)]
-    assert sum(levels) == 88
+    assert sum(levels) == 72
     result, calls = stick_field_calls(verification.suite_holonomy_linking, knot, 0, 20)
     assert result[1] and len(calls) <= 4 * max(levels)
+    assert all(len(points) for _, points in calls)
     # Every rectangle edge is along an axis a and meets only the sticks off a.
     along = knot.sticks.roles[0]
     for sticks, _ in calls:
         (a,) = {0, 1, 2} - set(sticks.roles[0].tolist())
         assert len(sticks.sign) == np.sum(along != a)
+
+
+@pytest.mark.parametrize("d, bound", [(1e-4, 2000), (1e-5, 4000), (1e-6, 8000)])
+def test_holonomy_near_the_conductor(d, bound):
+    """A 14-unit edge passing d from the midpoint of trefoil stick 1 is
+    bisected only near the stick: the answer is Lk, from under ``bound``
+    kernel points (1,480, 3,240 and 7,160 measured), where halving every
+    panel took 2.6M points at 1e-4 and refused at 1e-5."""
+    knot = canonical_trefoil()
+    loop = Loop(vertices=((2 + d, -5, 3), (2 + d, 9, 3), (12, 9, 3), (12, -5, 3)))
+    res, calls = stick_field_calls(holonomy, knot, loop)
+    assert res.inferred_linking == linking_number(knot, loop) == 2
+    assert abs(res.residual) < 1e-6
+    assert sum(len(points) for _, points in calls) < bound
+
+
+@st.composite
+def near_edge_loops(draw):
+    """(knot, loop): a rectangle in the plane through a drawn stick's
+    midpoint, perpendicular to it, whose first edge passes 10^[-6, -1] from
+    that midpoint and reaches 1 to 8 units past it each way, and whose far
+    edge lies 1 to 8 units off on the same side."""
+    knot = draw(knots)
+    stick = draw(st.sampled_from(segments(knot)))
+    u, v = draw(st.permutations([(int(stick.axis) + 1) % 3, (int(stick.axis) + 2) % 3]))
+    side, d = draw(st.sampled_from((1, -1))), 10.0 ** draw(st.floats(-6.0, -1.0))
+    near, far, lo, hi = d, *(draw(st.integers(1, 8)) for _ in range(3))
+    mid = 0.5 * (np.array(stick.start, dtype=float) + np.array(stick.end, dtype=float))
+    corners = []
+    for du, dv in ((near, -lo), (near, hi), (far, hi), (far, -lo)):
+        p = mid.copy()
+        p[u] += side * du
+        p[v] += dv
+        corners.append(tuple(p))
+    return knot, Loop(vertices=tuple(corners))
+
+
+@SETTINGS
+@given(near_edge_loops())
+def test_holonomy_near_a_stick_equals_linking(case):
+    knot, loop = case
+    assume(loop_clearance(knot, loop)[0] >= DEFAULT_EXCLUSION_RADIUS)
+    res, lk = holonomy(knot, loop), linking_number(knot, loop)
+    assert res.inferred_linking == lk
+    assert abs(res.value - 4.0 * math.pi * knot.k * lk) < 1e-6
+
+
+def test_failing_batch_memory():
+    """Three copies of a polygon that cannot converge at depth 14 give the
+    loop-at-a-time error, and the batch stops at the first failing edge:
+    its tracemalloc peak was 57.7 MB when every loop was refined to the
+    last level, against 0.7 MB measured now."""
+    loop = Loop(vertices=((2, 2, -3), (2, 2, -1e-4), (3, 1, 3), (3, 3, 3), (1, 3, 3), (1, 1, 3)))
+    knot, loops = canonical_trefoil(), [loop] * 3
+    want = loop_at_a_time(knot, loops, 1e-8, 14)
+    assert want.startswith("QuadratureError: ")
+    tracemalloc.start()
+    try:
+        got = holonomy_outcome(_holonomy_results, knot, loops, 1e-8, max_levels=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 * 2 ** 20
 
 
 # --- verify's batched draws and suites ----------------------------------------

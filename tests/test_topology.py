@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
     LoopOnConductorError,
+    _holonomy_results,
     holonomy,
     linking_number,
     loop_clearance,
@@ -164,6 +166,28 @@ class TestHolonomy:
         from knotfield.biot_savart import QuadratureError
         with pytest.raises(QuadratureError):
             holonomy(canonical_trefoil(), paper_loop(), tol=1e-14, max_levels=1)
+
+    @pytest.mark.parametrize("bounds, match", [
+        ({"tol": math.nan}, "tol must be finite and > 0, got nan"),
+        ({"tol": -1.0}, "tol must be finite and > 0"),
+        ({"tol": 0.0}, "tol must be finite and > 0"),
+        ({"tol": math.inf}, "tol must be finite and > 0"),
+        ({"max_levels": -1}, "max_levels must be an integer >= 0, got -1"),
+        ({"max_levels": 14.0}, "max_levels must be an integer >= 0"),
+    ], ids=["nan", "negative", "zero", "inf", "levels-negative", "levels-float"])
+    def test_invalid_bounds_refused(self, bounds, match):
+        # Refused before the clearance check and before any kernel call, so
+        # a loop through the conductor gets the ValueError; a NaN tol used
+        # to refine every edge to max_levels first.
+        bad = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
+        knot = canonical_trefoil()
+        with mock.patch("knotfield.topology._stick_field") as kernel:
+            for loop in (paper_loop(), bad):
+                with pytest.raises(ValueError, match=match):
+                    holonomy(knot, loop, **bounds)
+                with pytest.raises(ValueError, match=match):
+                    _holonomy_results(knot, [paper_loop(), loop], **bounds)
+        assert kernel.call_count == 0
 
     @pytest.mark.parametrize("k", [1e308, -1e308, 2e307])
     def test_overflowing_k_refused(self, k):
