@@ -45,6 +45,9 @@ from knotfield.biot_savart import (
     FieldError,
     OnConductorError,
     QuadratureError,
+    _GL_W,
+    _GL_X,
+    _bisect,
     _paired_field,
     _quadrature,
     _stick_field,
@@ -92,6 +95,7 @@ from knotfield.verification import (
     suite_segment_kernel,
 )
 from scan_oracle import (
+    bisect_stack,
     scan_discrepancy_ledger,
     scan_holonomy,
     scan_loop_clearance,
@@ -399,6 +403,40 @@ def test_quadrature_rows_are_independent(seed, n, k, tol_depth, data):
         assert together == failed[0]
     else:
         assert together[2] == b"".join(o[2] for o in alone)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from((0.0, 0.0, 0.0, 1e-6, 1e-3, 0.3)),
+                          st.floats(-9.0, -3.0)), min_size=1, max_size=4),
+       st.sampled_from((2, 12, 40)))
+def test_bisect_agrees_with_a_depth_first_stack(rows, max_depth):
+    """``_bisect`` on rows of a peaked integrand, each NaN on a window of
+    width 0, 1e-6, 1e-3 or 0.3, gives each row's value and error bits, or the
+    first failure, of the depth-first stack on the rows in order: a panel
+    whose estimate is NaN fails at its own depth, the rightmost of its row."""
+    peak, width, log_budget = (np.array(x) for x in zip(*rows))
+
+    def integrand(rows, t):
+        c, w = (x[rows, None, None] for x in (peak, width))
+        return np.where((t > c) & (t < c + w), np.nan, 1.0 / (1.0 + 400.0 * (t - c) ** 2))
+
+    def panel(row, lo, hi):
+        f = integrand(np.array([row]), (0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X)[None, None])
+        return 0.5 * (hi - lo) * float(np.dot(_GL_W, f[0, 0]))
+
+    want = []
+    for row in range(len(rows)):
+        try:
+            want.append(bisect_stack(lambda lo, hi: panel(row, lo, hi), 10.0 ** log_budget[row],
+                                     max_depth, lambda *where: QuadratureError(row, *where)))
+        except QuadratureError as exc:
+            want = exc.args
+            break
+    total, failure = _bisect(integrand, 10.0 ** log_budget, max_depth)
+    if failure is None:
+        assert total.tobytes() == np.array(want).tobytes()
+    else:
+        assert failure == want
 
 
 def result_bits(res):
