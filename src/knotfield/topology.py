@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,14 @@ class Loop:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Line integral of the field around a loop, in units of k."""
+    """Line integral of the field around a loop, in units of k.
+
+    ``estimated_error`` is |k| times the sum of |left + right - coarse| over
+    every edge's accepted panels: the error of the coarse panels, not of the
+    sum of halves returned as ``value``, so it bounds that loosely.  On
+    ``verify``'s loops at tol=1e-6 the largest estimate of a run overstates
+    the largest |value - 4*pi*k*Lk| by a factor of 10^2 to 10^4.
+    """
 
     value: float
     estimated_error: float
@@ -159,30 +167,44 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     return _holonomy_results(knot, [loop], tol, exclusion_radius, max_levels)[0]
 
 
+def _edges(knot: LatticeKnot, loops, clearances, refused):
+    """(sizes, firsts, starts, ends, refusal): the edges of the loops before
+    the first refused one, stacked as (M, 3) rows with loop l's from
+    firsts[l], and that loop's error or None.  Each loop's ``loop_clearance``
+    tuple is ``clearances``' entry, as the caller measured it, or is measured
+    here; LoopOnConductorError refuses a loop whose distance is ``refused``."""
+    vertices, refusal = [], None
+    for n, loop in enumerate(loops):
+        try:
+            clear, (i, j) = clearances[n] if clearances is not None else loop_clearance(knot, loop)
+            if refused(clear):
+                raise LoopOnConductorError(i, j, clear)
+        except (LinkingPrecisionError, LoopOnConductorError) as exc:
+            refusal = exc           # raised after the loops before it
+            break
+        vertices.append(loop.vertices)
+    sizes = [len(v) for v in vertices]
+    firsts = list(accumulate(sizes, initial=0))
+    starts = np.array([p for v in vertices for p in v]).reshape(-1, 3)
+    ends = starts[[lo + (i + 1) % n for lo, n in zip(firsts, sizes) for i in range(n)]]
+    return sizes, firsts, starts, ends, refusal
+
+
 def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
                       exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-                      max_levels: int = 40) -> list[HolonomyResult]:
+                      max_levels: int = 40, clearances=None) -> list[HolonomyResult]:
     """``holonomy`` of each loop, bit for bit, or the first error it raises on
-    the loops in order; each loop keeps its clearance check, budget and edge
-    sum, and each edge is one ``_bisect`` row.  A depth makes one kernel
-    call per edge axis a from the sticks off a (which add B_a, all an edge
-    along a reads), and one from all the sticks for the rest; a lone loop's
-    few nodes cost less unpruned.
+    the loops in order, given each loop's ``loop_clearance`` tuple or not;
+    each loop keeps its clearance check, budget and edge sum, and each edge
+    is one ``_bisect`` row.  A depth makes one kernel call per edge axis a
+    from the sticks off a (which add B_a, all an edge along a reads), and one
+    from all the sticks for the rest; a lone loop's few nodes cost less
+    unpruned.
     """
     _check_bounds(tol, max_levels, "max_levels")
-    vertices, refusal = [], None
-    try:
-        for loop in loops:
-            clear, (i, j) = loop_clearance(knot, loop)
-            if clear < exclusion_radius:
-                raise LoopOnConductorError(i, j, clear)
-            vertices.append(loop.vertices)
-    except (LinkingPrecisionError, LoopOnConductorError) as exc:
-        refusal = exc           # raised after the loops before it
-    sizes = [len(v) for v in vertices]
-    firsts = np.cumsum([0] + sizes).tolist()
-    starts = np.array([p for v in vertices for p in v]).reshape(-1, 3)
-    steps = starts[[lo + (i + 1) % n for lo, n in zip(firsts, sizes) for i in range(n)]] - starts
+    sizes, firsts, starts, ends, refusal = _edges(knot, loops, clearances,
+                                                  lambda clear: clear < exclusion_radius)
+    steps = ends - starts
     budget, along = np.array([tol / n for n in sizes for _ in range(n)]), knot.sticks.roles[0]
     prune = len(loops) > 1 and (along != along[0]).any()    # else an axis may have no stick off it
     axis = np.where(prune & (np.count_nonzero(steps, axis=1) == 1), np.argmax(steps != 0, 1), 3)
@@ -238,17 +260,25 @@ def linking_number(knot: LatticeKnot, loop: Loop) -> int:
     4*pi; no quadrature is involved.  The sum uses only the two polylines,
     never the closed-form field, so it stays an independent check of
     ``holonomy``.  Coplanar pairs, including a loop vertex on a stick's axis
-    extension, contribute exactly 0.  Raises LinkingPrecisionError when the
-    sum overflows or does not round convincingly.
+    extension, contribute exactly 0.  Raises LoopOnConductorError or
+    LinkingPrecisionError from ``loop_clearance``'s check of the loop, and
+    LinkingPrecisionError when the sum overflows or does not round
+    convincingly: the one-loop case of ``_linking_results``.
     """
-    clear, (i, j) = loop_clearance(knot, loop)
-    if clear <= 0.0:
-        raise LoopOnConductorError(i, j, clear)
+    return _linking_results(knot, [loop])[0][0]
 
+
+def _linking_results(knot: LatticeKnot, loops, clearances=None) -> list[tuple[int, float]]:
+    """(``linking_number``, the Gauss sum / 4*pi it rounds) of each loop, bit
+    for bit, or the first error it raises on the loops in order, given each
+    loop's ``loop_clearance`` tuple or not.  One pass takes every loop's
+    (edge, stick) rows, stacked, and each loop's Gauss sum is ``np.sum`` over
+    its own contiguous rows, as alone.  When that pass overflows, the loops
+    are taken alone, in order, up to the first that raises.
+    """
+    sizes, firsts, p0, p1, refusal = _edges(knot, loops, clearances, lambda clear: clear <= 0.0)
     # Loop edges along axis 0, knot sticks along axis 1.
-    p0 = np.array(loop.vertices)[:, None, :]
-    p1 = np.roll(p0, -1, axis=0)
-    q0, q1 = (a[None, :, :] for a in stick_ends(knot))
+    p0, p1, (q0, q1) = p0[:, None], p1[:, None], (a[None, :, :] for a in stick_ends(knot))
     try:
         with np.errstate(over="raise", invalid="raise"):
             corners = [q0 - p0, q1 - p0, q1 - p1, q0 - p1]
@@ -256,17 +286,24 @@ def linking_number(knot: LatticeKnot, loop: Loop) -> int:
             omega = sum(np.arcsin(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
                         for a, b in zip(n, n[1:] + n[:1]))
             sign = np.sign(np.sum(np.cross(q1 - q0, p1 - p0) * (q0 - p0), axis=-1))
-            total = float(np.sum(sign * omega)) / (4.0 * math.pi)
     except FloatingPointError as exc:
+        # Each loop alone, in order: the first that fails raises its own error.
+        for loop in loops[:len(sizes)] if len(sizes) > 1 else ():
+            _linking_results(knot, [loop])
         raise LinkingPrecisionError(f"Gauss sum not representable: {exc}") from exc
-
-    # NaN fails every comparison, so a non-finite sum is refused explicitly.
-    residual = abs(total - round(total)) if math.isfinite(total) else math.inf
-    if residual >= 0.25:
-        raise LinkingPrecisionError(
-            f"Gauss sum {total:.6f} rounds ambiguously (residual {residual:.3f})"
-        )
-    return int(round(total))
+    results = []
+    for lo, n in zip(firsts, sizes):
+        total = float(np.sum(sign[lo:lo + n] * omega[lo:lo + n])) / (4.0 * math.pi)
+        # NaN fails every comparison, so a non-finite sum is refused explicitly.
+        residual = abs(total - round(total)) if math.isfinite(total) else math.inf
+        if residual >= 0.25:
+            raise LinkingPrecisionError(
+                f"Gauss sum {total:.6f} rounds ambiguously (residual {residual:.3f})"
+            )
+        results.append((int(round(total)), total))
+    if refusal is not None:
+        raise refusal
+    return results
 
 
 # --- loop file format (same grammar as knot files, real coordinates) --------

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .geometry import LatticeKnot, PackedSticks, Segment, bounding_box, refine, stick_ends
 from .biot_savart import (_paired_field, _quadrature, _stick_field, segment_field, total_field,
                           total_field_many)
-from .topology import Loop, _holonomy_results, linking_number, loop_clearance
+from .topology import Loop, _holonomy_results, _linking_results, loop_clearance
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,12 @@ def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
     Rectangles are drawn inside the knot's inflated bounding box so a good
     fraction of them actually link the circuit.
     """
+    return _rect_loop(rng, knot, clearance, margin, name)[0]
+
+
+def _rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5, margin: float = 3.0,
+               name: str = ""):
+    """(``random_rect_loop``, the ``loop_clearance`` tuple its draw measured)."""
     core_lo, core_hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
     lo, hi = core_lo - margin, core_hi + margin
     while True:
@@ -82,80 +89,105 @@ def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
             p[normal], p[u], p[v] = c, cu + du, cv + dv
             corners.append(tuple(p))
         loop = Loop(vertices=tuple(corners), name=name)
-        if loop_clearance(knot, loop)[0] >= clearance:
-            return loop
+        if (measured := loop_clearance(knot, loop))[0] >= clearance:
+            return loop, measured
 
 
-class _Raws:
-    """``default_rng(seed)``'s draws replayed from PCG64's raw outputs, as numpy
-    2 makes them.  ``integers(lo, hi)`` is lo + (m >> 32) for m = u * (hi - lo)
-    and the first 32-bit half u with m % 2**32 >= 2**32 % (hi - lo) (Lemire, ACM
-    TOMACS 29(1), 2019), low halves first and the high one kept in ``half`` while
-    ``has`` is 1.  A double is a raw's top 53 bits and leaves that buffer alone."""
+def _grow(raws, bits, end):
+    """Extend the list ``raws`` with ``bits``' next raws to ``end`` or more."""
+    if len(raws) < end:
+        raws += bits.random_raw(len(raws) + end).tolist()
 
-    def __init__(self, seed, n):
-        self.bits, self.pos, self.has, self.half = np.random.PCG64(seed), 0, 0, 0
-        self.raws = memoryview(self.bits.random_raw(n))
 
-    def raw(self):
-        if self.pos == len(self.raws):
-            self.raws = memoryview(np.append(self.raws, self.bits.random_raw(len(self.raws) + 1)))
-        self.pos += 1
-        return self.raws[self.pos - 1]
-
-    def integer(self, lo, hi):
-        """``integers(lo, hi)``, for 1 < hi - lo <= 2**32."""
+def _lemire(raws, bits, pos, has, half):
+    """A stick's five accepted 32-bit halves and the state after them, drawn
+    one at a time: each range n takes the first u with u * n % 2**32 >=
+    2**32 % n."""
+    halves = []
+    for n in (17, 17, 17, 3, 16):
         while True:
-            self.has ^= 1
-            self.half, u = divmod(self.raw(), 2 ** 32) if self.has else (self.half, self.half)
-            if (m := u * (hi - lo)) % 2 ** 32 >= 2 ** 32 % (hi - lo):
-                return lo + (m >> 32)
+            _grow(raws, bits, pos + 5)          # with the sign's and point's raws
+            has ^= 1
+            half, u, pos = (*divmod(raws[pos], 2 ** 32), pos + 1) if has else (half, half, pos)
+            if u * n % 2 ** 32 >= 2 ** 32 % n:
+                break
+        halves.append(u)
+    return halves, (pos, has, half)
 
-    def random(self):
-        return (self.raw() >> 11) * 2.0 ** -53
 
-
-def _axis_stick(draws, lo=-8, hi=8):
-    """A random axis-aligned stick with integer endpoints, as (start, end) tuples."""
+def _draw_stick(raws, bits, pos, has, half):
+    """``random_axis_segment``'s draws replayed from the list ``raws`` of PCG64
+    outputs, extended from ``bits`` when short, entering at raw ``pos`` with
+    numpy 2's 32-bit buffer (``has`` is 1 while it holds the high half
+    ``half``): (start, end, (pos, has, half)) with the state after the stick,
+    where its point's three raws begin.  ``integers(lo, hi)`` is lo + (u * n >>
+    32), n = hi - lo, for the first 32-bit half u, low halves first, with u * n
+    % 2**32 >= 2**32 % n (Lemire, ACM TOMACS 29(1), 2019): at n = 17 and 3 that
+    rejects only u = 0, and at 16 nothing, so a zero half takes ``_lemire``.  A
+    double is a raw's top 53 bits, below 0.5 when its top bit is clear."""
     while True:
-        start = [draws.integer(lo, hi + 1) for _ in range(3)]
-        end, axis = start.copy(), draws.integer(0, 3)
-        end[axis] += draws.integer(1, hi - lo + 1) * (1 if draws.random() < 0.5 else -1)
-        if lo <= end[axis] <= hi:
-            return tuple(start), tuple(end)
+        _grow(raws, bits, pos + 7)
+        a, b, c = raws[pos:pos + 3]
+        h = (a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32, c & 0xFFFFFFFF)
+        h, at = ((half,) + h[:4], (pos + 2, 0, b >> 32)) if has else (h, (pos + 3, 1, c >> 32))
+        if not (h[0] and h[1] and h[2] and h[3]):
+            h, at = _lemire(raws, bits, pos, has, half)
+        (pos, has, half), axis = at, h[3] * 3 >> 32
+        moved = -8 + (h[axis] * 17 >> 32) + (1 + (h[4] >> 28)) * (-1 if raws[pos] >> 63 else 1)
+        pos += 1
+        if -8 <= moved <= 8:
+            start = (-8 + (h[0] * 17 >> 32), -8 + (h[1] * 17 >> 32), -8 + (h[2] * 17 >> 32))
+            return start, start[:axis] + (moved,) + start[axis + 1:], (pos, has, half)
 
 
 def suite_segment_kernel(seed: int = 0, n_pairs: int = 1000):
     """Closed form vs. quadrature oracle on (stick, point) pairs drawn in turn
     from ``default_rng(seed)``, each point 0.5 or more from its stick in its box
-    inflated by 4.  Draws are replayed from raws as if each first point were
-    clear, and judged in one paired kernel call; the first that is not is drawn
-    again, and the stream after it soon reaches states already decoded."""
-    draws, decoded, tail = _Raws(seed, 12 * n_pairs), {}, []
-    starts, ends, points, closed = [], [], [np.empty((0, 3))], [np.empty((0, 3))]
-    def point(stick):       # a stick, and the state after its point's three raws
-        draws.raw(), draws.raw(), draws.raw()
-        return *stick, (draws.pos, draws.has, draws.half)
-    while len(starts) < n_pairs:
-        for _ in range(n_pairs - len(starts) - len(tail)):
-            if (state := (draws.pos, draws.has, draws.half)) not in decoded:
-                decoded[state] = point(_axis_stick(draws))
-            tail.append(decoded[state])
-            draws.pos, draws.has, draws.half = tail[-1][2]
-        s, e, after = zip(*tail)
-        u = np.asarray(draws.raws)[np.array([a[0] for a in after])[:, None] - (3, 2, 1)]
-        lo, hi = np.minimum(s, e) - 4.0, np.maximum(s, e) + 4.0
-        p = lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
-        b, dist = _paired_field(PackedSticks.pack(s, e), p)
-        take = np.append(np.flatnonzero(dist < 0.5), len(tail))[0]
-        starts, ends = starts + list(s[:take]), ends + list(e[:take])
-        points, closed = points + [p[:take]], closed + [b[:take]]
-        if take < len(tail):
-            draws.pos, draws.has, draws.half = after[take]
-            tail = [point((s[take], e[take]))]
-    quad = _quadrature(np.reshape(starts, (-1, 3)), np.reshape(ends, (-1, 3)),
-                       np.concatenate(points), 1.0, 1e-10, 40)
-    worst = float(np.max(np.abs(np.concatenate(closed) - quad), initial=0.0))
+    inflated by 4.  The draws are replayed from PCG64's raws as a chain of
+    (stick, first point) nodes keyed by the state each stick starts from, and
+    each node is judged once, in one paired kernel call with the nodes new to
+    its round.  A round walks on as if each point were clear, up to a node
+    judged not clear; that point is drawn again, and the stream after it soon
+    meets a state already on the chain, whose nodes are taken as they stand."""
+    bits = np.random.PCG64(seed)
+    block = bits.random_raw(12 * n_pairs)
+    raws, nodes, pairs, at, taken, walk = block.tolist(), {}, {}, (0, 0, 0), [], []
+    # Each round's (starts, ends, points, fields), after an empty one; each row's distance.
+    judged, near = [(np.empty((0, 3), np.int64),) * 2 + (np.empty((0, 3)),) * 2], []
+    while len(taken) < n_pairs:
+        while len(taken) + len(walk) < n_pairs and (not walk or walk[-1][3] is None
+                                                    or near[walk[-1][3]] >= 0.5):
+            if at not in nodes:     # streams that meet within a stick's draws share its node
+                pair = _draw_stick(raws, bits, *at)
+                nodes[at] = pairs.setdefault(pair, [*pair, None])
+            walk.append(nodes[at])
+            pos, has, half = walk[-1][2]
+            at = (pos + 3, has, half if has else 0)     # a spent half draws nothing more
+        if new := [node for node in walk if node[3] is None]:
+            if len(block) < len(raws):
+                block = np.array(raws, dtype=np.uint64)
+            s, e = (np.fromiter(chain.from_iterable(node[i] for node in new), np.int64)
+                    .reshape(-1, 3) for i in (0, 1))
+            u = block[np.array([node[2][0] for node in new])[:, None] + np.arange(3)]
+            lo, hi = np.minimum(s, e) - 4.0, np.maximum(s, e) + 4.0
+            p = lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
+            b, dist = _paired_field(PackedSticks.pack(s, e), p)
+            for row, node in enumerate(new, len(near)):
+                node[3] = row
+            judged.append((s, e, p, b))
+            near += dist.tolist()
+        take = next((i for i, node in enumerate(walk) if near[node[3]] < 0.5), len(walk))
+        taken, walk = taken + walk[:take], walk[take:take + 1]
+        if walk:        # its point drawn again from the state after it
+            (start, end, (pos, has, half), _), = walk
+            _grow(raws, bits, pos + 6)
+            pair = (start, end, (pos + 3, has, half))
+            walk, at = [pairs.setdefault(pair, [*pair, None])], (pos + 6, has, half if has else 0)
+    rows = [node[3] for node in taken]
+    starts, ends, points, closed = (np.concatenate(a)[rows] for a in zip(*judged))
+    del raws, block, nodes, pairs, taken, judged, near    # before the oracle's panels peak
+    quad = _quadrature(starts, ends, points, 1.0, 1e-10, 40)
+    worst = float(np.max(np.abs(closed - quad), initial=0.0))
     return ("segment-kernel-vs-quadrature", worst <= 1e-8,
             {"pairs": n_pairs, "worst_abs_err": worst, "tol": 1e-8})
 
@@ -177,8 +209,9 @@ def clear_field(knot: LatticeKnot, points):
 
 
 def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
-    """Central-difference curl and divergence vanish off the conductor."""
-    rng = np.random.default_rng(seed)
+    """Central-difference curl and divergence vanish off the conductor,
+    compared in units of k: at k = 1, which a field only scales by last."""
+    rng, knot = np.random.default_rng(seed), replace(knot, k=1.0)
     p = random_clear_points(rng, *stick_ends(knot), n_points, margin=3.0, clearance=1.0)
     # Each point, then its neighbours +h and -h along x, y and z.
     step = 1e-3 * np.eye(3)
@@ -197,8 +230,9 @@ def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
 
 
 def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
-    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 2."""
-    rng = np.random.default_rng(seed)
+    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 2, compared in
+    units of k: at k = 1, which a field only scales by last."""
+    rng, knot = np.random.default_rng(seed), replace(knot, k=1.0)
     p = random_clear_points(rng, *stick_ends(knot), n_points, margin=3.0, clearance=0.5)
     b = clear_field(knot, p)
     b_scaled = clear_field(refine(knot, 2), 2 * p)
@@ -212,11 +246,12 @@ def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
     """holonomy = 4*pi*k*Lk on random rectangular loops in the complement,
     compared in units of k; the holonomies are refined together."""
     rng = np.random.default_rng(seed)
-    loops = [random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}") for i in range(n_loops)]
+    drawn = [_rect_loop(rng, knot, name=f"loop{i}") for i in range(n_loops)]
+    loops, clears = [loop for loop, _ in drawn], [clear for _, clear in drawn]
     worst, linked = 0.0, 0
-    for loop, h in zip(loops, _holonomy_results(knot, loops, tol=1e-6)):
+    for h, (lk, _) in zip(_holonomy_results(knot, loops, tol=1e-6, clearances=clears),
+                          _linking_results(knot, loops, clears)):
         per_k = h.value / knot.k
-        lk = linking_number(knot, loop)
         linked += lk != 0
         worst = max(worst, abs(per_k - 4.0 * math.pi * lk) / max(1.0, abs(per_k)))
     return ("holonomy-vs-linking", worst < 1e-5,
@@ -228,9 +263,12 @@ def suite_refined_holonomy(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
     """Refining knot and loop together by 2 leaves every holonomy unchanged,
     compared in units of k; each knot's holonomies are refined together."""
     rng = np.random.default_rng(seed)
-    loops = [random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}") for i in range(n_loops)]
-    pairs = zip(_holonomy_results(knot, loops, tol=1e-6),
-                _holonomy_results(refine(knot, 2), [loop.scaled(2) for loop in loops], tol=1e-6))
+    drawn = [_rect_loop(rng, knot, name=f"loop{i}") for i in range(n_loops)]
+    loops, clears = [loop for loop, _ in drawn], [clear for _, clear in drawn]
+    # Doubling every coordinate doubles each clearance exactly.
+    pairs = zip(_holonomy_results(knot, loops, tol=1e-6, clearances=clears),
+                _holonomy_results(refine(knot, 2), [loop.scaled(2) for loop in loops], tol=1e-6,
+                                  clearances=[(2 * d, at) for d, at in clears]))
     worst = max([0.0] + [abs(h1.value - h2.value) / abs(knot.k) for h1, h2 in pairs])
     return ("refined-holonomy-invariance", worst < 2e-5,
             {"loops": n_loops, "factor": 2, "worst_abs_err": float(worst), "tol": 2e-5})

@@ -1,6 +1,8 @@
 """Reference oracles: the pairwise scans ``validate`` and ``projection_crossings``
 ran before their sort-and-search versions, the one-edge-at-a-time scan
-``loop_clearance`` ran before its single (edge, stick) pass, and the
+``loop_clearance`` ran before its single (edge, stick) pass, the one-loop
+``scan_linking_number`` that ``linking_number`` ran before the loops of a
+batch shared one pass over their (edge, stick) rows, and the
 one-point-at-a-time ``random_clear_point`` and self-check suites that
 ``verify`` ran before it drew and evaluated each suite's points in a few
 kernel calls, kept verbatim apart from names; and depth-first,
@@ -23,7 +25,10 @@ tests in ``test_scan_oracle.py`` check the engine against them.
 ``holonomy`` one loop at a time, where the suites refine every loop's
 edges together;
 ``random_axis_segment`` draws the kernel suite's sticks with ``Generator``
-calls, one at a time, where the suite replays them from the raw stream.
+calls, one at a time, where the suite replays them from the raw stream;
+``ScanRaws`` and ``scan_axis_stick`` are the scalar replay the suite ran before
+it decoded a stick's five 32-bit halves at once, one bounded integer at a
+time through Lemire's rejection loop.
 ``scan_discrepancy_ledger`` is the transcription ledger from before the
 engine's side became the derived term table: it builds each stick's
 expected term as a set of bracket atoms from a parity table, and shares
@@ -69,6 +74,7 @@ from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
     LoopOnConductorError,
+    _unit_normals,
     holonomy,
     linking_number,
     loop_clearance,
@@ -312,6 +318,37 @@ def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
     return best, where
 
 
+def scan_linking_number(knot: LatticeKnot, loop: Loop):
+    """``linking_number`` of one loop as it was summed before the loops of a
+    batch shared one pass, with the Gauss sum / 4*pi it rounds: (Lk, total)."""
+    clear, (i, j) = loop_clearance(knot, loop)
+    if clear <= 0.0:
+        raise LoopOnConductorError(i, j, clear)
+
+    # Loop edges along axis 0, knot sticks along axis 1.
+    p0 = np.array(loop.vertices)[:, None, :]
+    p1 = np.roll(p0, -1, axis=0)
+    q0, q1 = (a[None, :, :] for a in stick_ends(knot))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            corners = [q0 - p0, q1 - p0, q1 - p1, q0 - p1]
+            n = [_unit_normals(a, b) for a, b in zip(corners, corners[1:] + corners[:1])]
+            omega = sum(np.arcsin(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
+                        for a, b in zip(n, n[1:] + n[:1]))
+            sign = np.sign(np.sum(np.cross(q1 - q0, p1 - p0) * (q0 - p0), axis=-1))
+            total = float(np.sum(sign * omega)) / (4.0 * math.pi)
+    except FloatingPointError as exc:
+        raise LinkingPrecisionError(f"Gauss sum not representable: {exc}") from exc
+
+    # NaN fails every comparison, so a non-finite sum is refused explicitly.
+    residual = abs(total - round(total)) if math.isfinite(total) else math.inf
+    if residual >= 0.25:
+        raise LinkingPrecisionError(
+            f"Gauss sum {total:.6f} rounds ambiguously (residual {residual:.3f})"
+        )
+    return int(round(total)), total
+
+
 def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1e-10,
                                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
                                   max_depth: int = 40):
@@ -439,6 +476,48 @@ def random_axis_segment(rng, lo: int = -8, hi: int = 8) -> Segment:
         end[axis] += step
         if lo <= end[axis] <= hi:
             return Segment(tuple(int(c) for c in start), tuple(int(c) for c in end))
+
+
+class ScanRaws:
+    """``default_rng(seed)``'s draws replayed from PCG64's raw outputs, as numpy
+    2 makes them.  ``integers(lo, hi)`` is lo + (m >> 32) for m = u * (hi - lo)
+    and the first 32-bit half u with m % 2**32 >= 2**32 % (hi - lo) (Lemire, ACM
+    TOMACS 29(1), 2019), low halves first and the high one kept in ``half`` while
+    ``has`` is 1.  A double is a raw's top 53 bits and leaves that buffer alone.
+    ``bits`` is a seed or anything with PCG64's ``random_raw``."""
+
+    def __init__(self, bits, n):
+        self.bits = bits if hasattr(bits, "random_raw") else np.random.PCG64(bits)
+        self.pos, self.has, self.half = 0, 0, 0
+        self.raws = memoryview(self.bits.random_raw(n))
+
+    def raw(self):
+        if self.pos == len(self.raws):
+            self.raws = memoryview(np.append(self.raws, self.bits.random_raw(len(self.raws) + 1)))
+        self.pos += 1
+        return self.raws[self.pos - 1]
+
+    def integer(self, lo, hi):
+        """``integers(lo, hi)``, for 1 < hi - lo <= 2**32."""
+        while True:
+            self.has ^= 1
+            self.half, u = divmod(self.raw(), 2 ** 32) if self.has else (self.half, self.half)
+            if (m := u * (hi - lo)) % 2 ** 32 >= 2 ** 32 % (hi - lo):
+                return lo + (m >> 32)
+
+    def random(self):
+        return (self.raw() >> 11) * 2.0 ** -53
+
+
+def scan_axis_stick(draws, lo=-8, hi=8):
+    """``random_axis_segment`` on ``ScanRaws`` ``draws``, one bounded integer at a
+    time, as (start, end) tuples."""
+    while True:
+        start = [draws.integer(lo, hi + 1) for _ in range(3)]
+        end, axis = start.copy(), draws.integer(0, 3)
+        end[axis] += draws.integer(1, hi - lo + 1) * (1 if draws.random() < 0.5 else -1)
+        if lo <= end[axis] <= hi:
+            return tuple(start), tuple(end)
 
 
 def scan_random_clear_point(rng, sticks, margin: float, clearance: float):

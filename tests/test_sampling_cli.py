@@ -556,6 +556,21 @@ class TestCli:
         assert suites["holonomy-vs-linking"]["details"]["worst_rel_err"] < 1e-9
         assert rc == 0
 
+    @pytest.mark.parametrize("k", ["1e200", "1e-200", "-1"])
+    def test_verify_details_in_units_of_k(self, capsys, k):
+        # Every suite compares in units of k, so no field norm overflows or
+        # underflows (a RuntimeWarning is an error here) and the details
+        # with each suite's duration dropped are those at k = 1.
+        def masked(*extra):
+            rc = run_cli("verify", "--knot", "3_1", "--kernel-pairs", "10", "--format", "json",
+                         *extra)
+            payload = json.loads(capsys.readouterr().out)
+            for suite in payload["suites"]:
+                del suite["duration"]
+            return rc, payload
+
+        assert masked(f"--k={k}") == masked()
+
     @pytest.mark.parametrize("command", [
         ("holonomy", "--loop", "LOOP"),
         ("field", "sample", "--origin=2.5,2.1,1", "--spacing", "1", "--counts", "2,1,1"),

@@ -719,6 +719,26 @@ def test_replayed_segment_suite_rewinds(seed, n_pairs, redraws):
                              seed, n_pairs) == want
 
 
+# At seed 391 the one pair's first point is drawn again, past the 12 raws
+# first taken, so the replay extends them there.
+@pytest.mark.parametrize("seed, n_pairs", [(1, 300), (9, 500), (391, 1)])
+def test_replay_judges_each_pair_once(seed, n_pairs):
+    """Each (stick, point) pair the replay decodes reaches the paired kernel
+    once, rewinds included, and the outcome is the oracle's."""
+    judged = []
+
+    def paired(sticks, points):
+        judged.extend(points.tobytes()[i:i + 24] for i in range(0, points.nbytes, 24))
+        return _paired_field(sticks, points)
+
+    with mock.patch("knotfield.verification._paired_field", paired):
+        got = segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
+                                seed, n_pairs)
+    assert len(set(judged)) == len(judged) >= n_pairs
+    assert got == segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature",
+                                    seed, n_pairs)
+
+
 # (seed, pairs, cut, redraws): the replay speculates every first point of a
 # run at once.  At seed 1 the first redraw is pair 38, so a run of 38 pairs
 # ends just before it and a run of 39 ends on it, leaving a tail of one pair
@@ -755,6 +775,19 @@ def test_batched_holonomy_suites_agree(knot, seed, k):
         suite_outcome(scan_suite_holonomy_linking(knot, seed, 20))
     assert suite_outcome(suite_refined_holonomy(knot, seed, 10)) == \
         suite_outcome(scan_suite_refined_holonomy(knot, seed, 10))
+
+
+@pytest.mark.parametrize("suite, scan", [
+    (suite_holonomy_linking, scan_suite_holonomy_linking),
+    (suite_refined_holonomy, scan_suite_refined_holonomy),
+    (suite_flatness, scan_suite_flatness), (suite_scaling, scan_suite_scaling),
+    (lambda knot, seed, n: suite_segment_kernel(seed, n),
+     lambda knot, seed, n: scan_suite_segment_kernel(seed, n))])
+def test_empty_suites_agree(suite, scan):
+    """A suite of no pairs, points or loops passes with nothing drawn, as
+    the one-at-a-time suite does."""
+    assert suite_outcome(suite(canonical_trefoil(), 0, 0)) == \
+        suite_outcome(scan(canonical_trefoil(), 0, 0))
 
 
 @pytest.mark.parametrize("suite", [suite_flatness, suite_scaling])

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from knotfield.braids import BraidWord, close_braid_on_lattice, permutation_cycles
+from knotfield.biot_savart import FieldError
+from knotfield.braids import BraidWord, close_braid_on_lattice, parse_braid, permutation_cycles
 from knotfield.geometry import (
     LatticeKnot,
+    bounding_box,
     canonical_figure_eight,
     canonical_trefoil,
     refine,
@@ -19,13 +21,15 @@ from knotfield.topology import (
     Loop,
     LoopOnConductorError,
     _holonomy_results,
+    _linking_results,
     holonomy,
     linking_number,
     loop_clearance,
     parse_loop_text,
     read_loop_file,
 )
-from knotfield.verification import random_rect_loop
+from knotfield.verification import random_rect_loop, suite_holonomy_linking
+from scan_oracle import scan_linking_number
 
 FOUR_PI = 4.0 * math.pi
 
@@ -244,6 +248,102 @@ class TestLinkingNumber:
         bad = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
         with pytest.raises(LoopOnConductorError):
             linking_number(canonical_trefoil(), bad)
+
+
+def polygons(knot, seed, count):
+    """Triangles, rectangles and hexagons in turn, 0.05 or more from the
+    circuit: the triangles and hexagons with vertices uniform in the knot's
+    box inflated by 2, the rectangles ``random_rect_loop``'s."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
+    loops = []
+    while len(loops) < count:
+        n = (3, 4, 6)[len(loops) % 3]
+        loop = random_rect_loop(rng, knot, clearance=0.05) if n == 4 else \
+            Loop(vertices=tuple(map(tuple, rng.uniform(lo - 2.0, hi + 2.0, size=(n, 3)))))
+        if loop_clearance(knot, loop)[0] >= 0.05:
+            loops.append(loop)
+    return loops
+
+
+def linking_outcome(route, knot, loops, *args):
+    """The route's result, each total as its hex, or the type and message
+    of the error it raises."""
+    try:
+        return [(lk, total.hex()) for lk, total in route(knot, loops, *args)]
+    except FieldError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def linking_one_at_a_time(knot, loops):
+    """The one-loop scan's (Lk, total) of each loop, up to the first loop
+    it refuses, whose error is then the outcome."""
+    return linking_outcome(lambda knot, loops: [scan_linking_number(knot, loop) for loop in loops],
+                           knot, loops)
+
+
+# Edge 0 runs through trefoil stick 1: refused on its clearance of 0.
+THROUGH = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="through")
+# Its length squared overflows: loop_clearance refuses it as not representable.
+HUGE = Loop(vertices=((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="huge")
+# Clear of the circuit by 7e149, but the Gauss sum's cross products overflow.
+OVERFLOWING = Loop(vertices=((1e150, 0, 0), (0, 1e150, 0), (0, 0, 1e150)), name="overflowing")
+# A vertex 5e-16 from the trefoil's corner (0, 0, 4): the sum rounds ambiguously.
+AMBIGUOUS = Loop(vertices=((-2.4610302371825135e-16, 1.1305453486755004e-15, 3.9999999999999996),
+                           (-1.5, 0.4, 3.3), (1.0, -1.7, 6.4), (0.9, 3.0, 5.8)), name="ambiguous")
+
+
+class TestBatchedLinking:
+    @pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight(),
+                                      close_braid_on_lattice(parse_braid("s1 s2^-1 s1 s2^-1"))],
+                             ids=["3_1", "4_1", "braid"])
+    def test_each_loop_as_alone(self, knot):
+        """Mixed edge counts, so each loop's rows sit at their own offset:
+        every integer and raw total has the bits of the one-loop sum and of
+        ``linking_number``, and the clearance tuples a caller measured give
+        the same answers."""
+        loops = polygons(knot, 0, 24)
+        got = linking_outcome(_linking_results, knot, loops)
+        assert got == linking_one_at_a_time(knot, loops) == \
+            linking_outcome(lambda knot, loops: [
+                (linking_number(knot, loop), _linking_results(knot, [loop])[0][1])
+                for loop in loops], knot, loops)
+        assert got == linking_outcome(_linking_results, knot, loops,
+                                      [loop_clearance(knot, loop) for loop in loops])
+        assert any(lk for lk, _ in got)
+
+    @pytest.mark.parametrize("bad", [[THROUGH], [HUGE], [OVERFLOWING], [AMBIGUOUS],
+                                     [THROUGH, HUGE], [HUGE, OVERFLOWING],
+                                     [OVERFLOWING, THROUGH], [AMBIGUOUS, OVERFLOWING],
+                                     [OVERFLOWING, AMBIGUOUS]],
+                             ids=lambda bad: "-".join(loop.name for loop in bad))
+    def test_raises_the_first_error(self, bad):
+        """Refused loops mid-batch: the batch raises the error that
+        ``linking_number`` raises first on the loops in order, also when the
+        pass over every loop overflows after a loop that rounds ambiguously."""
+        knot = canonical_trefoil()
+        good = polygons(knot, 1, 6)
+        loops = good[:3] + bad + good[3:]
+        want = linking_one_at_a_time(knot, loops)
+        assert isinstance(want, str)
+        assert linking_outcome(_linking_results, knot, loops) == want
+
+
+def test_verify_measures_each_clearance_once():
+    """``holonomy-vs-linking`` measures a clearance once per drawn candidate,
+    in its draws, and hands it on; ``holonomy`` and ``linking_number`` on a
+    loop of their own still measure it, once each."""
+    knot = canonical_trefoil()
+    with mock.patch("knotfield.topology.loop_clearance", wraps=loop_clearance) as engine, \
+            mock.patch("knotfield.verification.loop_clearance", wraps=loop_clearance) as draws, \
+            mock.patch("knotfield.verification.Loop", wraps=Loop) as drawn:
+        name, passed, _ = suite_holonomy_linking(knot, 0, 20)
+        assert passed and engine.call_count == 0
+        assert draws.call_count == drawn.call_count > 20
+        for route in (holonomy, linking_number):
+            engine.reset_mock()
+            route(knot, paper_loop())
+            assert engine.call_count == 1
 
 
 class TestVerifyFlatConnection:
