@@ -244,51 +244,51 @@ def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
 
 def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
     """holonomy = 4*pi*k*Lk on random rectangular loops in the complement,
-    compared in units of k; the holonomies are refined together."""
+    compared in units of k; the holonomies are refined together.  Hands on
+    the loops and their holonomies after (name, passed, details)."""
     rng = np.random.default_rng(seed)
     drawn = [_rect_loop(rng, knot, name=f"loop{i}") for i in range(n_loops)]
     loops, clears = [loop for loop, _ in drawn], [clear for _, clear in drawn]
+    values = [h.value for h in _holonomy_results(knot, loops, tol=1e-6, clearances=clears)]
     worst, linked = 0.0, 0
-    for h, (lk, _) in zip(_holonomy_results(knot, loops, tol=1e-6, clearances=clears),
-                          _linking_results(knot, loops, clears)):
-        per_k = h.value / knot.k
+    for value, (lk, _) in zip(values, _linking_results(knot, loops, clears)):
+        per_k = value / knot.k
         linked += lk != 0
         worst = max(worst, abs(per_k - 4.0 * math.pi * lk) / max(1.0, abs(per_k)))
     return ("holonomy-vs-linking", worst < 1e-5,
             {"loops": n_loops, "nonzero_linking": int(linked),
-             "worst_rel_err": float(worst), "tol": 1e-5})
+             "worst_rel_err": float(worst), "tol": 1e-5}, loops, values)
 
 
-def suite_refined_holonomy(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
-    """Refining knot and loop together by 2 leaves every holonomy unchanged,
-    compared in units of k; each knot's holonomies are refined together."""
-    rng = np.random.default_rng(seed)
-    drawn = [_rect_loop(rng, knot, name=f"loop{i}") for i in range(n_loops)]
-    loops, clears = [loop for loop, _ in drawn], [clear for _, clear in drawn]
-    # Doubling every coordinate doubles each clearance exactly.
-    pairs = zip(_holonomy_results(knot, loops, tol=1e-6, clearances=clears),
-                _holonomy_results(refine(knot, 2), [loop.scaled(2) for loop in loops], tol=1e-6,
-                                  clearances=[(2 * d, at) for d, at in clears]))
-    worst = max([0.0] + [abs(h1.value - h2.value) / abs(knot.k) for h1, h2 in pairs])
+def suite_refined_holonomy(knot: LatticeKnot, loops, values):
+    """Refining knot and loops together by 2 leaves the holonomies ``values``
+    of ``loops`` unchanged, compared in units of k; the refined loops'
+    holonomies are refined together."""
+    refined = _holonomy_results(refine(knot, 2), [loop.scaled(2) for loop in loops], tol=1e-6)
+    worst = max([0.0] + [abs(value - h.value) / abs(knot.k) for value, h in zip(values, refined)])
     return ("refined-holonomy-invariance", worst < 2e-5,
-            {"loops": n_loops, "factor": 2, "worst_abs_err": float(worst), "tol": 2e-5})
+            {"loops": len(loops), "factor": 2, "worst_abs_err": float(worst), "tol": 2e-5})
 
 
 def run_verification(knot: LatticeKnot, seed: int = 0, loops: int = 20,
                      points: int = 200, kernel_pairs: int = 1000) -> list[SuiteResult]:
     """The full battery, sized by the caller (CLI exposes the knobs).  Each
-    suite returns (name, passed, details), and is timed here on its own."""
-    suites = (
-        (suite_segment_kernel, (seed, kernel_pairs)),
-        (suite_infinite_wire, ()),
-        (suite_flatness, (knot, seed, points)),
-        (suite_scaling, (knot, seed, max(1, points // 2))),
-        (suite_holonomy_linking, (knot, seed, loops)),
-        (suite_refined_holonomy, (knot, seed, max(1, loops // 2))),
-    )
+    suite returns (name, passed, details), and is timed here on its own;
+    ``holonomy-vs-linking`` also hands on its loops and their holonomies,
+    the first half of which the refined suite refines."""
     results = []
-    for suite, args in suites:
+
+    def timed(suite, *args):
         t0 = time.perf_counter()
-        name, passed, details = suite(*args)
+        name, passed, details, *handed = suite(*args)
         results.append(SuiteResult(name, bool(passed), details, time.perf_counter() - t0))
+        return handed
+
+    timed(suite_segment_kernel, seed, kernel_pairs)
+    timed(suite_infinite_wire)
+    timed(suite_flatness, knot, seed, points)
+    timed(suite_scaling, knot, seed, max(1, points // 2))
+    drawn, values = timed(suite_holonomy_linking, knot, seed, loops)
+    half = max(1, loops // 2)
+    timed(suite_refined_holonomy, knot, drawn[:half], values[:half])
     return results

@@ -771,15 +771,23 @@ def test_batched_holonomy_suites_agree(knot, seed, k):
     """At ``verify``'s loop counts, the batched suites report what calling
     ``holonomy`` one loop at a time reports."""
     knot = dataclasses.replace(knot, k=k)
-    assert suite_outcome(suite_holonomy_linking(knot, seed, 20)) == \
-        suite_outcome(scan_suite_holonomy_linking(knot, seed, 20))
-    assert suite_outcome(suite_refined_holonomy(knot, seed, 10)) == \
+    *result, loops, values = suite_holonomy_linking(knot, seed, 20)
+    assert suite_outcome(result) == suite_outcome(scan_suite_holonomy_linking(knot, seed, 20))
+    assert suite_outcome(suite_refined_holonomy(knot, loops[:10], values[:10])) == \
         suite_outcome(scan_suite_refined_holonomy(knot, seed, 10))
 
 
+def refined_suite(knot, seed, n_loops):
+    """The refined suite on the first ``n_loops`` loops ``holonomy-vs-linking``
+    hands on at ``seed``."""
+    *_, loops, values = suite_holonomy_linking(knot, seed, n_loops)
+    return suite_refined_holonomy(knot, loops, values)
+
+
 @pytest.mark.parametrize("suite, scan", [
-    (suite_holonomy_linking, scan_suite_holonomy_linking),
-    (suite_refined_holonomy, scan_suite_refined_holonomy),
+    (lambda knot, seed, n: suite_holonomy_linking(knot, seed, n)[:3],
+     scan_suite_holonomy_linking),
+    (refined_suite, scan_suite_refined_holonomy),
     (suite_flatness, scan_suite_flatness), (suite_scaling, scan_suite_scaling),
     (lambda knot, seed, n: suite_segment_kernel(seed, n),
      lambda knot, seed, n: scan_suite_segment_kernel(seed, n))])

@@ -28,7 +28,8 @@ from knotfield.topology import (
     parse_loop_text,
     read_loop_file,
 )
-from knotfield.verification import random_rect_loop, suite_holonomy_linking
+from knotfield import verification
+from knotfield.verification import random_rect_loop, run_verification, suite_holonomy_linking
 from scan_oracle import scan_linking_number
 
 FOUR_PI = 4.0 * math.pi
@@ -337,13 +338,32 @@ def test_verify_measures_each_clearance_once():
     with mock.patch("knotfield.topology.loop_clearance", wraps=loop_clearance) as engine, \
             mock.patch("knotfield.verification.loop_clearance", wraps=loop_clearance) as draws, \
             mock.patch("knotfield.verification.Loop", wraps=Loop) as drawn:
-        name, passed, _ = suite_holonomy_linking(knot, 0, 20)
+        name, passed, *_ = suite_holonomy_linking(knot, 0, 20)
         assert passed and engine.call_count == 0
         assert draws.call_count == drawn.call_count > 20
         for route in (holonomy, linking_number):
             engine.reset_mock()
             route(knot, paper_loop())
             assert engine.call_count == 1
+
+
+def test_verify_draws_and_integrates_each_loop_once():
+    """``verify`` draws its loops only in ``holonomy-vs-linking`` and makes
+    two batched holonomy calls: every loop at base scale with the clearances
+    its draws measured, then the refined first half, whose clearances the
+    call measures itself, once per loop."""
+    knot = canonical_trefoil()
+    with mock.patch("knotfield.verification._rect_loop", wraps=verification._rect_loop) as draws, \
+            mock.patch("knotfield.verification._holonomy_results",
+                       wraps=_holonomy_results) as batches, \
+            mock.patch("knotfield.topology.loop_clearance", wraps=loop_clearance) as engine:
+        results = run_verification(knot, seed=0, loops=20, points=4, kernel_pairs=2)
+    assert all(r.passed for r in results)
+    assert draws.call_count == 20
+    (base, base_kw), (refined, refined_kw) = batches.call_args_list
+    assert base[0] is knot and len(base[1]) == len(base_kw["clearances"]) == 20
+    assert len(refined[1]) == 10 and "clearances" not in refined_kw
+    assert engine.call_count == 10
 
 
 class TestVerifyFlatConnection:
