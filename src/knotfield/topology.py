@@ -80,12 +80,6 @@ class Loop:
     def reversed(self) -> "Loop":
         return Loop(vertices=tuple(reversed(self.vertices)), name=self.name)
 
-    def scaled(self, factor: float) -> "Loop":
-        return Loop(
-            vertices=tuple(tuple(c * factor for c in v) for v in self.vertices),
-            name=self.name,
-        )
-
 
 @dataclass(frozen=True)
 class HolonomyResult:

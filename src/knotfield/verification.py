@@ -6,10 +6,11 @@ tolerance, usable both from the test suite and from the command line:
 * closed-form segment kernel vs. the direct quadrature of the current law;
 * the infinite-wire limit 2k/r;
 * flatness (curl) and solenoidality (divergence) in the complement;
-* the scaling law B(lambda x; lambda K) = B(x; K)/lambda;
+* the scaling law B(lambda x; lambda K) = B(x; K)/lambda, at lambda = 3;
 * holonomy = 4*pi*k*Lk against the Gauss-integral linking oracle, on random
-  rectangular loops in the complement;
-* invariance of those holonomies under refining knot and loops together.
+  rectangular loops in the complement, drawn and integrated once;
+* invariance of the first half of those holonomies under refining knot and
+  loops by 3, which moves every Gauss panel off the binary grid.
 """
 
 from __future__ import annotations
@@ -230,44 +231,46 @@ def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
 
 
 def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
-    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 2, compared in
+    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 3, off the binary
+    grid where a power of two would scale every value exactly, compared in
     units of k: at k = 1, which a field only scales by last."""
     rng, knot = np.random.default_rng(seed), replace(knot, k=1.0)
     p = random_clear_points(rng, *stick_ends(knot), n_points, margin=3.0, clearance=0.5)
     b = clear_field(knot, p)
-    b_scaled = clear_field(refine(knot, 2), 2 * p)
+    b_scaled = clear_field(refine(knot, 3), 3 * p)
     ref = np.array([np.linalg.norm(r) for r in b])
-    worst = float(np.max(np.max(np.abs(b_scaled - b / 2), axis=1) / ref, initial=0.0))
+    worst = float(np.max(np.max(np.abs(b_scaled - b / 3), axis=1) / ref, initial=0.0))
     return ("scaling-law", worst <= 1e-9,
-            {"points": n_points, "factor": 2, "worst_rel_err": worst, "tol": 1e-9})
+            {"points": n_points, "factor": 3, "worst_rel_err": worst, "tol": 1e-9})
 
 
 def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
-    """holonomy = 4*pi*k*Lk on random rectangular loops in the complement,
-    compared in units of k; the holonomies are refined together.  Hands on
-    the loops and their holonomies after (name, passed, details)."""
-    rng = np.random.default_rng(seed)
+    """holonomy = 4*pi*k*Lk on random rectangular loops in the complement, in
+    units of k: at k = 1, which no holonomy over- or underflows.  The loops
+    are refined together and handed on, with their holonomies."""
+    rng, knot = np.random.default_rng(seed), replace(knot, k=1.0)
     drawn = [_rect_loop(rng, knot, name=f"loop{i}") for i in range(n_loops)]
     loops, clears = [loop for loop, _ in drawn], [clear for _, clear in drawn]
     values = [h.value for h in _holonomy_results(knot, loops, tol=1e-6, clearances=clears)]
     worst, linked = 0.0, 0
     for value, (lk, _) in zip(values, _linking_results(knot, loops, clears)):
-        per_k = value / knot.k
         linked += lk != 0
-        worst = max(worst, abs(per_k - 4.0 * math.pi * lk) / max(1.0, abs(per_k)))
+        worst = max(worst, abs(value - 4.0 * math.pi * lk) / max(1.0, abs(value)))
     return ("holonomy-vs-linking", worst < 1e-5,
             {"loops": n_loops, "nonzero_linking": int(linked),
              "worst_rel_err": float(worst), "tol": 1e-5}, loops, values)
 
 
 def suite_refined_holonomy(knot: LatticeKnot, loops, values):
-    """Refining knot and loops together by 2 leaves the holonomies ``values``
-    of ``loops`` unchanged, compared in units of k; the refined loops'
-    holonomies are refined together."""
-    refined = _holonomy_results(refine(knot, 2), [loop.scaled(2) for loop in loops], tol=1e-6)
-    worst = max([0.0] + [abs(value - h.value) / abs(knot.k) for value, h in zip(values, refined)])
+    """Refining knot and ``loops`` by 3, each edge split a third of the way
+    along, moves every Gauss panel off the binary grid, so that the loops'
+    holonomies ``values`` at k = 1 test convergence, not exact arithmetic."""
+    thirds = [Loop(np.stack([3 * v, 2 * v + np.roll(v, -1, 0)], 1).reshape(-1, 3))
+              for v in (np.array(loop.vertices) for loop in loops)]
+    refined = _holonomy_results(refine(replace(knot, k=1.0), 3), thirds, tol=1e-6)
+    worst = max([0.0] + [abs(value - h.value) for value, h in zip(values, refined)])
     return ("refined-holonomy-invariance", worst < 2e-5,
-            {"loops": len(loops), "factor": 2, "worst_abs_err": float(worst), "tol": 2e-5})
+            {"loops": len(loops), "factor": 3, "worst_abs_err": float(worst), "tol": 2e-5})
 
 
 def run_verification(knot: LatticeKnot, seed: int = 0, loops: int = 20,
@@ -288,7 +291,6 @@ def run_verification(knot: LatticeKnot, seed: int = 0, loops: int = 20,
     timed(suite_infinite_wire)
     timed(suite_flatness, knot, seed, points)
     timed(suite_scaling, knot, seed, max(1, points // 2))
-    drawn, values = timed(suite_holonomy_linking, knot, seed, loops)
-    half = max(1, loops // 2)
-    timed(suite_refined_holonomy, knot, drawn[:half], values[:half])
+    drawn = timed(suite_holonomy_linking, knot, seed, loops)      # (loops, holonomies)
+    timed(suite_refined_holonomy, knot, *(x[:max(1, loops // 2)] for x in drawn))
     return results

@@ -21,9 +21,9 @@ tests in ``test_scan_oracle.py`` check the engine against them.
 ``scan_random_clear_point`` draws one candidate per kernel call, and
 ``scan_suite_segment_kernel``, ``scan_suite_flatness`` and
 ``scan_suite_scaling`` draw and evaluate one pair or point at a time, and
-``scan_suite_holonomy_linking`` and ``scan_suite_refined_holonomy`` call
-``holonomy`` one loop at a time, where the suites refine every loop's
-edges together;
+``scan_suite_holonomy_linking`` and ``scan_suite_refined_holonomy`` draw
+their loops and call ``holonomy`` one loop at a time, where the suites
+draw them once and refine every loop's edges together;
 ``random_axis_segment`` draws the kernel suite's sticks with ``Generator``
 calls, one at a time, where the suite replays them from the raw stream;
 ``ScanRaws`` and ``scan_axis_stick`` are the scalar replay the suite ran before
@@ -42,7 +42,7 @@ writer before it formatted blocks, and the reference for JSON spelling.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -579,30 +579,31 @@ def scan_suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
 
 
 def scan_suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
-    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 2."""
+    """B(lambda x; lambda K) = B(x; K) / lambda, at lambda = 3."""
     rng = np.random.default_rng(seed)
     segs = segments(knot)
-    big = refine(knot, 2)
+    big = refine(knot, 3)
     worst = 0.0
     for _ in range(n_points):
         p = scan_random_clear_point(rng, segs, margin=3.0, clearance=0.5)
         b = total_field(knot, p)
-        b_scaled = total_field(big, 2 * p)
+        b_scaled = total_field(big, 3 * p)
         ref = float(np.linalg.norm(b))
-        worst = max(worst, float(np.max(np.abs(b_scaled - b / 2))) / ref)
+        worst = max(worst, float(np.max(np.abs(b_scaled - b / 3))) / ref)
     return ("scaling-law", worst <= 1e-9,
-            {"points": n_points, "factor": 2, "worst_rel_err": float(worst), "tol": 1e-9})
+            {"points": n_points, "factor": 3, "worst_rel_err": float(worst), "tol": 1e-9})
 
 
 def scan_suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
     """holonomy = 4*pi*k*Lk on random rectangular loops in the complement,
-    compared in units of k."""
+    compared in units of k: at k = 1."""
     rng = np.random.default_rng(seed)
+    knot = replace(knot, k=1.0)
     worst = 0.0
     linked = 0
     for i in range(n_loops):
         loop = random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}")
-        per_k = holonomy(knot, loop, tol=1e-6).value / knot.k
+        per_k = holonomy(knot, loop, tol=1e-6).value
         lk = linking_number(knot, loop)
         linked += lk != 0
         worst = max(worst, abs(per_k - 4.0 * math.pi * lk) / max(1.0, abs(per_k)))
@@ -612,18 +613,24 @@ def scan_suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int =
 
 
 def scan_suite_refined_holonomy(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
-    """Refining knot and loop together by 2 leaves every holonomy unchanged,
-    compared in units of k."""
+    """Refining knot and loop together by 3, each loop edge split a third of
+    the way along, leaves every holonomy unchanged, compared at k = 1."""
     rng = np.random.default_rng(seed)
-    big = refine(knot, 2)
+    knot = replace(knot, k=1.0)
+    big = refine(knot, 3)
     worst = 0.0
     for i in range(n_loops):
         loop = random_rect_loop(rng, knot, clearance=0.5, name=f"loop{i}")
+        v = loop.vertices
+        split = []
+        for p, q in zip(v, v[1:] + v[:1]):
+            split.append(tuple(3 * a for a in p))
+            split.append(tuple(2 * a + b for a, b in zip(p, q)))
         h1 = holonomy(knot, loop, tol=1e-6).value
-        h2 = holonomy(big, loop.scaled(2), tol=1e-6).value
-        worst = max(worst, abs(h1 - h2) / abs(knot.k))
+        h2 = holonomy(big, Loop(vertices=tuple(split), name=loop.name), tol=1e-6).value
+        worst = max(worst, abs(h1 - h2))
     return ("refined-holonomy-invariance", worst < 2e-5,
-            {"loops": n_loops, "factor": 2, "worst_abs_err": float(worst), "tol": 2e-5})
+            {"loops": n_loops, "factor": 3, "worst_abs_err": float(worst), "tol": 2e-5})
 
 
 # Parity of (i, w, v) as a permutation of (0, 1, 2).

@@ -27,7 +27,7 @@ from knotfield.braids import (
     projection_crossings,
 )
 from knotfield.sampling import GridSpec, sample_field, write_csv
-from knotfield.topology import holonomy, linking_number
+from knotfield.topology import Loop, holonomy, linking_number
 from knotfield.transcription import discrepancy_ledger
 from knotfield.verification import random_clear_point, random_rect_loop
 from scan_oracle import random_axis_segment
@@ -98,7 +98,6 @@ def test_criterion_2_infinite_wire_limit():
 
 
 def test_criterion_3_paper_holonomy(knots):
-    from knotfield.topology import Loop
     t0 = time.perf_counter()
     loop = Loop(vertices=((5, 3, 2), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="paper")
     res = holonomy(knots["3_1"], loop, tol=1e-6)
@@ -152,7 +151,8 @@ def test_criterion_6_scale_invariance(knots, sweep_canonical):
     for name, knot in knots.items():
         big = refine(knot, 2)
         for loop, value, _lk in sweep_canonical[name][1]:
-            h2 = holonomy(big, loop.scaled(2), tol=1e-6).value
+            doubled = Loop(vertices=tuple((2 * x, 2 * y, 2 * z) for x, y, z in loop.vertices))
+            h2 = holonomy(big, doubled, tol=1e-6).value
             worst_hol = max(worst_hol, abs(h2 - value))
 
     worst_field = 0.0

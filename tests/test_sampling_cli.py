@@ -556,11 +556,12 @@ class TestCli:
         assert suites["holonomy-vs-linking"]["details"]["worst_rel_err"] < 1e-9
         assert rc == 0
 
-    @pytest.mark.parametrize("k", ["1e200", "1e-200", "-1"])
+    @pytest.mark.parametrize("k", ["1e200", "1e-200", "-1", "1e-320", "5e-324", "1e308"])
     def test_verify_details_in_units_of_k(self, capsys, k):
-        # Every suite compares in units of k, so no field norm overflows or
-        # underflows (a RuntimeWarning is an error here) and the details
-        # with each suite's duration dropped are those at k = 1.
+        # Every suite compares in units of k, at k = 1, so no field norm or
+        # holonomy overflows or underflows (a RuntimeWarning is an error
+        # here), a subnormal or huge k passes, and the details with each
+        # suite's duration dropped are those at k = 1.
         def masked(*extra):
             rc = run_cli("verify", "--knot", "3_1", "--kernel-pairs", "10", "--format", "json",
                          *extra)
@@ -887,11 +888,11 @@ def test_golden_stdout(tmp_path, capsys, argv, digest):
 # `duration` dropped: pins the random pairs, points and loops each suite
 # draws and every detail it reports, bit for bit.
 @pytest.mark.parametrize("knot, seed, digest", [
-    ("3_1", 0, "8a23ee89802f0c32490d479b4c3cb64cb151e34c0ddef5248d6bab17c01103df"),
-    ("3_1", 3, "37c67395a1bf44a5ae98db3f88baf7112e946d3985feb92a3440f64d62c4b24c"),
-    ("4_1", 0, "e5e44c32c874e5ef7ed4effbfa8ac86486d8d1c3325792c7e566fc581b3da00b"),
-    ("4_1", 3, "61ae994b6ea5750c8d8c3d08a19666821c413e02367ff9d43b23fc488277a709"),
-])
+    ("3_1", 0, "3a5c1188548519e8c3450c8c67888cd9dddd9004c7f8e7fc9a5617b0ca73f1cd"),
+    ("3_1", 3, "3ccfc50ace6318951749fcbcd161861b8b2acd755883db64b97d5d84dc2110d3"),
+    ("4_1", 0, "2bd0735f57f52cd0211dc6e41919fe77f4f416e607390ea527fb57e281f9c517"),
+    ("4_1", 3, "563646402ad2dd4689003ba7d053f1160eb4ac794366f035fa937db1bf5abf52"),
+], ids=["3_1-0", "3_1-3", "4_1-0", "4_1-3"])
 def test_golden_verify_json(capsys, knot, seed, digest):
     assert run_cli("verify", "--knot", knot, "--seed", str(seed), "--format", "json") == 0
     payload = json.loads(capsys.readouterr().out)

@@ -140,7 +140,8 @@ class TestHolonomy:
         knot = canonical_trefoil()
         big = refine(knot, 2)
         h1 = holonomy(knot, paper_loop(), tol=1e-8).value
-        h2 = holonomy(big, paper_loop().scaled(2), tol=1e-8).value
+        doubled = Loop(vertices=tuple((2 * x, 2 * y, 2 * z) for x, y, z in paper_loop().vertices))
+        h2 = holonomy(big, doubled, tol=1e-8).value
         assert abs(h1 - h2) < 2e-7
 
     def test_k_prefactor_scales_value(self):
@@ -350,8 +351,9 @@ def test_verify_measures_each_clearance_once():
 def test_verify_draws_and_integrates_each_loop_once():
     """``verify`` draws its loops only in ``holonomy-vs-linking`` and makes
     two batched holonomy calls: every loop at base scale with the clearances
-    its draws measured, then the refined first half, whose clearances the
-    call measures itself, once per loop."""
+    its draws measured, then the first half on the knot refined by 3, each
+    edge split in two, whose clearances the call measures itself, once per
+    loop."""
     knot = canonical_trefoil()
     with mock.patch("knotfield.verification._rect_loop", wraps=verification._rect_loop) as draws, \
             mock.patch("knotfield.verification._holonomy_results",
@@ -361,8 +363,9 @@ def test_verify_draws_and_integrates_each_loop_once():
     assert all(r.passed for r in results)
     assert draws.call_count == 20
     (base, base_kw), (refined, refined_kw) = batches.call_args_list
-    assert base[0] is knot and len(base[1]) == len(base_kw["clearances"]) == 20
-    assert len(refined[1]) == 10 and "clearances" not in refined_kw
+    assert base[0].vertices == knot.vertices and len(base[1]) == len(base_kw["clearances"]) == 20
+    assert refined[0].vertices == refine(knot, 3).vertices and "clearances" not in refined_kw
+    assert [len(loop.vertices) for loop in refined[1]] == [8] * 10
     assert engine.call_count == 10
 
 
