@@ -777,17 +777,11 @@ def test_batched_holonomy_suites_agree(knot, seed, k):
         suite_outcome(scan_suite_refined_holonomy(knot, seed, 10))
 
 
-def refined_suite(knot, seed, n_loops):
-    """The refined suite on the first ``n_loops`` loops ``holonomy-vs-linking``
-    hands on at ``seed``."""
-    *_, loops, values = suite_holonomy_linking(knot, seed, n_loops)
-    return suite_refined_holonomy(knot, loops, values)
-
-
 @pytest.mark.parametrize("suite, scan", [
     (lambda knot, seed, n: suite_holonomy_linking(knot, seed, n)[:3],
      scan_suite_holonomy_linking),
-    (refined_suite, scan_suite_refined_holonomy),
+    (lambda knot, seed, n: suite_refined_holonomy(knot, *suite_holonomy_linking(knot, seed, n)[3:]),
+     scan_suite_refined_holonomy),
     (suite_flatness, scan_suite_flatness), (suite_scaling, scan_suite_scaling),
     (lambda knot, seed, n: suite_segment_kernel(seed, n),
      lambda knot, seed, n: scan_suite_segment_kernel(seed, n))])
