@@ -778,10 +778,13 @@ def test_batched_holonomy_suites_agree(knot, seed, k):
 
 
 @pytest.mark.parametrize("suite, scan", [
-    (lambda knot, seed, n: suite_holonomy_linking(knot, seed, n)[:3],
-     scan_suite_holonomy_linking),
-    (lambda knot, seed, n: suite_refined_holonomy(knot, *suite_holonomy_linking(knot, seed, n)[3:]),
-     scan_suite_refined_holonomy),
+    pytest.param(lambda knot, seed, n: suite_holonomy_linking(knot, seed, n)[:3],
+                 scan_suite_holonomy_linking,
+                 id="suite_holonomy_linking-scan_suite_holonomy_linking"),
+    pytest.param(lambda knot, seed, n: suite_refined_holonomy(
+                     knot, *suite_holonomy_linking(knot, seed, n)[3:]),
+                 scan_suite_refined_holonomy,
+                 id="suite_refined_holonomy-scan_suite_refined_holonomy"),
     (suite_flatness, scan_suite_flatness), (suite_scaling, scan_suite_scaling),
     (lambda knot, seed, n: suite_segment_kernel(seed, n),
      lambda knot, seed, n: scan_suite_segment_kernel(seed, n))])
