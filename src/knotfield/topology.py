@@ -6,7 +6,9 @@ the circuit.  That identity is the computable form of the claim that the
 field is a flat connection on the knot complement: curl-free away from the
 wire yet with non-trivial circulation around it.
 
-Two independent routes are implemented so they can catch each other's bugs:
+Two independent routes are implemented so they can catch each other's bugs,
+each refusing a loop by its clearance from the circuit, measured for all of
+a batch's loops in one pass over their (edge, stick) pairs:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
   (Gauss panels bisected by the quadrature oracle's integrator; each depth's
@@ -87,9 +89,10 @@ class HolonomyResult:
 
     ``estimated_error`` is |k| times the sum of |left + right - coarse| over
     every edge's accepted panels: the error of the coarse panels, not of the
-    sum of halves returned as ``value``, so it bounds that loosely.  On
-    ``verify``'s loops at tol=1e-6 the largest estimate of a run overstates
-    the largest |value - 4*pi*k*Lk| by a factor of 10^2 to 10^4.
+    sum of halves returned as ``value``.  It is usually, but not always,
+    above the true error: at tol=1e-6, loop 3 of ``verify --knot 4_1 --seed
+    285`` is 4.79e-6 from 4*pi*k*Lk with an estimate of 2.3e-7, and loop 1
+    at seed 404 is 4.13e-6 off with an estimate of 3.9e-8.
     """
 
     value: float
@@ -101,26 +104,43 @@ class HolonomyResult:
 
 
 def loop_clearance(knot: LatticeKnot, loop: Loop):
-    """Distance from the loop to the circuit, over every (loop edge, stick) pair.
+    """Distance from the loop to the circuit, over every (loop edge, stick)
+    pair: the one-loop case of ``_clearances``, which raises its error."""
+    measured, = _clearances(knot, [loop])
+    if isinstance(measured, LinkingPrecisionError):
+        raise measured
+    return measured
 
-    Returns (clearance, (loop_edge, segment_index)) for the closest approach,
-    the first in (edge, stick) order on ties.  Each pair's distance is the
-    standard clamped closest-point computation, with the parallel case
-    resolved by the same clamping iteration; its dot products are batched
-    matmuls and einsums, which reduce each pair in the order one edge alone
-    would, so a distance does not depend on the other edges.  Coordinates
-    too large to square overflow to inf or NaN, and LinkingPrecisionError
-    names the first pair whose distance is not finite: the loop is then not
-    representable and its closest approach is unknown.
+
+def _stack(vertices):
+    """(sizes, firsts, starts, ends): the loops' edges as (M, 3) rows, loop l's from firsts[l]."""
+    sizes = [len(v) for v in vertices]
+    firsts = list(accumulate(sizes, initial=0))
+    starts = np.array([p for v in vertices for p in v]).reshape(-1, 3)
+    return sizes, firsts, starts, starts[[lo + (i + 1) % n for lo, n in zip(firsts, sizes)
+                                          for i in range(n)]]
+
+
+def _clearances(knot: LatticeKnot, loops):
+    """Each loop's (clearance, (loop_edge, segment_index)) at its closest
+    approach, the first in (edge, stick) order on ties, from one pass over
+    every loop's stacked rows.  Each pair's distance is the standard clamped
+    closest-point computation, with the parallel case resolved by the same
+    clamping iteration; its dot products are batched matmuls and einsums,
+    which reduce each pair in the order one edge alone would, so a distance
+    does not depend on the other edges or loops.  Coordinates too large to
+    square overflow to inf or NaN; a loop with such a pair gets, in place of
+    its tuple, a LinkingPrecisionError naming its first: the loop is then
+    not representable and its closest approach is unknown.
     """
-    (q0, q1), p0 = stick_ends(knot), np.array(loop.vertices)
+    (sizes, firsts, p0, p1), (q0, q1) = _stack([loop.vertices for loop in loops]), stick_ends(knot)
     with np.errstate(all="ignore"):
-        d1 = np.roll(p0, -1, axis=0) - p0           # (E, 3)
+        d1 = p1 - p0                                # (M, 3)
         d2 = q1 - q0                                # (N, 3)
-        r = p0[:, None, :] - q0                     # (E, N, 3)
-        a = (d1[:, None, :] @ d1[:, :, None])[:, 0]   # (E, 1)
+        r = p0[:, None, :] - q0                     # (M, N, 3)
+        a = (d1[:, None, :] @ d1[:, :, None])[:, 0]   # (M, 1)
         e = np.einsum("nc,nc->n", d2, d2)           # (N,)
-        f = np.einsum("nc,enc->en", d2, r)          # (E, N)
+        f = np.einsum("nc,enc->en", d2, r)          # (M, N)
         c = (r @ d1[:, :, None])[..., 0]
         b = (d2 @ d1[:, :, None])[..., 0]
         denom = a * e - b * b
@@ -133,15 +153,15 @@ def loop_clearance(knot: LatticeKnot, loop: Loop):
         closest1 = p0[:, None, :] + s[..., None] * d1[:, None, :]
         closest2 = q0 + t[..., None] * d2
         d = np.linalg.norm(closest1 - closest2, axis=-1)
-    bad = np.flatnonzero(~np.isfinite(d))
-    if bad.size:
-        i, j = divmod(int(bad[0]), d.shape[1])
-        raise LinkingPrecisionError(
+    results = []
+    for rows in (d[lo:lo + n] for lo, n in zip(firsts, sizes)):
+        bad = np.flatnonzero(~np.isfinite(rows))
+        i, j = divmod(int(bad[0] if bad.size else np.argmin(rows)), rows.shape[1])
+        results.append(LinkingPrecisionError(
             f"loop edge {i} is not representable: its distance to circuit "
-            f"segment {j + 1} evaluates to {d[i, j]}"
-        )
-    i, j = divmod(int(np.argmin(d)), d.shape[1])
-    return float(d[i, j]), (i, j + 1)
+            f"segment {j + 1} evaluates to {rows[i, j]}") if bad.size
+            else (float(rows[i, j]), (i, j + 1)))
+    return results
 
 
 def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
@@ -162,26 +182,20 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
 
 
 def _edges(knot: LatticeKnot, loops, clearances, refused):
-    """(sizes, firsts, starts, ends, refusal): the edges of the loops before
-    the first refused one, stacked as (M, 3) rows with loop l's from
-    firsts[l], and that loop's error or None.  Each loop's ``loop_clearance``
-    tuple is ``clearances``' entry, as the caller measured it, or is measured
-    here; LoopOnConductorError refuses a loop whose distance is ``refused``."""
+    """(sizes, firsts, starts, ends, refusal): ``_stack`` of the loops before
+    the first refused one, and that loop's error or None.  Each loop's
+    ``loop_clearance`` tuple is ``clearances``' entry, as the caller measured
+    it, or is measured here, for every loop in one ``_clearances`` pass;
+    LoopOnConductorError refuses a loop whose distance is ``refused``."""
     vertices, refusal = [], None
-    for n, loop in enumerate(loops):
-        try:
-            clear, (i, j) = clearances[n] if clearances is not None else loop_clearance(knot, loop)
-            if refused(clear):
-                raise LoopOnConductorError(i, j, clear)
-        except (LinkingPrecisionError, LoopOnConductorError) as exc:
-            refusal = exc           # raised after the loops before it
+    for loop, clear in zip(loops, clearances if clearances is not None else _clearances(knot, loops)):
+        if not isinstance(clear, FieldError) and refused(clear[0]):
+            clear = LoopOnConductorError(*clear[1], clear[0])
+        if isinstance(clear, FieldError):
+            refusal = clear         # raised after the loops before it
             break
         vertices.append(loop.vertices)
-    sizes = [len(v) for v in vertices]
-    firsts = list(accumulate(sizes, initial=0))
-    starts = np.array([p for v in vertices for p in v]).reshape(-1, 3)
-    ends = starts[[lo + (i + 1) % n for lo, n in zip(firsts, sizes) for i in range(n)]]
-    return sizes, firsts, starts, ends, refusal
+    return (*_stack(vertices), refusal)
 
 
 def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,

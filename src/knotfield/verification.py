@@ -8,7 +8,9 @@ tolerance, usable both from the test suite and from the command line:
 * flatness (curl) and solenoidality (divergence) in the complement;
 * the scaling law B(lambda x; lambda K) = B(x; K)/lambda, at lambda = 3;
 * holonomy = 4*pi*k*Lk against the Gauss-integral linking oracle, on random
-  rectangular loops in the complement, drawn and integrated once;
+  rectangular loops in the complement, drawn in rounds of as many candidates
+  as are missing, each round's clearances measured in one pass, and
+  integrated once;
 * invariance of the first half of those holonomies under refining knot and
   loops by 3, which moves every Gauss panel off the binary grid.
 """
@@ -25,7 +27,7 @@ import numpy as np
 from .geometry import LatticeKnot, PackedSticks, Segment, bounding_box, refine, stick_ends
 from .biot_savart import (_paired_field, _quadrature, _stick_field, segment_field, total_field,
                           total_field_many)
-from .topology import Loop, _holonomy_results, _linking_results, loop_clearance
+from .topology import LinkingPrecisionError, Loop, _clearances, _holonomy_results, _linking_results
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,10 @@ def random_clear_points(rng, starts, ends, n: int, margin: float, clearance: flo
     """(n, 3) uniform points in the inflated box of the sticks from (N, 3)
     ``starts`` to ``ends``, at least ``clearance`` from them by the kernel's
     own distance.  Each round draws one candidate per missing point, so the
-    points and the generator's final state are those of drawing one at a time."""
+    points and the generator's final state are those of drawing one at a time.
+    A clearance that is not finite is refused before any draw."""
+    if not math.isfinite(clearance):
+        raise ValueError(f"clearance must be finite, got {clearance}")
     packed = PackedSticks.pack(starts, ends)
     both = np.concatenate([starts, ends])
     lo, hi = both.min(axis=0) - margin, both.max(axis=0) + margin
@@ -66,32 +71,42 @@ def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
     """Random axis-aligned rectangle in the knot complement.
 
     Rectangles are drawn inside the knot's inflated bounding box so a good
-    fraction of them actually link the circuit.
+    fraction of them actually link the circuit: ``_rect_loops`` at n = 1.
     """
-    return _rect_loop(rng, knot, clearance, margin, name)[0]
+    return _rect_loops(rng, knot, 1, clearance, margin, name)[0][0]
 
 
-def _rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5, margin: float = 3.0,
-               name: str = ""):
-    """(``random_rect_loop``, the ``loop_clearance`` tuple its draw measured)."""
+def _rect_loops(rng, knot: LatticeKnot, n: int, clearance: float = 0.5, margin: float = 3.0,
+                name: str = ""):
+    """(n ``random_rect_loop``s, the ``loop_clearance`` tuple of each), drawn in
+    rounds of as many candidates as are missing, measured in one
+    ``_clearances`` pass.  A candidate takes the same scalar draws kept or
+    not, so the loops and the final generator state are those of one-at-a-time
+    draws.  A clearance that is not finite is refused before any draw."""
+    if not math.isfinite(clearance):
+        raise ValueError(f"clearance must be finite, got {clearance}")
     core_lo, core_hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
-    lo, hi = core_lo - margin, core_hi + margin
-    while True:
-        normal = int(rng.integers(0, 3))
-        u, v = [ax for ax in range(3) if ax != normal]
-        # Centering inside the knot's own box makes linked loops common.
-        c = rng.uniform(core_lo[normal], core_hi[normal])
-        cu, cv = rng.uniform(core_lo[u], core_hi[u]), rng.uniform(core_lo[v], core_hi[v])
-        hu = rng.uniform(0.8, 0.5 * (hi[u] - lo[u]))
-        hv = rng.uniform(0.8, 0.5 * (hi[v] - lo[v]))
-        corners = []
-        for du, dv in ((-hu, -hv), (hu, -hv), (hu, hv), (-hu, hv)):
-            p = [0.0, 0.0, 0.0]
-            p[normal], p[u], p[v] = c, cu + du, cv + dv
-            corners.append(tuple(p))
-        loop = Loop(vertices=tuple(corners), name=name)
-        if (measured := loop_clearance(knot, loop))[0] >= clearance:
-            return loop, measured
+    half = 0.5 * ((core_hi + margin) - (core_lo - margin))
+    loops, clears = [], []
+    while len(loops) < n:
+        drawn = []
+        for _ in range(n - len(loops)):
+            normal = int(rng.integers(0, 3))
+            u, v = [ax for ax in range(3) if ax != normal]
+            # Centering inside the knot's own box makes linked loops common.
+            c = rng.uniform(core_lo[normal], core_hi[normal])
+            cu, cv = rng.uniform(core_lo[u], core_hi[u]), rng.uniform(core_lo[v], core_hi[v])
+            hu, hv = rng.uniform(0.8, half[u]), rng.uniform(0.8, half[v])
+            at = {normal: (c,) * 4, u: (cu - hu, cu + hu, cu + hu, cu - hu),
+                  v: (cv - hv, cv - hv, cv + hv, cv + hv)}
+            drawn.append(Loop(vertices=tuple(zip(at[0], at[1], at[2])), name=name))
+        for loop, measured in zip(drawn, _clearances(knot, drawn)):
+            if isinstance(measured, LinkingPrecisionError):
+                raise measured
+            if measured[0] >= clearance:
+                loops.append(loop)
+                clears.append(measured)
+    return loops, clears
 
 
 def _grow(raws, bits, end):
@@ -249,8 +264,7 @@ def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
     units of k: at k = 1, which no holonomy over- or underflows.  The loops
     are refined together and handed on, with their holonomies."""
     rng, knot = np.random.default_rng(seed), replace(knot, k=1.0)
-    drawn = [_rect_loop(rng, knot, name=f"loop{i}") for i in range(n_loops)]
-    loops, clears = [loop for loop, _ in drawn], [clear for _, clear in drawn]
+    loops, clears = _rect_loops(rng, knot, n_loops)
     values = [h.value for h in _holonomy_results(knot, loops, tol=1e-6, clearances=clears)]
     worst, linked = 0.0, 0
     for value, (lk, _) in zip(values, _linking_results(knot, loops, clears)):

@@ -78,6 +78,7 @@ from knotfield.sampling import _BLOCK_ROWS, FieldSample, GridSpec, write_csv, wr
 from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
+    _clearances,
     _holonomy_results,
     holonomy,
     linking_number,
@@ -304,6 +305,20 @@ def test_hand_written_loops_agree():
                        (canonical_trefoil(), Loop(vertices=((2, 2, -3),) + AXIS_LOOP.vertices))):
         assert clearance_outcome(loop_clearance, knot, loop) == \
             clearance_outcome(scan_loop_clearance, knot, loop)
+
+
+@SETTINGS
+@given(st.data())
+def test_clearance_stacks_agree(data):
+    """One ``_clearances`` pass over a stack of loops around one knot, tight,
+    on a stick's axis or not representable among them, gives each loop the
+    outcome of the edge-by-edge scan."""
+    knot = data.draw(knots)
+    loops = data.draw(st.lists(clearance_loops(st.just(knot)).map(lambda case: case[1]),
+                               max_size=6))
+    assert [f"LinkingPrecisionError: {clear}" if isinstance(clear, LinkingPrecisionError)
+            else (struct.pack("<d", clear[0]), clear[1]) for clear in _clearances(knot, loops)] == \
+        [clearance_outcome(scan_loop_clearance, knot, loop) for loop in loops]
 
 
 # --- the integrators ---------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
 import re
+import signal
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -15,11 +17,13 @@ from knotfield.geometry import (
     canonical_trefoil,
     refine,
     segments,
+    stick_ends,
 )
 from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
     LoopOnConductorError,
+    _clearances,
     _holonomy_results,
     _linking_results,
     holonomy,
@@ -29,8 +33,9 @@ from knotfield.topology import (
     read_loop_file,
 )
 from knotfield import verification
-from knotfield.verification import random_rect_loop, run_verification, suite_holonomy_linking
-from scan_oracle import scan_linking_number
+from knotfield.verification import (random_clear_points, random_rect_loop, run_verification,
+                                   suite_holonomy_linking)
+from scan_oracle import scan_linking_number, scan_loop_clearance
 
 FOUR_PI = 4.0 * math.pi
 
@@ -331,17 +336,125 @@ class TestBatchedLinking:
         assert linking_outcome(_linking_results, knot, loops) == want
 
 
+def clearance_outcomes(knot, loops):
+    """``_clearances`` of the loops, each distance as its hex, or each
+    error's type and message."""
+    return [f"{type(clear).__name__}: {clear}" if isinstance(clear, FieldError)
+            else (clear[0].hex(), clear[1]) for clear in _clearances(knot, loops)]
+
+
+def one_at_a_time(route, knot, loops):
+    """``clearance_outcomes`` from a one-loop route, loop by loop."""
+    out = []
+    for loop in loops:
+        try:
+            clear, where = route(knot, loop)
+            out.append((clear.hex(), where))
+        except LinkingPrecisionError as exc:
+            out.append(f"LinkingPrecisionError: {exc}")
+    return out
+
+
+def polygons_3_to_8(knot, seed, count):
+    """Polygons of 3 to 8 vertices in turn, the rectangles
+    ``random_rect_loop``'s and the rest uniform in the knot's box inflated
+    by 2."""
+    rng = np.random.default_rng(seed)
+    lo, hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
+    return [random_rect_loop(rng, knot, clearance=0.05) if n == 4 else
+            Loop(vertices=tuple(map(tuple, rng.uniform(lo - 2.0, hi + 2.0, size=(n, 3)))))
+            for n in (3 + i % 6 for i in range(count))]
+
+
+class TestClearances:
+    @pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight(),
+                                      close_braid_on_lattice(parse_braid("s1 s2^-1 s1 s2^-1"))],
+                             ids=["3_1", "4_1", "braid"])
+    def test_each_loop_as_alone(self, knot):
+        """One pass over a stack of 3- to 8-edge loops gives each loop the
+        bits of ``loop_clearance`` and of the edge-by-edge scan."""
+        loops = polygons_3_to_8(knot, 0, 24)
+        assert {len(loop.vertices) for loop in loops} == set(range(3, 9))
+        assert clearance_outcomes(knot, loops) == one_at_a_time(loop_clearance, knot, loops) == \
+            one_at_a_time(scan_loop_clearance, knot, loops)
+
+    def test_unrepresentable_loop_mid_batch(self):
+        """A loop with a vertex at 1e200 gets its own LinkingPrecisionError,
+        and the loops around it keep their tuples."""
+        knot = canonical_trefoil()
+        loops = polygons_3_to_8(knot, 1, 6)
+        loops = loops[:3] + [HUGE] + loops[3:]
+        got = clearance_outcomes(knot, loops)
+        assert got == one_at_a_time(loop_clearance, knot, loops) == \
+            one_at_a_time(scan_loop_clearance, knot, loops)
+        assert [isinstance(outcome, str) for outcome in got] == [False] * 3 + [True] + [False] * 3
+        with pytest.raises(LinkingPrecisionError):
+            _holonomy_results(knot, loops)
+
+    def test_empty(self):
+        """No loops: no rows, no tuples, and a ``verify`` of no loops passes."""
+        knot = canonical_trefoil()
+        assert _clearances(knot, []) == _holonomy_results(knot, []) == \
+            _linking_results(knot, []) == []
+        results = run_verification(knot, seed=0, loops=0, points=4, kernel_pairs=2)
+        assert all(r.passed for r in results)
+        assert [r.details["loops"] for r in results[-2:]] == [0, 0]
+
+
+@contextmanager
+def alarm(seconds):
+    """Fail the block with TimeoutError after ``seconds`` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("clearance", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("draw", [
+    lambda rng, knot, clearance: random_rect_loop(rng, knot, clearance),
+    lambda rng, knot, clearance: verification._rect_loops(rng, knot, 3, clearance),
+    lambda rng, knot, clearance: random_clear_points(rng, *stick_ends(knot), 3, 3.0, clearance)],
+    ids=["random_rect_loop", "_rect_loops", "random_clear_points"])
+def test_draws_refuse_a_clearance_not_finite(draw, clearance):
+    """No candidate is at least NaN or +inf from the circuit, so such a draw
+    would never return: it is refused before any draw."""
+    rng, knot = np.random.default_rng(0), canonical_trefoil()
+    state = rng.bit_generator.state
+    with alarm(10), pytest.raises(ValueError, match="clearance must be finite"):
+        draw(rng, knot, clearance)
+    assert rng.bit_generator.state == state
+
+
 def test_verify_measures_each_clearance_once():
-    """``holonomy-vs-linking`` measures a clearance once per drawn candidate,
-    in its draws, and hands it on; ``holonomy`` and ``linking_number`` on a
-    loop of their own still measure it, once each."""
-    knot = canonical_trefoil()
-    with mock.patch("knotfield.topology.loop_clearance", wraps=loop_clearance) as engine, \
-            mock.patch("knotfield.verification.loop_clearance", wraps=loop_clearance) as draws, \
+    """``holonomy-vs-linking`` draws its loops in rounds of exactly as many
+    candidates as are still missing, measures each candidate once, in one
+    ``_clearances`` pass per round, and hands the tuples on; ``holonomy`` and
+    ``linking_number`` on a loop of their own still measure it, once each."""
+    knot, rounds = canonical_trefoil(), []
+
+    def measured(knot, loops):
+        out = _clearances(knot, loops)
+        rounds.append((loops, sum(clear >= 0.5 for clear, _ in out)))
+        return out
+
+    with mock.patch("knotfield.topology._clearances", wraps=_clearances) as engine, \
+            mock.patch("knotfield.verification._clearances", measured), \
             mock.patch("knotfield.verification.Loop", wraps=Loop) as drawn:
         name, passed, *_ = suite_holonomy_linking(knot, 0, 20)
         assert passed and engine.call_count == 0
-        assert draws.call_count == drawn.call_count > 20
+        missing = 20
+        for loops, kept in rounds:
+            assert len(loops) == missing
+            missing -= kept
+        candidates = [id(loop) for loops, _ in rounds for loop in loops]
+        assert missing == 0 and len(rounds) > 1
+        assert len(set(candidates)) == len(candidates) == drawn.call_count > 20
         for route in (holonomy, linking_number):
             engine.reset_mock()
             route(knot, paper_loop())
@@ -349,24 +462,25 @@ def test_verify_measures_each_clearance_once():
 
 
 def test_verify_draws_and_integrates_each_loop_once():
-    """``verify`` draws its loops only in ``holonomy-vs-linking`` and makes
-    two batched holonomy calls: every loop at base scale with the clearances
-    its draws measured, then the first half on the knot refined by 3, each
-    edge split in two, whose clearances the call measures itself, once per
-    loop."""
+    """``verify`` draws its loops only in ``holonomy-vs-linking``, in one
+    ``_rect_loops`` call, and makes two batched holonomy calls: every loop at
+    base scale with the clearances its draws measured, then the first half
+    on the knot refined by 3, each edge split in two, whose clearances the
+    call measures itself, in one ``_clearances`` pass."""
     knot = canonical_trefoil()
-    with mock.patch("knotfield.verification._rect_loop", wraps=verification._rect_loop) as draws, \
+    with mock.patch("knotfield.verification._rect_loops", wraps=verification._rect_loops) as draws, \
             mock.patch("knotfield.verification._holonomy_results",
                        wraps=_holonomy_results) as batches, \
-            mock.patch("knotfield.topology.loop_clearance", wraps=loop_clearance) as engine:
+            mock.patch("knotfield.topology._clearances", wraps=_clearances) as engine:
         results = run_verification(knot, seed=0, loops=20, points=4, kernel_pairs=2)
     assert all(r.passed for r in results)
-    assert draws.call_count == 20
+    assert draws.call_count == 1 and draws.call_args[0][2] == 20
     (base, base_kw), (refined, refined_kw) = batches.call_args_list
     assert base[0].vertices == knot.vertices and len(base[1]) == len(base_kw["clearances"]) == 20
     assert refined[0].vertices == refine(knot, 3).vertices and "clearances" not in refined_kw
     assert [len(loop.vertices) for loop in refined[1]] == [8] * 10
-    assert engine.call_count == 10
+    (measured_knot, measured), = [call[0] for call in engine.call_args_list]
+    assert measured_knot is refined[0] and measured == refined[1]
 
 
 class TestVerifyFlatConnection:
@@ -431,6 +545,22 @@ class TestLinkingProperties:
     def test_tight_square_links_once(self, case):
         knot, loop, expected = case
         assert linking_number(knot, loop) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(knot=st.one_of(st.sampled_from((canonical_trefoil(), canonical_figure_eight())),
+                      braid_closures()),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), clearance=st.floats(0.0, 1.0))
+def test_rect_loops_draw_as_one_at_a_time(knot, seed, n, clearance):
+    """Rounds of as many candidates as are missing give the loops, tuples
+    and final generator state of n ``random_rect_loop`` calls."""
+    rng = np.random.default_rng(seed)
+    loops, clears = verification._rect_loops(rng, knot, n, clearance)
+    after = rng.bit_generator.state
+    rng = np.random.default_rng(seed)
+    want = [random_rect_loop(rng, knot, clearance) for _ in range(n)]
+    assert loops == want and clears == [loop_clearance(knot, loop) for loop in want]
+    assert after == rng.bit_generator.state
 
 
 class TestLoopFiles:
