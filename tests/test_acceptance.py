@@ -18,6 +18,7 @@ from knotfield.geometry import (
     read_knot_file,
     refine,
     segments,
+    stick_ends,
     validate,
 )
 from knotfield.biot_savart import segment_field, segment_field_quadrature, total_field
@@ -29,7 +30,7 @@ from knotfield.braids import (
 from knotfield.sampling import GridSpec, sample_field, write_csv
 from knotfield.topology import Loop, holonomy, linking_number
 from knotfield.transcription import discrepancy_ledger
-from knotfield.verification import random_clear_point, random_rect_loop
+from knotfield.verification import random_clear_point, random_clear_points, random_rect_loop
 from scan_oracle import random_axis_segment
 
 FOUR_PI = 4.0 * math.pi
@@ -147,25 +148,26 @@ def test_criterion_5_flatness_and_divergence(knots):
 
 
 def test_criterion_6_scale_invariance(knots, sweep_canonical):
+    """Refining by 3, not 2: doubling scales every node and field value by a
+    power of two, which is exact in binary, so both errors would read 0."""
     worst_hol = 0.0
     for name, knot in knots.items():
-        big = refine(knot, 2)
+        big = refine(knot, 3)
         for loop, value, _lk in sweep_canonical[name][1]:
-            doubled = Loop(vertices=tuple((2 * x, 2 * y, 2 * z) for x, y, z in loop.vertices))
-            h2 = holonomy(big, doubled, tol=1e-6).value
-            worst_hol = max(worst_hol, abs(h2 - value))
+            # Each loop scaled by 3, each edge split a third of the way along.
+            v = np.array(loop.vertices)
+            thirds = Loop(np.stack([3 * v, 2 * v + np.roll(v, -1, 0)], 1).reshape(-1, 3))
+            worst_hol = max(worst_hol, abs(holonomy(big, thirds, tol=1e-6).value - value))
 
     worst_field = 0.0
     knot = knots["3_1"]
-    big = refine(knot, 2)
+    big = refine(knot, 3)
     rng = np.random.default_rng(0)
-    segs = segments(knot)
-    for _ in range(100):
-        p = random_clear_point(rng, segs, margin=3.0, clearance=0.5)
+    for p in random_clear_points(rng, *stick_ends(knot), 100, margin=3.0, clearance=0.5):
         b = total_field(knot, p)
-        err = float(np.max(np.abs(total_field(big, 2 * p) - b / 2)))
+        err = float(np.max(np.abs(total_field(big, 3 * p) - b / 3)))
         worst_field = max(worst_field, err / float(np.linalg.norm(b)))
-    report(6, "refine(2) leaves holonomies unchanged and scales fields by 1/2",
+    report(6, "refine(3) leaves holonomies unchanged and scales fields by 1/3",
            worst_hol < 2e-5 and worst_field < 1e-9,
            f"worst holonomy shift {worst_hol:.3e}, worst field rel err {worst_field:.3e}")
 
