@@ -423,7 +423,8 @@ def alarm(seconds):
     ids=["random_rect_loop", "_rect_loops", "random_clear_points"])
 def test_draws_refuse_a_clearance_not_finite(draw, clearance):
     """No candidate is at least NaN or +inf from the circuit, so such a draw
-    would never return: it is refused before any draw."""
+    would never return: a clearance that is not finite is refused before
+    any draw, under an alarm that fails a regression instead of hanging."""
     rng, knot = np.random.default_rng(0), canonical_trefoil()
     state = rng.bit_generator.state
     with alarm(10), pytest.raises(ValueError, match="clearance must be finite"):
