@@ -282,6 +282,7 @@ def _exclude(b, near, exclusion_radius, k):
 def segment_field(seg: Segment, point, k: float = 1.0,
                   exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS) -> FieldVector:
     """Closed-form field of one stick at one point, in units of k."""
+    _check_positive("exclusion_radius", exclusion_radius)
     b, near = _paired_field(PackedSticks.pack([seg.start], [seg.end]),
                             np.asarray(point, dtype=float).reshape(1, 3))
     if near[0] < exclusion_radius:
@@ -295,9 +296,14 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _QUAD_ROWS = 4096
 
 
+def _check_positive(name, value):
+    """ValueError unless ``value``, a tolerance or exclusion radius, is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _check_bounds(tol, max_depth, depth_name):
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _check_positive("tol", tol)
     if not isinstance(max_depth, int) or max_depth < 0:
         raise ValueError(f"{depth_name} must be an integer >= 0, got {max_depth!r}")
 
@@ -395,8 +401,10 @@ def total_field(knot: LatticeKnot, point,
 
     Raises OnConductorError naming the nearest stick and the point's distance
     from the circuit when the point lies within the exclusion radius of the
-    circuit, and ValueError when the point is not finite.
+    circuit, and ValueError when the point is not finite or the radius is
+    not finite and > 0.
     """
+    _check_positive("exclusion_radius", exclusion_radius)
     b, near, nearest = _stick_field(knot.sticks, np.asarray(point, dtype=float).reshape(1, 3))
     if near[0] < exclusion_radius:
         raise OnConductorError(point, near[0], segment_index=int(nearest[0]) + 1)
@@ -410,7 +418,8 @@ def total_field_many(knot: LatticeKnot, points,
     Returns (B, on_conductor) where rows of B within the exclusion radius of
     the circuit are NaN and flagged in the boolean mask instead of raising;
     grid samplers want masked rows, not exceptions.  Raises ValueError when
-    a point is not finite.
+    a point is not finite or the radius is not finite and > 0.
     """
+    _check_positive("exclusion_radius", exclusion_radius)
     b, near, _ = _stick_field(knot.sticks, np.asarray(points, dtype=float))
     return _exclude(b, near, exclusion_radius, knot.k)

@@ -165,7 +165,7 @@ def build_parser() -> _Parser:
         p.add_argument("--k", type=_finite("nonzero", lambda v: v != 0.0), default=1.0,
                        help="current prefactor I/c (default 1)")
     for p in (sample, hol):
-        p.add_argument("--exclusion", type=_finite(">= 0", lambda v: v >= 0.0),
+        p.add_argument("--exclusion", type=_finite("> 0", lambda v: v > 0.0),
                        default=DEFAULT_EXCLUSION_RADIUS, help="on-conductor exclusion radius")
     for p in (hol, ver, trans):
         p.add_argument("--format", default="text", choices=["text", "json"])

@@ -91,9 +91,23 @@ class LatticeKnot:
         return len(self.vertices)
 
     @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """``stick_ends``, validated once and kept read-only; nothing is
+        cached when an edge is not a stick."""
+        starts = np.array(self.vertices, dtype=float)
+        ends = np.roll(starts, -1, axis=0)
+        bad = np.flatnonzero(np.count_nonzero(ends - starts, axis=1) != 1)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"edge {i} {self.vertices[i]}->{self.vertices[(i + 1) % len(self)]} "
+                             "is not a nonzero axis-aligned stick")
+        starts.flags.writeable = ends.flags.writeable = False
+        return starts, ends
+
+    @cached_property
     def sticks(self) -> PackedSticks:
         """The circuit packed for the field kernel; ValueError as ``stick_ends``."""
-        return PackedSticks.pack(*stick_ends(self))
+        return PackedSticks.pack(*self._ends)
 
 
 # Columns a = x, y, z: the roles (a, b, c), b < c, and the orientation of
@@ -265,19 +279,13 @@ def segments(knot: LatticeKnot) -> list[Segment]:
 
 
 def stick_ends(knot: LatticeKnot) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points of the knot's sticks, in flow order, as float (N, 3).
+    """Start and end points of the knot's sticks, in flow order, as float (N, 3),
+    read-only and cached on the knot.
 
     Raises ValueError, as ``segments`` does, when an edge is not a stick:
-    of zero length or not parallel to an axis.
+    of zero length or not parallel to an axis, on every call.
     """
-    starts = np.array(knot.vertices, dtype=float)
-    ends = np.roll(starts, -1, axis=0)
-    bad = np.flatnonzero(np.count_nonzero(ends - starts, axis=1) != 1)
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"edge {i} {knot.vertices[i]}->{knot.vertices[(i + 1) % len(knot)]} "
-                         "is not a nonzero axis-aligned stick")
-    return starts, ends
+    return knot._ends
 
 
 def refine(knot: LatticeKnot, factor: int) -> LatticeKnot:

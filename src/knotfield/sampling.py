@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeKnot
-from .biot_savart import DEFAULT_EXCLUSION_RADIUS, _exclude, _grid_field
+from .biot_savart import DEFAULT_EXCLUSION_RADIUS, _check_positive, _exclude, _grid_field
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,9 @@ def sample_field(knot: LatticeKnot, grid: GridSpec,
     each one pass of the kernel's grid driver over its slice of the grid's
     axes, so results are identical for any ``chunk``.  ``threads`` is
     checked to be at least 1 and otherwise unused: the benchmark's replay
-    still passes it.
+    still passes it.  An exclusion radius not finite and > 0 is refused.
     """
+    _check_positive("exclusion_radius", exclusion_radius)
     _check_count("chunk", chunk, "rows")
     _check_count("threads", threads, "workers")
     axes = grid._axes()

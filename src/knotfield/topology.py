@@ -40,6 +40,7 @@ from .biot_savart import (
     QuadratureError,
     _bisect,
     _check_bounds,
+    _check_positive,
     _stick_field,
     _times_k,
 )
@@ -175,8 +176,8 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     one-loop case of ``_holonomy_results``.  Raises LoopOnConductorError or
     LinkingPrecisionError from ``loop_clearance``'s check of the loop,
     QuadratureError when an edge does not converge, and ValueError for a
-    tol not finite and > 0, a max_levels not an int >= 0, or a k so large
-    that the result overflows.
+    tol or exclusion_radius not finite and > 0, a max_levels not an int >= 0,
+    or a k so large that the result overflows.
     """
     return _holonomy_results(knot, [loop], tol, exclusion_radius, max_levels)[0]
 
@@ -210,6 +211,7 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
     unpruned.
     """
     _check_bounds(tol, max_levels, "max_levels")
+    _check_positive("exclusion_radius", exclusion_radius)
     sizes, firsts, starts, ends, refusal = _edges(knot, loops, clearances,
                                                   lambda clear: clear < exclusion_radius)
     steps = ends - starts

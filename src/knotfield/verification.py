@@ -3,7 +3,9 @@
 Each suite is a seeded, deterministic random experiment with a hard
 tolerance, usable both from the test suite and from the command line:
 
-* closed-form segment kernel vs. the direct quadrature of the current law;
+* closed-form segment kernel vs. the direct quadrature of the current law,
+  on pairs drawn by public ``Generator`` array calls, points in rounds of
+  the rows still too near their sticks, each round judged in one kernel call;
 * the infinite-wire limit 2k/r;
 * flatness (curl) and solenoidality (divergence) in the complement;
 * the scaling law B(lambda x; lambda K) = B(x; K)/lambda, at lambda = 3;
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -109,99 +110,27 @@ def _rect_loops(rng, knot: LatticeKnot, n: int, clearance: float = 0.5, margin: 
     return loops, clears
 
 
-def _grow(raws, bits, end):
-    """Extend the list ``raws`` with ``bits``' next raws to ``end`` or more."""
-    if len(raws) < end:
-        raws += bits.random_raw(len(raws) + end).tolist()
-
-
-def _lemire(raws, bits, pos, has, half):
-    """A stick's five accepted 32-bit halves and the state after them, drawn
-    one at a time: each range n takes the first u with u * n % 2**32 >=
-    2**32 % n."""
-    halves = []
-    for n in (17, 17, 17, 3, 16):
-        while True:
-            _grow(raws, bits, pos + 5)          # with the sign's and point's raws
-            has ^= 1
-            half, u, pos = (*divmod(raws[pos], 2 ** 32), pos + 1) if has else (half, half, pos)
-            if u * n % 2 ** 32 >= 2 ** 32 % n:
-                break
-        halves.append(u)
-    return halves, (pos, has, half)
-
-
-def _draw_stick(raws, bits, pos, has, half):
-    """``random_axis_segment``'s draws replayed from the list ``raws`` of PCG64
-    outputs, extended from ``bits`` when short, entering at raw ``pos`` with
-    numpy 2's 32-bit buffer (``has`` is 1 while it holds the high half
-    ``half``): (start, end, (pos, has, half)) with the state after the stick,
-    where its point's three raws begin.  ``integers(lo, hi)`` is lo + (u * n >>
-    32), n = hi - lo, for the first 32-bit half u, low halves first, with u * n
-    % 2**32 >= 2**32 % n (Lemire, ACM TOMACS 29(1), 2019): at n = 17 and 3 that
-    rejects only u = 0, and at 16 nothing, so a zero half takes ``_lemire``.  A
-    double is a raw's top 53 bits, below 0.5 when its top bit is clear."""
-    while True:
-        _grow(raws, bits, pos + 7)
-        a, b, c = raws[pos:pos + 3]
-        h = (a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32, c & 0xFFFFFFFF)
-        h, at = ((half,) + h[:4], (pos + 2, 0, b >> 32)) if has else (h, (pos + 3, 1, c >> 32))
-        if not (h[0] and h[1] and h[2] and h[3]):
-            h, at = _lemire(raws, bits, pos, has, half)
-        (pos, has, half), axis = at, h[3] * 3 >> 32
-        moved = -8 + (h[axis] * 17 >> 32) + (1 + (h[4] >> 28)) * (-1 if raws[pos] >> 63 else 1)
-        pos += 1
-        if -8 <= moved <= 8:
-            start = (-8 + (h[0] * 17 >> 32), -8 + (h[1] * 17 >> 32), -8 + (h[2] * 17 >> 32))
-            return start, start[:axis] + (moved,) + start[axis + 1:], (pos, has, half)
-
-
 def suite_segment_kernel(seed: int = 0, n_pairs: int = 1000):
-    """Closed form vs. quadrature oracle on (stick, point) pairs drawn in turn
-    from ``default_rng(seed)``, each point 0.5 or more from its stick in its box
-    inflated by 4.  The draws are replayed from PCG64's raws as a chain of
-    (stick, first point) nodes keyed by the state each stick starts from, and
-    each node is judged once, in one paired kernel call with the nodes new to
-    its round.  A round walks on as if each point were clear, up to a node
-    judged not clear; that point is drawn again, and the stream after it soon
-    meets a state already on the chain, whose nodes are taken as they stand."""
-    bits = np.random.PCG64(seed)
-    block = bits.random_raw(12 * n_pairs)
-    raws, nodes, pairs, at, taken, walk = block.tolist(), {}, {}, (0, 0, 0), [], []
-    # Each round's (starts, ends, points, fields), after an empty one; each row's distance.
-    judged, near = [(np.empty((0, 3), np.int64),) * 2 + (np.empty((0, 3)),) * 2], []
-    while len(taken) < n_pairs:
-        while len(taken) + len(walk) < n_pairs and (not walk or walk[-1][3] is None
-                                                    or near[walk[-1][3]] >= 0.5):
-            if at not in nodes:     # streams that meet within a stick's draws share its node
-                pair = _draw_stick(raws, bits, *at)
-                nodes[at] = pairs.setdefault(pair, [*pair, None])
-            walk.append(nodes[at])
-            pos, has, half = walk[-1][2]
-            at = (pos + 3, has, half if has else 0)     # a spent half draws nothing more
-        if new := [node for node in walk if node[3] is None]:
-            if len(block) < len(raws):
-                block = np.array(raws, dtype=np.uint64)
-            s, e = (np.fromiter(chain.from_iterable(node[i] for node in new), np.int64)
-                    .reshape(-1, 3) for i in (0, 1))
-            u = block[np.array([node[2][0] for node in new])[:, None] + np.arange(3)]
-            lo, hi = np.minimum(s, e) - 4.0, np.maximum(s, e) + 4.0
-            p = lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
-            b, dist = _paired_field(PackedSticks.pack(s, e), p)
-            for row, node in enumerate(new, len(near)):
-                node[3] = row
-            judged.append((s, e, p, b))
-            near += dist.tolist()
-        take = next((i for i, node in enumerate(walk) if near[node[3]] < 0.5), len(walk))
-        taken, walk = taken + walk[:take], walk[take:take + 1]
-        if walk:        # its point drawn again from the state after it
-            (start, end, (pos, has, half), _), = walk
-            _grow(raws, bits, pos + 6)
-            pair = (start, end, (pos + 3, has, half))
-            walk, at = [pairs.setdefault(pair, [*pair, None])], (pos + 6, has, half if has else 0)
-    rows = [node[3] for node in taken]
-    starts, ends, points, closed = (np.concatenate(a)[rows] for a in zip(*judged))
-    del raws, block, nodes, pairs, taken, judged, near    # before the oracle's panels peak
+    """Closed form vs. quadrature oracle on random (stick, point) pairs, drawn
+    from ``default_rng(seed)`` by array calls.  A stick starts uniformly in
+    [-8, 8]^3, along a uniform axis, and ends at a uniform other lattice value
+    on that axis: ``other`` in [-8, 7] maps one-to-one onto [-8, 8] without
+    the start.  Its point is uniform in its box inflated by 4 and is drawn
+    again, in the next round, while it lies nearer than 0.5 to the stick;
+    each round's rows take one paired kernel call."""
+    rng, rows = np.random.default_rng(seed), np.arange(n_pairs)
+    starts = rng.integers(-8, 9, (n_pairs, 3))
+    axis = rng.integers(0, 3, n_pairs)
+    other = rng.integers(-8, 8, n_pairs)
+    ends = starts.copy()
+    ends[rows, axis] = other + (other >= starts[rows, axis])
+    lo, hi = np.minimum(starts, ends) - 4.0, np.maximum(starts, ends) + 4.0
+    points, closed, todo = np.empty((n_pairs, 3)), np.empty((n_pairs, 3)), rows
+    while todo.size:
+        points[todo] = rng.uniform(lo[todo], hi[todo])
+        closed[todo], dist = _paired_field(PackedSticks.pack(starts[todo], ends[todo]),
+                                           points[todo])
+        todo = todo[dist < 0.5]
     quad = _quadrature(starts, ends, points, 1.0, 1e-10, 40)
     worst = float(np.max(np.abs(closed - quad), initial=0.0))
     return ("segment-kernel-vs-quadrature", worst <= 1e-8,

@@ -24,11 +24,14 @@ tests in ``test_scan_oracle.py`` check the engine against them.
 ``scan_suite_holonomy_linking`` and ``scan_suite_refined_holonomy`` draw
 their loops and call ``holonomy`` one loop at a time, where the suites
 draw them once and refine every loop's edges together;
-``random_axis_segment`` draws the kernel suite's sticks with ``Generator``
-calls, one at a time, where the suite replays them from the raw stream;
-``ScanRaws`` and ``scan_axis_stick`` are the scalar replay the suite ran before
-it decoded a stick's five 32-bit halves at once, one bounded integer at a
-time through Lemire's rejection loop.
+``scan_segment_pairs`` draws the kernel suite's sticks with its array
+calls and its points one row at a time, which gives the bits of the
+suite's one ``uniform`` call per round, judging each row with
+``segment_field``; it picks each stick's end from the list of lattice
+values, where the suite maps its draw with one comparison.
+``random_axis_segment`` draws a stick with scalar ``Generator`` calls,
+rejecting an end outside the box, for tests that want sticks of that
+distribution from a generator of their own.
 ``scan_discrepancy_ledger`` is the transcription ledger from before the
 engine's side became the derived term table: it builds each stick's
 expected term as a set of bracket atoms from a parity table, and shares
@@ -48,6 +51,7 @@ import numpy as np
 
 from knotfield.biot_savart import (
     DEFAULT_EXCLUSION_RADIUS,
+    OnConductorError,
     QuadratureError,
     _GL_W,
     _GL_X,
@@ -478,48 +482,6 @@ def random_axis_segment(rng, lo: int = -8, hi: int = 8) -> Segment:
             return Segment(tuple(int(c) for c in start), tuple(int(c) for c in end))
 
 
-class ScanRaws:
-    """``default_rng(seed)``'s draws replayed from PCG64's raw outputs, as numpy
-    2 makes them.  ``integers(lo, hi)`` is lo + (m >> 32) for m = u * (hi - lo)
-    and the first 32-bit half u with m % 2**32 >= 2**32 % (hi - lo) (Lemire, ACM
-    TOMACS 29(1), 2019), low halves first and the high one kept in ``half`` while
-    ``has`` is 1.  A double is a raw's top 53 bits and leaves that buffer alone.
-    ``bits`` is a seed or anything with PCG64's ``random_raw``."""
-
-    def __init__(self, bits, n):
-        self.bits = bits if hasattr(bits, "random_raw") else np.random.PCG64(bits)
-        self.pos, self.has, self.half = 0, 0, 0
-        self.raws = memoryview(self.bits.random_raw(n))
-
-    def raw(self):
-        if self.pos == len(self.raws):
-            self.raws = memoryview(np.append(self.raws, self.bits.random_raw(len(self.raws) + 1)))
-        self.pos += 1
-        return self.raws[self.pos - 1]
-
-    def integer(self, lo, hi):
-        """``integers(lo, hi)``, for 1 < hi - lo <= 2**32."""
-        while True:
-            self.has ^= 1
-            self.half, u = divmod(self.raw(), 2 ** 32) if self.has else (self.half, self.half)
-            if (m := u * (hi - lo)) % 2 ** 32 >= 2 ** 32 % (hi - lo):
-                return lo + (m >> 32)
-
-    def random(self):
-        return (self.raw() >> 11) * 2.0 ** -53
-
-
-def scan_axis_stick(draws, lo=-8, hi=8):
-    """``random_axis_segment`` on ``ScanRaws`` ``draws``, one bounded integer at a
-    time, as (start, end) tuples."""
-    while True:
-        start = [draws.integer(lo, hi + 1) for _ in range(3)]
-        end, axis = start.copy(), draws.integer(0, 3)
-        end[axis] += draws.integer(1, hi - lo + 1) * (1 if draws.random() < 0.5 else -1)
-        if lo <= end[axis] <= hi:
-            return tuple(start), tuple(end)
-
-
 def scan_random_clear_point(rng, sticks, margin: float, clearance: float):
     """Uniform point in the sticks' inflated bounding box, at least
     ``clearance`` from them by the field kernel's own distance."""
@@ -532,16 +494,41 @@ def scan_random_clear_point(rng, sticks, margin: float, clearance: float):
             return p
 
 
+def scan_segment_pairs(seed: int, n_pairs: int):
+    """The kernel suite's (stick, point) pairs at (seed, n_pairs), as lists
+    of ``Segment``s, points and closed-form fields.  The sticks take the
+    suite's three array draws; stick i ends at the ``other[i]``-th lattice
+    value of [-8, 8] on its axis, its start left out.  Each round then draws
+    the points still missing one row at a time, in row order, and
+    ``segment_field`` refuses a point nearer than 0.5, which the next round
+    draws again."""
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(-8, 9, (n_pairs, 3)).tolist()
+    axes = rng.integers(0, 3, n_pairs).tolist()
+    others = rng.integers(-8, 8, n_pairs).tolist()
+    segs = []
+    for start, axis, other in zip(starts, axes, others):
+        end = list(start)
+        end[axis] = [v for v in range(-8, 9) if v != start[axis]][other + 8]
+        segs.append(Segment(tuple(start), tuple(end)))
+    pts, closed, todo = [None] * n_pairs, [None] * n_pairs, list(range(n_pairs))
+    while todo:
+        for i in todo:
+            lo = np.minimum(segs[i].start, segs[i].end) - 4.0
+            pts[i] = rng.uniform(lo, np.maximum(segs[i].start, segs[i].end) + 4.0)
+        near = []
+        for i in todo:
+            try:
+                closed[i] = segment_field(segs[i], pts[i], exclusion_radius=0.5)
+            except OnConductorError:
+                near.append(i)
+        todo = near
+    return segs, pts, closed
+
+
 def scan_suite_segment_kernel(seed: int = 0, n_pairs: int = 1000):
     """Closed form vs. quadrature oracle on random (stick, point) pairs."""
-    rng = np.random.default_rng(seed)
-    segs, pts, closed = [], [], []
-    for _ in range(n_pairs):
-        seg = random_axis_segment(rng)
-        p = scan_random_clear_point(rng, [seg], margin=4.0, clearance=0.5)
-        segs.append(seg)
-        pts.append(p)
-        closed.append(segment_field(seg, p))
+    segs, pts, closed = scan_segment_pairs(seed, n_pairs)
     quad = _quadrature(np.reshape([s.start for s in segs], (-1, 3)),
                        np.reshape([s.end for s in segs], (-1, 3)),
                        np.reshape(pts, (-1, 3)), 1.0, 1e-10, 40)

@@ -25,6 +25,8 @@ from knotfield.biot_savart import (
     total_field,
     total_field_many,
 )
+from knotfield.sampling import GridSpec, sample_field
+from knotfield.topology import Loop, holonomy
 from knotfield.verification import random_clear_point
 from scan_oracle import random_axis_segment
 
@@ -79,6 +81,25 @@ class TestSegmentField:
         segment_field(seg, p)
         with pytest.raises(OnConductorError):
             segment_field(seg, p, exclusion_radius=0.1)
+
+    # Each entry at (2, 2, 3) or a loop through it, on the trefoil's stick 1,
+    # where a radius of 0 or NaN excludes nothing and returns a value.
+    @pytest.mark.parametrize("entry", [
+        lambda r: segment_field(Segment((2, 2, 0), (2, 2, 6)), (2, 2, 3), exclusion_radius=r),
+        lambda r: segment_field_quadrature(Segment((2, 2, 0), (2, 2, 6)), (2, 2, 3),
+                                           exclusion_radius=r),
+        lambda r: total_field(canonical_trefoil(), (2, 2, 3), exclusion_radius=r),
+        lambda r: total_field_many(canonical_trefoil(), [(2, 2, 3)], exclusion_radius=r),
+        lambda r: sample_field(canonical_trefoil(), GridSpec((2, 2, 0), 1, (1, 1, 3)),
+                               exclusion_radius=r),
+        lambda r: holonomy(canonical_trefoil(), Loop(((2, 2, 3), (3, 2, 3), (3, 3, 3), (2, 3, 3))),
+                           exclusion_radius=r),
+    ], ids=["segment_field", "segment_field_quadrature", "total_field", "total_field_many",
+            "sample_field", "holonomy"])
+    @pytest.mark.parametrize("radius", [0.0, -1e-3, math.nan, math.inf])
+    def test_exclusion_radius_must_be_finite_and_positive(self, entry, radius):
+        with pytest.raises(ValueError, match="exclusion_radius must be finite and > 0"):
+            entry(radius)
 
     def test_k_scales_linearly(self):
         seg = Segment((0, 0, -1), (0, 0, 1))

@@ -202,6 +202,21 @@ class TestSegment:
         with pytest.raises(ValueError, match="edge 2 "):
             stick_ends(LatticeKnot(vertices=((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 1))))
 
+    def test_stick_ends_are_cached_and_read_only(self):
+        knot = canonical_trefoil()
+        starts, ends = stick_ends(knot)
+        assert stick_ends(knot)[0] is starts and stick_ends(knot)[1] is ends
+        for a in (starts, ends):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 99.0
+        assert starts.tolist() == [list(s.start) for s in segments(knot)]
+
+    def test_invalid_knot_raises_on_every_call(self):
+        knot = LatticeKnot(vertices=((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 1)))
+        for get in (stick_ends, stick_ends, lambda k: k.sticks, lambda k: k.sticks):
+            with pytest.raises(ValueError, match="edge 2 "):
+                get(knot)
+
 
 class TestRefine:
     def test_identity(self):

@@ -627,11 +627,17 @@ class TestCli:
           "--counts", "1,1,1", "--exclusion=-1e-3"), "--exclusion"),
         (("field", "sample", "--knot", "3_1", "--origin=0,0,0", "--spacing", "1",
           "--counts", "1,1,1", "--exclusion", "nan"), "--exclusion"),
+        # Points on the wire, which a radius of 0 would evaluate: the vertex
+        # (2, 2, 0), (2, 2, 1) and (2, 2, 2) on stick 1, and the loop's (2, 2, 3).
+        (("field", "sample", "--knot", "3_1", "--origin", "2,2,0", "--spacing", "1",
+          "--counts", "1,1,3", "--exclusion", "0"), "--exclusion"),
+        (("holonomy", "--knot", "3_1", "--loop", "ON_WIRE", "--exclusion", "0"), "--exclusion"),
     ])
     def test_bad_number_exit_1(self, tmp_path, capsys, argv, flag):
-        loop_file = tmp_path / "loop.txt"
-        loop_file.write_text(PAPER_LOOP)
-        assert run_cli(*[str(loop_file) if a == "LOOP" else a for a in argv]) == 1
+        loops = {"LOOP": PAPER_LOOP, "ON_WIRE": "2 2 3\n3 2 3\n3 3 3\n2 3 3\n"}
+        for name, text in loops.items():
+            (tmp_path / name).write_text(text)
+        assert run_cli(*[str(tmp_path / a) if a in loops else a for a in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: argument {flag}: must be finite")
@@ -888,10 +894,10 @@ def test_golden_stdout(tmp_path, capsys, argv, digest):
 # `duration` dropped: pins the random pairs, points and loops each suite
 # draws and every detail it reports, bit for bit.
 @pytest.mark.parametrize("knot, seed, digest", [
-    ("3_1", 0, "3a5c1188548519e8c3450c8c67888cd9dddd9004c7f8e7fc9a5617b0ca73f1cd"),
-    ("3_1", 3, "3ccfc50ace6318951749fcbcd161861b8b2acd755883db64b97d5d84dc2110d3"),
-    ("4_1", 0, "2bd0735f57f52cd0211dc6e41919fe77f4f416e607390ea527fb57e281f9c517"),
-    ("4_1", 3, "563646402ad2dd4689003ba7d053f1160eb4ac794366f035fa937db1bf5abf52"),
+    ("3_1", 0, "1858298054d67cd8e3d368e14ba33285964e56c6a9098d0550bfdb83148820b0"),
+    ("3_1", 3, "b1a7b2ab59fc9718788fc5a3b3e76e2440a315e5367ea150fb82a9a4111af7c8"),
+    ("4_1", 0, "393d61e9997773ccd49a8b65c59eb2666b9ba82add69695dc427844a998d849b"),
+    ("4_1", 3, "2e2fe3704809be2b77ed9423ac6448ddadfa5b5178f24580f2e3aacd41d70f7b"),
 ], ids=["3_1-0", "3_1-3", "4_1-0", "4_1-3"])
 def test_golden_verify_json(capsys, knot, seed, digest):
     assert run_cli("verify", "--knot", knot, "--seed", str(seed), "--format", "json") == 0

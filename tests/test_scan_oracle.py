@@ -15,10 +15,12 @@ batched holonomy entry refines many loops' edges together and must give
 each loop the bits of ``holonomy`` on it alone, or the first error that
 ``holonomy`` raises on the loops in order, with the same message.
 ``verify`` draws its points in blocks, evaluates each suite's points in one
-kernel call, replays the kernel suite's pairs from the raw stream and
-integrates each holonomy suite's loops in one batch; the oracles draw and
-evaluate one point, pair or loop at a time with ``Generator`` calls.  Both
-must give the same points, generator state and details.  The paired kernel
+kernel call, draws the kernel suite's pairs with ``Generator`` array calls
+and its points in rounds, and integrates each holonomy suite's loops in one
+batch; the oracles draw and evaluate one point, pair or loop at a time with
+``Generator`` calls.  Both must give the same points, generator state and
+details.  The kernel suite's sticks must be valid and keep the
+distribution of rejecting an out-of-box end.  The paired kernel
 rows must carry the bits of one-stick all-pairs rows, signed zeros
 included.  The transcription ledger reads each printed term against
 its stick's derived term; the oracle builds the stick's expected bracket
@@ -28,6 +30,7 @@ give the same entries.  The writers format each block of rows with one
 time.  Both must write the same bytes.
 """
 
+import contextlib
 import dataclasses
 import io
 import math
@@ -107,6 +110,7 @@ from scan_oracle import (
     scan_suite_holonomy_linking,
     scan_suite_refined_holonomy,
     scan_suite_scaling,
+    scan_segment_pairs,
     scan_suite_segment_kernel,
     dumps_write_jsonl,
     random_axis_segment,
@@ -367,12 +371,8 @@ def stick_points(draw):
 
 def verify_pairs(seed, n):
     """The (stick, point) pairs ``verify``'s kernel suite draws at a seed."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(n):
-        seg = random_axis_segment(rng)
-        pairs.append((seg, random_clear_point(rng, [seg], margin=4.0, clearance=0.5)))
-    return pairs
+    segs, pts, _ = scan_segment_pairs(seed, n)
+    return list(zip(segs, pts))
 
 
 @SETTINGS
@@ -721,52 +721,93 @@ def test_replayed_segment_suite_agrees(seed, n_pairs):
         segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature", seed, n_pairs)
 
 
-# (seed, pairs, redraws): the oracle rejects a first point and draws another
-# at seed 1 for pairs 38 and 277, at seed 11 for pair 25, and at seed 9 for
-# pairs 29, 133, 440, 451 and 463, so the replay must rewind to agree.
-@pytest.mark.parametrize("seed, n_pairs, redraws", [(1, 300, 2), (9, 500, 5), (11, 100, 1)])
-def test_replayed_segment_suite_rewinds(seed, n_pairs, redraws):
-    with mock.patch("scan_oracle._stick_field", wraps=_stick_field) as judge:
-        want = segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature",
-                                 seed, n_pairs)
-    assert judge.call_count - n_pairs == redraws
-    assert segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
-                             seed, n_pairs) == want
-
-
-# At seed 391 the one pair's first point is drawn again, past the 12 raws
-# first taken, so the replay extends them there.
-@pytest.mark.parametrize("seed, n_pairs", [(1, 300), (9, 500), (391, 1)])
-def test_replay_judges_each_pair_once(seed, n_pairs):
-    """Each (stick, point) pair the replay decodes reaches the paired kernel
-    once, rewinds included, and the outcome is the oracle's."""
-    judged = []
+# (seed, pairs, redraws): the rows nearer than 0.5 in the first round, all
+# clear in the second.  One pair, and 300 at seed 1, take one round.
+@pytest.mark.parametrize("seed, n_pairs, redraws", [
+    pytest.param(1, 300, 0, id="1-300"), pytest.param(9, 500, 3, id="9-500"),
+    pytest.param(391, 1, 0, id="391-1")])
+def test_replay_judges_each_pair_once(seed, n_pairs, redraws):
+    """Each drawn point reaches the paired kernel exactly once, with its
+    stick, and a row nearer than 0.5 is drawn again in the next round; the
+    outcome is the oracle's."""
+    rounds = []
 
     def paired(sticks, points):
-        judged.extend(points.tobytes()[i:i + 24] for i in range(0, points.nbytes, 24))
-        return _paired_field(sticks, points)
+        b, dist = _paired_field(sticks, points)
+        rounds.append((sticks, points, dist < 0.5))
+        return b, dist
 
     with mock.patch("knotfield.verification._paired_field", paired):
-        got = segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
-                                seed, n_pairs)
-    assert len(set(judged)) == len(judged) >= n_pairs
-    assert got == segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature",
-                                    seed, n_pairs)
+        starts, ends, points = drawn_pairs(seed, n_pairs)
+    rows = np.arange(n_pairs)
+    for sticks, drawn, near in rounds:
+        assert all(map(np.array_equal, sticks, PackedSticks.pack(starts[rows], ends[rows])))
+        assert np.array_equal(drawn[~near], points[rows[~near]])
+        rows = rows[near]
+    assert rows.size == 0 and len(rounds) == 1 + bool(redraws)
+    judged = np.concatenate([drawn for _, drawn, _ in rounds])
+    assert len(np.unique(judged, axis=0)) == len(judged) == n_pairs + redraws
+    assert segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
+                             seed, n_pairs) == \
+        segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature", seed, n_pairs)
 
 
-# (seed, pairs, cut, redraws): the replay speculates every first point of a
-# run at once.  At seed 1 the first redraw is pair 38, so a run of 38 pairs
-# ends just before it and a run of 39 ends on it, leaving a tail of one pair
-# to judge again.  The cut runs and the full run all agree with the oracle.
-@pytest.mark.parametrize("seed, n_pairs, cut, redraws", [(1, 300, 38, 2), (1, 300, 39, 2)])
-def test_speculative_segment_suite_agrees(seed, n_pairs, cut, redraws):
-    for pairs, want_redraws in ((cut, int(cut > 38)), (n_pairs, redraws)):
-        with mock.patch("scan_oracle._stick_field", wraps=_stick_field) as judge:
-            want = segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature",
-                                     seed, pairs)
-        assert judge.call_count - pairs == want_redraws
-        assert segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
-                                 seed, pairs) == want
+def drawn_pairs(seed, n_pairs, rng=None):
+    """(starts, ends, points) that ``suite_segment_kernel`` hands its oracle,
+    drawn from ``default_rng(seed)`` or, when given, from ``rng``; the oracle
+    is not run."""
+    seen = []
+    scripted = (mock.patch("numpy.random.default_rng", return_value=rng) if rng
+                else contextlib.nullcontext())
+    with scripted, mock.patch("knotfield.verification._quadrature",
+                              lambda *args: seen.extend(args[:3]) or np.zeros((n_pairs, 3))):
+        suite_segment_kernel(seed, n_pairs)
+    return seen
+
+
+class Scripted:
+    """A generator whose ``integers`` calls return ``draws`` in turn and whose
+    ``uniform`` returns its upper bound, 4 from the stick."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def integers(self, *args):
+        return next(self.draws)
+
+    def uniform(self, low, high):
+        return high
+
+
+def test_other_end_maps_onto_the_other_lattice_values():
+    """For every start s in [-8, 8] and every axis, ``other`` in [-8, 7]
+    gives, one to one, the ends [-8, 8] without s."""
+    s, other, axis = np.meshgrid(np.arange(-8, 9), np.arange(-8, 8), np.arange(3), indexing="ij")
+    s, other, axis = s.ravel(), other.ravel(), axis.ravel()
+    starts = np.zeros((s.size, 3), np.int64)
+    starts[np.arange(s.size), axis] = s
+    got_starts, ends, _ = drawn_pairs(0, s.size, Scripted(starts, axis, other))
+    assert np.array_equal(got_starts, starts)
+    ends = ends.reshape(17, 16, 3, 3)
+    for i, start in enumerate(range(-8, 9)):
+        for a in range(3):
+            assert ends[i, :, a, a].tolist() == [v for v in range(-8, 9) if v != start]
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(0, 400))
+def test_kernel_suite_pairs_are_valid(seed, n_pairs):
+    """Every stick is a nonzero axis-aligned stick inside [-8, 8]^3, and every
+    point lies in its stick's box inflated by 4, at least 0.5 from the stick
+    by the kernel's own distance."""
+    starts, ends, points = drawn_pairs(seed, n_pairs)
+    assert starts.shape == ends.shape == points.shape == (n_pairs, 3)
+    assert np.all((np.abs(starts) <= 8) & (np.abs(ends) <= 8))
+    assert np.all(np.count_nonzero(ends - starts, axis=1) == 1)
+    assert np.all(np.minimum(starts, ends) - 4.0 <= points)
+    assert np.all(points <= np.maximum(starts, ends) + 4.0)
+    for start, end, p in zip(starts, ends, points):
+        assert _stick_field(PackedSticks.pack([start], [end]), p[None])[1][0] >= 0.5
 
 
 @pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight(),
