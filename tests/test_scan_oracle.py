@@ -54,6 +54,7 @@ from knotfield.biot_savart import (
     _paired_field,
     _quadrature,
     _stick_field,
+    segment_field,
     segment_field_quadrature,
 )
 
@@ -750,6 +751,65 @@ def test_replay_judges_each_pair_once(seed, n_pairs, redraws):
     assert segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
                              seed, n_pairs) == \
         segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature", seed, n_pairs)
+
+
+def forced_segment_suite_runs(seed, n_pairs, refused):
+    """The suite's and the oracle's kernel-suite runs at (seed, n_pairs) with
+    the first-round points of rows ``refused`` turned away as if nearer than
+    0.5, on both sides; each run's outcome and ``_quadrature`` inputs, the
+    suite's rounds as (natural near, near) masks, and the oracle's redraws."""
+    forced, rounds = np.isin(np.arange(n_pairs), refused), []
+
+    def paired(sticks, points):
+        b, dist = _paired_field(sticks, points)
+        natural = dist < 0.5
+        if not rounds:
+            dist = np.where(forced, 0.0, dist)
+        rounds.append((natural, dist < 0.5))
+        return b, dist
+
+    calls = []
+
+    def judge(seg, point, **kwargs):
+        calls.append(None)
+        if len(calls) <= n_pairs and forced[len(calls) - 1]:
+            raise OnConductorError(point, 0.0)
+        return segment_field(seg, point, **kwargs)
+
+    with mock.patch("knotfield.verification._paired_field", paired):
+        got = segment_suite_run(suite_segment_kernel, "knotfield.verification._quadrature",
+                                seed, n_pairs)
+    with mock.patch("scan_oracle.segment_field", judge):
+        want = segment_suite_run(scan_suite_segment_kernel, "scan_oracle._quadrature",
+                                 seed, n_pairs)
+    return got, want, rounds, len(calls) - n_pairs
+
+
+# (seed, pairs, refused): that many first-round points, spread over the rows,
+# are turned away on both sides, on top of any nearer than 0.5 (three at
+# seed 9), so each side must draw them again in the next round to agree.
+@pytest.mark.parametrize("seed, n_pairs, refused", [(1, 300, 2), (9, 500, 5), (11, 100, 1)])
+def test_replayed_segment_suite_rewinds(seed, n_pairs, refused):
+    rows = np.linspace(0, n_pairs - 1, refused).astype(int)
+    got, want, rounds, redraws = forced_segment_suite_runs(seed, n_pairs, rows)
+    (natural, near), *later = rounds
+    assert np.array_equal(near, natural | np.isin(np.arange(n_pairs), rows))
+    assert sum(len(n) for n, _ in later) == redraws >= refused
+    assert got == want
+
+
+# (seed, pairs, cut, redraws): the suite judges every first point of a round
+# at once, before it knows which are turned away.  With rows 38 and 277 turned
+# away in the first round, a run of 38 pairs ends just before the first and a
+# run of 39 ends on it, leaving one row to draw again; the full run draws two.
+# The cut runs and the full run all agree with the oracle.
+@pytest.mark.parametrize("seed, n_pairs, cut, redraws", [(1, 300, 38, 2), (1, 300, 39, 2)])
+def test_speculative_segment_suite_agrees(seed, n_pairs, cut, redraws):
+    for pairs, want_redraws in ((cut, int(cut > 38)), (n_pairs, redraws)):
+        got, want, rounds, oracle_redraws = forced_segment_suite_runs(seed, pairs, [38, 277])
+        assert [len(near) for _, near in rounds] == [pairs] + [want_redraws] * bool(want_redraws)
+        assert oracle_redraws == want_redraws
+        assert got == want
 
 
 def drawn_pairs(seed, n_pairs, rng=None):
