@@ -186,6 +186,29 @@ def _stick_field(sticks: PackedSticks, points):
     return b, near, nearest
 
 
+def _axis_field(sticks: PackedSticks, points, axis, length):
+    """``_stick_field``'s B[i, axis[i]] times length[i] at (M, 3) finite
+    points, bit for bit: the field along an edge on axis a, which reads B_a
+    alone.  A stick off a adds its offset along a times factor, and a stick
+    along a an exact zero, never 0 * factor; each point's terms are added
+    one at a time in flow order, as the tiles' sum adds them."""
+    pts = np.ascontiguousarray(points.T)
+    out, (along, ax_b, _) = np.empty(pts.shape[1]), sticks.roles[:, :, None]
+    starts = range(0, len(out), max(1, _TILE_PAIRS // len(sticks.sign)))
+    terms = _pair_terms((sticks, *(pts[ax, lo:lo + starts.step] for ax in sticks.roles))
+                        for lo in starts)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo, (h_b, h_c, factor, _) in zip(starts, terms):
+            a = axis[lo:lo + starts.step]
+            term = np.multiply(np.where(ax_b == a, h_b, h_c), factor)
+            np.copyto(term, 0.0, where=along == a)
+            # Summing over the leading axis adds in flow order, but over a
+            # one-point tile it would pair; an accumulation adds in order.
+            out[lo:lo + starts.step] = term.sum(axis=0) if term.shape[1] > 1 \
+                else np.add.accumulate(term)[-1]
+    return np.multiply(out, length, out=out)
+
+
 def _templates(each, axes, step):
     """``_grid_field``'s templates by first stick: (window axes, [(index, window slices)])."""
     n, cells = [len(a) for a in axes], lambda lo, hi: math.prod(h - l for l, h in zip(lo, hi))

@@ -278,8 +278,8 @@ def _cmd_holonomy(args) -> int:
     else:
         for key, val in payload.items():
             print(f"{key}: {val}")
-    # The residual scales with k, so the tolerance does too.
-    return EXIT_OK if abs(res.residual) < args.tol * abs(res.k) else EXIT_VERIFY_FAILED
+    # The residual scales with k, so it is judged in units of k.
+    return EXIT_OK if abs(res.residual / res.k) < args.tol else EXIT_VERIFY_FAILED
 
 
 def _cmd_linking(args) -> int:

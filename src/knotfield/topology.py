@@ -12,13 +12,16 @@ a batch's loops in one pass over their (edge, stick) pairs:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
   (Gauss panels bisected by the quadrature oracle's integrator; each depth's
-  kernel calls span all loops, one per edge axis from the sticks off that
-  axis, and a lone loop, not pruned, makes one from all the sticks);
+  kernel calls span all loops).  An edge along axis a reads B_a alone, from
+  ``_axis_field``: one call per edge axis from the sticks off that axis, or,
+  for a lone loop, one from all the sticks; edges off the axes take the
+  full field;
 * ``linking_number`` sums the Gauss double integral exactly, one closed-form
   signed solid angle per (loop edge, knot stick) pair (Banchoff 1976;
   Klenin & Langowski 2000) -- no surface construction, no reuse of the
   closed-form field -- and rounds to the nearest integer, refusing to
-  answer when the rounding residual is ambiguous.
+  answer when the rounding residual is ambiguous.  Corners, normals and
+  triple products are x, y, z arrays over every pair and corner at once.
 
 Sign conventions: a loop circulating counterclockwise about +z around a
 single +z current stick has holonomy +4*pi*k and linking number +1.
@@ -38,6 +41,7 @@ from .biot_savart import (
     DEFAULT_EXCLUSION_RADIUS,
     FieldError,
     QuadratureError,
+    _axis_field,
     _bisect,
     _check_bounds,
     _check_positive,
@@ -147,13 +151,12 @@ def _clearances(knot: LatticeKnot, loops):
         denom = a * e - b * b
         s = np.where(denom > 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
         t = (b * s + f) / e
-        # Clamp t, then recompute s against the clamped t where needed.
-        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
-                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
-        t = np.clip(t, 0.0, 1.0)
-        closest1 = p0[:, None, :] + s[..., None] * d1[:, None, :]
-        closest2 = q0 + t[..., None] * d2
-        d = np.linalg.norm(closest1 - closest2, axis=-1)
+        # Clamp t, then recompute s against the clamped t where needed; a
+        # clamped s clamps to itself.
+        s = np.where(t < 0.0, -c / a, np.where(t > 1.0, (b - c) / a, s)).clip(0.0, 1.0)
+        t = t.clip(0.0, 1.0)
+        gap = p0[:, None, :] + s[..., None] * d1[:, None, :] - (q0 + t[..., None] * d2)
+        d = np.sqrt(np.add.reduce(gap * gap, axis=-1))      # np.linalg.norm's own sum
     results = []
     for rows in (d[lo:lo + n] for lo, n in zip(firsts, sizes)):
         bad = np.flatnonzero(~np.isfinite(rows))
@@ -205,10 +208,13 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
     """``holonomy`` of each loop, bit for bit, or the first error it raises on
     the loops in order, given each loop's ``loop_clearance`` tuple or not;
     each loop keeps its clearance check, budget and edge sum, and each edge
-    is one ``_bisect`` row.  A depth makes one kernel call per edge axis a
-    from the sticks off a (which add B_a, all an edge along a reads), and one
-    from all the sticks for the rest; a lone loop's few nodes cost less
-    unpruned.
+    is one ``_bisect`` row.  An edge along axis a reads B_a times its length
+    from ``_axis_field``, with the bits of the full field dotted with the
+    edge.  A depth makes one such call per edge axis a from the sticks off a,
+    the only ones that add to B_a, or for a lone loop, whose few nodes cost
+    less unpruned, one from all the sticks; edges off the axes take one
+    ``_stick_field`` call.  Lk and the residual are formed at k = 1 and k is
+    applied last, so no subnormal k underflows them.
     """
     _check_bounds(tol, max_levels, "max_levels")
     _check_positive("exclusion_radius", exclusion_radius)
@@ -217,18 +223,24 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
     steps = ends - starts
     budget, along = np.array([tol / n for n in sizes for _ in range(n)]), knot.sticks.roles[0]
     prune = len(loops) > 1 and (along != along[0]).any()    # else an axis may have no stick off it
-    axis = np.where(prune & (np.count_nonzero(steps, axis=1) == 1), np.argmax(steps != 0, 1), 3)
-    sticks = {a: PackedSticks.pack(*(e[along != a] for e in stick_ends(knot))) if a < 3
-              else knot.sticks for a in set(axis.tolist())}
+    axis = np.where(np.count_nonzero(steps, axis=1) == 1, np.argmax(steps != 0, 1), 3)
+    group = np.where(prune | (axis == 3), axis, 4)      # 4: every edge on an axis, all the sticks
+    sticks = {g: PackedSticks.pack(*(e[along != g] for e in stick_ends(knot))) if g < 3
+              else knot.sticks for g in set(group.tolist())}
 
     def integrand(rows, t):         # B . step at edge rows[i]'s nodes t[i]
         f = np.empty(t.shape)
-        for a in set(axis[rows].tolist()) if len(sticks) > 1 else sticks:
-            i = np.flatnonzero(axis[rows] == a) if len(sticks) > 1 else slice(None)
+        for g in set(group[rows].tolist()) if len(sticks) > 1 else sticks:
+            i = np.flatnonzero(group[rows] == g) if len(sticks) > 1 else slice(None)
             step = steps[rows[i], None, None, :]
             pts = starts[rows[i], None, None, :] + t[i, ..., None] * step
-            b = _stick_field(sticks[a], pts.reshape(-1, 3))[0].reshape(pts.shape)
-            f[i] = (b * step).sum(axis=3)
+            if g == 3:
+                b = _stick_field(sticks[g], pts.reshape(-1, 3))[0].reshape(pts.shape)
+                f[i] = (b * step).sum(axis=3)
+            else:
+                a = axis[each := np.repeat(rows[i], t[0].size)]     # each node's edge and axis
+                b = _axis_field(sticks[g], pts.reshape(-1, 3), a, steps[each, a])
+                f[i] = b.reshape(pts.shape[:3])
         return f
 
     (sums, failure), results = _bisect(integrand, budget, max_levels), []
@@ -236,22 +248,23 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
         if failure and failure[0] < lo + size:          # the first loop left unconverged
             raise QuadratureError(f"holonomy edge failed to converge to {tol / size:.3g} "
                                   f"after {max_levels} halvings")
-        # The loop's edges added onto zero in order; est >= 0, so |est * k| is est * |k|.
-        value, est = np.add.accumulate(np.vstack(((0.0, 0.0), sums[lo:lo + size])))[-1].tolist()
-        value, est, four_pi_k = _times_k(np.array([value, est, 4.0 * math.pi]), knot.k).tolist()
-        inferred = int(round(value / four_pi_k)) if knot.k != 0 else 0
-        results.append(HolonomyResult(value, abs(est), size, inferred,
-                                      value - four_pi_k * inferred, knot.k))
+        value = est = 0.0
+        for v, e in sums[lo:lo + size].tolist():        # the loop's edges onto zero in order
+            value, est = value + v, est + e
+        # est >= 0, so |est * k| is est * |k|.
+        inferred = int(round(value / (4.0 * math.pi))) if knot.k != 0 else 0
+        value, est, residual = _times_k(np.array([value, est, value - 4.0 * math.pi * inferred]),
+                                        knot.k).tolist()
+        results.append(HolonomyResult(value, abs(est), size, inferred, residual, knot.k))
     if refusal is not None:
         raise refusal
     return results
 
 
-def _unit_normals(a, b):
-    """Unit vectors along a x b; zero where a and b are parallel."""
-    c = np.cross(a, b)
-    norm = np.linalg.norm(c, axis=-1, keepdims=True)
-    return np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
+def _cross(a, b):
+    """a x b of coordinates-leading arrays, by ``np.cross``'s products in its order."""
+    return np.array((a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]))
 
 
 def linking_number(knot: LatticeKnot, loop: Loop) -> int:
@@ -283,19 +296,25 @@ def _linking_results(knot: LatticeKnot, loops, clearances=None) -> list[tuple[in
     for bit, or the first error it raises on the loops in order, given each
     loop's ``loop_clearance`` tuple or not.  One pass takes every loop's
     (edge, stick) rows, stacked, and each loop's Gauss sum is ``np.sum`` over
-    its own contiguous rows, as alone.  When that pass overflows, the loops
-    are taken alone, in order, up to the first that raises.
+    its own contiguous rows, as alone.  The pass forms x, y and z arrays,
+    with ``np.cross``'s products and each three-term sum as ((x + y) + z),
+    the order of ``np.sum`` and ``np.linalg.norm`` over a last axis of 3.
+    When it overflows, the loops are taken alone, in order, up to the first
+    that raises.
     """
     sizes, firsts, p0, p1, refusal = _edges(knot, loops, clearances, lambda clear: clear <= 0.0)
-    # Loop edges along axis 0, knot sticks along axis 1.
-    p0, p1, (q0, q1) = p0[:, None], p1[:, None], (a[None, :, :] for a in stick_ends(knot))
+    # (coordinate, end, loop edge, 1) and (coordinate, end, 1, knot stick) arrays.
+    p, q = (np.array(e).transpose(2, 0, 1) for e in ((p0, p1), stick_ends(knot)))
+    p, q = p[..., None], q[:, :, None]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            corners = [q0 - p0, q1 - p0, q1 - p1, q0 - p1]
-            n = [_unit_normals(a, b) for a, b in zip(corners, corners[1:] + corners[:1])]
-            omega = sum(np.arcsin(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
-                        for a, b in zip(n, n[1:] + n[:1]))
-            sign = np.sign(np.sum(np.cross(q1 - q0, p1 - p0) * (q0 - p0), axis=-1))
+            corners = q[:, [0, 1, 1, 0]] - p[:, [0, 0, 1, 1]]       # q0-p0, q1-p0, q1-p1, q0-p1
+            n = _cross(corners, corners[:, [1, 2, 3, 0]])
+            norm = np.sqrt(np.add.reduce(n * n))
+            n = np.divide(n, norm, out=np.zeros_like(n), where=norm > 0.0)
+            omega = sum(np.arcsin(np.clip(np.add.reduce(n * n[:, [1, 2, 3, 0]]), -1.0, 1.0)))
+            sign = np.sign(np.add.reduce(_cross(q[:, 1] - q[:, 0], p[:, 1] - p[:, 0])
+                                         * corners[:, 0]))
     except FloatingPointError as exc:
         # Each loop alone, in order: the first that fails raises its own error.
         for loop in loops[:len(sizes)] if len(sizes) > 1 else ():

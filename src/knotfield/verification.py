@@ -153,6 +153,12 @@ def clear_field(knot: LatticeKnot, points):
     return b
 
 
+def _row_norms(v):
+    """Each row's ``np.linalg.norm``, bit for bit: a stacked matmul takes each
+    row's dot product as the norm does, which may round unlike a sum of squares."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
     """Central-difference curl and divergence vanish off the conductor,
     compared in units of k: at k = 1, which a field only scales by last."""
@@ -165,9 +171,8 @@ def suite_flatness(knot: LatticeKnot, seed: int = 0, n_points: int = 200):
     d = np.swapaxes((b[:, 1:4] - b[:, 4:7]) / (2 * 1e-3), 1, 2)    # d[:, i, j] = dB_i/dx_j
     curl = (d - np.swapaxes(d, 1, 2))[:, [2, 0, 1], [1, 2, 0]]
     div = d[:, 0, 0] + d[:, 1, 1] + d[:, 2, 2]
-    # Each row's own np.linalg.norm: its dot product may round unlike a sum of squares.
-    scale = np.array([np.linalg.norm(r) for r in b[:, 0]])
-    worst_curl = float(np.max([np.linalg.norm(c) for c in curl] / scale, initial=0.0))
+    scale = _row_norms(b[:, 0])
+    worst_curl = float(np.max(_row_norms(curl) / scale, initial=0.0))
     worst_div = float(np.max(np.abs(div) / scale, initial=0.0))
     return ("flatness-and-divergence", worst_curl <= 1e-4 and worst_div <= 1e-4,
             {"points": n_points, "h": 1e-3, "worst_rel_curl": worst_curl,
@@ -182,7 +187,7 @@ def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
     p = random_clear_points(rng, *stick_ends(knot), n_points, margin=3.0, clearance=0.5)
     b = clear_field(knot, p)
     b_scaled = clear_field(refine(knot, 3), 3 * p)
-    ref = np.array([np.linalg.norm(r) for r in b])
+    ref = _row_norms(b)
     worst = float(np.max(np.max(np.abs(b_scaled - b / 3), axis=1) / ref, initial=0.0))
     return ("scaling-law", worst <= 1e-9,
             {"points": n_points, "factor": 3, "worst_rel_err": worst, "tol": 1e-9})

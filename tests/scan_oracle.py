@@ -2,7 +2,9 @@
 ran before their sort-and-search versions, the one-edge-at-a-time scan
 ``loop_clearance`` ran before its single (edge, stick) pass, the one-loop
 ``scan_linking_number`` that ``linking_number`` ran before the loops of a
-batch shared one pass over their (edge, stick) rows, and the
+batch shared one pass over their (edge, stick) rows and before that pass
+took x, y and z arrays in place of ``np.cross`` and ``np.linalg.norm``
+over (..., 3) arrays, with its ``_unit_normals``, and the
 one-point-at-a-time ``random_clear_point`` and self-check suites that
 ``verify`` ran before it drew and evaluated each suite's points in a few
 kernel calls, kept verbatim apart from names; and depth-first,
@@ -78,7 +80,6 @@ from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
     LoopOnConductorError,
-    _unit_normals,
     holonomy,
     linking_number,
     loop_clearance,
@@ -322,6 +323,13 @@ def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
     return best, where
 
 
+def _unit_normals(a, b):
+    """Unit vectors along a x b; zero where a and b are parallel."""
+    c = np.cross(a, b)
+    norm = np.linalg.norm(c, axis=-1, keepdims=True)
+    return np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
+
+
 def scan_linking_number(knot: LatticeKnot, loop: Loop):
     """``linking_number`` of one loop as it was summed before the loops of a
     batch shared one pass, with the Gauss sum / 4*pi it rounds: (Lk, total)."""
@@ -431,6 +439,7 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     of the accepted intervals' disagreements.  The loop is first checked
     with ``loop_clearance``: LoopOnConductorError when it passes within the
     exclusion radius, LinkingPrecisionError when it is not representable.
+    Lk and the residual are formed at k = 1, and k is applied last.
     """
     clear, (i, j) = loop_clearance(knot, loop)
     if clear < exclusion_radius:
@@ -455,11 +464,11 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
         value += cur
         est += err
 
+    # Lk and the residual at k = 1; k is applied last.
+    inferred = int(round(value / (4.0 * math.pi))) if knot.k != 0 else 0
+    residual = (value - 4.0 * math.pi * inferred) * knot.k
     value *= knot.k
     est *= abs(knot.k)
-    four_pi_k = 4.0 * math.pi * knot.k
-    inferred = int(round(value / four_pi_k)) if knot.k != 0 else 0
-    residual = value - four_pi_k * inferred
     return HolonomyResult(
         value=value,
         estimated_error=est,

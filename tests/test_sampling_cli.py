@@ -549,6 +549,24 @@ class TestCli:
         assert abs(payload["value_over_4pik"] + 1.0) < 1e-9
         assert rc == 0
 
+    @pytest.mark.parametrize("k", ["1e-320", "-1e-320", "5e-324"])
+    def test_holonomy_at_subnormal_k(self, tmp_path, capsys, k):
+        # Lk and the residual are formed at k = 1 and k is applied last: at
+        # a subnormal k, where tol * |k| underflows to 0, the square that
+        # links 3_1 twice passes, with the residual at k = 1 times k.
+        loop_file = tmp_path / "square.txt"
+        loop_file.write_text("-1 -1 3\n5 -1 3\n5 5 3\n-1 5 3\n")
+
+        def run(*extra):
+            rc = run_cli("holonomy", "--knot", "3_1", "--loop", str(loop_file),
+                         "--format", "json", *extra)
+            return rc, json.loads(capsys.readouterr().out)
+
+        (rc, payload), (rc_1, at_1) = run(f"--k={k}"), run()
+        assert rc == rc_1 == 0
+        assert payload["inferred_linking"] == at_1["inferred_linking"] == 2
+        assert payload["residual"] == at_1["residual"] * float(k)
+
     def test_verify_holonomy_suites_judged_in_units_of_k(self, capsys):
         rc = run_cli("verify", "--knot", "3_1", "--k", "1e6", "--loops", "6", "--points", "10",
                      "--kernel-pairs", "10", "--format", "json")

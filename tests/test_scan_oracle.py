@@ -22,7 +22,11 @@ batch; the oracles draw and evaluate one point, pair or loop at a time with
 details.  The kernel suite's sticks must be valid and keep the
 distribution of rejecting an out-of-box end.  The paired kernel
 rows must carry the bits of one-stick all-pairs rows, signed zeros
-included.  The transcription ledger reads each printed term against
+included, and the axis driver's rows the bits of the full field's
+component along each point's axis, on a one-point tile too.  Batches that
+mix axis-aligned rectangles with skew triangles and hexagons must give
+each loop the holonomy and linking bits of the loop alone and of the
+scans.  The transcription ledger reads each printed term against
 its stick's derived term; the oracle builds the stick's expected bracket
 atoms from a parity table.  On printed tables with injected faults both must
 give the same entries.  The writers format each block of rows with one
@@ -50,6 +54,8 @@ from knotfield.biot_savart import (
     QuadratureError,
     _GL_W,
     _GL_X,
+    _TILE_PAIRS,
+    _axis_field,
     _bisect,
     _paired_field,
     _quadrature,
@@ -70,6 +76,7 @@ from knotfield.geometry import (
     Axis,
     LatticeKnot,
     PackedSticks,
+    bounding_box,
     canonical_figure_eight,
     Segment,
     canonical_trefoil,
@@ -84,6 +91,7 @@ from knotfield.topology import (
     Loop,
     _clearances,
     _holonomy_results,
+    _linking_results,
     holonomy,
     linking_number,
     loop_clearance,
@@ -103,6 +111,7 @@ from scan_oracle import (
     bisect_stack,
     scan_discrepancy_ledger,
     scan_holonomy,
+    scan_linking_number,
     scan_loop_clearance,
     scan_projection_crossings,
     scan_random_clear_point,
@@ -522,26 +531,82 @@ def test_batched_holonomy_raises_the_first_error():
         assert got == loop_at_a_time(knot, loops, 1e-14, 1)
 
 
-def stick_field_calls(call, *args):
-    """``call(*args)`` with ``topology._stick_field`` wrapped: its result and
-    the (sticks, points) of every kernel call it made."""
-    with mock.patch("knotfield.topology._stick_field", wraps=_stick_field) as kernel:
+@st.composite
+def mixed_batches(draw):
+    """3_1, 4_1 or a braid closure, and 2 to 6 loops 0.05 or more from it:
+    ``random_rect_loop``'s axis-aligned rectangles, and skew triangles and
+    hexagons with vertices uniform in the knot's box inflated by 2, at
+    least one of each kind, in the order drawn."""
+    knot = draw(st.one_of(st.sampled_from((canonical_trefoil(), canonical_figure_eight())),
+                          braid_closures()))
+    kinds = draw(st.lists(st.sampled_from((3, 4, 6)), min_size=2, max_size=6))
+    assume(4 in kinds and kinds != [4] * len(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
+    loops = []
+    for n in kinds:
+        loop = None
+        while loop is None or loop_clearance(knot, loop)[0] < 0.05:
+            loop = random_rect_loop(rng, knot, clearance=0.05) if n == 4 else \
+                Loop(vertices=tuple(map(tuple, rng.uniform(lo - 2.0, hi + 2.0, (n, 3)))))
+        loops.append(loop)
+    return knot, loops
+
+
+@settings(SETTINGS, max_examples=25)
+@given(mixed_batches(), KS)
+def test_mixed_batches_agree(batch, k):
+    """Aligned edges read the field along their axis, skew edges all of it:
+    in one batch, each loop's holonomy and linking total keep the bits of
+    the loop taken alone and of the scans."""
+    knot, loops = batch
+    knot = dataclasses.replace(knot, k=k)
+    assert holonomy_outcome(_holonomy_results, knot, loops) == \
+        [holonomy_outcome(holonomy, knot, loop) for loop in loops] == \
+        [holonomy_outcome(scan_holonomy, knot, loop) for loop in loops]
+    totals = lambda pairs: [(lk, total.hex()) for lk, total in pairs]
+    assert totals(_linking_results(knot, loops)) == \
+        totals(_linking_results(knot, [loop])[0] for loop in loops) == \
+        totals(scan_linking_number(knot, loop) for loop in loops)
+
+
+def kernel_calls(call, *args):
+    """``call(*args)`` with ``topology._stick_field`` and ``topology._axis_field``
+    wrapped: its result and the (sticks, points, axis) of every kernel call
+    it made, in order, with axis None for a full-field call and each point's
+    edge axis for an axis-driver call."""
+    calls = []
+
+    def full(sticks, points):
+        calls.append((sticks, points, None))
+        return _stick_field(sticks, points)
+
+    def along(sticks, points, axis, length):
+        calls.append((sticks, points, axis))
+        return _axis_field(sticks, points, axis, length)
+
+    with mock.patch("knotfield.topology._stick_field", full), \
+            mock.patch("knotfield.topology._axis_field", along):
         result = call(*args)
-    return result, [c.args for c in kernel.call_args_list]
+    return result, calls
 
 
 def test_holonomy_makes_one_call_per_level():
     """A lone loop is not pruned: its first call is from all the sticks on
-    the 30 Gauss nodes of each of its 4 edges and their two halves, and
-    each later depth one on the 20 nodes of both halves of every panel
-    still live, at most twice as many as at the depth before."""
+    the 30 Gauss nodes of each of its 4 edges and their two halves, each
+    node with its edge's axis, and each later depth one on the 20 nodes of
+    both halves of every panel still live, at most twice as many as at the
+    depth before.  Every rectangle edge is on an axis, so every call reads
+    the field along it alone."""
     knot = canonical_trefoil()
     loop = random_rect_loop(np.random.default_rng(0), knot, clearance=0.5)
-    _, calls = stick_field_calls(holonomy, knot, loop)
-    live = [8] + [len(points) / 20 for _, points in calls[1:]]
-    assert all(sticks is knot.sticks for sticks, _ in calls)
+    _, calls = kernel_calls(holonomy, knot, loop)
+    live = [8] + [len(points) / 20 for _, points, _ in calls[1:]]
+    assert all(sticks is knot.sticks and axis is not None for sticks, _, axis in calls)
     assert len(calls[0][1]) == 120 and len(calls) > 2
     assert all(n == int(n) and 0 < n <= 2 * m for m, n in zip(live, live[1:]))
+    steps = np.diff(np.array(loop.vertices + loop.vertices[:1]), axis=0)
+    assert calls[0][2].tolist() == np.repeat(np.argmax(steps != 0, axis=1), 30).tolist()
 
 
 def test_holonomy_suite_calls_per_level():
@@ -551,17 +616,17 @@ def test_holonomy_suite_calls_per_level():
     never one on no points."""
     knot = canonical_trefoil()
     rng = np.random.default_rng(0)
-    levels = [len(stick_field_calls(holonomy, knot, random_rect_loop(
+    levels = [len(kernel_calls(holonomy, knot, random_rect_loop(
         rng, knot, clearance=0.5, name=f"loop{i}"))[1]) for i in range(20)]
     assert sum(levels) == 72
-    result, calls = stick_field_calls(verification.suite_holonomy_linking, knot, 0, 20)
+    result, calls = kernel_calls(verification.suite_holonomy_linking, knot, 0, 20)
     assert result[1] and len(calls) <= 4 * max(levels)
-    assert all(len(points) for _, points in calls)
+    assert all(len(points) for _, points, _ in calls)
     # Every rectangle edge is along an axis a and meets only the sticks off a.
     along = knot.sticks.roles[0]
-    for sticks, _ in calls:
-        (a,) = {0, 1, 2} - set(sticks.roles[0].tolist())
-        assert len(sticks.sign) == np.sum(along != a)
+    for sticks, _, axis in calls:
+        (a,) = set(axis.tolist())
+        assert a not in sticks.roles[0] and len(sticks.sign) == np.sum(along != a)
 
 
 @pytest.mark.parametrize("d, bound", [(1e-4, 2000), (1e-5, 4000), (1e-6, 8000)])
@@ -572,10 +637,10 @@ def test_holonomy_near_the_conductor(d, bound):
     panel took 2.6M points at 1e-4 and refused at 1e-5."""
     knot = canonical_trefoil()
     loop = Loop(vertices=((2 + d, -5, 3), (2 + d, 9, 3), (12, 9, 3), (12, -5, 3)))
-    res, calls = stick_field_calls(holonomy, knot, loop)
+    res, calls = kernel_calls(holonomy, knot, loop)
     assert res.inferred_linking == linking_number(knot, loop) == 2
     assert abs(res.residual) < 1e-6
-    assert sum(len(points) for _, points in calls) < bound
+    assert 0 < sum(len(points) for _, points, _ in calls) < bound
 
 
 @st.composite
@@ -692,6 +757,57 @@ def test_paired_rows_match_one_stick_rows(cases):
                                             p.reshape(1, 3))
         assert b[i].tobytes() == want_b[0].tobytes()
         assert dist[i].tobytes() == want_near[0].tobytes()
+
+
+@st.composite
+def axis_rows(draw):
+    """(sticks, points, axis, length): a knot's sticks, all of them or those
+    off one axis, and 1 to 40 points around them, on the half-lattice,
+    where offsets vanish and points lie on sticks and their axis
+    extensions, or uniform in the knot's box inflated by 2; each point with
+    an edge axis, the one the sticks are off if any, and a signed length."""
+    knot = draw(knots)
+    starts, ends = stick_ends(knot)
+    off = draw(st.sampled_from((None, 0, 1, 2)))
+    keep = knot.sticks.roles[0] != (3 if off is None else off)
+    sticks = PackedSticks.pack(starts[keep], ends[keep])
+    lo, hi = starts.min(axis=0) - 2.0, starts.max(axis=0) + 2.0
+    half = st.tuples(*[st.integers(0, int(2 * (h - l))) for l, h in zip(lo, hi)]).map(
+        lambda n: tuple(lo + np.array(n) / 2))
+    uniform = st.tuples(*[st.floats(0.0, 1.0)] * 3).map(lambda u: tuple(lo + np.array(u) * (hi - lo)))
+    m = draw(st.integers(1, 40))
+    each = lambda s: draw(st.lists(s, min_size=m, max_size=m))
+    return (sticks, np.array(each(st.one_of(half, uniform))),
+            np.array(each(st.integers(0, 2) if off is None else st.just(off))),
+            np.array(each(st.sampled_from((1.0, -1.0, 2.5, -0.3, 1e-300)))))
+
+
+@SETTINGS
+@given(axis_rows())
+# On the axis extension so near the start that |P - start| underflows to 0:
+# the factor is infinite, so the offset along y times it is NaN, and along x,
+# the stick's own axis, the term is the structural zero.
+@example((PackedSticks.pack([(0, 0, 0)], [(1, 0, 0)]), np.array([[-2.0 ** -860, 0.0, 0.0]] * 2),
+          np.array([0, 1]), np.array([1.0, 1.0])))
+def test_axis_rows_match_stick_field_rows(rows):
+    """The axis driver gives each point ``_stick_field``'s component along
+    its axis times its length, bit for bit, signed zeros and NaN included."""
+    sticks, points, axis, length = rows
+    want = _stick_field(sticks, points)[0][np.arange(len(points)), axis] * length
+    assert _axis_field(sticks, points, axis, length).tobytes() == want.tobytes()
+
+
+def test_axis_rows_on_a_one_point_tile():
+    """The last tile holds one point, over whose terms a sum would pair:
+    its bits are still those of ``_stick_field``'s tiles, which add the
+    sticks in flow order."""
+    knot = close_braid_on_lattice(parse_braid("s1 s2^-1 " * 10))
+    m = _TILE_PAIRS // len(knot.sticks.sign) + 1
+    rng = np.random.default_rng(0)
+    lo, hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
+    points, axis = rng.uniform(lo - 2.0, hi + 2.0, (m, 3)), rng.integers(0, 3, m)
+    want = _stick_field(knot.sticks, points)[0][np.arange(m), axis]
+    assert _axis_field(knot.sticks, points, axis, np.ones(m)).tobytes() == want.tobytes()
 
 
 def suite_outcome(result):
@@ -878,6 +994,20 @@ def test_batched_point_suites_agree(knot, seed):
         suite_outcome(scan_suite_flatness(knot, seed, 40))
     assert suite_outcome(suite_scaling(knot, seed, 40)) == \
         suite_outcome(scan_suite_scaling(knot, seed, 40))
+
+
+def test_row_norms_are_per_row_norms():
+    """The point suites' batched row norms have each row's
+    ``np.linalg.norm`` bits, rows and strided rows alike, at magnitudes from
+    subnormal squares to overflow, where a sum of squares rounds otherwise."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-170.0, 170.0, (20000, 1))
+    v[::7, 1], v[::11] = 0.0, v[::11] * 2.0 ** -900
+    with np.errstate(over="ignore", under="ignore"):
+        for rows in (v, np.repeat(v, 2, axis=0).reshape(-1, 2, 3)[:, 1]):
+            want = np.array([np.linalg.norm(r) for r in rows])
+            assert verification._row_norms(rows).tobytes() == want.tobytes()
+        assert (np.sqrt(np.sum(v * v, axis=1)) != want).any()
 
 
 @settings(SETTINGS, max_examples=12)

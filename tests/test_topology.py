@@ -192,13 +192,14 @@ class TestHolonomy:
         # to refine every edge to max_levels first.
         bad = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
         knot = canonical_trefoil()
-        with mock.patch("knotfield.topology._stick_field") as kernel:
+        with mock.patch("knotfield.topology._stick_field") as kernel, \
+                mock.patch("knotfield.topology._axis_field") as along:
             for loop in (paper_loop(), bad):
                 with pytest.raises(ValueError, match=match):
                     holonomy(knot, loop, **bounds)
                 with pytest.raises(ValueError, match=match):
                     _holonomy_results(knot, [paper_loop(), loop], **bounds)
-        assert kernel.call_count == 0
+        assert kernel.call_count == along.call_count == 0
 
     @pytest.mark.parametrize("k", [1e308, -1e308, 2e307])
     def test_overflowing_k_refused(self, k):
