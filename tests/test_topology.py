@@ -208,6 +208,15 @@ class TestHolonomy:
                            match=re.escape(f"k = {k!r} is too large: the result overflows")):
             holonomy(canonical_trefoil(k=k), paper_loop())
 
+    def test_huge_k_scales_an_unlinked_loop(self):
+        # Lk and the residual are formed at k = 1 and only the result is
+        # scaled: an unlinked loop's holonomy at k = 1e308 is representable
+        # and answered, although 4*pi*k overflows.
+        loop = random_rect_loop(np.random.default_rng(0), canonical_trefoil())
+        at_1, res = (holonomy(canonical_trefoil(k=k), loop) for k in (1.0, 1e308))
+        assert res.inferred_linking == at_1.inferred_linking == 0
+        assert (res.value, res.residual) == (at_1.value * 1e308, at_1.residual * 1e308)
+
 
 class TestLinkingNumber:
     def test_paper_loop(self):
