@@ -22,10 +22,12 @@ rearranged into a cancellation-free form so the near-axis limit stays
 accurate.  Alongside the field the kernel returns each point's clearance,
 the distance to its nearest stick and that stick's index: every exclusion
 decision reads that one answer.  That arithmetic is written once, giving
-the offsets h*tb, -h*tc and the factor they multiply, and three drivers
-feed it: tiles of scattered points, at most ``_TILE_PAIRS`` (point, stick)
-pairs each; a grid's 1-D axes, returning (B, near); and stick i alone at
-point i, of which ``segment_field`` is the one-row case.  On a grid, sticks
+the offsets h*tb, -h*tc and the factor they multiply: a stick's field
+along axis a is its offset along a times factor, or an exact zero if the
+stick lies along a.  Tiles of scattered points, at most ``_TILE_PAIRS``
+(point, stick) pairs each, and stick i alone at point i, of which
+``segment_field`` is the one-row case, read that term; a grid's 1-D axes
+read the offsets and factor, returning (B, near).  On a grid, sticks
 of one axis, direction and length whose starts differ by whole grid steps
 share a template: the first one's terms on a window covering the others'
 translated grids, sliced, are theirs bit for bit when every offset p - s
@@ -36,9 +38,9 @@ widened on each side by the spread of the sticks' whole steps from its
 first point, times 2^q is an integer below 2^52.  That is decided before
 any stick is grouped; else each stick is its own group over the grid.  A
 stick joins its latest template only if this grows the window by fewer
-cells than the grid has.  Each point's field is summed onto zero
-over the sticks in flow order, so its bits depend on neither the driver,
-the tile, the block nor the batch.
+cells than the grid has.  Each point's field is summed onto zero over the
+sticks in flow order, a one-point tile's by accumulation plus 0.0, so its
+bits depend on neither the driver, the tile, the block nor the batch.
 
 The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
@@ -85,6 +87,7 @@ class QuadratureError(FieldError):
 
 
 _TILE_PAIRS = 1 << 15
+_XYZ = np.arange(3)[:, None, None]     # ``_along``'s a for all three components
 
 
 def _finite(points):
@@ -150,13 +153,31 @@ def _pair_terms(operands):
         yield -sticks.hand * tc, sticks.hand * tb, factor, dist2
 
 
-def _by_axis(sticks: PackedSticks, h_b, h_c, factor):
-    """Each stick's field, (N, 3, ...), from ``_pair_terms``' offsets and
-    factor; the offsets become its components along b and c in place."""
-    (_, ax_b, ax_c), j = sticks.roles, np.arange(len(h_b))
-    contrib = np.zeros((len(h_b), 3) + h_b.shape[1:])
-    contrib[j, ax_b], contrib[j, ax_c] = (np.multiply(h, factor, out=h) for h in (h_b, h_c))
-    return contrib
+def _along(sticks: PackedSticks, h_b, h_c, factor, a):
+    """Each stick's field along axis a, ``a`` broadcasting against the
+    sticks' column: its offset along a times factor, or for a stick along a
+    an exact zero, never 0 * factor, which is NaN where factor is infinite."""
+    along, ax_b, _ = sticks.roles[:, :, None]
+    term = np.where(ax_b == a, h_b, h_c)
+    np.multiply(term, factor, out=term)
+    np.copyto(term, 0.0, where=along == a)
+    return term
+
+
+def _flow_sum(term):
+    """``_along``'s terms summed over the sticks, axis -2, onto zero in flow
+    order; over one point, where numpy's sum pairs, by accumulation + 0.0."""
+    if term.shape[-1] > 1:
+        return term.sum(axis=-2)
+    return np.add.accumulate(term, -2)[..., -1, :] + 0.0
+
+
+def _tiles(sticks: PackedSticks, points):
+    """(rows, ``_pair_terms`` item) for each tile of the (M, 3) points, at
+    most ``_TILE_PAIRS`` (point, stick) pairs, rows the tile's slice."""
+    pts, step = np.ascontiguousarray(points.T), max(1, _TILE_PAIRS // len(sticks.sign))
+    rows = [slice(lo, lo + step) for lo in range(0, len(points), step)]
+    return zip(rows, _pair_terms((sticks, *(pts[ax, r] for ax in sticks.roles)) for r in rows))
 
 
 def _stick_field(sticks: PackedSticks, points):
@@ -166,22 +187,14 @@ def _stick_field(sticks: PackedSticks, points):
     index, the lowest on ties.  Raises ValueError naming the first point
     that is not finite."""
     _finite(points)
-    pts = np.ascontiguousarray(points.T)
-    m = pts.shape[1]
-    b, near, nearest = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=np.intp)
-    starts = range(0, m, max(1, _TILE_PAIRS // len(sticks.sign)))
-    terms = _pair_terms((sticks, *(pts[ax, lo:lo + starts.step] for ax in sticks.roles))
-                        for lo in starts)
+    b, near, nearest = np.empty((m := len(points), 3)), np.empty(m), np.empty(m, dtype=np.intp)
     # Far points overflow to inf, which the forms turn into an exact zero
     # field and an infinite distance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, (h_b, h_c, factor, dist2) in zip(starts, terms):
-            hi, dist = lo + starts.step, np.sqrt(dist2, out=dist2)
-            nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
-            # Summing over the leading axis adds the sticks onto zero one at
-            # a time in flow order.
-            contrib = _by_axis(sticks, h_b, h_c, factor)     # replaced by the next tile's
-            b[lo:hi] = contrib.sum(axis=0).T
+        for rows, (h_b, h_c, factor, dist2) in _tiles(sticks, points):
+            dist = np.sqrt(dist2, out=dist2)
+            nearest[rows], near[rows] = dist.argmin(axis=0), dist.min(axis=0)
+            b[rows] = _flow_sum(_along(sticks, h_b, h_c, factor, _XYZ)).T
             del h_b, h_c, factor, dist2, dist  # the next tile replaces them in the kernel's frame
     return b, near, nearest
 
@@ -189,23 +202,11 @@ def _stick_field(sticks: PackedSticks, points):
 def _axis_field(sticks: PackedSticks, points, axis, length):
     """``_stick_field``'s B[i, axis[i]] times length[i] at (M, 3) finite
     points, bit for bit: the field along an edge on axis a, which reads B_a
-    alone.  A stick off a adds its offset along a times factor, and a stick
-    along a an exact zero, never 0 * factor; each point's terms are added
-    one at a time in flow order, as the tiles' sum adds them."""
-    pts = np.ascontiguousarray(points.T)
-    out, (along, ax_b, _) = np.empty(pts.shape[1]), sticks.roles[:, :, None]
-    starts = range(0, len(out), max(1, _TILE_PAIRS // len(sticks.sign)))
-    terms = _pair_terms((sticks, *(pts[ax, lo:lo + starts.step] for ax in sticks.roles))
-                        for lo in starts)
+    alone, from one ``_along`` term per (stick, point) at the point's axis."""
+    out = np.empty(len(points))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, (h_b, h_c, factor, _) in zip(starts, terms):
-            a = axis[lo:lo + starts.step]
-            term = np.multiply(np.where(ax_b == a, h_b, h_c), factor)
-            np.copyto(term, 0.0, where=along == a)
-            # Summing over the leading axis adds in flow order, but over a
-            # one-point tile it would pair; an accumulation adds in order.
-            out[lo:lo + starts.step] = term.sum(axis=0) if term.shape[1] > 1 \
-                else np.add.accumulate(term)[-1]
+        for rows, (h_b, h_c, factor, _) in _tiles(sticks, points):
+            out[rows] = _flow_sum(_along(sticks, h_b, h_c, factor, axis[rows]))
     return np.multiply(out, length, out=out)
 
 
@@ -281,9 +282,8 @@ def _paired_field(sticks: PackedSticks, points):
     pts = points.T[sticks.roles, np.arange(len(points)), None]     # (3, M, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h_b, h_c, factor, dist2 = next(_pair_terms([(sticks, *pts)]))
-        # Summed onto zero, as in the tiles; a zero offset times an infinite
-        # factor is NaN there too.
-        return _by_axis(sticks, h_b, h_c, factor).sum(axis=2), np.sqrt(dist2[:, 0])
+        # Summed onto zero, as in the tiles, where a zero offset times an infinite factor is NaN too.
+        return _along(sticks, h_b, h_c, factor, _XYZ).sum(axis=2).T, np.sqrt(dist2[:, 0])
 
 
 def _times_k(b, k):

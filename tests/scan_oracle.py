@@ -57,6 +57,9 @@ from knotfield.biot_savart import (
     QuadratureError,
     _GL_W,
     _GL_X,
+    _TILE_PAIRS,
+    _finite,
+    _pair_terms,
     _quadrature,
     _stick_field,
     segment_field,
@@ -359,6 +362,70 @@ def scan_linking_number(knot: LatticeKnot, loop: Loop):
             f"Gauss sum {total:.6f} rounds ambiguously (residual {residual:.3f})"
         )
     return int(round(total)), total
+
+
+def piercing_count(knot: LatticeKnot, loop: Loop):
+    """The linking number of an axis-aligned rectangle with the knot, exact:
+    the algebraic intersection number of the knot with the rectangle's flat
+    disc (Rolfsen, *Knots and Links*, 1976, 5.D).  Each stick along the
+    disc's normal whose span strictly contains the disc's plane and whose
+    transverse coordinates lie strictly inside the rectangle adds the sign
+    of its direction times the rectangle's turning sense.  None, as
+    degenerate, when any other stick meets the closed disc: one touching its
+    boundary, ending on it or lying in its plane.  Every comparison is
+    between the loop's floats and the sticks' integers, so none rounds."""
+    corners = np.array(loop.vertices, dtype=float)
+    (n,) = np.flatnonzero(np.ptp(corners, axis=0) == 0.0)
+    u, v, c = (n + 1) % 3, (n + 2) % 3, corners[0, n]     # e_u x e_v = e_n
+    x, y = corners[:, u], corners[:, v]
+    edges = np.diff(corners, axis=0, append=corners[:1])
+    assert len(corners) == 4 and (np.count_nonzero(edges, axis=1) == 1).all()
+    turn = np.sign(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))    # shoelace, in (u, v)
+    starts, ends = stick_ends(knot)
+    lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
+    meets = ((lo[:, n] <= c) & (c <= hi[:, n]) & (lo[:, u] <= x.max()) & (hi[:, u] >= x.min())
+             & (lo[:, v] <= y.max()) & (hi[:, v] >= y.min()))
+    inside = ((lo[:, n] < c) & (c < hi[:, n]) & (x.min() < lo[:, u]) & (lo[:, u] < x.max())
+              & (y.min() < lo[:, v]) & (lo[:, v] < y.max()))
+    if (meets & ~inside).any():
+        return None
+    return int(turn * np.sign(ends[inside, n] - starts[inside, n]).sum())
+
+
+def _scan_by_axis(sticks: PackedSticks, h_b, h_c, factor):
+    """Each stick's field, (N, 3, ...), from ``_pair_terms``' offsets and
+    factor; the offsets become its components along b and c in place."""
+    (_, ax_b, ax_c), j = sticks.roles, np.arange(len(h_b))
+    contrib = np.zeros((len(h_b), 3) + h_b.shape[1:])
+    contrib[j, ax_b], contrib[j, ax_c] = (np.multiply(h, factor, out=h) for h in (h_b, h_c))
+    return contrib
+
+
+def scan_stick_field(sticks: PackedSticks, points):
+    """Field (prefactor k = 1) of packed sticks at (M, 3) points, and each
+    point's clearance from them: (B, near, nearest), with B of shape (M, 3),
+    near the distance to the nearest stick and nearest that stick's 0-based
+    index, the lowest on ties.  Raises ValueError naming the first point
+    that is not finite."""
+    _finite(points)
+    pts = np.ascontiguousarray(points.T)
+    m = pts.shape[1]
+    b, near, nearest = np.empty((m, 3)), np.empty(m), np.empty(m, dtype=np.intp)
+    starts = range(0, m, max(1, _TILE_PAIRS // len(sticks.sign)))
+    terms = _pair_terms((sticks, *(pts[ax, lo:lo + starts.step] for ax in sticks.roles))
+                        for lo in starts)
+    # Far points overflow to inf, which the forms turn into an exact zero
+    # field and an infinite distance.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo, (h_b, h_c, factor, dist2) in zip(starts, terms):
+            hi, dist = lo + starts.step, np.sqrt(dist2, out=dist2)
+            nearest[lo:hi], near[lo:hi] = dist.argmin(axis=0), dist.min(axis=0)
+            # Summing over the leading axis adds the sticks onto zero one at
+            # a time in flow order.
+            contrib = _scan_by_axis(sticks, h_b, h_c, factor)     # replaced by the next tile's
+            b[lo:hi] = contrib.sum(axis=0).T
+            del h_b, h_c, factor, dist2, dist  # the next tile replaces them in the kernel's frame
+    return b, near, nearest
 
 
 def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1e-10,

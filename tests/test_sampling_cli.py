@@ -551,9 +551,11 @@ class TestCli:
 
     @pytest.mark.parametrize("k", ["1e-320", "-1e-320", "5e-324"])
     def test_holonomy_at_subnormal_k(self, tmp_path, capsys, k):
-        # Lk and the residual are formed at k = 1 and k is applied last: at
-        # a subnormal k, where tol * |k| underflows to 0, the square that
-        # links 3_1 twice passes, with the residual at k = 1 times k.
+        # Lk, the residual and value / 4*pi*k are formed at k = 1 and k is
+        # applied last: at a subnormal k, where tol * |k| underflows to 0,
+        # the square that links 3_1 twice passes, with the residual at k = 1
+        # times k and the ratio of k = 1, where the ratio of the k-scaled
+        # value read 2.000039 at 1e-320 and 1.923 at 5e-324.
         loop_file = tmp_path / "square.txt"
         loop_file.write_text("-1 -1 3\n5 -1 3\n5 5 3\n-1 5 3\n")
 
@@ -566,6 +568,7 @@ class TestCli:
         assert rc == rc_1 == 0
         assert payload["inferred_linking"] == at_1["inferred_linking"] == 2
         assert payload["residual"] == at_1["residual"] * float(k)
+        assert payload["value_over_4pik"].hex() == at_1["value_over_4pik"].hex()
 
     def test_verify_holonomy_suites_judged_in_units_of_k(self, capsys):
         rc = run_cli("verify", "--knot", "3_1", "--k", "1e6", "--loops", "6", "--points", "10",

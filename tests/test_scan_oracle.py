@@ -109,6 +109,7 @@ from knotfield.verification import (
 )
 from scan_oracle import (
     bisect_stack,
+    piercing_count,
     scan_discrepancy_ledger,
     scan_holonomy,
     scan_linking_number,
@@ -121,6 +122,7 @@ from scan_oracle import (
     scan_suite_refined_holonomy,
     scan_suite_scaling,
     scan_segment_pairs,
+    scan_stick_field,
     scan_suite_segment_kernel,
     dumps_write_jsonl,
     random_axis_segment,
@@ -164,6 +166,8 @@ def braid_closures(draw, max_letters=10):
 
 
 knots = st.one_of(braid_closures(), st.sampled_from((canonical_trefoil(), canonical_figure_eight())))
+# The 412-stick closure of (s1 s2^-1)^20.
+CLOSURE_412 = close_braid_on_lattice(parse_braid("s1 s2^-1 " * 20))
 
 
 def _along(a, b, t):
@@ -674,6 +678,33 @@ def test_holonomy_near_a_stick_equals_linking(case):
     assert abs(res.value - 4.0 * math.pi * knot.k * lk) < 1e-6
 
 
+def assert_routes_count(knot, loop):
+    """``holonomy``'s inferred_linking and ``linking_number`` each equal the
+    exact piercing count, or refuse with a typed error; a degenerate
+    rectangle, a stick on its boundary or in its plane, is left out."""
+    count = piercing_count(knot, loop)
+    assume(count is not None)
+    for route in (lambda: holonomy(knot, loop).inferred_linking, lambda: linking_number(knot, loop)):
+        try:
+            assert route() == count
+        except FieldError:
+            pass
+
+
+@SETTINGS
+@given(st.sampled_from((canonical_trefoil(), canonical_figure_eight(), CLOSURE_412)),
+       st.integers(0, 2**32 - 1))
+def test_rect_loops_equal_the_piercing_count(knot, seed):
+    for loop in verification._rect_loops(np.random.default_rng(seed), knot, 3)[0]:
+        assert_routes_count(knot, loop)
+
+
+@SETTINGS
+@given(near_edge_loops())
+def test_near_edge_loops_equal_the_piercing_count(case):
+    assert_routes_count(*case)
+
+
 def test_failing_batch_memory():
     """Three copies of a polygon that cannot converge at depth 14 give the
     loop-at-a-time error, and the batch stops at the first failing edge:
@@ -749,12 +780,14 @@ def on_stick_points(draw):
 # the factor is infinite and a zero offset times it is NaN, without a warning.
 @example([(Segment((0, 0, 0), (1, 0, 0)), np.array([-2.0 ** -860, 0.0, 0.0]))])
 def test_paired_rows_match_one_stick_rows(cases):
+    """Row i of the paired driver has the bits of stick i alone at point i
+    in the former tiles' ``scan_stick_field``, signed zeros and NaN included."""
     starts, ends = [s.start for s, _ in cases], [s.end for s, _ in cases]
     points = np.array([p for _, p in cases])
     b, dist = _paired_field(PackedSticks.pack(starts, ends), points)
     for i, (seg, p) in enumerate(cases):
-        want_b, want_near, _ = _stick_field(PackedSticks.pack([seg.start], [seg.end]),
-                                            p.reshape(1, 3))
+        want_b, want_near, _ = scan_stick_field(PackedSticks.pack([seg.start], [seg.end]),
+                                                p.reshape(1, 3))
         assert b[i].tobytes() == want_b[0].tobytes()
         assert dist[i].tobytes() == want_near[0].tobytes()
 
@@ -782,6 +815,28 @@ def axis_rows(draw):
             np.array(each(st.sampled_from((1.0, -1.0, 2.5, -0.3, 1e-300)))))
 
 
+def one_point_last_tile(knot, seed):
+    """(sticks, points, axis, length): one point more than a tile of the
+    knot's sticks holds, uniform in its box inflated by 2, so the last tile
+    holds one point, over whose terms a sum would pair; each point with a
+    random axis and length 1."""
+    m = _TILE_PAIRS // len(knot.sticks.sign) + 1
+    rng = np.random.default_rng(seed)
+    lo, hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
+    return knot.sticks, rng.uniform(lo - 2.0, hi + 2.0, (m, 3)), rng.integers(0, 3, m), np.ones(m)
+
+
+def assert_drivers_match_scan(sticks, points, axis, length):
+    """The tile driver's (B, near, nearest) and the axis driver's rows have
+    the bits of the former tiles' ``scan_stick_field``: its B, and its
+    component along each point's axis times its length."""
+    want = scan_stick_field(sticks, points)
+    for got, w in zip(_stick_field(sticks, points), want):
+        assert got.tobytes() == w.tobytes()
+    along = want[0][np.arange(len(points)), axis] * length
+    assert _axis_field(sticks, points, axis, length).tobytes() == along.tobytes()
+
+
 @SETTINGS
 @given(axis_rows())
 # On the axis extension so near the start that |P - start| underflows to 0:
@@ -789,25 +844,23 @@ def axis_rows(draw):
 # the stick's own axis, the term is the structural zero.
 @example((PackedSticks.pack([(0, 0, 0)], [(1, 0, 0)]), np.array([[-2.0 ** -860, 0.0, 0.0]] * 2),
           np.array([0, 1]), np.array([1.0, 1.0])))
+# One point on a +z stick's axis extension: its one term along x is -0.0,
+# which a sum onto zero makes +0.0, where an accumulation alone left -0.0.
+@example((PackedSticks.pack([(2, 2, 0)], [(2, 2, 6)]), np.array([[2.0, 2.0, -1.0]]),
+          np.array([0]), np.array([1.0])))
+@example(one_point_last_tile(CLOSURE_412, 1))
 def test_axis_rows_match_stick_field_rows(rows):
-    """The axis driver gives each point ``_stick_field``'s component along
-    its axis times its length, bit for bit, signed zeros and NaN included."""
-    sticks, points, axis, length = rows
-    want = _stick_field(sticks, points)[0][np.arange(len(points)), axis] * length
-    assert _axis_field(sticks, points, axis, length).tobytes() == want.tobytes()
+    """Both tile drivers against the former tiles, bit for bit, signed
+    zeros and NaN included."""
+    assert_drivers_match_scan(*rows)
 
 
 def test_axis_rows_on_a_one_point_tile():
-    """The last tile holds one point, over whose terms a sum would pair:
-    its bits are still those of ``_stick_field``'s tiles, which add the
-    sticks in flow order."""
-    knot = close_braid_on_lattice(parse_braid("s1 s2^-1 " * 10))
-    m = _TILE_PAIRS // len(knot.sticks.sign) + 1
-    rng = np.random.default_rng(0)
-    lo, hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
-    points, axis = rng.uniform(lo - 2.0, hi + 2.0, (m, 3)), rng.integers(0, 3, m)
-    want = _stick_field(knot.sticks, points)[0][np.arange(m), axis]
-    assert _axis_field(knot.sticks, points, axis, np.ones(m)).tobytes() == want.tobytes()
+    """A 212-stick closure's last tile holds one point: both tile drivers
+    still have the bits of the former tiles, which add the sticks onto zero
+    in flow order."""
+    assert_drivers_match_scan(*one_point_last_tile(
+        close_braid_on_lattice(parse_braid("s1 s2^-1 " * 10)), 0))
 
 
 def suite_outcome(result):
