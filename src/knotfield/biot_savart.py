@@ -282,7 +282,8 @@ def _paired_field(sticks: PackedSticks, points):
     pts = points.T[sticks.roles, np.arange(len(points)), None]     # (3, M, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h_b, h_c, factor, dist2 = next(_pair_terms([(sticks, *pts)]))
-        # Summed onto zero, as in the tiles, where a zero offset times an infinite factor is NaN too.
+        # Summed onto zero, as in the tiles; a zero offset times an infinite
+        # factor is NaN there too.
         return _along(sticks, h_b, h_c, factor, _XYZ).sum(axis=2).T, np.sqrt(dist2[:, 0])
 
 
