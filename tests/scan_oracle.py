@@ -7,7 +7,9 @@ took x, y and z arrays in place of ``np.cross`` and ``np.linalg.norm``
 over (..., 3) arrays, with its ``_unit_normals``, and the
 one-point-at-a-time ``random_clear_point`` and self-check suites that
 ``verify`` ran before it drew and evaluated each suite's points in a few
-kernel calls, kept verbatim apart from names; and depth-first,
+kernel calls, and ``scan_stick_field``, the tile driver as it built
+each tile's (N, 3, M) field buffer before the point drivers shared one
+per-axis term, kept verbatim apart from names; and depth-first,
 one-interval-at-a-time versions of the adaptive bisection that
 ``segment_field_quadrature`` and ``holonomy`` run breadth-first over every
 row or edge at once.
@@ -43,6 +45,10 @@ writers from before they formatted each block with one ``%``: they format a
 row at a time with f-strings and spell every coordinate with ``repr``.
 ``dumps_write_jsonl`` writes each row with ``json.dumps``: the JSON-lines
 writer before it formatted blocks, and the reference for JSON spelling.
+``piercing_count`` is a third answer for an axis-aligned rectangle's
+linking number, beside holonomy and the Gauss sum: the signed count of
+sticks through its flat disc, exact, or None when a stick meets the disc
+otherwise.
 """
 
 import json
@@ -375,18 +381,20 @@ def piercing_count(knot: LatticeKnot, loop: Loop):
     boundary, ending on it or lying in its plane.  Every comparison is
     between the loop's floats and the sticks' integers, so none rounds."""
     corners = np.array(loop.vertices, dtype=float)
+    edges = np.diff(corners, axis=0, append=corners[:1])
+    assert len(corners) == 4 and (np.count_nonzero(edges, axis=1) == 1).all()
     (n,) = np.flatnonzero(np.ptp(corners, axis=0) == 0.0)
     u, v, c = (n + 1) % 3, (n + 2) % 3, corners[0, n]     # e_u x e_v = e_n
     x, y = corners[:, u], corners[:, v]
-    edges = np.diff(corners, axis=0, append=corners[:1])
-    assert len(corners) == 4 and (np.count_nonzero(edges, axis=1) == 1).all()
     turn = np.sign(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))    # shoelace, in (u, v)
+    (u0, u1), (v0, v1) = (x.min(), x.max()), (y.min(), y.max())
     starts, ends = stick_ends(knot)
     lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
-    meets = ((lo[:, n] <= c) & (c <= hi[:, n]) & (lo[:, u] <= x.max()) & (hi[:, u] >= x.min())
-             & (lo[:, v] <= y.max()) & (hi[:, v] >= y.min()))
-    inside = ((lo[:, n] < c) & (c < hi[:, n]) & (x.min() < lo[:, u]) & (lo[:, u] < x.max())
-              & (y.min() < lo[:, v]) & (lo[:, v] < y.max()))
+    meets = ((lo[:, n] <= c) & (c <= hi[:, n]) & (lo[:, u] <= u1) & (hi[:, u] >= u0)
+             & (lo[:, v] <= v1) & (hi[:, v] >= v0))
+    # A stick along n has lo == hi on u and v; any other has lo == hi on n.
+    inside = ((lo[:, n] < c) & (c < hi[:, n]) & (u0 < lo[:, u]) & (lo[:, u] < u1)
+              & (v0 < lo[:, v]) & (lo[:, v] < v1))
     if (meets & ~inside).any():
         return None
     return int(turn * np.sign(ends[inside, n] - starts[inside, n]).sum())

@@ -554,8 +554,7 @@ class TestCli:
         # Lk, the residual and value / 4*pi*k are formed at k = 1 and k is
         # applied last: at a subnormal k, where tol * |k| underflows to 0,
         # the square that links 3_1 twice passes, with the residual at k = 1
-        # times k and the ratio of k = 1, where the ratio of the k-scaled
-        # value read 2.000039 at 1e-320 and 1.923 at 5e-324.
+        # times k and the ratio at k = 1 bit for bit.
         loop_file = tmp_path / "square.txt"
         loop_file.write_text("-1 -1 3\n5 -1 3\n5 5 3\n-1 5 3\n")
 

@@ -20,10 +20,12 @@ and its points in rounds, and integrates each holonomy suite's loops in one
 batch; the oracles draw and evaluate one point, pair or loop at a time with
 ``Generator`` calls.  Both must give the same points, generator state and
 details.  The kernel suite's sticks must be valid and keep the
-distribution of rejecting an out-of-box end.  The paired kernel
-rows must carry the bits of one-stick all-pairs rows, signed zeros
-included, and the axis driver's rows the bits of the full field's
-component along each point's axis, on a one-point tile too.  Batches that
+distribution of rejecting an out-of-box end.  The tile, axis and paired
+drivers must carry the bits of ``scan_stick_field``, the tiles as they
+were before the drivers shared one per-axis term, signed zeros and NaN
+included, on a one-point tile too.  On rectangles, holonomy's inferred
+linking and the Gauss sum must each equal the exact piercing count or
+refuse with a typed error.  Batches that
 mix axis-aligned rectangles with skew triangles and hexagons must give
 each loop the holonomy and linking bits of the loop alone and of the
 scans.  The transcription ledger reads each printed term against
@@ -844,8 +846,8 @@ def assert_drivers_match_scan(sticks, points, axis, length):
 # the stick's own axis, the term is the structural zero.
 @example((PackedSticks.pack([(0, 0, 0)], [(1, 0, 0)]), np.array([[-2.0 ** -860, 0.0, 0.0]] * 2),
           np.array([0, 1]), np.array([1.0, 1.0])))
-# One point on a +z stick's axis extension: its one term along x is -0.0,
-# which a sum onto zero makes +0.0, where an accumulation alone left -0.0.
+# One point on a +z stick's axis extension, in a one-point tile: its one
+# term along x is -0.0, and a sum onto zero makes it +0.0.
 @example((PackedSticks.pack([(2, 2, 0)], [(2, 2, 6)]), np.array([[2.0, 2.0, -1.0]]),
           np.array([0]), np.array([1.0])))
 @example(one_point_last_tile(CLOSURE_412, 1))
