@@ -8,7 +8,8 @@ wire yet with non-trivial circulation around it.
 
 Two independent routes are implemented so they can catch each other's bugs,
 each refusing a loop by its clearance from the circuit, measured for all of
-a batch's loops in one pass over their (edge, stick) pairs:
+a batch's loops in one pass over their (edge, stick) pairs, and for a lone
+loop once: the knot keeps its last lone loop's clearance for all three calls:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
   (Gauss panels bisected by the quadrature oracle's integrator; each depth's
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -84,6 +86,13 @@ class Loop:
             if verts[i] == verts[(i + 1) % len(verts)]:
                 raise ValueError(f"consecutive loop vertices {i} coincide: {verts[i]}")
 
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """(2, n, 3): each edge's start and end, read-only, cached as the knot's are."""
+        ends = np.array((self.vertices, self.vertices[1:] + self.vertices[:1]))
+        ends.flags.writeable = False
+        return ends
+
     def reversed(self) -> "Loop":
         return Loop(vertices=tuple(reversed(self.vertices)), name=self.name)
 
@@ -110,20 +119,30 @@ class HolonomyResult:
 
 def loop_clearance(knot: LatticeKnot, loop: Loop):
     """Distance from the loop to the circuit, over every (loop edge, stick)
-    pair: the one-loop case of ``_clearances``, which raises its error."""
-    measured, = _clearances(knot, [loop])
+    pair: ``_lone_clearance``, which raises its error."""
+    measured = _lone_clearance(knot, loop)
     if isinstance(measured, LinkingPrecisionError):
         raise measured
     return measured
 
 
-def _stack(vertices):
-    """(sizes, firsts, starts, ends): the loops' edges as (M, 3) rows, loop l's from firsts[l]."""
-    sizes = [len(v) for v in vertices]
-    firsts = list(accumulate(sizes, initial=0))
-    starts = np.array([p for v in vertices for p in v]).reshape(-1, 3)
-    return sizes, firsts, starts, starts[[lo + (i + 1) % n for lo, n in zip(firsts, sizes)
-                                          for i in range(n)]]
+def _lone_clearance(knot: LatticeKnot, loop: Loop):
+    """The loop's ``_clearances`` entry, measured once per (knot, loop): the knot
+    keeps its last loop, matched by identity then equality, and that entry,
+    an error returned as a new copy so that no raise grows the kept one's traceback."""
+    last = knot.__dict__.get("_last_loop")
+    if last is None or (last[0] is not loop and last[0] != loop):
+        last = knot.__dict__["_last_loop"] = (loop, *_clearances(knot, [loop]))
+    return LinkingPrecisionError(*last[1].args) if isinstance(last[1], FieldError) else last[1]
+
+
+def _stack(loops):
+    """(sizes, firsts, starts, ends): the loops' edges as (M, 3) rows, loop l's
+    from firsts[l]; a lone loop's are its own cached ``Loop._ends``."""
+    sizes = [len(loop.vertices) for loop in loops]
+    starts, ends = loops[0]._ends if len(loops) == 1 else np.concatenate(
+        [loop._ends for loop in loops] or [np.empty((2, 0, 3))], axis=1)
+    return sizes, list(accumulate(sizes, initial=0)), starts, ends
 
 
 def _clearances(knot: LatticeKnot, loops):
@@ -138,7 +157,7 @@ def _clearances(knot: LatticeKnot, loops):
     its tuple, a LinkingPrecisionError naming its first: the loop is then
     not representable and its closest approach is unknown.
     """
-    (sizes, firsts, p0, p1), (q0, q1) = _stack([loop.vertices for loop in loops]), stick_ends(knot)
+    (sizes, firsts, p0, p1), (q0, q1) = _stack(loops), stick_ends(knot)
     with np.errstate(all="ignore"):
         d1 = p1 - p0                                # (M, 3)
         d2 = q1 - q0                                # (N, 3)
@@ -189,17 +208,20 @@ def _edges(knot: LatticeKnot, loops, clearances, refused):
     """(sizes, firsts, starts, ends, refusal): ``_stack`` of the loops before
     the first refused one, and that loop's error or None.  Each loop's
     ``loop_clearance`` tuple is ``clearances``' entry, as the caller measured
-    it, or is measured here, for every loop in one ``_clearances`` pass;
-    LoopOnConductorError refuses a loop whose distance is ``refused``."""
-    vertices, refusal = [], None
-    for loop, clear in zip(loops, clearances if clearances is not None else _clearances(knot, loops)):
+    it, a lone loop's ``_lone_clearance`` or a batch's one ``_clearances``
+    pass; LoopOnConductorError refuses a loop whose distance is ``refused``."""
+    if clearances is None:
+        clearances = ([_lone_clearance(knot, loops[0])] if len(loops) == 1
+                      else _clearances(knot, loops))
+    kept, refusal = 0, None
+    for clear in clearances:
         if not isinstance(clear, FieldError) and refused(clear[0]):
             clear = LoopOnConductorError(*clear[1], clear[0])
         if isinstance(clear, FieldError):
             refusal = clear         # raised after the loops before it
             break
-        vertices.append(loop.vertices)
-    return (*_stack(vertices), refusal)
+        kept += 1
+    return (*_stack(loops[:kept]), refusal)
 
 
 def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,

@@ -133,7 +133,7 @@ from scan_oracle import (
     scan_write_jsonl,
     scan_write_vtk,
 )
-from test_topology import AXIS_LOOP, square_around
+from test_topology import AXIS_LOOP, PUBLIC, public_outcome, square_around
 
 SETTINGS = settings(max_examples=50, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -705,6 +705,52 @@ def test_rect_loops_equal_the_piercing_count(knot, seed):
 @given(near_edge_loops())
 def test_near_edge_loops_equal_the_piercing_count(case):
     assert_routes_count(*case)
+
+
+@st.composite
+def half_lattice_rects(draw):
+    """(knot, loop): an axis-aligned rectangle in a plane at a half-integer
+    coordinate across the knot's box, its sides at half-integers or at any
+    float in the box inflated by 2, traversed either way."""
+    knot = draw(st.one_of(knots, st.just(CLOSURE_412)))
+    lo, hi = bounding_box(knot)
+    n = draw(st.integers(0, 2))
+    u, v = (n + 1) % 3, (n + 2) % 3
+    corner = {n: [draw(st.integers(lo[n] - 1, hi[n])) + 0.5] * 4}
+    for a, turn in ((u, (0, 1, 1, 0)), (v, (0, 0, 1, 1))):
+        side = st.one_of(st.integers(lo[a] - 2, hi[a] + 1).map(lambda i: i + 0.5),
+                         st.floats(lo[a] - 2.0, hi[a] + 2.0))
+        ends = sorted(draw(st.lists(side, min_size=2, max_size=2, unique=True)))
+        corner[a] = [ends[t] for t in turn]
+    loop = Loop(vertices=tuple(zip(corner[0], corner[1], corner[2])))
+    return knot, loop.reversed() if draw(st.booleans()) else loop
+
+
+@SETTINGS
+@given(half_lattice_rects())
+def test_half_lattice_rects_equal_the_piercing_count(case):
+    assert_routes_count(*case)
+
+
+rect_loops = st.builds(lambda knot, seed: (knot, verification._rect_loops(
+    np.random.default_rng(seed), knot, 1)[0][0]), knots, st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(st.lists(st.one_of(rect_loops, near_edge_loops()), min_size=2, max_size=2),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(PUBLIC)), st.booleans()),
+                min_size=1, max_size=8))
+def test_memo_answers_as_a_fresh_knot(cases, calls):
+    """The three public calls, interleaved over two (knot, loop) cases in any
+    order, each on its loop or on an equal but distinct copy, give the bits
+    of the same call on a fresh knot built from the same vertices.  The
+    canonical knots are shared across examples, so their memos start from
+    an earlier example's loop."""
+    for case, name, copy in calls:
+        knot, loop = cases[case]
+        fresh = LatticeKnot(vertices=knot.vertices, name=knot.name, k=knot.k)
+        assert public_outcome(name, knot, Loop(loop.vertices, loop.name) if copy else loop) == \
+            public_outcome(name, fresh, Loop(loop.vertices, loop.name))
 
 
 def test_failing_batch_memory():

@@ -1,6 +1,10 @@
+import dataclasses
+import gc
+import itertools
 import math
 import re
 import signal
+import weakref
 from contextlib import contextmanager
 from unittest import mock
 
@@ -445,8 +449,10 @@ def test_draws_refuse_a_clearance_not_finite(draw, clearance):
 def test_verify_measures_each_clearance_once():
     """``holonomy-vs-linking`` draws its loops in rounds of exactly as many
     candidates as are still missing, measures each candidate once, in one
-    ``_clearances`` pass per round, and hands the tuples on; ``holonomy`` and
-    ``linking_number`` on a loop of their own still measure it, once each."""
+    ``_clearances`` pass per round, and hands the tuples on.  ``holonomy``
+    then ``linking_number`` on a loop of their own measure it once between
+    them, an equal but distinct loop reads the knot's memo, and a different
+    loop is measured."""
     knot, rounds = canonical_trefoil(), []
 
     def measured(knot, loops):
@@ -466,10 +472,107 @@ def test_verify_measures_each_clearance_once():
         candidates = [id(loop) for loops, _ in rounds for loop in loops]
         assert missing == 0 and len(rounds) > 1
         assert len(set(candidates)) == len(candidates) == drawn.call_count > 20
-        for route in (holonomy, linking_number):
-            engine.reset_mock()
-            route(knot, paper_loop())
-            assert engine.call_count == 1
+        engine.reset_mock()
+        loop = paper_loop()
+        holonomy(knot, loop)
+        linking_number(knot, loop)
+        assert engine.call_count == 1
+        linking_number(knot, paper_loop())
+        assert engine.call_count == 1
+        loop_clearance(knot, loop.reversed())
+        assert engine.call_count == 2
+
+
+PUBLIC = {"loop_clearance": loop_clearance, "holonomy": holonomy, "linking_number": linking_number}
+
+
+def error_data(exc):
+    """An error's type, message, edge, stick and distance (as hex), None where it has none."""
+    distance = getattr(exc, "distance", None)
+    return (type(exc).__name__, str(exc), getattr(exc, "loop_edge", None),
+            getattr(exc, "segment_index", None), None if distance is None else distance.hex())
+
+
+def public_outcome(name, knot, loop):
+    """A public call's answer, each float as its hex, or its ``error_data``."""
+    try:
+        got = PUBLIC[name](knot, loop)
+    except FieldError as exc:
+        return error_data(exc)
+    if name == "loop_clearance":
+        return got[0].hex(), got[1]
+    if name == "holonomy":
+        return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(got))
+    return got
+
+
+def traceback_depth(exc):
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+@pytest.mark.parametrize("loop", [THROUGH, HUGE], ids=lambda loop: loop.name)
+def test_memo_errors_keep_their_data(loop):
+    """A refused loop and an unrepresentable one, through each order of the
+    three public calls, three times on one knot per order: each call raises
+    an error of one type, with one message, edge, stick and distance,
+    whatever came before it, as a new object whose traceback does not grow
+    from raise to raise.  The refused loop's clearance is the edge, stick
+    and distance its errors carry."""
+    outcomes, depths, errors = {}, {}, []
+    for order in itertools.permutations(PUBLIC):
+        knot = canonical_trefoil()
+        for _ in range(3):
+            for name in order:
+                try:
+                    clear, where = PUBLIC[name](knot, loop)
+                    outcomes.setdefault(name, set()).add((clear.hex(), where))
+                except FieldError as exc:
+                    errors.append(exc)
+                    outcomes.setdefault(name, set()).add(error_data(exc))
+                    depths.setdefault(name, set()).add(traceback_depth(exc))
+    assert all(len(got) == 1 for got in outcomes.values())
+    assert all(len(got) == 1 for got in depths.values())
+    assert len(set(map(id, errors))) == len(errors)
+    (hol,), (lk,) = outcomes["holonomy"], outcomes["linking_number"]
+    assert hol == lk
+    (clear,), (kind, _, edge, stick, distance) = outcomes["loop_clearance"], hol
+    if loop is THROUGH:
+        assert kind == "LoopOnConductorError" and clear == (distance, (edge, stick))
+        assert len(errors) == 6 * 3 * 2
+    else:
+        assert clear == hol and kind == "LinkingPrecisionError" and len(errors) == 6 * 3 * 3
+
+
+def test_memo_keeps_one_loop_per_knot():
+    """The knot keeps the last loop it measured, and no more: after loop A
+    and then loop B, A is freed."""
+    knot, a, b = canonical_trefoil(), paper_loop(), paper_loop().reversed()
+    linking_number(knot, a)
+    kept = weakref.ref(a)
+    del a
+    gc.collect()
+    assert kept() is not None
+    for call in PUBLIC.values():
+        call(knot, b)
+    gc.collect()
+    assert kept() is None
+
+
+def test_invalid_knot_raises_on_every_call():
+    """A knot with an edge that is not a stick raises ValueError from each
+    public call, every time, and keeps nothing of the loop."""
+    knot, loop = LatticeKnot(vertices=((0, 0, 0), (1, 1, 0), (0, 1, 0))), paper_loop()
+    for _ in range(2):
+        for call in PUBLIC.values():
+            with pytest.raises(ValueError, match="is not a nonzero axis-aligned stick"):
+                call(knot, loop)
+    kept = weakref.ref(loop)
+    del loop
+    gc.collect()
+    assert kept() is None
 
 
 def test_verify_draws_and_integrates_each_loop_once():
