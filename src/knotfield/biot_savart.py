@@ -328,7 +328,7 @@ def _check_positive(name, value):
 
 def _check_bounds(tol, max_depth, depth_name):
     _check_positive("tol", tol)
-    if not isinstance(max_depth, int) or max_depth < 0:
+    if not isinstance(max_depth, (int, np.integer)) or isinstance(max_depth, bool) or max_depth < 0:
         raise ValueError(f"{depth_name} must be an integer >= 0, got {max_depth!r}")
 
 

@@ -295,9 +295,9 @@ def refine(knot: LatticeKnot, factor: int) -> LatticeKnot:
     the curve.  Fields and holonomies transform predictably (see the engine's
     scaling law), which is what makes this useful for convergence checks.
     """
-    if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
+    if not isinstance(factor, (int, np.integer)) or isinstance(factor, bool) or factor < 1:
         raise ValueError(f"refine factor must be a positive integer, got {factor!r}")
-    scaled = tuple(tuple(c * factor for c in p) for p in knot.vertices)
+    scaled = tuple(tuple(c * int(factor) for c in p) for p in knot.vertices)
     return LatticeKnot(vertices=scaled, name=knot.name, k=knot.k)
 
 

@@ -7,9 +7,9 @@ field is a flat connection on the knot complement: curl-free away from the
 wire yet with non-trivial circulation around it.
 
 Two independent routes are implemented so they can catch each other's bugs,
-each refusing a loop by its clearance from the circuit, measured for all of
-a batch's loops in one pass over their (edge, stick) pairs, and for a lone
-loop once: the knot keeps its last lone loop's clearance for all three calls:
+each refusing a loop by its clearance from the circuit, measured once per
+live loop and knot by ``_clearances``, in one pass over the (edge, stick)
+pairs of every loop it lacks, and kept for all three calls:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
   (Gauss panels bisected by the quadrature oracle's integrator; each depth's
@@ -31,6 +31,7 @@ single +z current stick has holonomy +4*pi*k and linking number +1.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -56,13 +57,10 @@ class LoopOnConductorError(FieldError):
     """A loop edge passes within the exclusion radius of the circuit."""
 
     def __init__(self, loop_edge, segment_index, distance):
-        self.loop_edge = loop_edge
-        self.segment_index = segment_index
+        self.loop_edge, self.segment_index = loop_edge, segment_index
         self.distance = float(distance)
-        super().__init__(
-            f"loop edge {loop_edge} passes {distance:.3g} from circuit "
-            f"segment {segment_index}"
-        )
+        super().__init__(f"loop edge {loop_edge} passes {distance:.3g} from circuit "
+                         f"segment {segment_index}")
 
 
 class LinkingPrecisionError(FieldError):
@@ -119,21 +117,21 @@ class HolonomyResult:
 
 def loop_clearance(knot: LatticeKnot, loop: Loop):
     """Distance from the loop to the circuit, over every (loop edge, stick)
-    pair: ``_lone_clearance``, which raises its error."""
-    measured = _lone_clearance(knot, loop)
-    if isinstance(measured, LinkingPrecisionError):
-        raise measured
-    return measured
+    pair: its ``_clearances`` entry, or ``_refusal``'s error when not finite."""
+    (entry,) = _clearances(knot, [loop])
+    if (refusal := _refusal(entry)) is not None:
+        raise refusal
+    return entry
 
 
-def _lone_clearance(knot: LatticeKnot, loop: Loop):
-    """The loop's ``_clearances`` entry, measured once per (knot, loop): the knot
-    keeps its last loop, matched by identity then equality, and that entry,
-    an error returned as a new copy so that no raise grows the kept one's traceback."""
-    last = knot.__dict__.get("_last_loop")
-    if last is None or (last[0] is not loop and last[0] != loop):
-        last = knot.__dict__["_last_loop"] = (loop, *_clearances(knot, [loop]))
-    return LinkingPrecisionError(*last[1].args) if isinstance(last[1], FieldError) else last[1]
+def _refusal(entry, on_conductor=False):
+    """A new error refusing a ``_clearances`` entry's loop, or None: LinkingPrecisionError
+    if its distance is not finite, else LoopOnConductorError if ``on_conductor``."""
+    distance, (edge, stick) = entry
+    if not math.isfinite(distance):
+        return LinkingPrecisionError(f"loop edge {edge} is not representable: its distance "
+                                     f"to circuit segment {stick} evaluates to {distance}")
+    return LoopOnConductorError(edge, stick, distance) if on_conductor else None
 
 
 def _stack(loops):
@@ -145,7 +143,22 @@ def _stack(loops):
     return sizes, list(accumulate(sizes, initial=0)), starts, ends
 
 
+_kept = weakref.WeakKeyDictionary()     # loop -> (weakref to its last knot, its entry)
+
+
 def _clearances(knot: LatticeKnot, loops):
+    """Each loop's ``_measure`` entry, kept for the last knot it was measured
+    against (loops match by equality, knots by identity; neither is kept alive
+    or given an attribute, so both pickle); the rest take one ``_measure`` pass."""
+    entries = [kept[1] if (kept := _kept.get(loop)) and kept[0]() is knot else None
+               for loop in loops]
+    if todo := [i for i, entry in enumerate(entries) if entry is None]:
+        for i, entry in zip(todo, _measure(knot, [loops[i] for i in todo])):
+            entries[i], _kept[loops[i]] = entry, (weakref.ref(knot), entry)
+    return entries
+
+
+def _measure(knot: LatticeKnot, loops):
     """Each loop's (clearance, (loop_edge, segment_index)) at its closest
     approach, the first in (edge, stick) order on ties, from one pass over
     every loop's stacked rows.  Each pair's distance is the standard clamped
@@ -153,10 +166,8 @@ def _clearances(knot: LatticeKnot, loops):
     clamping iteration; its dot products are batched matmuls and einsums,
     which reduce each pair in the order one edge alone would, so a distance
     does not depend on the other edges or loops.  Coordinates too large to
-    square overflow to inf or NaN; a loop with such a pair gets, in place of
-    its tuple, a LinkingPrecisionError naming its first: the loop is then
-    not representable and its closest approach is unknown.
-    """
+    square overflow: such a loop is not representable, and its entry is its
+    first pair whose distance is inf or NaN."""
     (sizes, firsts, p0, p1), (q0, q1) = _stack(loops), stick_ends(knot)
     with np.errstate(all="ignore"):
         d1 = p1 - p0                                # (M, 3)
@@ -176,15 +187,11 @@ def _clearances(knot: LatticeKnot, loops):
         t = t.clip(0.0, 1.0)
         gap = p0[:, None, :] + s[..., None] * d1[:, None, :] - (q0 + t[..., None] * d2)
         d = np.sqrt(np.add.reduce(gap * gap, axis=-1))      # np.linalg.norm's own sum
-    results = []
+    entries = []
     for rows in (d[lo:lo + n] for lo, n in zip(firsts, sizes)):
-        bad = np.flatnonzero(~np.isfinite(rows))
-        i, j = divmod(int(bad[0] if bad.size else np.argmin(rows)), rows.shape[1])
-        results.append(LinkingPrecisionError(
-            f"loop edge {i} is not representable: its distance to circuit "
-            f"segment {j + 1} evaluates to {rows[i, j]}") if bad.size
-            else (float(rows[i, j]), (i, j + 1)))
-    return results
+        i, j = divmod(int(np.argmin(np.where(np.isfinite(rows), rows, -np.inf))), rows.shape[1])
+        entries.append((float(rows[i, j]), (i, j + 1)))
+    return entries
 
 
 def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
@@ -196,7 +203,7 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     integrated by adaptive bisection of Gauss panels at most ``max_levels``
     deep, its error estimated from each accepted panel's halves: the
     one-loop case of ``_holonomy_results``.  Raises LoopOnConductorError or
-    LinkingPrecisionError from ``loop_clearance``'s check of the loop,
+    LinkingPrecisionError from the check of the loop's clearance,
     QuadratureError when an edge does not converge, and ValueError for a
     tol or exclusion_radius not finite and > 0, a max_levels not an int >= 0,
     or a k so large that the result overflows.
@@ -204,43 +211,32 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     return _holonomy_results(knot, [loop], tol, exclusion_radius, max_levels)[0]
 
 
-def _edges(knot: LatticeKnot, loops, clearances, refused):
+def _edges(knot: LatticeKnot, loops, refused):
     """(sizes, firsts, starts, ends, refusal): ``_stack`` of the loops before
-    the first refused one, and that loop's error or None.  Each loop's
-    ``loop_clearance`` tuple is ``clearances``' entry, as the caller measured
-    it, a lone loop's ``_lone_clearance`` or a batch's one ``_clearances``
-    pass; LoopOnConductorError refuses a loop whose distance is ``refused``."""
-    if clearances is None:
-        clearances = ([_lone_clearance(knot, loops[0])] if len(loops) == 1
-                      else _clearances(knot, loops))
-    kept, refusal = 0, None
-    for clear in clearances:
-        if not isinstance(clear, FieldError) and refused(clear[0]):
-            clear = LoopOnConductorError(*clear[1], clear[0])
-        if isinstance(clear, FieldError):
-            refusal = clear         # raised after the loops before it
-            break
-        kept += 1
-    return (*_stack(loops[:kept]), refusal)
+    the first refused one, and that loop's error or None: ``_refusal`` of its
+    ``_clearances`` entry, on the conductor when its distance is ``refused``."""
+    for kept, entry in enumerate(_clearances(knot, loops)):
+        if (refusal := _refusal(entry, refused(entry[0]))) is not None:
+            return (*_stack(loops[:kept]), refusal)     # raised after the loops before it
+    return (*_stack(loops), None)
 
 
 def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
                       exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-                      max_levels: int = 40, clearances=None) -> list[HolonomyResult]:
+                      max_levels: int = 40) -> list[HolonomyResult]:
     """``holonomy`` of each loop, bit for bit, or the first error it raises on
-    the loops in order, given each loop's ``loop_clearance`` tuple or not;
-    each loop keeps its clearance check, budget and edge sum, and each edge
-    is one ``_bisect`` row.  An edge along axis a reads B_a times its length
-    from ``_axis_field``, with the bits of the full field dotted with the
-    edge.  A depth makes one such call per edge axis a from the sticks off a,
-    the only ones that add to B_a, or for a lone loop, whose few nodes cost
-    less unpruned, one from all the sticks; edges off the axes take one
-    ``_stick_field`` call.  Lk and the residual are formed at k = 1 and k is
-    applied last, so no subnormal k underflows them.
+    the loops in order; each loop keeps its clearance check, budget and edge
+    sum, and each edge is one ``_bisect`` row.  An edge along axis a reads
+    B_a times its length from ``_axis_field``, with the bits of the full
+    field dotted with the edge.  A depth makes one such call per edge axis a
+    from the sticks off a, the only ones that add to B_a, or for a lone loop,
+    whose few nodes cost less unpruned, one from all the sticks; edges off
+    the axes take one ``_stick_field`` call.  Lk and the residual are formed
+    at k = 1 and k is applied last, so no subnormal k underflows them.
     """
     _check_bounds(tol, max_levels, "max_levels")
     _check_positive("exclusion_radius", exclusion_radius)
-    sizes, firsts, starts, ends, refusal = _edges(knot, loops, clearances,
+    sizes, firsts, starts, ends, refusal = _edges(knot, loops,
                                                   lambda clear: clear < exclusion_radius)
     steps = ends - starts
     budget, along = np.array([tol / n for n in sizes for _ in range(n)]), knot.sticks.roles[0]
@@ -306,25 +302,24 @@ def linking_number(knot: LatticeKnot, loop: Loop) -> int:
     never the closed-form field, so it stays an independent check of
     ``holonomy``.  Coplanar pairs, including a loop vertex on a stick's axis
     extension, contribute exactly 0.  Raises LoopOnConductorError or
-    LinkingPrecisionError from ``loop_clearance``'s check of the loop, and
+    LinkingPrecisionError from the check of the loop's clearance, and
     LinkingPrecisionError when the sum overflows or does not round
     convincingly: the one-loop case of ``_linking_results``.
     """
     return _linking_results(knot, [loop])[0][0]
 
 
-def _linking_results(knot: LatticeKnot, loops, clearances=None) -> list[tuple[int, float]]:
+def _linking_results(knot: LatticeKnot, loops) -> list[tuple[int, float]]:
     """(``linking_number``, the Gauss sum / 4*pi it rounds) of each loop, bit
-    for bit, or the first error it raises on the loops in order, given each
-    loop's ``loop_clearance`` tuple or not.  One pass takes every loop's
-    (edge, stick) rows, stacked, and each loop's Gauss sum is ``np.sum`` over
-    its own contiguous rows, as alone.  The pass forms x, y and z arrays,
-    with ``np.cross``'s products and each three-term sum as ((x + y) + z),
-    the order of ``np.sum`` and ``np.linalg.norm`` over a last axis of 3.
-    When it overflows, the loops are taken alone, in order, up to the first
-    that raises.
+    for bit, or the first error it raises on the loops in order.  One pass
+    takes every loop's (edge, stick) rows, stacked, and each loop's Gauss sum
+    is ``np.sum`` over its own contiguous rows, as alone.  The pass forms x,
+    y and z arrays, with ``np.cross``'s products and each three-term sum as
+    ((x + y) + z), the order of ``np.sum`` and ``np.linalg.norm`` over a last
+    axis of 3.  When it overflows, the loops are taken alone, in order, up to
+    the first that raises.
     """
-    sizes, firsts, p0, p1, refusal = _edges(knot, loops, clearances, lambda clear: clear <= 0.0)
+    sizes, firsts, p0, p1, refusal = _edges(knot, loops, lambda clear: clear <= 0.0)
     # (coordinate, end, loop edge, 1) and (coordinate, end, 1, knot stick) arrays.
     p, q = (np.array(e).transpose(2, 0, 1) for e in ((p0, p1), stick_ends(knot)))
     p, q = p[..., None], q[:, :, None]

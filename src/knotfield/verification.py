@@ -11,8 +11,8 @@ tolerance, usable both from the test suite and from the command line:
 * the scaling law B(lambda x; lambda K) = B(x; K)/lambda, at lambda = 3;
 * holonomy = 4*pi*k*Lk against the Gauss-integral linking oracle, on random
   rectangular loops in the complement, drawn in rounds of as many candidates
-  as are missing, each round's clearances measured in one pass, and
-  integrated once;
+  as are missing, each round's clearances measured in one pass and kept,
+  and integrated once;
 * invariance of the first half of those holonomies under refining knot and
   loops by 3, which moves every Gauss panel off the binary grid.
 """
@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import LatticeKnot, PackedSticks, Segment, bounding_box, refine, stick_ends
 from .biot_savart import (_paired_field, _quadrature, _stick_field, segment_field, total_field,
                           total_field_many)
-from .topology import LinkingPrecisionError, Loop, _clearances, _holonomy_results, _linking_results
+from .topology import Loop, _clearances, _holonomy_results, _linking_results, _refusal
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,11 @@ def random_clear_points(rng, starts, ends, n: int, margin: float, clearance: flo
     ``starts`` to ``ends``, at least ``clearance`` from them by the kernel's
     own distance.  Each round draws one candidate per missing point, so the
     points and the generator's final state are those of drawing one at a time.
-    A clearance that is not finite is refused before any draw."""
-    if not math.isfinite(clearance):
-        raise ValueError(f"clearance must be finite, got {clearance}")
+    ``_check_clearance`` refuses a clearance before any draw."""
     packed = PackedSticks.pack(starts, ends)
     both = np.concatenate([starts, ends])
     lo, hi = both.min(axis=0) - margin, both.max(axis=0) + margin
+    _check_clearance(clearance, lo, hi)
     points = np.empty((0, 3))
     while len(points) < n:
         p = rng.uniform(lo, hi, size=(n - len(points), 3))
@@ -74,21 +73,27 @@ def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
     Rectangles are drawn inside the knot's inflated bounding box so a good
     fraction of them actually link the circuit: ``_rect_loops`` at n = 1.
     """
-    return _rect_loops(rng, knot, 1, clearance, margin, name)[0][0]
+    return _rect_loops(rng, knot, 1, clearance, margin, name)[0]
+
+
+def _check_clearance(clearance, lo, hi):
+    """Refuse a clearance that no candidate in the box drawn from meets, before any draw."""
+    if not (clearance < (diagonal := math.dist(lo, hi)) and math.isfinite(clearance)):
+        raise ValueError(f"clearance must be finite and below the box's diagonal {diagonal:.6g}, "
+                         f"got {clearance}")
 
 
 def _rect_loops(rng, knot: LatticeKnot, n: int, clearance: float = 0.5, margin: float = 3.0,
                 name: str = ""):
-    """(n ``random_rect_loop``s, the ``loop_clearance`` tuple of each), drawn in
-    rounds of as many candidates as are missing, measured in one
-    ``_clearances`` pass.  A candidate takes the same scalar draws kept or
-    not, so the loops and the final generator state are those of one-at-a-time
-    draws.  A clearance that is not finite is refused before any draw."""
-    if not math.isfinite(clearance):
-        raise ValueError(f"clearance must be finite, got {clearance}")
+    """n ``random_rect_loop``s, drawn in rounds of as many candidates as are
+    missing, measured in one ``_clearances`` pass that keeps their entries.
+    A candidate takes the same scalar draws kept or not, so the loops and the
+    final generator state are those of one-at-a-time draws."""
     core_lo, core_hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
     half = 0.5 * ((core_hi + margin) - (core_lo - margin))
-    loops, clears = [], []
+    reach = np.maximum(abs(half), 0.8)      # no rectangle's half-side exceeds it
+    _check_clearance(clearance, core_lo - reach, core_hi + reach)
+    loops = []
     while len(loops) < n:
         drawn = []
         for _ in range(n - len(loops)):
@@ -101,13 +106,12 @@ def _rect_loops(rng, knot: LatticeKnot, n: int, clearance: float = 0.5, margin: 
             at = {normal: (c,) * 4, u: (cu - hu, cu + hu, cu + hu, cu - hu),
                   v: (cv - hv, cv - hv, cv + hv, cv + hv)}
             drawn.append(Loop(vertices=tuple(zip(at[0], at[1], at[2])), name=name))
-        for loop, measured in zip(drawn, _clearances(knot, drawn)):
-            if isinstance(measured, LinkingPrecisionError):
-                raise measured
-            if measured[0] >= clearance:
+        for loop, entry in zip(drawn, _clearances(knot, drawn)):
+            if (refusal := _refusal(entry)) is not None:
+                raise refusal
+            if entry[0] >= clearance:
                 loops.append(loop)
-                clears.append(measured)
-    return loops, clears
+    return loops
 
 
 def suite_segment_kernel(seed: int = 0, n_pairs: int = 1000):
@@ -195,13 +199,13 @@ def suite_scaling(knot: LatticeKnot, seed: int = 0, n_points: int = 100):
 
 def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
     """holonomy = 4*pi*k*Lk on random rectangular loops in the complement, in
-    units of k: at k = 1, which no holonomy over- or underflows.  The loops
-    are refined together and handed on, with their holonomies."""
+    units of k: at k = 1, which no holonomy over- or underflows.  Both routes
+    read the clearances the draws kept; the loops are handed on, with their holonomies."""
     rng, knot = np.random.default_rng(seed), replace(knot, k=1.0)
-    loops, clears = _rect_loops(rng, knot, n_loops)
-    values = [h.value for h in _holonomy_results(knot, loops, tol=1e-6, clearances=clears)]
+    loops = _rect_loops(rng, knot, n_loops)
+    values = [h.value for h in _holonomy_results(knot, loops, tol=1e-6)]
     worst, linked = 0.0, 0
-    for value, (lk, _) in zip(values, _linking_results(knot, loops, clears)):
+    for value, (lk, _) in zip(values, _linking_results(knot, loops)):
         linked += lk != 0
         worst = max(worst, abs(value - 4.0 * math.pi * lk) / max(1.0, abs(value)))
     return ("holonomy-vs-linking", worst < 1e-5,

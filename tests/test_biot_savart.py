@@ -173,12 +173,22 @@ class TestQuadratureOracle:
         ({"tol": math.inf}, "tol must be finite and > 0"),
         ({"max_depth": -1}, "max_depth must be an integer >= 0, got -1"),
         ({"max_depth": 2.5}, "max_depth must be an integer >= 0"),
-    ], ids=["nan", "negative", "zero", "inf", "depth-negative", "depth-float"])
+        ({"max_depth": True}, "max_depth must be an integer >= 0, got True"),
+        ({"max_depth": np.bool_(True)}, "max_depth must be an integer >= 0"),
+    ], ids=["nan", "negative", "zero", "inf", "depth-negative", "depth-float", "depth-bool",
+            "depth-numpy-bool"])
     def test_invalid_bounds_refused(self, bounds, match):
         # The point is on the conductor: the bounds are refused before the
         # kernel is asked about it.
         with pytest.raises(ValueError, match=match):
             segment_field_quadrature(Segment((0, 0, 0), (0, 0, 2)), (0.0, 0.0, 1.0), **bounds)
+
+    def test_numpy_integer_depth_accepted(self):
+        """An integer depth is an int or a numpy integer, as a count is in sampling."""
+        seg, point = Segment((0, 0, -8), (0, 0, 8)), (0.6, 0.0, 0.0)
+        want = segment_field_quadrature(seg, point, max_depth=40)
+        assert segment_field_quadrature(seg, point, max_depth=np.int64(40)).tobytes() == \
+            want.tobytes()
 
 
 def field_direction(seg, point):

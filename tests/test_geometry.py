@@ -236,6 +236,19 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(square_loop(), 1.5)
 
+    @pytest.mark.parametrize("factor", [True, False, np.bool_(True), np.int64(0)])
+    def test_bool_or_zero_rejected(self, factor):
+        """The one rule for integer arguments: a bool is not an integer."""
+        with pytest.raises(ValueError, match="refine factor must be a positive integer"):
+            refine(square_loop(), factor)
+
+    @pytest.mark.parametrize("factor", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_factor(self, factor):
+        """A numpy integer refines as the int it equals, to int vertices."""
+        big = refine(canonical_trefoil(), factor)
+        assert big == refine(canonical_trefoil(), 3)
+        assert {type(c) for p in big.vertices for c in p} == {int}
+
     def test_segments_scale(self):
         knot = canonical_trefoil()
         orig = segments(knot)

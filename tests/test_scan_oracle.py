@@ -94,6 +94,8 @@ from knotfield.topology import (
     _clearances,
     _holonomy_results,
     _linking_results,
+    _measure,
+    _refusal,
     holonomy,
     linking_number,
     loop_clearance,
@@ -330,14 +332,18 @@ def test_hand_written_loops_agree():
 @SETTINGS
 @given(st.data())
 def test_clearance_stacks_agree(data):
-    """One ``_clearances`` pass over a stack of loops around one knot, tight,
-    on a stick's axis or not representable among them, gives each loop the
-    outcome of the edge-by-edge scan."""
+    """One ``_measure`` pass over a stack of loops around a fresh copy of one
+    knot, tight, on a stick's axis or not representable among them, gives
+    each loop the outcome of the edge-by-edge scan, an entry not finite
+    refused by ``_refusal``'s LinkingPrecisionError."""
     knot = data.draw(knots)
     loops = data.draw(st.lists(clearance_loops(st.just(knot)).map(lambda case: case[1]),
                                max_size=6))
-    assert [f"LinkingPrecisionError: {clear}" if isinstance(clear, LinkingPrecisionError)
-            else (struct.pack("<d", clear[0]), clear[1]) for clear in _clearances(knot, loops)] == \
+    with mock.patch("knotfield.topology._measure", wraps=_measure) as engine:
+        entries = _clearances(dataclasses.replace(knot), loops)
+    assert engine.call_count == (len(loops) > 0)
+    assert [f"LinkingPrecisionError: {error}" if (error := _refusal(entry))
+            else (struct.pack("<d", entry[0]), entry[1]) for entry in entries] == \
         [clearance_outcome(scan_loop_clearance, knot, loop) for loop in loops]
 
 
@@ -697,7 +703,7 @@ def assert_routes_count(knot, loop):
 @given(st.sampled_from((canonical_trefoil(), canonical_figure_eight(), CLOSURE_412)),
        st.integers(0, 2**32 - 1))
 def test_rect_loops_equal_the_piercing_count(knot, seed):
-    for loop in verification._rect_loops(np.random.default_rng(seed), knot, 3)[0]:
+    for loop in verification._rect_loops(np.random.default_rng(seed), knot, 3):
         assert_routes_count(knot, loop)
 
 
@@ -733,24 +739,43 @@ def test_half_lattice_rects_equal_the_piercing_count(case):
 
 
 rect_loops = st.builds(lambda knot, seed: (knot, verification._rect_loops(
-    np.random.default_rng(seed), knot, 1)[0][0]), knots, st.integers(0, 2**32 - 1))
+    np.random.default_rng(seed), knot, 1)[0]), knots, st.integers(0, 2**32 - 1))
+
+BATCHES = {"_holonomy_results": _holonomy_results, "_linking_results": _linking_results}
+
+
+def call_outcome(name, knot, loops):
+    """``public_outcome`` of a public call on the first loop, or a batch's
+    answers on them all, each float as its hex, or its error's type and message."""
+    if name in PUBLIC:
+        return public_outcome(name, knot, loops[0])
+    try:
+        got = BATCHES[name](knot, loops)
+    except FieldError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [tuple(v.hex() if isinstance(v, float) else v for v in
+                  (dataclasses.astuple(res) if dataclasses.is_dataclass(res) else res))
+            for res in got]
 
 
 @SETTINGS
 @given(st.lists(st.one_of(rect_loops, near_edge_loops()), min_size=2, max_size=2),
-       st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(PUBLIC)), st.booleans()),
-                min_size=1, max_size=8))
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from(sorted(PUBLIC) + sorted(BATCHES)),
+                          st.booleans()), min_size=1, max_size=8))
 def test_memo_answers_as_a_fresh_knot(cases, calls):
-    """The three public calls, interleaved over two (knot, loop) cases in any
-    order, each on its loop or on an equal but distinct copy, give the bits
-    of the same call on a fresh knot built from the same vertices.  The
-    canonical knots are shared across examples, so their memos start from
-    an earlier example's loop."""
+    """The three public calls and the two batches, interleaved over two
+    (knot, loop) cases in any order, each on its loops or on equal but
+    distinct copies, give the bits of the same call on a fresh knot built
+    from the same vertices.  A batch takes the case's loop, then the other
+    case's, around the case's knot.  The canonical knots are shared across
+    examples, so their loops' kept entries may come from earlier examples."""
     for case, name, copy in calls:
         knot, loop = cases[case]
+        loops = [loop, cases[1 - case][1]] if name in BATCHES else [loop]
+        copies = [Loop(each.vertices, each.name) for each in loops]
         fresh = LatticeKnot(vertices=knot.vertices, name=knot.name, k=knot.k)
-        assert public_outcome(name, knot, Loop(loop.vertices, loop.name) if copy else loop) == \
-            public_outcome(name, fresh, Loop(loop.vertices, loop.name))
+        assert call_outcome(name, knot, copies if copy else loops) == \
+            call_outcome(name, fresh, copies)
 
 
 def test_failing_batch_memory():

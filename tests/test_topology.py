@@ -2,10 +2,11 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import re
 import signal
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from knotfield.geometry import (
     segments,
     stick_ends,
 )
+from knotfield import topology
 from knotfield.topology import (
     LinkingPrecisionError,
     Loop,
@@ -30,6 +32,8 @@ from knotfield.topology import (
     _clearances,
     _holonomy_results,
     _linking_results,
+    _measure,
+    _refusal,
     holonomy,
     linking_number,
     loop_clearance,
@@ -189,7 +193,10 @@ class TestHolonomy:
         ({"tol": math.inf}, "tol must be finite and > 0"),
         ({"max_levels": -1}, "max_levels must be an integer >= 0, got -1"),
         ({"max_levels": 14.0}, "max_levels must be an integer >= 0"),
-    ], ids=["nan", "negative", "zero", "inf", "levels-negative", "levels-float"])
+        ({"max_levels": True}, "max_levels must be an integer >= 0, got True"),
+        ({"max_levels": False}, "max_levels must be an integer >= 0, got False"),
+    ], ids=["nan", "negative", "zero", "inf", "levels-negative", "levels-float", "levels-true",
+            "levels-false"])
     def test_invalid_bounds_refused(self, bounds, match):
         # Refused before the clearance check and before any kernel call, so
         # a loop through the conductor gets the ValueError; a NaN tol used
@@ -204,6 +211,13 @@ class TestHolonomy:
                 with pytest.raises(ValueError, match=match):
                     _holonomy_results(knot, [paper_loop(), loop], **bounds)
         assert kernel.call_count == along.call_count == 0
+
+    def test_numpy_integer_levels_accepted(self):
+        """``max_levels`` follows the one rule for integer arguments: a numpy
+        integer is taken as the int it equals."""
+        knot = canonical_trefoil()
+        assert holonomy(knot, paper_loop(), max_levels=np.int64(40)) == \
+            holonomy(knot, paper_loop(), max_levels=40)
 
     @pytest.mark.parametrize("k", [1e308, -1e308, 2e307])
     def test_overflowing_k_refused(self, k):
@@ -321,16 +335,17 @@ class TestBatchedLinking:
     def test_each_loop_as_alone(self, knot):
         """Mixed edge counts, so each loop's rows sit at their own offset:
         every integer and raw total has the bits of the one-loop sum and of
-        ``linking_number``, and the clearance tuples a caller measured give
-        the same answers."""
+        ``linking_number``, and the clearances kept from ``polygons``' checks
+        give the answers of a fresh knot, which measures them in one pass."""
         loops = polygons(knot, 0, 24)
         got = linking_outcome(_linking_results, knot, loops)
         assert got == linking_one_at_a_time(knot, loops) == \
             linking_outcome(lambda knot, loops: [
                 (linking_number(knot, loop), _linking_results(knot, [loop])[0][1])
                 for loop in loops], knot, loops)
-        assert got == linking_outcome(_linking_results, knot, loops,
-                                      [loop_clearance(knot, loop) for loop in loops])
+        with mock.patch("knotfield.topology._measure", wraps=_measure) as engine:
+            assert got == linking_outcome(_linking_results, dataclasses.replace(knot), loops)
+        assert engine.call_count == 1
         assert any(lk for lk, _ in got)
 
     @pytest.mark.parametrize("bad", [[THROUGH], [HUGE], [OVERFLOWING], [AMBIGUOUS],
@@ -351,10 +366,14 @@ class TestBatchedLinking:
 
 
 def clearance_outcomes(knot, loops):
-    """``_clearances`` of the loops, each distance as its hex, or each
-    error's type and message."""
-    return [f"{type(clear).__name__}: {clear}" if isinstance(clear, FieldError)
-            else (clear[0].hex(), clear[1]) for clear in _clearances(knot, loops)]
+    """``_clearances`` of the loops on a fresh copy of the knot, one pass over
+    them all, each distance as its hex, or the type and message of the error
+    ``_refusal`` builds from an entry that is not finite."""
+    entries = _clearances(dataclasses.replace(knot), loops)
+    assert all(type(clear) is float and type(edge) is type(stick) is int
+               for clear, (edge, stick) in entries)
+    return [f"{type(error).__name__}: {error}" if (error := _refusal(entry))
+            else (entry[0].hex(), entry[1]) for entry in entries]
 
 
 def one_at_a_time(route, knot, loops):
@@ -393,8 +412,9 @@ class TestClearances:
             one_at_a_time(scan_loop_clearance, knot, loops)
 
     def test_unrepresentable_loop_mid_batch(self):
-        """A loop with a vertex at 1e200 gets its own LinkingPrecisionError,
-        and the loops around it keep their tuples."""
+        """A loop with a vertex at 1e200 gets its own entry, the first pair
+        whose distance is not finite, refused with a LinkingPrecisionError,
+        and the loops around it keep their entries."""
         knot = canonical_trefoil()
         loops = polygons_3_to_8(knot, 1, 6)
         loops = loops[:3] + [HUGE] + loops[3:]
@@ -402,6 +422,9 @@ class TestClearances:
         assert got == one_at_a_time(loop_clearance, knot, loops) == \
             one_at_a_time(scan_loop_clearance, knot, loops)
         assert [isinstance(outcome, str) for outcome in got] == [False] * 3 + [True] + [False] * 3
+        clear, (edge, stick) = _clearances(knot, loops)[3]
+        assert not math.isfinite(clear) and f"loop edge {edge} " in got[3] and \
+            f"circuit segment {stick} evaluates to {clear}" in got[3]
         with pytest.raises(LinkingPrecisionError):
             _holonomy_results(knot, loops)
 
@@ -446,25 +469,44 @@ def test_draws_refuse_a_clearance_not_finite(draw, clearance):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight()],
+                         ids=["3_1", "4_1"])
+@pytest.mark.parametrize("draw", [
+    lambda rng, knot, clearance: random_rect_loop(rng, knot, clearance),
+    lambda rng, knot, clearance: verification._rect_loops(rng, knot, 3, clearance),
+    lambda rng, knot, clearance: random_clear_points(rng, *stick_ends(knot), 3, 3.0, clearance)],
+    ids=["random_rect_loop", "_rect_loops", "random_clear_points"])
+def test_draws_refuse_a_clearance_no_candidate_meets(draw, knot):
+    """Every candidate and stick lies in the box drawn from, so no candidate
+    is as far from the circuit as the box's diagonal: a clearance of 100
+    around 3_1 or 4_1 is refused before any draw, under an alarm."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with alarm(10), pytest.raises(ValueError, match="clearance must be finite and below the "
+                                                    r"box's diagonal \d+\.\d+, got 100.0"):
+        draw(rng, knot, 100.0)
+    assert rng.bit_generator.state == state
+
+
 def test_verify_measures_each_clearance_once():
     """``holonomy-vs-linking`` draws its loops in rounds of exactly as many
-    candidates as are still missing, measures each candidate once, in one
-    ``_clearances`` pass per round, and hands the tuples on.  ``holonomy``
-    then ``linking_number`` on a loop of their own measure it once between
-    them, an equal but distinct loop reads the knot's memo, and a different
-    loop is measured."""
+    candidates as are still missing and measures each candidate once, in one
+    ``_measure`` pass per round; its batched holonomy and linking calls read
+    the kept entries and measure nothing.  ``holonomy`` then
+    ``linking_number`` on a loop of their own measure it once between them,
+    an equal but distinct loop reads its entry, and a different loop is
+    measured."""
     knot, rounds = canonical_trefoil(), []
 
     def measured(knot, loops):
-        out = _clearances(knot, loops)
+        out = _measure(knot, loops)
         rounds.append((loops, sum(clear >= 0.5 for clear, _ in out)))
         return out
 
-    with mock.patch("knotfield.topology._clearances", wraps=_clearances) as engine, \
-            mock.patch("knotfield.verification._clearances", measured), \
+    with mock.patch("knotfield.topology._measure", measured), \
             mock.patch("knotfield.verification.Loop", wraps=Loop) as drawn:
         name, passed, *_ = suite_holonomy_linking(knot, 0, 20)
-        assert passed and engine.call_count == 0
+        assert passed
         missing = 20
         for loops, kept in rounds:
             assert len(loops) == missing
@@ -472,15 +514,15 @@ def test_verify_measures_each_clearance_once():
         candidates = [id(loop) for loops, _ in rounds for loop in loops]
         assert missing == 0 and len(rounds) > 1
         assert len(set(candidates)) == len(candidates) == drawn.call_count > 20
-        engine.reset_mock()
+        rounds.clear()
         loop = paper_loop()
         holonomy(knot, loop)
         linking_number(knot, loop)
-        assert engine.call_count == 1
+        assert len(rounds) == 1
         linking_number(knot, paper_loop())
-        assert engine.call_count == 1
+        assert len(rounds) == 1
         loop_clearance(knot, loop.reversed())
-        assert engine.call_count == 2
+        assert len(rounds) == 2
 
 
 PUBLIC = {"loop_clearance": loop_clearance, "holonomy": holonomy, "linking_number": linking_number}
@@ -546,19 +588,39 @@ def test_memo_errors_keep_their_data(loop):
         assert clear == hol and kind == "LinkingPrecisionError" and len(errors) == 6 * 3 * 3
 
 
-def test_memo_keeps_one_loop_per_knot():
-    """The knot keeps the last loop it measured, and no more: after loop A
-    and then loop B, A is freed."""
-    knot, a, b = canonical_trefoil(), paper_loop(), paper_loop().reversed()
-    linking_number(knot, a)
-    kept = weakref.ref(a)
-    del a
+def test_store_keeps_one_knot_per_loop():
+    """A loop keeps the entry of the last knot it was measured against, and
+    the store keeps neither alive: the three calls on one knot measure the
+    loop once, another knot measures it again and takes the knot's place,
+    the knots are freed while the loop lives, and once the loop is freed no
+    entry is left."""
+    knot, other, loop = canonical_trefoil(), canonical_trefoil(), Loop(paper_loop().vertices, "s")
+    with mock.patch("knotfield.topology._measure", wraps=_measure) as engine:
+        for each in (knot, knot, other, other, knot):
+            for call in PUBLIC.values():
+                call(each, loop)
+    assert engine.call_count == 3
+    refs = [weakref.ref(kept) for kept in (knot, other, loop)]
+    del knot, other, each, engine           # the mock keeps its calls' arguments
     gc.collect()
-    assert kept() is not None
-    for call in PUBLIC.values():
-        call(knot, b)
+    assert [ref() for ref in refs] == [None, None, loop] and loop in topology._kept
+    del loop
     gc.collect()
-    assert kept() is None
+    assert refs[2]() is None and Loop(paper_loop().vertices, "s") not in topology._kept
+
+
+@pytest.mark.parametrize("loop", [paper_loop(), THROUGH, HUGE], ids=lambda loop: loop.name)
+def test_knot_and_loop_pickle_after_every_call(loop):
+    """After the three public calls and both batches, a knot and a loop
+    pickle, and the copies are equal and answer as the originals."""
+    knot = canonical_trefoil()
+    want = [public_outcome(name, knot, loop) for name in PUBLIC]
+    for batch in (_holonomy_results, _linking_results):
+        with pytest.raises(FieldError) if loop.name != "paper" else nullcontext():
+            batch(knot, [loop, paper_loop()])
+    copies = pickle.loads(pickle.dumps((knot, loop)))
+    assert copies == (knot, loop)
+    assert [public_outcome(name, *copies) for name in PUBLIC] == want
 
 
 def test_invalid_knot_raises_on_every_call():
@@ -577,24 +639,33 @@ def test_invalid_knot_raises_on_every_call():
 
 def test_verify_draws_and_integrates_each_loop_once():
     """``verify`` draws its loops only in ``holonomy-vs-linking``, in one
-    ``_rect_loops`` call, and makes two batched holonomy calls: every loop at
-    base scale with the clearances its draws measured, then the first half
-    on the knot refined by 3, each edge split in two, whose clearances the
-    call measures itself, in one ``_clearances`` pass."""
-    knot = canonical_trefoil()
+    ``_rect_loops`` call that makes one ``_measure`` pass per round, and
+    makes two batched holonomy calls: every loop at base scale, reading the
+    entries its draws kept, then the first half on the knot refined by 3,
+    each edge split in two, whose clearances the call measures in one pass.
+    No other call measures a clearance."""
+    knot, calls = canonical_trefoil(), mock.Mock()
     with mock.patch("knotfield.verification._rect_loops", wraps=verification._rect_loops) as draws, \
             mock.patch("knotfield.verification._holonomy_results",
                        wraps=_holonomy_results) as batches, \
-            mock.patch("knotfield.topology._clearances", wraps=_clearances) as engine:
+            mock.patch("knotfield.verification._linking_results", wraps=_linking_results) as links, \
+            mock.patch("knotfield.topology._measure", wraps=_measure) as engine:
+        for name, each in (("draws", draws), ("holonomy", batches), ("linking", links),
+                           ("measure", engine)):
+            calls.attach_mock(each, name)
         results = run_verification(knot, seed=0, loops=20, points=4, kernel_pairs=2)
     assert all(r.passed for r in results)
     assert draws.call_count == 1 and draws.call_args[0][2] == 20
+    order = [call[0] for call in calls.mock_calls]
+    rounds = order.index("holonomy") - 1
+    assert rounds > 1 and order == ["draws"] + ["measure"] * rounds + [
+        "holonomy", "linking", "holonomy", "measure"]
     (base, base_kw), (refined, refined_kw) = batches.call_args_list
-    assert base[0].vertices == knot.vertices and len(base[1]) == len(base_kw["clearances"]) == 20
-    assert refined[0].vertices == refine(knot, 3).vertices and "clearances" not in refined_kw
+    assert base[0].vertices == knot.vertices and len(base[1]) == 20
+    assert refined[0].vertices == refine(knot, 3).vertices
     assert [len(loop.vertices) for loop in refined[1]] == [8] * 10
-    (measured_knot, measured), = [call[0] for call in engine.call_args_list]
-    assert measured_knot is refined[0] and measured == refined[1]
+    assert all(call[0][0] is base[0] for call in engine.call_args_list[:-1])
+    assert engine.call_args[0] == (refined[0], refined[1])
 
 
 class TestVerifyFlatConnection:
@@ -666,14 +737,20 @@ class TestLinkingProperties:
                       braid_closures()),
        seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), clearance=st.floats(0.0, 1.0))
 def test_rect_loops_draw_as_one_at_a_time(knot, seed, n, clearance):
-    """Rounds of as many candidates as are missing give the loops, tuples
-    and final generator state of n ``random_rect_loop`` calls."""
+    """Rounds of as many candidates as are missing give the loops and final
+    generator state of n ``random_rect_loop`` calls, and keep each loop's
+    entry: ``_clearances`` then measures nothing and reads the entries a
+    fresh knot measures."""
     rng = np.random.default_rng(seed)
-    loops, clears = verification._rect_loops(rng, knot, n, clearance)
+    loops = verification._rect_loops(rng, knot, n, clearance)
     after = rng.bit_generator.state
+    with mock.patch("knotfield.topology._measure", wraps=_measure) as engine:
+        kept = _clearances(knot, loops)
+    assert engine.call_count == 0
     rng = np.random.default_rng(seed)
     want = [random_rect_loop(rng, knot, clearance) for _ in range(n)]
-    assert loops == want and clears == [loop_clearance(knot, loop) for loop in want]
+    fresh = dataclasses.replace(knot)
+    assert loops == want and kept == [loop_clearance(fresh, loop) for loop in want]
     assert after == rng.bit_generator.state
 
 
