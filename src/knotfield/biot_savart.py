@@ -47,8 +47,10 @@ The independent oracle for the closed form, in the test suite and in
 dB = k dl x s / |s|^3: per-panel bisection with a Gauss panel rule, the
 integrator ``_bisect`` that holonomy also runs.  It takes many (stick,
 point) rows at once, one depth per step, so a row's bits are those it has
-alone; ``segment_field_quadrature`` is the one-row case.  A k so large
-that the field overflows is refused with ValueError.
+alone; ``segment_field_quadrature`` is the one-row case.  Each node forms
+only the stick's moving coordinate and adds the two fixed squared offsets
+in a three-wide sum's x, y, z order, so no bit moves.  A k so large that
+the field overflows is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -97,17 +99,17 @@ def _finite(points):
         raise ValueError(f"point {i} {tuple(points[i].tolist())} is not finite")
 
 
-def _pair_terms(operands):
+def _pair_terms(operands, clearance=True):
     """The kernel's arithmetic.  ``operands`` yields (sticks, p_a, p_b, p_c):
     packed sticks, a tile's as columns or one stick's as Python scalars, and
     the points' coordinates along each stick's axis a and its other axes
     b < c, shaped by the driver to broadcast.  Yields (h_b, h_c, factor,
     dist2): the field (k = 1) along b and c is h_b and h_c times factor, and
-    dist2 each stick's squared distance at each point.  One frame serves
-    every item, so each array replaces the last item's one at a time, as in
-    a plain loop; freeing them all at once between tiles made glibc return
-    the heap top and fault it back in, 1.7 times the page faults and 7% more
-    time on 412 sticks."""
+    dist2 each stick's squared distance at each point, a tile's None unless
+    ``clearance``.  One frame serves every item, so each array replaces the
+    last item's one at a time, as in a plain loop; freeing them all at once
+    between tiles made glibc return the heap top and fault it back in, 1.7
+    times the page faults and 7% more time on 412 sticks."""
     for sticks, p_a, tb, tc in operands:
         (s_a, s_b, s_c), (lo_a, hi_a), length = sticks.start, sticks.span, sticks.length
         az1 = sticks.sign * (p_a - s_a)    # axial coord of P from start
@@ -118,15 +120,16 @@ def _pair_terms(operands):
         na = np.sqrt(r2 + az1 * az1)       # |P - start|
         nb = np.sqrt(r2 + az2 * az2)       # |P - end|
         broadside = (az1 >= 0.0) & (az2 <= 0.0)
-        # Distance to each stick's closest point, its squared offsets
-        # summed in x, y, z order whatever the stick's axis, so sticks
-        # equally near, as at a shared vertex, tie exactly and the lowest
-        # index wins.  (a, b, c) is (x, y, z), (y, x, z) or (z, x, y), so
-        # the axial offset comes first unless the stick is along z.
-        q = np.maximum(p_a, lo_a)
-        np.minimum(q, hi_a, out=q)
-        q -= p_a
-        q *= q                             # axial offset^2
+        if clearance:
+            # Distance to each stick's closest point, its squared offsets
+            # summed in x, y, z order whatever the stick's axis, so sticks
+            # equally near, as at a shared vertex, tie exactly and the lowest
+            # index wins.  (a, b, c) is (x, y, z), (y, x, z) or (z, x, y), so
+            # the axial offset comes first unless the stick is along z.
+            q = np.maximum(p_a, lo_a)
+            np.minimum(q, hi_a, out=q)
+            q -= p_a
+            q *= q                         # axial offset^2
         # Between the endpoints the direct form is stable (r2 == 0 there
         # only on the conductor, which contributes nothing); beyond them
         # cos t1 + cos t2 nearly cancels, so use the equivalent form with
@@ -149,7 +152,7 @@ def _pair_terms(operands):
             dist2 = r2 + q if sticks.along_z else (q + tb2) + tc2
         else:
             factor = np.where(broadside, direct(), factor)
-            dist2 = np.where(sticks.along_z, r2 + q, (q + tb2) + tc2)
+            dist2 = np.where(sticks.along_z, r2 + q, (q + tb2) + tc2) if clearance else None
         yield -sticks.hand * tc, sticks.hand * tb, factor, dist2
 
 
@@ -172,12 +175,13 @@ def _flow_sum(term):
     return np.add.accumulate(term, -2)[..., -1, :] + 0.0
 
 
-def _tiles(sticks: PackedSticks, points):
+def _tiles(sticks: PackedSticks, points, clearance=True):
     """(rows, ``_pair_terms`` item) for each tile of the (M, 3) points, at
     most ``_TILE_PAIRS`` (point, stick) pairs, rows the tile's slice."""
     pts, step = np.ascontiguousarray(points.T), max(1, _TILE_PAIRS // len(sticks.sign))
     rows = [slice(lo, lo + step) for lo in range(0, len(points), step)]
-    return zip(rows, _pair_terms((sticks, *(pts[ax, r] for ax in sticks.roles)) for r in rows))
+    tiles = ((sticks, *(pts[ax, r] for ax in sticks.roles)) for r in rows)
+    return zip(rows, _pair_terms(tiles, clearance))
 
 
 def _stick_field(sticks: PackedSticks, points):
@@ -205,7 +209,7 @@ def _axis_field(sticks: PackedSticks, points, axis, length):
     alone, from one ``_along`` term per (stick, point) at the point's axis."""
     out = np.empty(len(points))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rows, (h_b, h_c, factor, _) in _tiles(sticks, points):
+        for rows, (h_b, h_c, factor, _) in _tiles(sticks, points, clearance=False):
             out[rows] = _flow_sum(_along(sticks, h_b, h_c, factor, axis[rows]))
     return np.multiply(out, length, out=out)
 
@@ -345,8 +349,9 @@ def _bisect(integrand, budget, max_depth):
     to left, as a depth-first scan would, so a row's bits are its own.
     """
     def panel(rows, lo, hi):        # each (1 x 10) @ (10 x 1) dot as one interval's alone
-        f = integrand(rows, 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * _GL_X)
-        return 0.5 * (hi - lo) * (_GL_W @ f[..., None])[..., 0]
+        half = 0.5 * (hi - lo)
+        f = integrand(rows, 0.5 * (hi + lo)[..., None] + half[..., None] * _GL_X)
+        return half * (_GL_W @ f[..., None])[..., 0]
 
     rows, total = np.arange(len(budget)), np.zeros((len(budget), 2))
     ends = np.zeros((len(rows), 1)) + (0.0, 0.5, 1.0)      # each live panel's lo, mid, hi
@@ -355,11 +360,12 @@ def _bisect(integrand, budget, max_depth):
     while True:
         err = np.abs((fine := parts[:, 1] + parts[:, 2]) - parts[:, 0])
         done = err <= np.maximum(budget, 2.0 ** -46 * scale)        # 64 ulps of 1 times scale
-        kept.append((rows[done], ends[done, 0], np.column_stack((fine, err))[done]))
-        if (bad := np.flatnonzero(~(np.isfinite(err) & (done | (depth < max_depth))))).size:
+        kept.append((done, rows, ends[:, 0], fine, err))    # filtered after the loop
+        if (depth >= max_depth or not np.isfinite(err).all()) and (bad := np.flatnonzero(
+                ~(np.isfinite(err) & (done | (depth < max_depth))))).size:
             i = bad[rows[bad] == rows[bad[0]]][-1]      # rows, and each row's panels, in order
             failure = (int(rows[i]), depth, float(ends[i, 0]), float(ends[i, 2]))
-            done |= (rows > rows[i]) | (rows == rows[i]) & (ends[:, 0] <= ends[i, 0])
+            done = done | (rows > rows[i]) | (rows == rows[i]) & (ends[:, 0] <= ends[i, 0])
         if not (go := np.flatnonzero(~done)).size:
             break
         rows, budget, scale = (np.repeat(x[go], 2) for x in (rows, 0.5 * budget, scale))
@@ -368,7 +374,8 @@ def _bisect(integrand, budget, max_depth):
         coarse = parts[go, 1:].ravel()
         scale, depth = np.maximum(scale, np.abs(coarse)), depth + 1
         parts = np.column_stack((coarse, panel(rows, ends[:, :2], ends[:, 1:])))
-    rows, lo, sums = (np.concatenate(x) for x in zip(*kept))
+    done, rows, lo, fine, err = (np.concatenate(x) for x in zip(*kept))
+    rows, lo, sums = rows[done], lo[done], np.column_stack((fine, err))[done]
     np.add.at(total, rows[order := np.argsort(-lo)], sums[order])     # one add at a time
     return total, failure
 
@@ -377,6 +384,9 @@ def _quadrature(starts, ends, points, k, tol, max_depth):
     """k times dB = dl x s / |s|^3 integrated along stick i, starts[i] ->
     ends[i], at points[i], for each of the M rows: (M, 3), by ``_bisect`` in
     blocks of ``_QUAD_ROWS`` rows.  QuadratureError for the lowest failing row.
+    Only a stick's own coordinate moves, so a node forms d = a_ax - t * u_ax
+    alone and adds the fixed squared offsets as row constants, (d^2 + k1) +
+    k2, k2 the z one (0.0 for a z stick): np.sum's (x + y) + z, bit for bit.
     """
     starts, ends, points = (np.asarray(x, dtype=float) for x in (starts, ends, points))
     if len(points) > _QUAD_ROWS:
@@ -390,10 +400,14 @@ def _quadrature(starts, ends, points, k, tol, max_depth):
     c = np.cross(u, a)
     cmax = np.max(np.abs(c), axis=1)
     live = np.flatnonzero(cmax > 0.0)
+    ax = (np.arange(len(u)), np.argmax(u != 0.0, axis=1))      # each stick's one axis
+    sq = np.where(u != 0.0, 0.0, a * a)                       # the other two offsets^2
+    a_ax, u_ax, k1, k2 = (x[live, None, None]                 # against each row's nodes
+                          for x in (a[ax], u[ax], sq[:, 0] + sq[:, 1], sq[:, 2]))
 
     def integrand(rows, t):
-        d = a[live[rows], None, None, :] - t[..., None] * u[live[rows], None, None, :]
-        return 1.0 / np.sum(d * d, axis=3) ** 1.5
+        d = a_ax[rows] - t * u_ax[rows]
+        return 1.0 / ((d * d + k1[rows]) + k2[rows]) ** 1.5
 
     (sums, failure), out = _bisect(integrand, tol / cmax[live], max_depth), np.zeros_like(c)
     if failure is not None:

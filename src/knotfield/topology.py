@@ -187,6 +187,14 @@ def _measure(knot: LatticeKnot, loops):
         t = t.clip(0.0, 1.0)
         gap = p0[:, None, :] + s[..., None] * d1[:, None, :] - (q0 + t[..., None] * d2)
         d = np.sqrt(np.add.reduce(gap * gap, axis=-1))      # np.linalg.norm's own sum
+        # Axis-parallel segments are their own boxes: a pair within rounding of
+        # 0 meets exactly where its boxes overlap, and is then at 0.
+        edge, stick = np.nonzero(d <= 2.0 ** -40 * np.abs(np.concatenate((p0, q0))).max())
+        if edge.size:
+            (e_lo, e_hi), (s_lo, s_hi) = (np.sort((x0[k], x1[k]), axis=0)
+                                          for x0, x1, k in ((p0, p1, edge), (q0, q1, stick)))
+            meet = ((e_lo <= s_hi) & (s_lo <= e_hi)).all(axis=1) & ((d1[edge] != 0.0).sum(1) == 1)
+            d[edge[meet], stick[meet]] = 0.0
     entries = []
     for rows in (d[lo:lo + n] for lo, n in zip(firsts, sizes)):
         i, j = divmod(int(np.argmin(np.where(np.isfinite(rows), rows, -np.inf))), rows.shape[1])

@@ -25,7 +25,11 @@ drivers must carry the bits of ``scan_stick_field``, the tiles as they
 were before the drivers shared one per-axis term, signed zeros and NaN
 included, on a one-point tile too.  On rectangles, holonomy's inferred
 linking and the Gauss sum must each equal the exact piercing count or
-refuse with a typed error.  Batches that
+refuse with a typed error; on degenerate rectangles, with a stick in their
+plane or on their boundary, both refuse one that meets the knot, and each
+answer equals the count of the rectangle moved off the degeneracy.  The
+quadrature routes must keep the scan oracle's bits at offsets whose
+squares overflow, are subnormal or are 0.  Batches that
 mix axis-aligned rectangles with skew triangles and hexagons must give
 each loop the holonomy and linking bits of the loop alone and of the
 scans.  The transcription ledger reads each printed term against
@@ -442,6 +446,73 @@ def test_quadrature_rows_are_independent(seed, n, k, tol_depth, data):
         assert together[2] == b"".join(o[2] for o in alone)
 
 
+def field_outcome(route, *args, **kwargs):
+    """``quadrature_outcome`` with an on-conductor refusal as its message,
+    numpy's floating-point warnings off: an offset whose square overflows
+    warns in every route."""
+    try:
+        with np.errstate(all="ignore"):
+            return quadrature_outcome(route, *args, **kwargs)
+    except OnConductorError as exc:
+        return f"OnConductorError: {exc}"
+
+
+# Transverse offsets, each drawn as +-10^U(lo, hi) or exactly 0: squares
+# that overflow, squares that are subnormal or zero, and ordinary ones.
+OFFSETS = {"overflow": (155.0, 300.0), "subnormal": (-320.0, -160.0), "zero": None,
+           "ordinary": (-3.0, 1.0)}
+
+
+@st.composite
+def offset_stick_points(draw, axis=None, sign=None, kind=None):
+    """A stick along sign * e_axis and a point beside it or beyond either
+    end, whose offsets on the two other axes are of ``kind`` and of any kind
+    of ``OFFSETS``, in either order: the squares the oracle adds to its one
+    moving coordinate's."""
+    axis = draw(st.integers(0, 2)) if axis is None else axis
+    sign = draw(st.sampled_from([1, -1])) if sign is None else sign
+    kinds = [draw(st.sampled_from(sorted(OFFSETS))) if kind is None else kind,
+             draw(st.sampled_from(sorted(OFFSETS)))]
+    start, length = draw(st.tuples(*[st.integers(-6, 6)] * 3)), draw(st.integers(1, 8))
+    end = list(start)
+    end[axis] += sign * length
+    p = np.array(start, dtype=float)
+    p[axis] += sign * draw(st.one_of(st.floats(-6.0, length + 6.0), st.sampled_from((0, length))))
+    for ax, each in zip(draw(st.permutations([(axis + 1) % 3, (axis + 2) % 3])), kinds):
+        if OFFSETS[each] is not None:
+            p[ax] += draw(st.sampled_from([1, -1])) * 10.0 ** draw(st.floats(*OFFSETS[each]))
+    return Segment(start, tuple(end)), p
+
+
+@SETTINGS
+@pytest.mark.parametrize("kind", ["overflow", "subnormal", "zero"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@given(data=st.data(), k=KS, tol=st.sampled_from((1e-6, 1e-10)), max_depth=st.sampled_from((1, 40)))
+def test_quadrature_agrees_at_extreme_offsets(axis, sign, kind, data, k, tol, max_depth):
+    """Along every axis and direction, with an offset whose square overflows,
+    is subnormal or is 0 (the point on the stick's axis line),
+    ``segment_field_quadrature`` and one batched ``_quadrature`` call of
+    these rows and up to three of any kind give the scan oracle's bits, or
+    its error: the oracle's constant squared offsets are the terms its
+    three-wide sum adds in x, y, z order."""
+    cases = [data.draw(offset_stick_points(axis, sign, kind))]
+    cases += data.draw(st.lists(offset_stick_points(), max_size=3))
+    want = [field_outcome(scan_segment_field_quadrature, seg, p, k=k, tol=tol,
+                          max_depth=max_depth) for seg, p in cases]
+    assert [field_outcome(segment_field_quadrature, seg, p, k=k, tol=tol, max_depth=max_depth)
+            for seg, p in cases] == want
+    rows = [(case, w) for case, w in zip(cases, want)
+            if not (isinstance(w, str) and w.startswith("OnConductorError"))]
+    assume(rows)
+    (segs, points), outcomes = zip(*(case for case, _ in rows)), [w for _, w in rows]
+    got = field_outcome(_quadrature, [s.start for s in segs], [s.end for s in segs],
+                        np.array(points), k, tol, max_depth)
+    failed = [o for o in outcomes if isinstance(o, str)]
+    assert got == (failed[0] if failed else ((len(rows), 3), "<f8",
+                                              b"".join(o[2] for o in outcomes)))
+
+
 @SETTINGS
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from((0.0, 0.0, 0.0, 1e-6, 1e-3, 0.3)),
                           st.floats(-9.0, -3.0)), min_size=1, max_size=4),
@@ -736,6 +807,78 @@ def half_lattice_rects(draw):
 @given(half_lattice_rects())
 def test_half_lattice_rects_equal_the_piercing_count(case):
     assert_routes_count(*case)
+
+
+def touches(knot, loop):
+    """Whether an edge of the axis-aligned loop meets a stick, exactly: each
+    is its own box, so they meet where the boxes overlap on every axis."""
+    starts, ends = stick_ends(knot)
+    p0 = np.array(loop.vertices)[:, None]
+    p1 = np.roll(p0, -1, axis=0)
+    return bool(((np.minimum(p0, p1) <= np.maximum(starts, ends))
+                 & (np.minimum(starts, ends) <= np.maximum(p0, p1))).all(axis=2).any())
+
+
+# Floats at least 2^-28 from every lattice value.
+OFF_LATTICE = 2.0 ** -28
+
+
+@st.composite
+def degenerate_rects(draw):
+    """(knot, loop): an axis-aligned rectangle in the lattice plane through
+    an end of one of the knot's sticks, around that stick and every stick
+    lying in the plane, traversed either way.  Each side is at the edge of
+    those sticks' extent, at a lattice value or at a float at least
+    ``OFF_LATTICE`` from every lattice value beyond it, in the knot's box
+    inflated by 2; in half the draws every side is such a float, and the
+    loop clears the knot by at least that much."""
+    knot = draw(st.one_of(knots, st.just(CLOSURE_412)))
+    starts, ends = stick_ends(knot)
+    j, n = draw(st.integers(0, len(starts) - 1)), draw(st.integers(0, 2))
+    c = draw(st.sampled_from((starts[j, n], ends[j, n])))
+    held = (starts[:, n] == c) & (ends[:, n] == c) | (np.arange(len(starts)) == j)
+    near = np.minimum(starts[held], ends[held]).min(axis=0).tolist()
+    far = np.maximum(starts[held], ends[held]).max(axis=0).tolist()
+    lo, hi, clear = *bounding_box(knot), draw(st.booleans())
+    corner = {n: [float(c)] * 4}
+    for a, turn in (((n + 1) % 3, (0, 1, 1, 0)), ((n + 2) % 3, (0, 0, 1, 1))):
+        sides = []
+        for x, span in ((near[a], (lo[a] - 2, near[a])), (far[a], (far[a], hi[a] + 2))):
+            off = st.floats(*map(float, span)).filter(lambda f: abs(f - round(f)) >= OFF_LATTICE)
+            sides.append(draw(off if clear else st.one_of(st.just(x), st.integers(*span), off)))
+        assume(sides[0] < sides[1])
+        corner[a] = [sides[t] for t in turn]
+    loop = Loop(vertices=tuple(zip(corner[0], corner[1], corner[2])))
+    return knot, loop.reversed() if draw(st.booleans()) else loop
+
+
+@SETTINGS
+@given(degenerate_rects())
+@example((canonical_trefoil(), Loop(((-0.3, -0.3, 4.0), (6.0, -0.3, 4.0), (6.0, 8.0, 4.0),
+                                     (-0.3, 8.0, 4.0)))))    # meets stick 9; read 8.9e-16
+def test_degenerate_rects_equal_the_shifted_piercing_count(case):
+    """A rectangle with a stick in its plane or on its boundary has no
+    piercing count.  When it meets the knot both routes refuse it with a
+    typed error; else holonomy's inferred linking and the Gauss sum each
+    equal the piercing count of the rectangle moved by 2^-28 / 4 along
+    (1, 1, 1) and along -(1, 1, 1), which agree, or refuse with a typed
+    error (holonomy within its exclusion radius).  Edges on a lattice line
+    put holonomy's nodes on sticks' axis extensions."""
+    knot, loop = case
+    assert piercing_count(knot, loop) is None
+    answers = []
+    for route in (lambda: holonomy(knot, loop).inferred_linking, lambda: linking_number(knot, loop)):
+        try:
+            answers.append(route())
+        except FieldError as exc:
+            answers.append(type(exc))
+    if touches(knot, loop):
+        assert not any(isinstance(a, int) for a in answers), answers
+        return
+    counts = {piercing_count(knot, Loop(tuple(tuple(c + eps for c in v) for v in loop.vertices)))
+              for eps in (OFF_LATTICE / 4, -OFF_LATTICE / 4)}
+    assert len(counts) == 1 and None not in counts
+    assert all(a in counts or not isinstance(a, int) for a in answers), (answers, counts)
 
 
 rect_loops = st.builds(lambda knot, seed: (knot, verification._rect_loops(
