@@ -59,7 +59,7 @@ import math
 
 import numpy as np
 
-from .geometry import LatticeKnot, PackedSticks, Segment
+from .geometry import LatticeKnot, PackedSticks, Segment, _int_at_least
 
 # Field vectors are numpy arrays of shape (3,): (Bx, By, Bz) in units of k.
 FieldVector = np.ndarray
@@ -332,7 +332,7 @@ def _check_positive(name, value):
 
 def _check_bounds(tol, max_depth, depth_name):
     _check_positive("tol", tol)
-    if not isinstance(max_depth, (int, np.integer)) or isinstance(max_depth, bool) or max_depth < 0:
+    if not _int_at_least(max_depth, 0):
         raise ValueError(f"{depth_name} must be an integer >= 0, got {max_depth!r}")
 
 

@@ -21,8 +21,10 @@ the convention is fixed so the projected crossing signs sum to the writhe.
 Closure arcs stay on the front face and nest around the braid's bounding
 box: the strand ending at height 2j returns at level 2n + 2(n-j+1), with
 lower strands travelling on wider, higher arcs so no two arcs meet.  The
-builder is deterministic and favors an obviously-correct embedding over a
-small one; minimal embeddings are the knot catalog's job, not the builder's.
+builder, ``close_braid_on_lattice``, is the one layout source: it lays out
+each letter from the word, favoring an obviously-correct embedding over a
+small one.  ``plan_embedding`` gives what callers read without building the
+knot: ``strands``, ``front_y``, ``back_y``, ``closure_levels`` and ``bounding_box``.
 """
 
 from __future__ import annotations
@@ -144,20 +146,26 @@ def permutation_cycles(word: BraidWord) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-@dataclass(frozen=True)
-class LetterPlacement:
-    x_interval: tuple[int, int]
-    lower_slot: int            # 0-based slot of the lower participating strand
-    migrates_lower: bool       # True when the lower strand visits the back face
-    heights: tuple[int, int]   # z of the two participating strands at entry
+_TILE = 4
+_FRONT_Y, _BACK_Y = 0, 2
+
+
+def _height(slot):
+    """z of the strand in 0-based slot ``slot`` between tiles."""
+    return 2 * (slot + 1)
+
+
+def _arc(n, slot):
+    """How far the closure arc from ``slot`` reaches past the braid in x, and its z-level."""
+    reach = 2 * (n - slot)
+    return reach, 2 * n + reach
 
 
 @dataclass(frozen=True)
 class EmbeddingPlan:
-    """Where each letter's crossing tile sits and how the closure returns."""
+    """What a caller can know of a closure's layout without building it."""
 
     strands: int
-    placements: tuple[LetterPlacement, ...]
     front_y: int
     back_y: int
     closure_levels: tuple[int, ...]    # return z-level for slot j (0-based)
@@ -165,29 +173,11 @@ class EmbeddingPlan:
 
 
 def plan_embedding(word: BraidWord) -> EmbeddingPlan:
-    n, m = word.strands, len(word.letters)
-    placements = []
-    occupied_slots = list(range(n))
-    for j, (gi, sign) in enumerate(word.letters):
-        i = gi - 1
-        placements.append(
-            LetterPlacement(
-                x_interval=(4 * j, 4 * j + 4),
-                lower_slot=i,
-                migrates_lower=sign > 0,
-                heights=(2 * (i + 1), 2 * (i + 2)),
-            )
-        )
-    levels = tuple(2 * n + 2 * (n - s) for s in range(n))
-    xr = 4 * m
-    return EmbeddingPlan(
-        strands=n,
-        placements=tuple(placements),
-        front_y=0,
-        back_y=2,
-        closure_levels=levels,
-        bounding_box=((-2 * n, 0, 2), (xr + 2 * n, 2, 4 * n)),
-    )
+    n, xr = word.strands, _TILE * len(word.letters)
+    reach, top = _arc(n, 0)
+    return EmbeddingPlan(strands=n, front_y=_FRONT_Y, back_y=_BACK_Y,
+                         closure_levels=tuple(_arc(n, s)[1] for s in range(n)),
+                         bounding_box=((-reach, _FRONT_Y, _height(0)), (xr + reach, _BACK_Y, top)))
 
 
 def close_braid_on_lattice(word: BraidWord) -> LatticeKnot:
@@ -202,58 +192,38 @@ def close_braid_on_lattice(word: BraidWord) -> LatticeKnot:
     if len(cycles) != 1:
         raise MultiComponentError(cycles)
 
-    plan = plan_embedding(word)
-    n, fy, by = plan.strands, plan.front_y, plan.back_y
-    paths = {s: [(0, fy, 2 * (s + 1))] for s in range(n)}
-    occupant = list(range(n))
-
-    for tile in plan.placements:
-        x0, x1 = tile.x_interval
-        i = tile.lower_slot
-        lo, hi = occupant[i], occupant[i + 1]
+    # Only corners are listed: between tiles, and across x = 0 and the right
+    # end, a strand runs straight on in x.  validate refuses any other point.
+    n, fy, by = word.strands, _FRONT_Y, _BACK_Y
+    paths = [[] for _ in range(n)]         # each strand's corners, at the slot it is in
+    for j, (gi, sign) in enumerate(word.letters):
+        x0, i = _TILE * j, gi - 1
         # The strand passing behind runs from height zb to zf along the back
         # face; the other descends or rises in front through the odd
         # mid-level, so the projections cross exactly once.
-        if tile.migrates_lower:
-            back, front, (zb, zf) = lo, hi, tile.heights
+        if sign > 0:
+            back, front, zb, zf = paths[i], paths[i + 1], _height(i), _height(i + 1)
         else:
-            back, front, (zf, zb) = hi, lo, tile.heights
+            back, front, zb, zf = paths[i + 1], paths[i], _height(i + 1), _height(i)
         zm = (zb + zf) // 2
-        paths[back] += [
+        back += [
             (x0 + 1, fy, zb), (x0 + 1, by, zb), (x0 + 2, by, zb),
             (x0 + 2, by, zf), (x0 + 3, by, zf), (x0 + 3, fy, zf),
-            (x1, fy, zf),
         ]
-        paths[front] += [
-            (x0 + 1, fy, zf), (x0 + 1, fy, zm), (x0 + 3, fy, zm),
-            (x0 + 3, fy, zb), (x1, fy, zb),
-        ]
-        occupant[i], occupant[i + 1] = hi, lo
-        for s in range(n):
-            if s not in (i, i + 1):
-                paths[occupant[s]].append((x1, fy, 2 * (s + 1)))
+        front += [(x0 + 1, fy, zf), (x0 + 1, fy, zm), (x0 + 3, fy, zm), (x0 + 3, fy, zb)]
+        paths[i], paths[i + 1] = paths[i + 1], paths[i]
 
-    final_slot = {strand: slot for slot, strand in enumerate(occupant)}
-    xr = plan.placements[-1].x_interval[1]
-
+    # The strand starting in a slot of the one cycle ends in the next one,
+    # where its arc returns it and the strand starting there goes on.
+    xr, cycle = _TILE * len(word.letters), cycles[0]
     points = []
-    strand = 0
-    while True:
-        points += paths[strand]
-        slot = final_slot[strand]
-        z = 2 * (slot + 1)
-        q = n - slot                      # lower slots take wider, higher arcs
-        level = plan.closure_levels[slot]
-        points += [
-            (xr + 2 * q, fy, z), (xr + 2 * q, fy, level),
-            (-2 * q, fy, level), (-2 * q, fy, z), (0, fy, z),
+    for slot in cycle[1:] + cycle[:1]:
+        z, (reach, level) = _height(slot), _arc(n, slot)
+        points += paths[slot] + [
+            (xr + reach, fy, z), (xr + reach, fy, level), (-reach, fy, level), (-reach, fy, z),
         ]
-        strand = slot                      # strand ids equal their start slots
-        if strand == 0:
-            break
 
-    knot = LatticeKnot(vertices=_merge_collinear(points),
-                       name=f"closure({format_braid(word) or 'e'})")
+    knot = LatticeKnot(vertices=points, name=f"closure({format_braid(word) or 'e'})")
     violations = validate(knot).violations
     if violations:
         raise PlacementError("braid layout produced an invalid knot: " + "; ".join(violations))
@@ -264,22 +234,6 @@ def close_braid_on_lattice(word: BraidWord) -> LatticeKnot:
     if sum(c.sign for c in crossings) != writhe(word):
         raise PlacementError("projected crossing signs do not sum to the writhe")
     return knot
-
-
-def _merge_collinear(points):
-    """Drop duplicate and collinear interior points of a closed polyline."""
-    pts = np.array(points)
-    pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
-    if len(pts) > 1 and (pts[0] == pts[-1]).all():
-        pts = pts[:-1]
-    while len(pts) > 2:
-        moving = pts != np.roll(pts, 1, axis=0)        # along the edge into each point
-        axis = np.where(moving.sum(axis=1) == 1, moving.argmax(axis=1), -1)
-        through = (axis >= 0) & (axis == np.roll(axis, -1))
-        if not through.any():
-            break
-        pts = pts[~through]
-    return pts.tolist()
 
 
 @dataclass(frozen=True)

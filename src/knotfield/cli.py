@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -176,6 +177,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# main's parser, built once a process: a build costs about 30 parses.
+_parser = functools.cache(build_parser)
+
+
 def _build_knot(args, k: float = 1.0) -> LatticeKnot:
     """The knot named by the source options, with current prefactor k."""
     if args.knot is not None:
@@ -225,13 +230,14 @@ def _cmd_braid_build(args) -> int:
     word = parse_braid(args.word, strands=args.strands)
     knot = close_braid_on_lattice(word)
     # The builder refuses a layout whose projection disagrees with the word.
-    levels = sorted(plan_embedding(word).closure_levels)
+    plan = plan_embedding(word)
     header = (
         f"closure of braid word: {format_braid(word) or '(empty)'}",
         f"strands: {word.strands}, letters: {crossing_count(word)}, writhe: {writhe(word)}",
-        "layout: strands on front face y=0, migrations to back face y=2,",
-        "crossing tiles 4 wide in x, closure arcs on y=0 above the braid at",
-        f"z-levels {', '.join(map(str, levels))}",
+        f"layout: strands on front face y={plan.front_y}, migrations to back face "
+        f"y={plan.back_y},",
+        f"crossing tiles 4 wide in x, closure arcs on y={plan.front_y} above the braid at",
+        f"z-levels {', '.join(map(str, sorted(plan.closure_levels)))}",
         f"projected crossings: {crossing_count(word)}, signs sum: {writhe(word)}",
     )
     with _output(args.out) as out:
@@ -343,7 +349,7 @@ def _fail(exc, code) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:          # --help / --version
         return int(exc.code or 0)

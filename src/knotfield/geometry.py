@@ -288,6 +288,11 @@ def stick_ends(knot: LatticeKnot) -> tuple[np.ndarray, np.ndarray]:
     return knot._ends
 
 
+def _int_at_least(value, least) -> bool:
+    """True when value is an int or numpy integer, never a bool, and >= least."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def refine(knot: LatticeKnot, factor: int) -> LatticeKnot:
     """Scale every vertex by a positive integer factor.
 
@@ -295,7 +300,7 @@ def refine(knot: LatticeKnot, factor: int) -> LatticeKnot:
     the curve.  Fields and holonomies transform predictably (see the engine's
     scaling law), which is what makes this useful for convergence checks.
     """
-    if not isinstance(factor, (int, np.integer)) or isinstance(factor, bool) or factor < 1:
+    if not _int_at_least(factor, 1):
         raise ValueError(f"refine factor must be a positive integer, got {factor!r}")
     scaled = tuple(tuple(c * int(factor) for c in p) for p in knot.vertices)
     return LatticeKnot(vertices=scaled, name=knot.name, k=knot.k)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LatticeKnot
+from .geometry import LatticeKnot, _int_at_least
 from .biot_savart import DEFAULT_EXCLUSION_RADIUS, _check_positive, _exclude, _grid_field
 
 
@@ -42,7 +42,7 @@ class GridSpec:
             raise ValueError(f"grid origin must be finite, got {self.origin}")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"grid spacing must be positive and finite, got {self.spacing}")
-        if not all(c >= 1 and c % 1 == 0 for c in self.counts):   # False for inf and nan
+        if not all(_int_at_least(c, 1) for c in self.counts):
             raise ValueError(f"grid counts must be integers >= 1, got {self.counts}")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         for axis, o, n in zip("xyz", self.origin, self.counts):     # past 2**1023, n has no float
@@ -72,7 +72,7 @@ class FieldSample:
 
 
 def _check_count(name, value, unit):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+    if not _int_at_least(value, 1):
         raise ValueError(f"{name} must be a positive number of {unit}, got {value!r}")
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,19 +273,76 @@ class TestEmbeddingPlan:
     def test_plan_bounds_the_built_knot(self, word):
         assert bounding_box(close_braid_on_lattice(word)) == plan_embedding(word).bounding_box
 
-    def test_placements_disjoint_and_faces_separated(self):
-        plan = plan_embedding(parse_braid("s1 s2^-1 s1 s2^-1"))
-        assert plan.back_y - plan.front_y >= 2
-        intervals = [p.x_interval for p in plan.placements]
-        for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
-            assert b1 <= a2
-        assert len(plan.closure_levels) == plan.strands
-        assert len(set(plan.closure_levels)) == plan.strands
+    @settings(max_examples=30, deadline=None)
+    @given(word=knotted_words())
+    def test_letter_sign_picks_the_strand_behind(self, word):
+        # Letter j's tile starts at x = 4j; its first back-face vertex in flow
+        # order is where the strand behind leaves its height: 2 gi for a
+        # positive letter, whose lower strand goes behind, 2 gi + 2 otherwise.
+        plan, knot = plan_embedding(word), close_braid_on_lattice(word)
+        back = [v for v in knot.vertices if v[1] == plan.back_y]
+        for j, (gi, sign) in enumerate(word.letters):
+            first = next(v for v in back if 4 * j < v[0] < 4 * j + 4)
+            assert first == (4 * j + 1, plan.back_y, 2 * gi if sign > 0 else 2 * gi + 2)
 
-    def test_positive_letter_migrates_lower_strand(self):
-        plan = plan_embedding(parse_braid("s1 s1^-1"))
-        assert plan.placements[0].migrates_lower
-        assert not plan.placements[1].migrates_lower
+    @settings(max_examples=30, deadline=None)
+    @given(word=knotted_words())
+    def test_back_face_visits_stay_in_their_letters_tiles(self, word):
+        # Each letter sends one strand behind for one run of 4 vertices, all
+        # strictly inside the letter's tile x = 4j .. 4j + 4.
+        plan, knot = plan_embedding(word), close_braid_on_lattice(word)
+        assert plan.back_y - plan.front_y >= 2
+        v, m = knot.vertices, len(knot.vertices)
+        on_back = [p[1] == plan.back_y for p in v]
+        assert set(p[1] for p in v) == {plan.front_y, plan.back_y}
+        tiles = []
+        for k in (k for k in range(m) if on_back[k] and not on_back[k - 1]):
+            assert [on_back[(k + d) % m] for d in range(5)] == [True] * 4 + [False]
+            j = v[k][0] // 4
+            assert all(4 * j < v[(k + d) % m][0] < 4 * j + 4 for d in range(4))
+            tiles.append(j)
+        assert sorted(tiles) == list(range(len(word.letters)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(word=knotted_words())
+    def test_closure_arcs_return_at_the_plan_levels(self, word):
+        # The flow runs toward -x only along the tops of the closure arcs,
+        # on the front face, one arc per strand; each top a -> b descends to
+        # c at the height 2 (s + 1) of the slot s it returns the strand to.
+        plan, knot = plan_embedding(word), close_braid_on_lattice(word)
+        v, m = knot.vertices, len(knot.vertices)
+        arcs = [(v[k], v[(k + 1) % m], v[(k + 2) % m]) for k in range(m)
+                if v[(k + 1) % m][0] < v[k][0]]
+        assert len(arcs) == plan.strands == len(set(plan.closure_levels))
+        for a, b, c in arcs:
+            assert a[1] == b[1] == c[1] == plan.front_y and a[2] == b[2]
+            assert plan.closure_levels[c[2] // 2 - 1] == a[2]
+
+
+def _seeded_words(seed, count):
+    """count words of 2-5 strands and 0-30 letters from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        yield BraidWord(n, tuple((int(rng.integers(1, n)), int(rng.choice((-1, 1))))
+                                 for _ in range(int(rng.integers(0, 31)))))
+
+
+def test_closures_and_refusals_pinned():
+    # SHA-256 of each closure's name and vertices, and of each link's
+    # MultiComponentError message, over 500 seeded words (151 are knots):
+    # the layout, its corner order and its refusals, bit for bit.
+    closures, refusals = hashlib.sha256(), hashlib.sha256()
+    for word in _seeded_words(500, 500):
+        try:
+            knot = close_braid_on_lattice(word)
+        except MultiComponentError as exc:
+            refusals.update(f"{exc}\n".encode())
+        else:
+            closures.update(f"{knot.name} {knot.vertices}\n".encode())
+    assert (closures.hexdigest(), refusals.hexdigest()) == (
+        "e74430b5c364aa020dbcbee1990285771bf781140886690b71fc191dfd116717",
+        "e5d739d87d0fdc362487466941959614af461ed8f968350de03cc52fc0f9e114")
 
 
 class TestBuiltKnotTopology:

@@ -6,8 +6,10 @@ argv to replay each job through the library; its grid replay and probes
 pass ``sample_field`` a ``threads`` keyword; its kernel probe reads
 ``sample_field``'s default ``chunk``, the rows in one of the sampler's
 blocks of whole x-planes, and times ``total_field_many`` on runs of that
-many grid rows.  These tests pin all four, so a change that would break
-the benchmark fails here first.
+many grid rows.  Its braid workload places its grid on ``plan_embedding``'s
+bounding box, and its jobs call ``main`` several times a process, which
+parses every call with one parser.  These tests pin all six, so a change
+that would break the benchmark fails here first.
 """
 
 import inspect
@@ -15,6 +17,7 @@ import inspect
 import pytest
 
 from knotfield.biot_savart import DEFAULT_EXCLUSION_RADIUS
+from knotfield.braids import parse_braid, plan_embedding
 from knotfield.cli import build_parser
 from knotfield.sampling import sample_field
 
@@ -60,3 +63,20 @@ def test_sample_field_threads_keyword():
     # The benchmark's grid replay and probes pass the sampler ``threads=``.
     threads = inspect.signature(sample_field).parameters["threads"]
     assert threads.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and threads.default == 1
+
+
+def test_braid_plan_bounding_box():
+    # The braid workload's grid_spec offsets the box's corners by ints.
+    lo, hi = plan_embedding(parse_braid("s1 s2^-1 s1 s2^-1")).bounding_box
+    assert len(lo) == len(hi) == 3
+    assert all(type(c) is int for c in lo + hi)
+
+
+def test_one_parser_serves_repeated_parses():
+    parser = build_parser()
+    argvs = [["field", "sample", "--knot", "3_1", *GRID, "--format", "vtk"],
+             ["field", "sample", "--braid", "s1 s1 s1", *GRID],
+             ["verify", "--knot", "4_1", "--seed", "7", "--format", "json"],
+             ["verify", "transcription", "--knot", "3_1", "--points", "5"]]
+    for argv in argvs + argvs[::-1]:
+        assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))

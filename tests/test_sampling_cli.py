@@ -58,7 +58,8 @@ class TestGridSpec:
             GridSpec(origin=(0, 0, 0), spacing=0.5, counts=(2, 0, 2))
         with pytest.raises(ValueError, match=r"counts .*\(2\.5, 1, 1\)"):
             GridSpec(origin=(0, 0, 0), spacing=1.0, counts=(2.5, 1, 1))
-        for bad in ((math.inf, 1, 1), (1, math.nan, 1)):
+        for bad in ((math.inf, 1, 1), (1, math.nan, 1), (True, 1, 1), (2.0, 1, 1),
+                    (1, 1, np.float64(3.0))):
             with pytest.raises(ValueError, match=r"^grid counts must be integers >= 1, got "):
                 GridSpec(origin=(0, 0, 0), spacing=1.0, counts=bad)
         for bad in (math.nan, math.inf, -math.inf):
@@ -491,6 +492,28 @@ def test_inapplicable_option_is_a_usage_error(tmp_path, capsys, command, extra):
     assert extra[0] in captured.err             # the refused flag is named, not its value
 
 
+def test_main_calls_in_one_process_read_as_on_a_fresh_parser(capsys):
+    # main builds its parser once a process.  The usage errors (two sources,
+    # no --word), --help and --version each end a parse part way; every call
+    # must read as on a fresh parser, `verify transcription`'s word parser too.
+    series = [("knot", "info", "--knot", "3_1", "--braid", "s1 s1 s1"), ("--help",),
+              ("braid", "build", "--help"), ("--version",), ("knot", "info", "--braid", "s1 s1 s1"),
+              ("verify", "transcription", "--knot", "3_1", "--points", "5"), ("braid", "build")]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    shared = [run(argv, fresh=False) for argv in series]
+    assert cli._parser.cache_info().misses == 1
+    assert [r[0] for r in shared] == [1, 0, 0, 0, 0, 0, 1]
+    assert shared == [run(argv, fresh=True) for argv in series]
+
+
 class TestCli:
     def test_knot_info(self, capsys):
         assert run_cli("knot", "info", "--knot", "3_1") == 0
@@ -838,6 +861,13 @@ GRID = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0
 # 9,261 rows, more than two of the writers' blocks, 96 of them on the conductor.
 BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", "0.5",
           "--counts", "21,21,21")
+# A 160-letter 3-strand word whose closure is a knot, in signed-integer
+# shorthand: the first such draw of default_rng(160).
+BRAID_160 = ("1 1 -1 1 1 -2 -1 -1 -2 -2 -2 -2 -2 2 -2 -2 2 -1 -2 -1 1 2 -1 1 2 -1 -2 2 -1 -1 -1 2 "
+             "2 2 1 2 1 1 -1 2 -2 1 -2 -2 1 -2 -2 -1 1 -2 -1 1 1 1 1 2 -1 -2 2 1 2 -1 2 1 -2 -2 2 "
+             "2 -2 -1 1 -2 -2 1 -1 -2 -2 2 1 1 -2 -2 -1 2 -1 2 -1 -1 1 -2 2 -1 1 1 1 -2 -2 1 -1 -2 "
+             "1 -2 1 2 -1 1 -1 1 1 -1 -1 2 2 -2 2 1 1 -1 2 -1 -1 -2 -2 1 -1 -2 1 1 -2 1 1 -2 2 2 "
+             "-2 1 2 1 1 -1 1 1 -1 -2 -1 2 2 2 1 -1 -2 -1 -2 1 -2 -2 -2 -1 -2 1")
 
 
 # SHA-256 of stdout.  These pin the engine's arithmetic, the writers'
@@ -872,6 +902,8 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
      "7bf0f704cfc7456f4a974529a4c3e4ea0635b0e666e1c4917cec8a903eeafba8"),
     (("braid", "build", "--word", "s1 s2 s1^-1 s2 s2 s1^-1 s2^-1 s1 s2 s1 s2^-1 s1"),
      "05d3b51f840281fc43ea85e5ae28fcc77db950a0d406f7f1dcfd5e56769bfba1"),
+    (("braid", "build", "--word", BRAID_160),
+     "c2b1746f470aa945cfa107090d79a79eae32b42b0628371e7c815ec5ee366ceb"),
     (("knot", "info", "--knot", "3_1"),
      "8d68667e61acceac005b01f79299f23b06f44a5a74be093a997f150a345032f7"),
     (("knot", "info", "--knot", "4_1"),                      # x 4, y 6, z 4
@@ -900,9 +932,9 @@ BLOCKS = ("field", "sample", "--knot", "3_1", "--origin=-1,-1,-1", "--spacing", 
 ], ids=["csv", "jsonl", "vtk", "csv-blocks", "jsonl-blocks", "vtk-blocks",
         "csv-blocks-threads-2", "jsonl-blocks-threads-2", "vtk-blocks-threads-2",
         "csv-blocks-threads-4", "jsonl-blocks-threads-4", "vtk-blocks-threads-4", "braid-4_1",
-        "braid-12-letters", "knot-info", "knot-info-4_1", "knot-info-braid-12-letters",
-        "knot-emit", "holonomy-text", "holonomy-json", "linking", "verify-transcription",
-        "verify-transcription-4_1-json", "braid-field-csv"])
+        "braid-12-letters", "braid-160-letters", "knot-info", "knot-info-4_1",
+        "knot-info-braid-12-letters", "knot-emit", "holonomy-text", "holonomy-json", "linking",
+        "verify-transcription", "verify-transcription-4_1-json", "braid-field-csv"])
 def test_golden_stdout(tmp_path, capsys, argv, digest):
     loop_file = tmp_path / "loop.txt"
     loop_file.write_text(PAPER_LOOP)
