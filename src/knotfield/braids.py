@@ -24,7 +24,7 @@ lower strands travelling on wider, higher arcs so no two arcs meet.  The
 builder, ``close_braid_on_lattice``, is the one layout source: it lays out
 each letter from the word, favoring an obviously-correct embedding over a
 small one.  ``plan_embedding`` gives what callers read without building the
-knot: ``strands``, ``front_y``, ``back_y``, ``closure_levels`` and ``bounding_box``.
+knot: ``strands``, ``front_y``/``back_y``, ``closure_levels``, ``tile`` and ``bounding_box``.
 """
 
 from __future__ import annotations
@@ -169,6 +169,7 @@ class EmbeddingPlan:
     front_y: int
     back_y: int
     closure_levels: tuple[int, ...]    # return z-level for slot j (0-based)
+    tile: int                          # x-width of each letter's crossing tile
     bounding_box: tuple[tuple[int, int, int], tuple[int, int, int]]
 
 
@@ -176,7 +177,7 @@ def plan_embedding(word: BraidWord) -> EmbeddingPlan:
     n, xr = word.strands, _TILE * len(word.letters)
     reach, top = _arc(n, 0)
     return EmbeddingPlan(strands=n, front_y=_FRONT_Y, back_y=_BACK_Y,
-                         closure_levels=tuple(_arc(n, s)[1] for s in range(n)),
+                         closure_levels=tuple(_arc(n, s)[1] for s in range(n)), tile=_TILE,
                          bounding_box=((-reach, _FRONT_Y, _height(0)), (xr + reach, _BACK_Y, top)))
 
 
@@ -260,10 +261,7 @@ def projection_crossings(knot: LatticeKnot, view_axis: Axis = Axis.Y) -> tuple[P
     """
     va = int(view_axis)
     plane = [i for i in range(3) if i != va]
-    a = np.array(knot.vertices).reshape(-1, 3)
-    kind = "bool" if any(type(c) is bool for p in knot.vertices for c in p) else a.dtype
-    if a.size and kind != np.int64:
-        raise ValueError(f"vertex coordinates must be integers within int64, not {kind}")
+    a = knot._vertex_array()
     b = np.roll(a, -1, axis=0)
     idx = np.flatnonzero((a[:, plane] != b[:, plane]).any(axis=1))
     a, b = a[idx], b[idx]

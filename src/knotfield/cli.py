@@ -236,7 +236,7 @@ def _cmd_braid_build(args) -> int:
         f"strands: {word.strands}, letters: {crossing_count(word)}, writhe: {writhe(word)}",
         f"layout: strands on front face y={plan.front_y}, migrations to back face "
         f"y={plan.back_y},",
-        f"crossing tiles 4 wide in x, closure arcs on y={plan.front_y} above the braid at",
+        f"crossing tiles {plan.tile} wide in x, closure arcs on y={plan.front_y} above the braid at",
         f"z-levels {', '.join(map(str, sorted(plan.closure_levels)))}",
         f"projected crossings: {crossing_count(word)}, signs sum: {writhe(word)}",
     )

@@ -9,9 +9,11 @@ probe points such as (5, 3, 2) representable as integers after the doubling.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,7 +79,8 @@ class LatticeKnot:
 
     The vertex list is cyclic: the edge from the last vertex back to the
     first is implied.  ``k`` is the current prefactor I/c multiplying every
-    field this circuit produces.
+    field this circuit produces.  A vertex is three ``int``s, never a bool,
+    each in the int64 range: the one rule, checked once per knot by ``_lattice``.
     """
 
     vertices: tuple[LatticePoint, ...]
@@ -87,14 +90,43 @@ class LatticeKnot:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
 
+    def __reduce__(self):    # the fields alone: a copy rebuilds and checks its caches
+        return LatticeKnot, (self.vertices, self.name, self.k)
+
     def __len__(self) -> int:
         return len(self.vertices)
 
     @cached_property
+    def _lattice(self) -> tuple[np.ndarray, tuple[tuple[int, str], ...]]:
+        """The vertices as one read-only int64 (N, 3) array, and (i, violation)
+        for each vertex i that breaks the rule, in order; its row is zeros.
+        The scan that names them runs only when one C-level pass fails."""
+        v, a, faults = self.vertices, None, []
+        with suppress(OverflowError):
+            if set(map(type, chain.from_iterable(v))) <= {int} and set(map(len, v)) <= {3}:
+                a = np.fromiter(chain.from_iterable(v), np.int64, 3 * len(v)).reshape(-1, 3)
+        if a is None:
+            for i, p in enumerate(v):
+                if len(p) != 3 or any(not isinstance(c, int) or isinstance(c, bool) for c in p):
+                    faults.append((i, f"vertex {i} {p} has non-integer coordinates"))
+                elif any(not -2**63 <= c < 2**63 for c in p):
+                    faults.append((i, f"vertex {i} {p} has a coordinate outside the int64 range"))
+            flagged = dict(faults)
+            a = np.array([(0, 0, 0) if i in flagged else p for i, p in enumerate(v)], np.int64)
+        a.flags.writeable = False
+        return a, tuple(faults)
+
+    def _vertex_array(self) -> np.ndarray:
+        """``_lattice``'s array; ValueError with the first vertex violation."""
+        if faults := self._lattice[1]:
+            raise ValueError(faults[0][1])
+        return self._lattice[0]
+
+    @cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
         """``stick_ends``, validated once and kept read-only; nothing is
-        cached when an edge is not a stick."""
-        starts = np.array(self.vertices, dtype=float)
+        cached when a vertex breaks the rule or an edge is not a stick."""
+        starts = self._vertex_array().astype(float)
         ends = np.roll(starts, -1, axis=0)
         bad = np.flatnonzero(np.count_nonzero(ends - starts, axis=1) != 1)
         if bad.size:
@@ -206,26 +238,21 @@ def validate(knot: LatticeKnot) -> ValidationReport:
     Violations are returned as data, never raised: degenerate input is a
     reportable condition, not an exception.  Each violation names the
     offending vertex or edge pair, in scan order: vertices, edges, corners,
-    then edge pairs (i, j), i < j.  Past the type check the vertices are one
-    int64 array, checked as a whole.  The sticks, as boxes (a stick is its
-    bounding box), go to ``touching_pairs`` for self-avoidance: O(N log N)
-    plus the hits and the perpendicular near misses, not O(N^2) pairs.
+    then edge pairs (i, j), i < j.  The knot's ``_lattice`` gives the vertex
+    violations and the int64 array, checked as a whole.  The sticks, as boxes
+    (a stick is its bounding box), go to ``touching_pairs`` for self-avoidance:
+    O(N log N) plus the hits and the perpendicular near misses, not O(N^2).
     """
-    v = knot.vertices
+    v, (a, faults) = knot.vertices, knot._lattice
     n = len(v)
     violations = []
 
     if n < 4:
         violations.append(f"too few vertices: {n} < 4")
 
-    good = [True] * n
-    for i, p in enumerate(v):
-        if len(p) != 3 or any(not isinstance(c, int) or isinstance(c, bool) for c in p):
-            violations.append(f"vertex {i} {p} has non-integer coordinates")
-            good[i] = False
-        elif any(not -2**63 <= c < 2**63 for c in p):
-            violations.append(f"vertex {i} {p} has a coordinate outside the int64 range")
-            good[i] = False
+    good = np.ones(n, bool)
+    good[[i for i, _ in faults]] = False
+    violations += [fault for _, fault in faults]
 
     seen = {}
     for i, p in enumerate(v):
@@ -234,8 +261,7 @@ def validate(knot: LatticeKnot) -> ValidationReport:
 
     # Edge i runs from row i of ``a`` to row i of ``b``; an edge into or out
     # of a flagged vertex is checked no further.
-    a = np.array([p if ok else (0, 0, 0) for p, ok in zip(v, good)], np.int64).reshape(n, 3)
-    b, good = np.roll(a, -1, axis=0), np.array(good, bool)
+    b = np.roll(a, -1, axis=0)
     moving = a != b
     count, axis = moving.sum(axis=1), moving.argmax(axis=1)
     checked = good & np.roll(good, -1)
@@ -282,8 +308,9 @@ def stick_ends(knot: LatticeKnot) -> tuple[np.ndarray, np.ndarray]:
     """Start and end points of the knot's sticks, in flow order, as float (N, 3),
     read-only and cached on the knot.
 
-    Raises ValueError, as ``segments`` does, when an edge is not a stick:
-    of zero length or not parallel to an axis, on every call.
+    Raises ValueError on every call: with ``validate``'s first vertex violation
+    for a vertex that breaks the coordinate rule, then as ``segments`` does
+    when an edge is not a stick, of zero length or not parallel to an axis.
     """
     return knot._ends
 
@@ -337,7 +364,7 @@ CANONICAL = {"3_1": canonical_trefoil, "4_1": canonical_figure_eight}
 
 
 def bounding_box(knot: LatticeKnot) -> tuple[LatticePoint, LatticePoint]:
-    v = np.array(knot.vertices)
+    v = knot._vertex_array()
     return tuple(v.min(axis=0).tolist()), tuple(v.max(axis=0).tolist())
 
 

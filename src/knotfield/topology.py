@@ -84,6 +84,9 @@ class Loop:
             if verts[i] == verts[(i + 1) % len(verts)]:
                 raise ValueError(f"consecutive loop vertices {i} coincide: {verts[i]}")
 
+    def __reduce__(self):    # as ``LatticeKnot``'s: a copy rebuilds its cache
+        return Loop, (self.vertices, self.name)
+
     @cached_property
     def _ends(self) -> np.ndarray:
         """(2, n, 3): each edge's start and end, read-only, cached as the knot's are."""

@@ -139,6 +139,9 @@ def scan_validate(knot: LatticeKnot) -> ValidationReport:
         if len(p) != 3 or any(not isinstance(c, int) or isinstance(c, bool) for c in p):
             violations.append(f"vertex {i} {p} has non-integer coordinates")
             bad_vertices.add(i)
+        elif any((c if c >= 0 else ~c).bit_length() > 63 for c in p):    # int64: 63 bits and a sign
+            violations.append(f"vertex {i} {p} has a coordinate outside the int64 range")
+            bad_vertices.add(i)
 
     seen = {}
     for i, p in enumerate(v):

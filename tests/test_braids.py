@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -185,14 +186,17 @@ class TestLongWords:
         # As float64, x = 2**63 and 2**63 + 1 would merge into a false overlap.
         big = 2**63
         knot = LatticeKnot(vertices=((big, 0, 0), (big + 1, 0, 0), (big + 1, 0, 2), (big, 0, 2)))
-        with pytest.raises(ValueError, match="within int64"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"vertex 0 ({big}, 0, 0) has a coordinate outside the int64 range")):
             projection_crossings(knot)
 
-    @pytest.mark.parametrize("c, kind", [(True, "bool"), (1.0, "float64")])
-    def test_projection_refuses_non_integer_coordinates(self, c, kind):
-        # np.array of these vertices is int64 when c is True, not bool.
+    @pytest.mark.parametrize("c", [True, 1.0], ids=["True-bool", "1.0-float64"])
+    def test_projection_refuses_non_integer_coordinates(self, c):
+        # np.array of these vertices is int64 when c is True: only the
+        # coordinate's own type shows that it is not an int.
         knot = LatticeKnot(vertices=((0, 0, 0), (c, 0, 0), (1, 1, 0), (0, 1, 0)))
-        with pytest.raises(ValueError, match=f"must be integers within int64, not {kind}$"):
+        with pytest.raises(ValueError, match=re.escape(f"vertex 1 ({c}, 0, 0) has non-integer "
+                                                       "coordinates") + "$"):
             projection_crossings(knot, Axis.Z)
 
     def test_refined_40_letter_closure_validates(self):

@@ -188,8 +188,9 @@ def _along(a, b, t):
 def corrupted(draw):
     """A valid knot with one to three defects, each a moved vertex, a copied
     vertex, a reversed stick, a doubled-back edge, a stick split so that two
-    edges are collinear, or a vertex that is not three ints: a float or bool
-    coordinate, or only two coordinates."""
+    edges are collinear, a vertex that is not three ints (a float or bool
+    coordinate, or only two coordinates), an ``np.int64`` coordinate, or a
+    coordinate c shifted past the int64 range, to 2**63 + |c| or -2**63 - 1 - |c|."""
     v = list(draw(knots).vertices)
     for _ in range(draw(st.integers(1, 3))):
         n = len(v)
@@ -198,7 +199,7 @@ def corrupted(draw):
         length = sum(abs(y - x) for x, y in zip(a, b))
         lattice = len(a) == len(b) == 3 and all(type(c) is int for c in a + b)
         kind = draw(st.sampled_from(("moved", "copied", "reversed", "doubled-back", "collinear",
-                                     "non-integer")))
+                                     "non-integer", "np.int64", "beyond-int64")))
         if kind == "moved":
             axis, step = draw(st.integers(0, 2)), draw(st.sampled_from((-2, -1, 1, 2)))
             v[i] = tuple(c + step * (k == axis) for k, c in enumerate(a))
@@ -214,6 +215,13 @@ def corrupted(draw):
             k = draw(st.integers(0, len(a) - 1))
             bad = draw(st.sampled_from((float(a[k]), a[k] + 0.5, bool(a[k] % 2), None)))
             v[i] = a[:k] + a[k + 1:] if bad is None else a[:k] + (bad,) + a[k + 1:]
+        elif kind == "np.int64" and lattice and max(map(abs, a)) < 2**63:
+            k = draw(st.integers(0, 2))
+            v[i] = a[:k] + (np.int64(a[k]),) + a[k + 1:]
+        elif kind == "beyond-int64" and lattice:
+            k = draw(st.integers(0, 2))
+            bad = draw(st.sampled_from((2**63 + abs(a[k]), -2**63 - 1 - abs(a[k]))))
+            v[i] = a[:k] + (bad,) + a[k + 1:]
     return LatticeKnot(vertices=tuple(v))
 
 
@@ -235,8 +243,9 @@ def test_refined_knots_agree(knot, factor):
 def test_corrupted_polygons_agree(knot):
     report = validate(knot)
     assert report == scan_validate(knot)
-    # projection_crossings raises ValueError on a float, bool or two-coordinate vertex.
-    if any("non-integer" in v for v in report.violations):
+    # projection_crossings raises ValueError on a float, bool, np.int64 or
+    # two-coordinate vertex, or on a coordinate outside the int64 range.
+    if any("non-integer" in v or "int64 range" in v for v in report.violations):
         for view_axis in Axis:
             with pytest.raises(ValueError):
                 projection_crossings(knot, view_axis)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from knotfield.biot_savart import FieldError
+from knotfield.biot_savart import FieldError, total_field
 from knotfield.braids import BraidWord, close_braid_on_lattice, parse_braid, permutation_cycles
 from knotfield.geometry import (
     LatticeKnot,
@@ -23,6 +23,7 @@ from knotfield.geometry import (
     refine,
     segments,
     stick_ends,
+    validate,
 )
 from knotfield import topology
 from knotfield.topology import (
@@ -620,7 +621,13 @@ def test_knot_and_loop_pickle_after_every_call(loop):
             batch(knot, [loop, paper_loop()])
     copies = pickle.loads(pickle.dumps((knot, loop)))
     assert copies == (knot, loop)
+    # Only the fields travel, so each copy rebuilds its caches, read-only.
+    assert {"_lattice", "_ends", "sticks"} <= vars(knot).keys() and "_ends" in vars(loop)
+    assert vars(copies[0]).keys() == {"vertices", "name", "k"}
+    assert vars(copies[1]).keys() == {"vertices", "name"}
     assert [public_outcome(name, *copies) for name in PUBLIC] == want
+    cached = (*stick_ends(copies[0]), copies[0]._lattice[0], copies[1]._ends)
+    assert not any(a.flags.writeable for a in cached)
 
 
 def test_invalid_knot_raises_on_every_call():
@@ -635,6 +642,27 @@ def test_invalid_knot_raises_on_every_call():
     del loop
     gc.collect()
     assert kept() is None
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0, 0, 0), (2.0, 0, 0), (2, 2, 0), (0, 2, 0)),
+    ((0, 0, 0), (2, 0, 0), (2, 2, False), (0, 2, 0)),
+    ((0, 0, 0), (2, 0, 0), (2, np.int64(2), 0), (0, 2, 0)),
+    ((2**63, 0, 0), (2**63 + 2, 0, 0), (2**63 + 2, 2, 0), (2**63, 2, 0)),
+], ids=["float", "bool", "np.int64", "2**63"])
+def test_engine_refuses_a_vertex_that_validate_refuses(vertices):
+    """``stick_ends``, ``total_field`` and ``loop_clearance`` raise
+    ``validate``'s first vertex violation on every call: no field comes from
+    coordinates that are not three ints in the int64 range."""
+    knot = LatticeKnot(vertices)
+    first = validate(knot).violations[0]
+    assert first.startswith("vertex ")
+    calls = (lambda: stick_ends(knot), lambda: total_field(knot, (1.0, 1.0, 1.0)),
+             lambda: loop_clearance(knot, paper_loop()))
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+                call()
 
 
 def test_verify_draws_and_integrates_each_loop_once():
