@@ -44,8 +44,9 @@ bits depend on neither the driver, the tile, the block nor the batch.
 
 The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
-dB = k dl x s / |s|^3: per-panel bisection with a Gauss panel rule, the
-integrator ``_bisect`` that holonomy also runs.  It takes many (stick,
+dB = k dl x s / |s|^3: per-panel bisection with QUADPACK's 21-point
+Gauss-Kronrod rule, whose embedded 10-point Gauss sum gives each panel's
+error, the integrator ``_bisect`` that holonomy also runs.  It takes many (stick,
 point) rows at once, one depth per step, so a row's bits are those it has
 alone; ``segment_field_quadrature`` is the one-row case.  Each node forms
 only the stick's moving coordinate and adds the two fixed squared offsets
@@ -318,8 +319,23 @@ def segment_field(seg: Segment, point, k: float = 1.0,
     return _times_k(b[0], k)
 
 
-# Fixed-order Gauss panel rule, shared by the quadrature oracle and holonomy.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
+# QUADPACK's QK21 panel rule on [-1, 1] (Piessens et al. 1983; Kronrod 1965),
+# shared by the quadrature oracle and holonomy, correctly rounded: each node
+# x <= 0 with its 21-point Kronrod weight and its 10-point Gauss weight, 0 at
+# the Kronrod-only nodes; the nodes x > 0 mirror them.
+_QK21 = np.array([
+    (-0.9956571630258081, 0.011694638867371874, 0.0),
+    (-0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
+    (-0.9301574913557082, 0.054755896574351995, 0.0),
+    (-0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
+    (-0.7808177265864169, 0.0931254545836976, 0.0),
+    (-0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
+    (-0.5627571346686047, 0.12349197626206584, 0.0),
+    (-0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
+    (-0.2943928627014602, 0.14277593857706009, 0.0),
+    (-0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+    (0.0, 0.1494455540029169, 0.0)])
+_XK, _WK, _WG = np.concatenate((_QK21, _QK21[-2::-1] * (-1.0, 1.0, 1.0))).T.copy()
 # Rows the quadrature oracle integrates at once: bounds its panels' memory.
 _QUAD_ROWS = 4096
 
@@ -339,43 +355,38 @@ def _check_bounds(tol, max_depth, depth_name):
 def _bisect(integrand, budget, max_depth):
     """Adaptive bisection (QUADPACK's QAG, Piessens et al. 1983) of M rows
     over [0, 1]: ((M, 2) value and error sums, failure).  ``integrand(rows,
-    t)`` is row rows[i]'s integrand at the (n, h, 10) Gauss nodes t[i], as
-    alone.  A panel is accepted when its halves agree with it within its
-    budget, half its parent's, or 64 ulps of the largest |value| from it up
-    to the root (Gander & Gautschi, BIT 40:84, 2000).  One call per depth.  A
-    row fails at ``max_depth`` or on an estimate not finite: failure is None
-    or (row, depth, lo, hi) of the lowest failing row's rightmost failing
-    panel, and later rows stop.  Accepted halves are summed onto zero right
-    to left, as a depth-first scan would, so a row's bits are its own.
+    t)`` is row rows[i]'s integrand at the 21 Kronrod nodes t[i] of its
+    panel, as alone.  A panel's value is its QK21 sum and its error the
+    |K21 - G10| of the 10 Gauss nodes among them; it is accepted when the
+    error is within its budget, half its parent's, or 64 ulps of the largest
+    |value| from it up to the root (Gander & Gautschi, BIT 40:84, 2000),
+    else split in two.  One call per depth.  A row fails at ``max_depth`` or
+    on an estimate not finite: failure is None or (row, depth, lo, hi) of
+    the lowest failing row's rightmost failing panel, and later rows stop.
+    Accepted panels are summed onto zero right to left, as a depth-first
+    scan would, so a row's bits are its own.
     """
-    def panel(rows, lo, hi):        # each (1 x 10) @ (10 x 1) dot as one interval's alone
-        half = 0.5 * (hi - lo)
-        f = integrand(rows, 0.5 * (hi + lo)[..., None] + half[..., None] * _GL_X)
-        return half * (_GL_W @ f[..., None])[..., 0]
-
     rows, total = np.arange(len(budget)), np.zeros((len(budget), 2))
-    ends = np.zeros((len(rows), 1)) + (0.0, 0.5, 1.0)      # each live panel's lo, mid, hi
-    parts = panel(rows, ends[:, [0, 0, 1]], ends[:, [2, 1, 2]])     # each panel and its halves
-    scale, failure, depth, kept = np.abs(parts[:, 0]), None, 0, []
+    lo, hi, scale, failure, depth, kept = np.zeros(len(rows)), np.ones(len(rows)), 0.0, None, 0, []
     while True:
-        err = np.abs((fine := parts[:, 1] + parts[:, 2]) - parts[:, 0])
+        half = 0.5 * (hi - lo)          # each (1 x 21) @ (21 x 1) dot as one panel's alone
+        f = integrand(rows, (0.5 * (hi + lo))[:, None] + half[:, None] * _XK)[..., None]
+        value, gauss = (half * (w @ f)[:, 0] for w in (_WK, _WG))
+        err, scale = np.abs(value - gauss), np.maximum(scale, np.abs(value))
         done = err <= np.maximum(budget, 2.0 ** -46 * scale)        # 64 ulps of 1 times scale
-        kept.append((done, rows, ends[:, 0], fine, err))    # filtered after the loop
+        kept.append((done, rows, lo, value, err))    # filtered after the loop
         if (depth >= max_depth or not np.isfinite(err).all()) and (bad := np.flatnonzero(
                 ~(np.isfinite(err) & (done | (depth < max_depth))))).size:
             i = bad[rows[bad] == rows[bad[0]]][-1]      # rows, and each row's panels, in order
-            failure = (int(rows[i]), depth, float(ends[i, 0]), float(ends[i, 2]))
-            done = done | (rows > rows[i]) | (rows == rows[i]) & (ends[:, 0] <= ends[i, 0])
+            failure = (int(rows[i]), depth, float(lo[i]), float(hi[i]))
+            done = done | (rows > rows[i]) | (rows == rows[i]) & (lo <= lo[i])
         if not (go := np.flatnonzero(~done)).size:
             break
         rows, budget, scale = (np.repeat(x[go], 2) for x in (rows, 0.5 * budget, scale))
-        ends = ends[go[:, None], [0, 1, 1, 2]].reshape(-1, 2)[:, [0, 0, 1]]
-        ends[:, 1] = 0.5 * (ends[:, 0] + ends[:, 2])
-        coarse = parts[go, 1:].ravel()
-        scale, depth = np.maximum(scale, np.abs(coarse)), depth + 1
-        parts = np.column_stack((coarse, panel(rows, ends[:, :2], ends[:, 1:])))
-    done, rows, lo, fine, err = (np.concatenate(x) for x in zip(*kept))
-    rows, lo, sums = rows[done], lo[done], np.column_stack((fine, err))[done]
+        mid, depth = 0.5 * (lo[go] + hi[go]), depth + 1
+        lo, hi = np.column_stack((lo[go], mid)).ravel(), np.column_stack((mid, hi[go])).ravel()
+    done, rows, lo, value, err = (np.concatenate(x) for x in zip(*kept))
+    rows, lo, sums = rows[done], lo[done], np.column_stack((value, err))[done]
     np.add.at(total, rows[order := np.argsort(-lo)], sums[order])     # one add at a time
     return total, failure
 
@@ -402,7 +413,7 @@ def _quadrature(starts, ends, points, k, tol, max_depth):
     live = np.flatnonzero(cmax > 0.0)
     ax = (np.arange(len(u)), np.argmax(u != 0.0, axis=1))      # each stick's one axis
     sq = np.where(u != 0.0, 0.0, a * a)                       # the other two offsets^2
-    a_ax, u_ax, k1, k2 = (x[live, None, None]                 # against each row's nodes
+    a_ax, u_ax, k1, k2 = (x[live, None]                       # against each row's nodes
                           for x in (a[ax], u[ax], sq[:, 0] + sq[:, 1], sq[:, 2]))
 
     def integrand(rows, t):
@@ -421,11 +432,12 @@ def segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: float = 1
                              max_depth: int = 40) -> FieldVector:
     """Direct numerical integration of dB = k dl x s / |s|^3 along the stick.
 
-    Interval-halving adaptive quadrature with a fixed-order Gauss panel rule
-    and absolute tolerance per component: the one-row case of the batched
-    oracle, refusing on-conductor points as ``segment_field`` does and bad
-    bounds with ValueError.  Slower than the closed form by construction;
-    it exists to be independently auditable, not fast.
+    Interval-halving adaptive quadrature with the 21-point Gauss-Kronrod
+    panel rule, each panel's error |K21 - G10|, and absolute tolerance per
+    component: the one-row case of the batched oracle, refusing on-conductor
+    points as ``segment_field`` does and bad bounds with ValueError.  Slower
+    than the closed form by construction; it exists to be independently
+    auditable, not fast.
     """
     _check_bounds(tol, max_depth, "max_depth")
     segment_field(seg, point, exclusion_radius=exclusion_radius)    # OnConductorError

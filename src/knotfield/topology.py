@@ -12,8 +12,8 @@ live loop and knot by ``_clearances``, in one pass over the (edge, stick)
 pairs of every loop it lacks, and kept for all three calls:
 
 * ``holonomy`` integrates the closed-form superposed field along the loop
-  (Gauss panels bisected by the quadrature oracle's integrator; each depth's
-  kernel calls span all loops).  An edge along axis a reads B_a alone, from
+  (Gauss-Kronrod panels bisected by the quadrature oracle's integrator; each
+  depth's kernel calls span all loops).  An edge along axis a reads B_a alone, from
   ``_axis_field``: one call per edge axis from the sticks off that axis, or,
   for a lone loop, one from all the sticks; edges off the axes take the
   full field;
@@ -102,12 +102,9 @@ class Loop:
 class HolonomyResult:
     """Line integral of the field around a loop, in units of k.
 
-    ``estimated_error`` is |k| times the sum of |left + right - coarse| over
-    every edge's accepted panels: the error of the coarse panels, not of the
-    sum of halves returned as ``value``.  It is usually, but not always,
-    above the true error: at tol=1e-6, loop 3 of ``verify --knot 4_1 --seed
-    285`` is 4.79e-6 from 4*pi*k*Lk with an estimate of 2.3e-7, and loop 1
-    at seed 404 is 4.13e-6 off with an estimate of 3.9e-8.
+    ``estimated_error`` is |k| times the sum of |K21 - G10| over every
+    edge's accepted panels: the error of the embedded 10-point Gauss sums,
+    an estimate, not a bound, for the 21-point sums returned as ``value``.
     """
 
     value: float
@@ -211,11 +208,12 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     """Integrate the circuit's field along the loop.
 
     Each loop edge gets an equal share of the absolute tolerance and is
-    integrated by adaptive bisection of Gauss panels at most ``max_levels``
-    deep, its error estimated from each accepted panel's halves: the
-    one-loop case of ``_holonomy_results``.  Raises LoopOnConductorError or
+    integrated by adaptive bisection of QK21 panels at most ``max_levels``
+    deep, its error estimated from each accepted panel's embedded Gauss sum:
+    the one-loop case of ``_holonomy_results``.  Raises LoopOnConductorError or
     LinkingPrecisionError from the check of the loop's clearance,
-    QuadratureError when an edge does not converge, and ValueError for a
+    QuadratureError naming the first edge that does not converge and its
+    rightmost unconverged panel [lo, hi], and ValueError for a
     tol or exclusion_radius not finite and > 0, a max_levels not an int >= 0,
     or a k so large that the result overflows.
     """
@@ -261,22 +259,23 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
         f = np.empty(t.shape)
         for g in set(group[rows].tolist()) if len(sticks) > 1 else sticks:
             i = np.flatnonzero(group[rows] == g) if len(sticks) > 1 else slice(None)
-            step = steps[rows[i], None, None, :]
-            pts = starts[rows[i], None, None, :] + t[i, ..., None] * step
+            step = steps[rows[i], None, :]
+            pts = starts[rows[i], None, :] + t[i, :, None] * step
             if g == 3:
                 b = _stick_field(sticks[g], pts.reshape(-1, 3))[0].reshape(pts.shape)
-                f[i] = (b * step).sum(axis=3)
+                f[i] = (b * step).sum(axis=2)
             else:
                 a = axis[each := np.repeat(rows[i], t[0].size)]     # each node's edge and axis
                 b = _axis_field(sticks[g], pts.reshape(-1, 3), a, steps[each, a])
-                f[i] = b.reshape(pts.shape[:3])
+                f[i] = b.reshape(pts.shape[:2])
         return f
 
     (sums, failure), results = _bisect(integrand, budget, max_levels), []
     for size, lo in zip(sizes, firsts):
         if failure and failure[0] < lo + size:          # the first loop left unconverged
-            raise QuadratureError(f"holonomy edge failed to converge to {tol / size:.3g} "
-                                  f"after {max_levels} halvings")
+            raise QuadratureError(f"holonomy edge {failure[0] - lo} failed to converge to "
+                                  f"{tol / size:.3g} on [{failure[2]}, {failure[3]}] "
+                                  f"after {failure[1]} halvings")
         value = est = 0.0
         for v, e in sums[lo:lo + size].tolist():        # the loop's edges onto zero in order
             value, est = value + v, est + e

@@ -14,7 +14,7 @@ tolerance, usable both from the test suite and from the command line:
   as are missing, each round's clearances measured in one pass and kept,
   and integrated once;
 * invariance of the first half of those holonomies under refining knot and
-  loops by 3, which moves every Gauss panel off the binary grid.
+  loops by 3, which moves every quadrature panel off the binary grid.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def suite_holonomy_linking(knot: LatticeKnot, seed: int = 0, n_loops: int = 20):
 
 def suite_refined_holonomy(knot: LatticeKnot, loops, values):
     """Refining knot and ``loops`` by 3, each edge split a third of the way
-    along, moves every Gauss panel off the binary grid, so that the loops'
+    along, moves every quadrature panel off the binary grid, so that the loops'
     holonomies ``values`` at k = 1 test convergence, not exact arithmetic."""
     thirds = [Loop(np.stack([3 * v, 2 * v + np.roll(v, -1, 0)], 1).reshape(-1, 3))
               for v in (np.array(loop.vertices) for loop in loops)]

@@ -61,9 +61,10 @@ from knotfield.biot_savart import (
     DEFAULT_EXCLUSION_RADIUS,
     OnConductorError,
     QuadratureError,
-    _GL_W,
-    _GL_X,
     _TILE_PAIRS,
+    _WG,
+    _WK,
+    _XK,
     _finite,
     _pair_terms,
     _quadrature,
@@ -444,9 +445,9 @@ def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: floa
                                   max_depth: int = 40):
     """Direct numerical integration of dB = k dl x s / |s|^3 along the stick.
 
-    Interval-halving adaptive quadrature with a fixed-order Gauss panel rule
-    and absolute tolerance per component.  Slower than the closed form by
-    construction; it exists to be independently auditable, not fast.
+    Interval-halving adaptive quadrature with the fixed-order QK21 panel
+    rule and absolute tolerance per component.  Slower than the closed form
+    by construction; it exists to be independently auditable, not fast.
     """
     segment_field(seg, point, exclusion_radius=exclusion_radius)    # OnConductorError
     start = np.asarray(seg.start, dtype=float)
@@ -462,10 +463,10 @@ def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: floa
     scalar_tol = tol / cmax
 
     def panel(lo, hi):
-        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
+        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _XK
         d = a[None, :] - t[:, None] * u[None, :]
         w = np.sum(d * d, axis=1) ** 1.5
-        return 0.5 * (hi - lo) * float(np.dot(_GL_W, 1.0 / w))
+        return kronrod_gauss(lo, hi, 1.0 / w)
 
     total, _ = bisect_stack(panel, scalar_tol, max_depth, lambda depth, lo, hi: QuadratureError(
         f"no convergence after depth {depth} on [{lo}, {hi}]"))
@@ -476,33 +477,36 @@ def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: floa
 ULPS = 64 * np.finfo(float).eps
 
 
+def kronrod_gauss(lo, hi, f):
+    """(K21, G10) over [lo, hi] of f, the integrand at the panel's 21 nodes."""
+    return tuple(0.5 * (hi - lo) * float(np.dot(w, f)) for w in (_WK, _WG))
+
+
 def bisect_stack(panel, budget, max_depth, error):
     """(value, error) of ``panel`` over [0, 1] by adaptive bisection on a
-    stack of (lo, hi, coarse, budget, depth, scale) intervals: pop one,
-    accept its halves when they agree with it within its budget or ULPS
-    times the largest |value| from it up to the root, or push the left
-    half, then the right, each with half the budget.  Raises
+    stack of (lo, hi, budget, depth, scale) intervals: pop one, take its
+    (K21, G10) from ``panel``, accept K21 when |K21 - G10| is within its
+    budget or ULPS times the largest |K21| from it up to the root, or push
+    the left half, then the right, each with half the budget.  Raises
     ``error(depth, lo, hi)`` for the first interval not accepted at
     ``max_depth`` or whose estimate is not finite."""
-    coarse = panel(0.0, 1.0)
     total = est = 0.0
-    stack = [(0.0, 1.0, coarse, budget, 0, abs(coarse))]
+    stack = [(0.0, 1.0, budget, 0, 0.0)]
     while stack:
-        lo, hi, coarse, budget, depth, scale = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        err = abs(left + right - coarse)
+        lo, hi, budget, depth, scale = stack.pop()
+        value, gauss = panel(lo, hi)
+        err, scale = abs(value - gauss), max(scale, abs(value))
         if not math.isfinite(err):
             raise error(depth, lo, hi)
         if err <= max(budget, ULPS * scale):
-            total += left + right
+            total += value
             est += err
         elif depth >= max_depth:
             raise error(depth, lo, hi)
         else:
-            stack.append((lo, mid, left, 0.5 * budget, depth + 1, max(scale, abs(left))))
-            stack.append((mid, hi, right, 0.5 * budget, depth + 1, max(scale, abs(right))))
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, 0.5 * budget, depth + 1, scale))
+            stack.append((mid, hi, 0.5 * budget, depth + 1, scale))
     return total, est
 
 
@@ -512,9 +516,9 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     """Integrate the circuit's field along the loop.
 
     Each loop edge gets an equal share of the absolute tolerance and is
-    integrated by ``bisect_stack`` with fixed-order Gauss panels, one
+    integrated by ``bisect_stack`` with fixed-order QK21 panels, one
     interval and one kernel call at a time; the error estimate is the sum
-    of the accepted intervals' disagreements.  The loop is first checked
+    of the accepted intervals' |K21 - G10|.  The loop is first checked
     with ``loop_clearance``: LoopOnConductorError when it passes within the
     exclusion radius, LinkingPrecisionError when it is not representable.
     Lk and the residual are formed at k = 1, and k is applied last.
@@ -529,16 +533,16 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     budget = tol / len(edges)
     value = 0.0
     est = 0.0
-    for a, e in ((a, b - a) for a, b in edges):
+    for edge, (a, e) in enumerate((a, b - a) for a, b in edges):
 
         def panel(lo, hi):
-            t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X
+            t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _XK
             pts = a[None, :] + t[:, None] * e[None, :]
-            b_along = np.sum(_stick_field(knot.sticks, pts)[0] * e, axis=1)
-            return 0.5 * (hi - lo) * float(np.dot(_GL_W, b_along))
+            return kronrod_gauss(lo, hi, np.sum(_stick_field(knot.sticks, pts)[0] * e, axis=1))
 
-        cur, err = bisect_stack(panel, budget, max_levels, lambda *_: QuadratureError(
-            f"holonomy edge failed to converge to {budget:.3g} after {max_levels} halvings"))
+        cur, err = bisect_stack(panel, budget, max_levels, lambda depth, lo, hi: QuadratureError(
+            f"holonomy edge {edge} failed to converge to {budget:.3g} on [{lo}, {hi}] "
+            f"after {depth} halvings"))
         value += cur
         est += err
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from knotfield.geometry import (
 )
 from knotfield.biot_savart import (
     OnConductorError,
+    _WG,
+    _WK,
+    _XK,
     _stick_field,
     segment_field,
     segment_field_quadrature,
@@ -27,7 +31,7 @@ from knotfield.biot_savart import (
 )
 from knotfield.sampling import GridSpec, sample_field
 from knotfield.topology import Loop, holonomy
-from knotfield.verification import random_clear_point
+from knotfield.verification import random_clear_point, suite_segment_kernel
 from scan_oracle import random_axis_segment
 
 
@@ -189,6 +193,34 @@ class TestQuadratureOracle:
         want = segment_field_quadrature(seg, point, max_depth=40)
         assert segment_field_quadrature(seg, point, max_depth=np.int64(40)).tobytes() == \
             want.tobytes()
+
+
+class TestPanelRule:
+    """The QK21 table, checked in exact arithmetic on its doubles."""
+
+    @pytest.mark.parametrize("weights, degree", [(_WK, 31), (_WG, 19)], ids=["K21", "G10"])
+    def test_exact_through_its_degree(self, weights, degree):
+        """Each rule integrates x^n over [-1, 1], 2/(n+1) or 0, within 2 ulps
+        of 1 through its degree, and misses the next even power by far more."""
+        nodes, weights = ([Fraction(v) for v in a] for a in (_XK, weights))
+        error = [abs(sum(w * x ** n for w, x in zip(weights, nodes))
+                     - (Fraction(2, n + 1) if n % 2 == 0 else 0)) for n in range(degree + 2)]
+        assert max(error[:-1]) <= 2 * 2.0 ** -52 < 1e-3 * error[-1]
+
+    def test_symmetric_with_the_gauss_nodes_embedded(self):
+        """The nodes ascend and mirror about an exact 0, with mirrored weights;
+        the 10 Gauss nodes are the odd-indexed ones, Legendre's to an ulp."""
+        assert (np.diff(_XK) > 0).all() and _XK[10] == 0.0
+        assert (_XK == -_XK[::-1]).all() and (_WK == _WK[::-1]).all() and (_WG == _WG[::-1]).all()
+        assert np.flatnonzero(_WG).tolist() == list(range(1, 21, 2))
+        x, w = np.polynomial.legendre.leggauss(10)
+        assert np.abs(_XK[1::2] - x).max() <= 2.0 ** -52 and np.abs(_WG[1::2] - w).max() <= 2.0 ** -52
+
+    def test_kernel_suite_passes_where_the_halves_test_failed(self):
+        """Seed 3714's pair 987 was accepted on a Gauss panel whose halves agreed
+        with it, 1.09e-8 from the closed form, past the suite's 1e-8 bound."""
+        name, ok, details = suite_segment_kernel(3714)
+        assert ok and details["worst_abs_err"] < 1e-10
 
 
 def field_direction(seg, point):

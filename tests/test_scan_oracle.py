@@ -58,9 +58,8 @@ from knotfield.biot_savart import (
     FieldError,
     OnConductorError,
     QuadratureError,
-    _GL_W,
-    _GL_X,
     _TILE_PAIRS,
+    _XK,
     _axis_field,
     _bisect,
     _paired_field,
@@ -117,6 +116,7 @@ from knotfield.verification import (
 )
 from scan_oracle import (
     bisect_stack,
+    kronrod_gauss,
     piercing_count,
     scan_discrepancy_ledger,
     scan_holonomy,
@@ -534,12 +534,12 @@ def test_bisect_agrees_with_a_depth_first_stack(rows, max_depth):
     peak, width, log_budget = (np.array(x) for x in zip(*rows))
 
     def integrand(rows, t):
-        c, w = (x[rows, None, None] for x in (peak, width))
+        c, w = (x[rows, None] for x in (peak, width))
         return np.where((t > c) & (t < c + w), np.nan, 1.0 / (1.0 + 400.0 * (t - c) ** 2))
 
     def panel(row, lo, hi):
-        f = integrand(np.array([row]), (0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_X)[None, None])
-        return 0.5 * (hi - lo) * float(np.dot(_GL_W, f[0, 0]))
+        f = integrand(np.array([row]), (0.5 * (hi + lo) + 0.5 * (hi - lo) * _XK)[None])
+        return kronrod_gauss(lo, hi, f[0])
 
     want = []
     for row in range(len(rows)):
@@ -685,20 +685,20 @@ def kernel_calls(call, *args):
 
 def test_holonomy_makes_one_call_per_level():
     """A lone loop is not pruned: its first call is from all the sticks on
-    the 30 Gauss nodes of each of its 4 edges and their two halves, each
-    node with its edge's axis, and each later depth one on the 20 nodes of
-    both halves of every panel still live, at most twice as many as at the
-    depth before.  Every rectangle edge is on an axis, so every call reads
-    the field along it alone."""
+    the 21 Kronrod nodes of each of its 4 edges, each node with its edge's
+    axis, and each later depth one on the 42 nodes of both halves of every
+    panel split, so on at most twice as many panels as the depth before.
+    Every rectangle edge is on an axis, so every call reads the field along
+    it alone."""
     knot = canonical_trefoil()
     loop = random_rect_loop(np.random.default_rng(0), knot, clearance=0.5)
     _, calls = kernel_calls(holonomy, knot, loop)
-    live = [8] + [len(points) / 20 for _, points, _ in calls[1:]]
+    live = [len(points) / 21 for _, points, _ in calls]
     assert all(sticks is knot.sticks and axis is not None for sticks, _, axis in calls)
-    assert len(calls[0][1]) == 120 and len(calls) > 2
-    assert all(n == int(n) and 0 < n <= 2 * m for m, n in zip(live, live[1:]))
+    assert len(calls[0][1]) == 84 and len(calls) > 2
+    assert all(n % 2 == 0 and 0 < n <= 2 * m for m, n in zip(live, live[1:]))
     steps = np.diff(np.array(loop.vertices + loop.vertices[:1]), axis=0)
-    assert calls[0][2].tolist() == np.repeat(np.argmax(steps != 0, axis=1), 30).tolist()
+    assert calls[0][2].tolist() == np.repeat(np.argmax(steps != 0, axis=1), 21).tolist()
 
 
 def test_holonomy_suite_calls_per_level():
@@ -725,7 +725,7 @@ def test_holonomy_suite_calls_per_level():
 def test_holonomy_near_the_conductor(d, bound):
     """A 14-unit edge passing d from the midpoint of trefoil stick 1 is
     bisected only near the stick: the answer is Lk, from under ``bound``
-    kernel points (1,480, 3,240 and 7,160 measured), where halving every
+    kernel points (1,512, 1,764 and 2,016 measured), where halving every
     panel took 2.6M points at 1e-4 and refused at 1e-5."""
     knot = canonical_trefoil()
     loop = Loop(vertices=((2 + d, -5, 3), (2 + d, 9, 3), (12, 9, 3), (12, -5, 3)))

@@ -44,7 +44,7 @@ from knotfield.topology import (
 from knotfield import verification
 from knotfield.verification import (random_clear_points, random_rect_loop, run_verification,
                                    suite_holonomy_linking)
-from scan_oracle import scan_linking_number, scan_loop_clearance
+from scan_oracle import scan_holonomy, scan_linking_number, scan_loop_clearance
 
 FOUR_PI = 4.0 * math.pi
 
@@ -186,6 +186,25 @@ class TestHolonomy:
         from knotfield.biot_savart import QuadratureError
         with pytest.raises(QuadratureError):
             holonomy(canonical_trefoil(), paper_loop(), tol=1e-14, max_levels=1)
+
+    @pytest.mark.parametrize("levels, lo, hi", [(0, 0.0, 1.0), (2, 0.5, 0.75), (4, 0.5, 0.5625)])
+    def test_unconverged_edge_is_named(self, levels, lo, hi):
+        """Edge 2 passes 1e-4 from stick 1's midpoint, halfway along it: the
+        error names that edge, numbered as LoopOnConductorError numbers it
+        when the edge passes nearer, and the rightmost panel left
+        unconverged, which starts at that point once the edge is split, as
+        the depth-first scan does."""
+        from knotfield.biot_savart import QuadratureError
+        knot, near = canonical_trefoil(), lambda d: Loop(
+            vertices=((12, 9, 3), (12, -5, 3), (2 + d, -5, 3), (2 + d, 9, 3)))
+        want = f"holonomy edge 2 failed to converge to 2.5e-07 on [{lo}, {hi}] after {levels} halvings"
+        for route in (holonomy, scan_holonomy):
+            with pytest.raises(QuadratureError) as err:
+                route(knot, near(1e-4), max_levels=levels)
+            assert str(err.value) == want
+        with pytest.raises(LoopOnConductorError) as err:
+            holonomy(knot, near(1e-7))
+        assert (err.value.loop_edge, err.value.segment_index) == (2, 1)
 
     @pytest.mark.parametrize("bounds, match", [
         ({"tol": math.nan}, "tol must be finite and > 0, got nan"),
@@ -719,6 +738,22 @@ class TestVerifyFlatConnection:
     def test_figure_eight_passes(self):
         loop = Loop(vertices=((3, 5, 2), (5, 5, 2), (5, 7, 2), (3, 7, 2)), name="l46")
         assert abs(self.flat_check(canonical_figure_eight(), loop)[0]) == 1
+
+
+@pytest.mark.parametrize("knot, seed", [(canonical_trefoil(), 148), (canonical_trefoil(), 331),
+                                        (canonical_figure_eight(), 285),
+                                        (canonical_figure_eight(), 404),
+                                        (canonical_figure_eight(), 504)],
+                         ids=["3_1-148", "3_1-331", "4_1-285", "4_1-404", "4_1-504"])
+def test_verify_loops_end_within_tol(knot, seed):
+    """Every loop of ``verify``'s holonomy suite at these seeds ends within its
+    tol of 1e-6 from 4*pi*Lk, under its estimated error.  A Gauss panel
+    accepted when its halves agreed with it left one loop of each 4.75e-5
+    (3_1 seed 148 loop 13) down to 1.11e-6 off, over its estimate."""
+    _, _, _, loops, values = suite_holonomy_linking(knot, seed)
+    for loop, value in zip(loops, values):
+        error = abs(value - FOUR_PI * linking_number(knot, loop))
+        assert error <= 1e-6 and error <= holonomy(knot, loop).estimated_error
 
 
 @st.composite
