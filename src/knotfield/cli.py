@@ -185,8 +185,10 @@ def _build_knot(args, k: float = 1.0) -> LatticeKnot:
     """The knot named by the source options, with current prefactor k."""
     if args.knot is not None:
         return CANONICAL[args.knot](k=k)
-    if args.braid is not None:
-        return dataclasses.replace(close_braid_on_lattice(parse_braid(args.braid)), k=k)
+    if args.braid is not None:      # the copy at k keeps the closure's checked vertices
+        closure = close_braid_on_lattice(parse_braid(args.braid))
+        vars(knot := dataclasses.replace(closure, k=k))["_lattice"] = closure._lattice
+        return knot
     knot = read_knot_file(args.knot_file, k=k)
     violations = validate(knot).violations
     if violations:

@@ -21,8 +21,9 @@ pairs of every loop it lacks, and kept for all three calls:
   signed solid angle per (loop edge, knot stick) pair (Banchoff 1976;
   Klenin & Langowski 2000) -- no surface construction, no reuse of the
   closed-form field -- and rounds to the nearest integer, refusing to
-  answer when the rounding residual is ambiguous.  Corners, normals and
-  triple products are x, y, z arrays over every pair and corner at once.
+  answer when the rounding residual is ambiguous.  Corners and normals are
+  x, y, z arrays over every pair and corner at once; each pair's sign, and
+  whether it meets, come from ``_orient``, exact, which the clearance reads too.
 
 Sign conventions: a loop circulating counterclockwise about +z around a
 single +z current stick has holonomy +4*pi*k and linking number +1.
@@ -167,7 +168,7 @@ def _measure(knot: LatticeKnot, loops):
     which reduce each pair in the order one edge alone would, so a distance
     does not depend on the other edges or loops.  Coordinates too large to
     square overflow: such a loop is not representable, and its entry is its
-    first pair whose distance is inf or NaN."""
+    first pair whose distance is inf or NaN.  Pairs that meet, by ``_orient``, are at 0."""
     (sizes, firsts, p0, p1), (q0, q1) = _stack(loops), stick_ends(knot)
     with np.errstate(all="ignore"):
         d1 = p1 - p0                                # (M, 3)
@@ -187,19 +188,57 @@ def _measure(knot: LatticeKnot, loops):
         t = t.clip(0.0, 1.0)
         gap = p0[:, None, :] + s[..., None] * d1[:, None, :] - (q0 + t[..., None] * d2)
         d = np.sqrt(np.add.reduce(gap * gap, axis=-1))      # np.linalg.norm's own sum
-        # Axis-parallel segments are their own boxes: a pair within rounding of
-        # 0 meets exactly where its boxes overlap, and is then at 0.
-        edge, stick = np.nonzero(d <= 2.0 ** -40 * np.abs(np.concatenate((p0, q0))).max())
-        if edge.size:
-            (e_lo, e_hi), (s_lo, s_hi) = (np.sort((x0[k], x1[k]), axis=0)
-                                          for x0, x1, k in ((p0, p1, edge), (q0, q1, stick)))
-            meet = ((e_lo <= s_hi) & (s_lo <= e_hi)).all(axis=1) & ((d1[edge] != 0.0).sum(1) == 1)
-            d[edge[meet], stick[meet]] = 0.0
+    d[_orient(knot, p0, p1)[1]] = 0.0       # a pair that meets is at 0, not its rounding
     entries = []
     for rows in (d[lo:lo + n] for lo, n in zip(firsts, sizes)):
         i, j = divmod(int(np.argmin(np.where(np.isfinite(rows), rows, -np.inf))), rows.shape[1])
         entries.append((float(rows[i, j]), (i, j + 1)))
     return entries
+
+
+def _orient(knot: LatticeKnot, p0, p1):
+    """(sign, meets), (M, N) over the (edge p0->p1, stick q0->q1) pairs, both exact:
+    the sign of ((q1-q0) x (p1-p0)) . (q0-p0), on the lattice premise L*h*(d_b*r_c -
+    d_c*r_b) with d = p1-p0, r = q0-p0 in the stick's roles (a, b, c) and h its hand:
+    Shewchuk's orient2d (Discrete Comput. Geom. 18:305, 1997), in floats where it clears
+    his bound (3 + 16e)e(|d_b*r_c| + |d_c*r_b|), e = 2^-53, or both products are 0 by
+    their factors, else in rationals by ``_exact``.  A pair meets only at 0, with the
+    crossing in both spans: for an edge along a or across it, where their ranges
+    overlap.  An edge not finite meets nothing."""
+    sticks = knot.sticks
+    (lo, hi), q = sticks.span[..., 0].tolist(), sticks.start[..., 0]
+    e0, e1 = p0[:, sticks.roles], p1[:, sticks.roles]      # (M, 3, N): in each stick's roles
+    with np.errstate(all="ignore"):
+        d, r = e1 - e0, q - e0
+        left, right = d[:, 1] * r[:, 2], d[:, 2] * r[:, 1]
+        sure = abs(det := left - right) > (3.0 + 2.0 ** -49) * 2.0 ** -53 * (abs(left) + abs(right))
+    sign, meets = np.sign(det) * sticks.hand.T + 0.0, np.zeros(det.shape, bool)
+    # The pairs left, but an edge along a off the stick's line, of sign 0 and meeting nothing.
+    for i, j in zip(*np.nonzero(~sure & ((d[:, 1] != 0.0) | (d[:, 2] != 0.0)
+                                         | (r[:, 1] == 0.0) & (r[:, 2] == 0.0)))):
+        a0, b0, c0, a1, b1, c1 = ends = [*e0[i, :, j].tolist(), *e1[i, :, j].tolist()]
+        (db, dc), (rb, rc), (qb, qc) = d[i, 1:, j].tolist(), r[i, 1:, j].tolist(), q[1:, j]
+        if not all(map(math.isfinite, ends)):
+            continue
+        if (db == 0.0 or rc == 0.0) and (dc == 0.0 or rb == 0.0) and (a0 == a1 or db == dc == 0.0):
+            meets[i, j] = all(min(x0, x1) <= top and bottom <= max(x0, x1) for x0, x1, bottom, top
+                              in ((a0, a1, lo[j], hi[j]), (b0, b1, qb, qb), (c0, c1, qc, qc)))
+        else:
+            s, meets[i, j] = _exact(*ends, qb, qc, lo[j], hi[j])
+            sign[i, j] = s * sticks.hand[j, 0] + 0.0
+    return sign, meets
+
+
+def _exact(*coordinates):
+    """``_orient``'s (sign, meets) in rationals from a0, b0, c0, a1, b1, c1, qb, qc,
+    lo, hi: at determinant 0 the edge crosses the stick's line at s."""
+    from fractions import Fraction      # here: importing it costs every run 2 ms, rarely needed
+    a0, b0, c0, a1, b1, c1, qb, qc, lo, hi = map(Fraction, coordinates)
+    (db, dc), (rb, rc) = (b1 - b0, c1 - c0), (qb - b0, qc - c0)
+    if det := db * rc - dc * rb:
+        return (det > 0) - (det < 0), False
+    s = (db * rb + dc * rc) / (db * db + dc * dc)
+    return 0, 0 <= s <= 1 and lo <= a0 + s * (a1 - a0) <= hi
 
 
 def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
@@ -289,12 +328,6 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
     return results
 
 
-def _cross(a, b):
-    """a x b of coordinates-leading arrays, by ``np.cross``'s products in its order."""
-    return np.array((a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]))
-
-
 def linking_number(knot: LatticeKnot, loop: Loop) -> int:
     """Gauss linking number of the loop with the knot, summed exactly.
 
@@ -310,8 +343,9 @@ def linking_number(knot: LatticeKnot, loop: Loop) -> int:
     the sum of Omega over every (loop edge, knot stick) pair divided by
     4*pi; no quadrature is involved.  The sum uses only the two polylines,
     never the closed-form field, so it stays an independent check of
-    ``holonomy``.  Coplanar pairs, including a loop vertex on a stick's axis
-    extension, contribute exactly 0.  Raises LoopOnConductorError or
+    ``holonomy``.  The sign is ``_orient``'s, exact, so it does not flip near
+    contact, and a coplanar pair (a loop vertex on a stick's axis extension,
+    say) contributes exactly 0.  Raises LoopOnConductorError or
     LinkingPrecisionError from the check of the loop's clearance, and
     LinkingPrecisionError when the sum overflows or does not round
     convincingly: the one-loop case of ``_linking_results``.
@@ -335,19 +369,19 @@ def _linking_results(knot: LatticeKnot, loops) -> list[tuple[int, float]]:
     p, q = p[..., None], q[:, :, None]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            corners = q[:, [0, 1, 1, 0]] - p[:, [0, 0, 1, 1]]       # q0-p0, q1-p0, q1-p1, q0-p1
-            n = _cross(corners, corners[:, [1, 2, 3, 0]])
+            c = q[:, [0, 1, 1, 0]] - p[:, [0, 0, 1, 1]]     # corners q0-p0, q1-p0, q1-p1, q0-p1
+            e = c[:, [1, 2, 3, 0]]                          # n = c x e, as np.cross forms it
+            n = np.array((c[1] * e[2] - c[2] * e[1], c[2] * e[0] - c[0] * e[2],
+                          c[0] * e[1] - c[1] * e[0]))
             norm = np.sqrt(np.add.reduce(n * n))
             n = np.divide(n, norm, out=np.zeros_like(n), where=norm > 0.0)
             omega = sum(np.arcsin(np.clip(np.add.reduce(n * n[:, [1, 2, 3, 0]]), -1.0, 1.0)))
-            sign = np.sign(np.add.reduce(_cross(q[:, 1] - q[:, 0], p[:, 1] - p[:, 0])
-                                         * corners[:, 0]))
     except FloatingPointError as exc:
         # Each loop alone, in order: the first that fails raises its own error.
         for loop in loops[:len(sizes)] if len(sizes) > 1 else ():
             _linking_results(knot, [loop])
         raise LinkingPrecisionError(f"Gauss sum not representable: {exc}") from exc
-    results = []
+    results, sign = [], _orient(knot, p0, p1)[0]
     for lo, n in zip(firsts, sizes):
         total = float(np.sum(sign[lo:lo + n] * omega[lo:lo + n])) / (4.0 * math.pi)
         # NaN fails every comparison, so a non-finite sum is refused explicitly.

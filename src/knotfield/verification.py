@@ -48,15 +48,16 @@ def random_clear_points(rng, starts, ends, n: int, margin: float, clearance: flo
     ``starts`` to ``ends``, at least ``clearance`` from them by the kernel's
     own distance.  Each round draws one candidate per missing point, so the
     points and the generator's final state are those of drawing one at a time.
-    ``_check_clearance`` refuses a clearance before any draw."""
+    ``_check_clearance`` refuses a clearance before any draw; ``_barren`` caps the rounds."""
     packed = PackedSticks.pack(starts, ends)
     both = np.concatenate([starts, ends])
     lo, hi = both.min(axis=0) - margin, both.max(axis=0) + margin
     _check_clearance(clearance, lo, hi)
-    points = np.empty((0, 3))
+    points, barren = np.empty((0, 3)), 0
     while len(points) < n:
         p = rng.uniform(lo, hi, size=(n - len(points), 3))
-        points = np.concatenate([points, p[_stick_field(packed, p)[1] >= clearance]])
+        p = p[_stick_field(packed, p)[1] >= clearance]
+        points, barren = np.concatenate([points, p]), _barren(barren, len(p), clearance)
     return points
 
 
@@ -76,6 +77,17 @@ def random_rect_loop(rng, knot: LatticeKnot, clearance: float = 0.5,
     return _rect_loops(rng, knot, 1, clearance, margin, name)[0]
 
 
+_BARREN_ROUNDS = 1000      # consecutive rounds that keep nothing before a draw refuses
+
+
+def _barren(rounds, kept, clearance):
+    """Rounds in a row that kept nothing, after one that kept ``kept``; refused at the cap."""
+    if (rounds := 0 if kept else rounds + 1) == _BARREN_ROUNDS:
+        raise ValueError(f"no candidate in {rounds} rounds is at least {clearance} from the "
+                         "circuit; draw with a smaller clearance")
+    return rounds
+
+
 def _check_clearance(clearance, lo, hi):
     """Refuse a clearance that no candidate in the box drawn from meets, before any draw."""
     if not (clearance < (diagonal := math.dist(lo, hi)) and math.isfinite(clearance)):
@@ -88,14 +100,14 @@ def _rect_loops(rng, knot: LatticeKnot, n: int, clearance: float = 0.5, margin: 
     """n ``random_rect_loop``s, drawn in rounds of as many candidates as are
     missing, measured in one ``_clearances`` pass that keeps their entries.
     A candidate takes the same scalar draws kept or not, so the loops and the
-    final generator state are those of one-at-a-time draws."""
+    final generator state are those of one-at-a-time draws; ``_barren`` caps the rounds."""
     core_lo, core_hi = (np.asarray(c, dtype=float) for c in bounding_box(knot))
     half = 0.5 * ((core_hi + margin) - (core_lo - margin))
     reach = np.maximum(abs(half), 0.8)      # no rectangle's half-side exceeds it
     _check_clearance(clearance, core_lo - reach, core_hi + reach)
-    loops = []
+    loops, barren = [], 0
     while len(loops) < n:
-        drawn = []
+        drawn, before = [], len(loops)
         for _ in range(n - len(loops)):
             normal = int(rng.integers(0, 3))
             u, v = [ax for ax in range(3) if ax != normal]
@@ -111,6 +123,7 @@ def _rect_loops(rng, knot: LatticeKnot, n: int, clearance: float = 0.5, margin: 
                 raise refusal
             if entry[0] >= clearance:
                 loops.append(loop)
+        barren = _barren(barren, len(loops) - before, clearance)
     return loops
 
 

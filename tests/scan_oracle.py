@@ -45,15 +45,21 @@ writers from before they formatted each block with one ``%``: they format a
 row at a time with f-strings and spell every coordinate with ``repr``.
 ``dumps_write_jsonl`` writes each row with ``json.dumps``: the JSON-lines
 writer before it formatted blocks, and the reference for JSON spelling.
-``piercing_count`` is a third answer for an axis-aligned rectangle's
-linking number, beside holonomy and the Gauss sum: the signed count of
-sticks through its flat disc, exact, or None when a stick meets the disc
-otherwise.
+``piercing_count`` is a third answer for a planar polygon's linking
+number, beside holonomy and the Gauss sum: the signed count of sticks
+through its flat disc, weighted by the polygon's winding number, in
+``Fraction``s, or None when a stick meets the disc otherwise.
+``scan_loop_clearance`` puts a pair that meets at exactly 0 by the clamped
+closest points in ``Fraction``s, and ``scan_linking_number`` takes each
+pair's sign from the full triple product, in ``Fraction``s wherever its
+float value is within 2^-40 of its terms' size: the engine's one lattice
+predicate reached by general 3-D rules of its own.
 """
 
 import json
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -310,12 +316,32 @@ def _segment_segment_distances(p0, p1, q0s, q1s):
         return np.linalg.norm(closest1 - closest2, axis=1)
 
 
+def _exact_meets(p0, p1, q0, q1):
+    """Whether segments p0-p1 and q0-q1 share a point: the closest points of
+    the standard clamped computation (Ericson, *Real-Time Collision
+    Detection*, 2005, 5.1.9), in ``Fraction``s, coincide."""
+    p0, p1, q0, q1 = ([Fraction(x) for x in v] for v in (p0, p1, q0, q1))
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    d1, d2 = [y - x for x, y in zip(p0, p1)], [y - x for x, y in zip(q0, q1)]
+    r = [x - y for x, y in zip(p0, q0)]
+    a, e, f, c, b = dot(d1, d1), dot(d2, d2), dot(d2, r), dot(d1, r), dot(d1, d2)
+    clamp = lambda x: min(max(x, 0), 1)
+    s = clamp((b * f - c * e) / (a * e - b * b)) if a * e != b * b else 0
+    t = (b * s + f) / e
+    if not 0 <= t <= 1:
+        s, t = (clamp(-c / a), 0) if t < 0 else (clamp((b - c) / a), 1)
+    return all(x + s * u == y + t * v for x, u, y, v in zip(p0, d1, q0, d2))
+
+
 def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
     """Minimum distance from each loop edge to the circuit.
 
     Returns (clearance, (loop_edge, segment_index)) for the closest approach.
-    Raises LinkingPrecisionError when a distance is not finite, since the
-    loop is then not representable and its closest approach is unknown.
+    A pair that meets, by ``_exact_meets`` on every pair of finite
+    coordinates whose float distance is not above 2^-30 of their size, is at
+    exactly 0.  Raises LinkingPrecisionError when a distance is not finite,
+    since the loop is then not representable and its closest approach is
+    unknown.
     """
     starts, ends = stick_ends(knot)
     best = math.inf
@@ -323,6 +349,11 @@ def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
     v = [np.asarray(p, dtype=float) for p in loop.vertices]
     for i, (a, b) in enumerate((v[i], v[(i + 1) % len(v)]) for i in range(len(v))):
         d = _segment_segment_distances(a, b, starts, ends)
+        if np.isfinite([a, b]).all():
+            size = 1.0 + max(np.abs([a, b]).max(), np.abs(starts).max())
+            for j in np.flatnonzero(~(d > 2.0 ** -30 * size)):
+                if _exact_meets(a, b, starts[j], ends[j]):
+                    d[j] = 0.0
         bad = np.flatnonzero(~np.isfinite(d))
         if bad.size:
             raise LinkingPrecisionError(
@@ -334,6 +365,28 @@ def scan_loop_clearance(knot: LatticeKnot, loop: Loop):
             best = float(d[j])
             where = (i, j + 1)
     return best, where
+
+
+def _triple_signs(p0, p1, q0, q1):
+    """sign(((q1-q0) x (p1-p0)) . (q0-p0)) over broadcast (..., 3) arrays of
+    finite coordinates, exact: the float product where it exceeds 2^-40 of
+    the sum of its terms' magnitudes, far above its rounding, else the same
+    product in ``Fraction``s."""
+    u, d, r = np.broadcast_arrays(q1 - q0, p1 - p0, q0 - p0)
+    with np.errstate(all="ignore"):
+        t = np.sum(np.cross(u, d) * r, axis=-1)
+        size = np.sum((np.abs(u[..., [1, 2, 0]] * d[..., [2, 0, 1]])
+                       + np.abs(u[..., [2, 0, 1]] * d[..., [1, 2, 0]])) * np.abs(r), axis=-1)
+    sign = np.sign(t) + 0.0
+    p0, p1, q0, q1 = np.broadcast_arrays(p0, p1, q0, q1)
+    for k in zip(*np.nonzero(~(np.abs(t) > 2.0 ** -40 * size))):
+        a, b, c, e = ([Fraction(x) for x in v[k]] for v in (p0, p1, q0, q1))
+        uu, dd, rr = ([y - x for x, y in zip(m, n)] for m, n in ((c, e), (a, b), (a, c)))
+        exact = sum(x * y for x, y in zip(
+            (uu[1] * dd[2] - uu[2] * dd[1], uu[2] * dd[0] - uu[0] * dd[2],
+             uu[0] * dd[1] - uu[1] * dd[0]), rr))
+        sign[k] = (exact > 0) - (exact < 0)
+    return sign
 
 
 def _unit_normals(a, b):
@@ -360,8 +413,7 @@ def scan_linking_number(knot: LatticeKnot, loop: Loop):
             n = [_unit_normals(a, b) for a, b in zip(corners, corners[1:] + corners[:1])]
             omega = sum(np.arcsin(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
                         for a, b in zip(n, n[1:] + n[:1]))
-            sign = np.sign(np.sum(np.cross(q1 - q0, p1 - p0) * (q0 - p0), axis=-1))
-            total = float(np.sum(sign * omega)) / (4.0 * math.pi)
+            total = float(np.sum(_triple_signs(p0, p1, q0, q1) * omega)) / (4.0 * math.pi)
     except FloatingPointError as exc:
         raise LinkingPrecisionError(f"Gauss sum not representable: {exc}") from exc
 
@@ -374,34 +426,83 @@ def scan_linking_number(knot: LatticeKnot, loop: Loop):
     return int(round(total)), total
 
 
+def _orient2(a, b, c):
+    """Twice the signed area of the triangle (a, b, c) of rational 2-D points."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_segment(a, b, p):
+    """Whether the rational 2-D point p lies on the closed segment a-b."""
+    return (_orient2(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def _winding(poly, p):
+    """The winding number of the closed 2-D polygon about p, or None when p is
+    on it (Sunday's crossing rule, exact on rational points)."""
+    wind = 0
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        if _on_segment(a, b, p):
+            return None
+        if a[1] <= p[1] < b[1] and _orient2(a, b, p) > 0:
+            wind += 1
+        elif b[1] <= p[1] < a[1] and _orient2(a, b, p) < 0:
+            wind -= 1
+    return wind
+
+
+def _segments_meet(a, b, c, d):
+    """Whether the closed rational 2-D segments a-b and c-d share a point."""
+    o = [_orient2(a, b, c), _orient2(a, b, d), _orient2(c, d, a), _orient2(c, d, b)]
+    if (o[0] * o[1] < 0) and (o[2] * o[3] < 0):
+        return True
+    return _on_segment(a, b, c) or _on_segment(a, b, d) or _on_segment(c, d, a) \
+        or _on_segment(c, d, b)
+
+
 def piercing_count(knot: LatticeKnot, loop: Loop):
-    """The linking number of an axis-aligned rectangle with the knot, exact:
-    the algebraic intersection number of the knot with the rectangle's flat
-    disc (Rolfsen, *Knots and Links*, 1976, 5.D).  Each stick along the
-    disc's normal whose span strictly contains the disc's plane and whose
-    transverse coordinates lie strictly inside the rectangle adds the sign
-    of its direction times the rectangle's turning sense.  None, as
-    degenerate, when any other stick meets the closed disc: one touching its
-    boundary, ending on it or lying in its plane.  Every comparison is
-    between the loop's floats and the sticks' integers, so none rounds."""
-    corners = np.array(loop.vertices, dtype=float)
-    edges = np.diff(corners, axis=0, append=corners[:1])
-    assert len(corners) == 4 and (np.count_nonzero(edges, axis=1) == 1).all()
-    (n,) = np.flatnonzero(np.ptp(corners, axis=0) == 0.0)
-    u, v, c = (n + 1) % 3, (n + 2) % 3, corners[0, n]     # e_u x e_v = e_n
-    x, y = corners[:, u], corners[:, v]
-    turn = np.sign(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))    # shoelace, in (u, v)
-    (u0, u1), (v0, v1) = (x.min(), x.max()), (y.min(), y.max())
-    starts, ends = stick_ends(knot)
-    lo, hi = np.minimum(starts, ends), np.maximum(starts, ends)
-    meets = ((lo[:, n] <= c) & (c <= hi[:, n]) & (lo[:, u] <= u1) & (hi[:, u] >= u0)
-             & (lo[:, v] <= v1) & (hi[:, v] >= v0))
-    # A stick along n has lo == hi on u and v; any other has lo == hi on n.
-    inside = ((lo[:, n] < c) & (c < hi[:, n]) & (u0 < lo[:, u]) & (lo[:, u] < u1)
-              & (v0 < lo[:, v]) & (lo[:, v] < v1))
-    if (meets & ~inside).any():
-        return None
-    return int(turn * np.sign(ends[inside, n] - starts[inside, n]).sum())
+    """The linking number of a planar polygon with the knot, exact: the
+    algebraic intersection number of the knot with the polygon's flat disc
+    (Rolfsen, *Knots and Links*, 1976, 5.D), in rationals.  Each stick that
+    crosses the polygon's plane, from one side to the other, at a point off
+    the polygon adds the polygon's winding number about that point times the
+    sign of the stick's direction along the polygon's vector area.  None, as
+    degenerate, when any stick meets the closed disc otherwise: crossing the
+    plane on the polygon, ending in the closed disc or lying in its plane and
+    meeting it.  Every value is a ``Fraction`` of the loop's floats and the
+    sticks' integers, so none rounds."""
+    v = [tuple(map(Fraction, p)) for p in loop.vertices]
+    area = [sum(p[i] * q[j] - p[j] * q[i] for p, q in zip(v, v[1:] + v[:1]))
+            for i, j in ((1, 2), (2, 0), (0, 1))]               # twice the vector area
+    # The side of the plane, scaled to integers: area . (p - v[0]) times a common denominator.
+    offset = sum(n * x for n, x in zip(area, v[0]))
+    scale = math.lcm(*(x.denominator for x in area + [offset]))
+    normal, offset = [int(n * scale) for n in area], int(offset * scale)
+    side = lambda p: sum(n * x for n, x in zip(normal, p)) - offset
+    assert any(area) and not any(map(side, v)), "the loop is not a planar polygon"
+    k = max(range(3), key=lambda i: abs(area[i]))
+    u, w = (k + 1) % 3, (k + 2) % 3                 # e_u x e_w = e_k
+    flat = lambda p: (p[u], p[w])
+    poly, turn = [flat(p) for p in v], 1 if area[k] > 0 else -1
+    box = [(min(p[i] for p in poly), max(p[i] for p in poly)) for i in (0, 1)]
+    count, ends = 0, [e.astype(int).tolist() for e in stick_ends(knot)]
+    for q0, q1, f0, f1 in zip(*ends, *([side(q) for q in e] for e in ends)):
+        if f0 * f1 > 0:
+            continue
+        if f0 == f1 == 0:                           # in the plane: degenerate if it meets the disc
+            a, b = flat(q0), flat(q1)
+            if any(max(a[i], b[i]) < lo or min(a[i], b[i]) > hi for i, (lo, hi) in enumerate(box)):
+                continue
+            if _winding(poly, a) != 0 or any(_segments_meet(a, b, c, d)
+                                             for c, d in zip(poly, poly[1:] + poly[:1])):
+                return None
+            continue
+        t = Fraction(f0, f0 - f1)
+        wind = _winding(poly, flat([x + t * (y - x) for x, y in zip(q0, q1)]))
+        if wind is None or wind and 0 in (f0, f1):  # on the polygon, or ending in the disc
+            return None
+        count += wind * turn * (1 if f1 > f0 else -1)
+    return count
 
 
 def _scan_by_axis(sticks: PackedSticks, h_b, h_c, factor):

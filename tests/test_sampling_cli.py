@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -767,6 +768,25 @@ class TestCli:
         rc = run_cli("field", "sample", "--braid", "s1 s1 s1", "--origin", "0,4,0",
                      "--spacing", "1.0", "--counts", "2,1,2", "--out", str(out))
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("knot", "info", "--k", "2.5"),
+        ("field", "sample", "--k", "-1.5", "--origin", "0,4,0", "--spacing", "1.0",
+         "--counts", "2,1,2")], ids=["knot-info", "field-sample"])
+    def test_braid_source_checks_its_vertices_once(self, argv, tmp_path, monkeypatch):
+        """A ``--braid`` source at any k runs ``LatticeKnot._lattice``'s vertex
+        check once, in the builder: the copy at k keeps the closure's."""
+        calls, check = [], geometry.LatticeKnot._lattice.func
+
+        def counted(knot):
+            calls.append(knot.name)
+            return check(knot)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(geometry.LatticeKnot, "_lattice")
+        monkeypatch.setattr(geometry.LatticeKnot, "_lattice", prop)
+        assert run_cli(*argv, "--braid", BRAID_40, "--out", str(tmp_path / "out")) == 0
+        assert len(calls) == 1
 
     def test_verify_small(self, capsys):
         rc = run_cli("verify", "--knot", "3_1", "--loops", "3", "--points", "10",

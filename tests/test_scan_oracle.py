@@ -27,7 +27,11 @@ included, on a one-point tile too.  On rectangles, holonomy's inferred
 linking and the Gauss sum must each equal the exact piercing count or
 refuse with a typed error; on degenerate rectangles, with a stick in their
 plane or on their boundary, both refuse one that meets the knot, and each
-answer equals the count of the rectangle moved off the degeneracy.  The
+answer equals the count of the rectangle moved off the degeneracy.  So do
+planar quadrilaterals whose skew edge passes within rounding of a stick,
+against the exact count of any planar polygon.  Degenerate (edge, stick)
+pairs get an exact sign of 0 and their exact contact, and axis-aligned
+loops never reach the predicate's exact fallback.  The
 quadrature routes must keep the scan oracle's bits at offsets whose
 squares overflow, are subnormal or are 0.  Batches that
 mix axis-aligned rectangles with skew triangles and hexagons must give
@@ -93,11 +97,14 @@ from knotfield.geometry import (
 from knotfield.sampling import _BLOCK_ROWS, FieldSample, GridSpec, write_csv, write_jsonl, write_vtk
 from knotfield.topology import (
     LinkingPrecisionError,
+    LoopOnConductorError,
     Loop,
     _clearances,
+    _exact,
     _holonomy_results,
     _linking_results,
     _measure,
+    _orient,
     _refusal,
     holonomy,
     linking_number,
@@ -139,6 +146,7 @@ from scan_oracle import (
     scan_write_jsonl,
     scan_write_vtk,
 )
+from test_biot_savart import BRAID_40
 from test_topology import AXIS_LOOP, PUBLIC, public_outcome, square_around
 
 SETTINGS = settings(max_examples=50, deadline=None,
@@ -176,6 +184,7 @@ def braid_closures(draw, max_letters=10):
 knots = st.one_of(braid_closures(), st.sampled_from((canonical_trefoil(), canonical_figure_eight())))
 # The 412-stick closure of (s1 s2^-1)^20.
 CLOSURE_412 = close_braid_on_lattice(parse_braid("s1 s2^-1 " * 20))
+CLOSURE_BRAID_40 = close_braid_on_lattice(parse_braid(BRAID_40))
 
 
 def _along(a, b, t):
@@ -888,6 +897,110 @@ def test_degenerate_rects_equal_the_shifted_piercing_count(case):
               for eps in (OFF_LATTICE / 4, -OFF_LATTICE / 4)}
     assert len(counts) == 1 and None not in counts
     assert all(a in counts or not isinstance(a, int) for a in answers), (answers, counts)
+
+
+# The skew edge of ROADMAP item 12's probe: 1.1e-16 from trefoil stick 1,
+# which the rounded triple products counted once; the exact count is 0.
+ROADMAP_A = (2.7231004774809464, 2.75537611584457, 0.038969985691726494)
+ROADMAP_B = (1.2906493183033059, 1.2589874029977173, 1.804549047461962)
+
+
+def raised(a, b):
+    """The quadrilateral a -> b -> b + 30 e_z -> a + 30 e_z, planar in floats."""
+    up = lambda p: (p[0], p[1], p[2] + 30.0)
+    return Loop(vertices=(a, b, up(b), up(a)))
+
+
+@st.composite
+def skew_quads(draw, count=20):
+    """(knot, loops): 3_1, 4_1, a braid closure or the 412-stick closure of
+    ``BRAID_40``, and ``count`` loops ``raised(a, b)`` drawn from
+    ``default_rng`` at a drawn seed, each traversed either way, where a -> b
+    is a skew segment through a float point on a uniform stick: the point at
+    a uniform fraction of the stick, a and b 0.5 to 4 from it along a
+    uniform direction on the sphere."""
+    knot = draw(st.one_of(knots, st.just(CLOSURE_BRAID_40)))
+    rng, (starts, ends) = np.random.default_rng(draw(st.integers(0, 2**32 - 1))), stick_ends(knot)
+    loops = []
+    for _ in range(count):
+        j = rng.integers(len(starts))
+        x = starts[j] + rng.random() * (ends[j] - starts[j])
+        w = rng.normal(size=3)
+        w /= np.linalg.norm(w)
+        a, b = (tuple(x + t * w) for t in (-rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)))
+        loop = raised(a, b)
+        loops.append(loop.reversed() if rng.random() < 0.5 else loop)
+    return knot, loops
+
+
+@SETTINGS
+@given(skew_quads())
+@example((canonical_trefoil(), [raised(ROADMAP_A, ROADMAP_B)]))
+def test_skew_quads_equal_the_piercing_count(case):
+    """Holonomy's inferred linking and the Gauss sum each equal the exact
+    piercing count of a planar quadrilateral whose edge passes within
+    rounding of a stick, or refuse with a typed error; both refuse one that
+    meets the knot.  The signs near contact come from ``_orient``'s exact
+    fallback: rounded triple products give 85 wrong Gauss sums in 3,000
+    such loops around 3_1."""
+    knot, loops = case
+    for loop in loops:
+        if piercing_count(knot, loop) is not None:
+            assert_routes_count(knot, loop)
+        elif scan_loop_clearance(knot, loop)[0] == 0.0:
+            for route in (lambda: holonomy(knot, loop), lambda: linking_number(knot, loop)):
+                with pytest.raises(FieldError):
+                    route()
+
+
+# Trefoil sticks (0-based) 0: (2,2,0)->(2,2,6), 6: (0,0,2)->(0,0,4) and 11:
+# (6,2,0)->(2,2,0).  Each case: (loop, edge, stick, meets) for one pair of
+# determinant exactly 0, so of sign 0.
+DEGENERATE_PAIRS = {
+    "axis-vertex": (Loop(((0, 0, 1), (4, 0.5, 1), (1, 4, 1))), 0, 6, False),   # below stick 6
+    "coplanar": (Loop(((2.5, 2, 7), (2.25, 2, 0.5), (-1, -1, 3))), 0, 0, False),  # in y = 2
+    "through-end": (Loop(((1.5, 1.25, -0.5), (2.5, 2.75, 0.5), (0.5, 3, 1))), 0, 11, True),
+    "collinear": (Loop(((2, 2, 7), (2, 2, 9), (3, 3, 8))), 0, 0, False),
+    "collinear-touching": (Loop(((2, 2, 6), (2, 2, 9), (3, 3, 8))), 0, 0, True),
+    "collinear-overlapping": (Loop(((2, 2, 5), (2, 2, 9), (3, 3, 8))), 0, 0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_PAIRS))
+def test_degenerate_pairs(name):
+    """A loop vertex on a stick's axis extension, an edge coplanar with a
+    stick, a skew edge through a stick's end (passing through (2, 2, 0) at
+    its midpoint) and edges collinear with a stick: ``_orient`` gives the
+    pair a sign of exactly +0.0 and its exact contact.  A loop that meets the
+    knot is at 0 and both routes refuse it; any other has a piercing count,
+    which both routes give."""
+    knot, (loop, edge, stick, meets) = canonical_trefoil(), DEGENERATE_PAIRS[name]
+    sign, meet = _orient(knot, *(e[edge:edge + 1] for e in loop._ends))
+    assert (sign[0, stick].hex(), bool(meet[0, stick])) == ((0.0).hex(), meets)
+    if meets:
+        assert piercing_count(knot, loop) is None and loop_clearance(knot, loop)[0] == 0.0
+        for route in (lambda: holonomy(knot, loop), lambda: linking_number(knot, loop)):
+            with pytest.raises(LoopOnConductorError):
+                route()
+    else:
+        count = piercing_count(knot, loop)
+        assert linking_number(knot, loop) == holonomy(knot, loop).inferred_linking == count
+
+
+@pytest.mark.parametrize("knot", [canonical_trefoil(), canonical_figure_eight()],
+                         ids=["3_1", "4_1"])
+def test_axis_aligned_loops_take_no_exact_pair(knot):
+    """On ``_rect_loops`` rectangles at seeds 0-4 and on a square of
+    half-width 1e-5 around each stick's midpoint, as perfbench's tight loops
+    are drawn, every pair's sign and contact come from the float filter:
+    neither ``_measure`` nor ``_linking_results`` calls ``_exact``."""
+    loops = [loop for seed in range(5)
+             for loop in verification._rect_loops(np.random.default_rng(seed), knot, 20)]
+    loops += [square_around(stick, 1e-5) for stick in segments(knot)]
+    with mock.patch("knotfield.topology._exact", wraps=_exact) as exact:
+        _measure(knot, loops)
+        _linking_results(knot, loops)
+    assert exact.call_count == 0
 
 
 rect_loops = st.builds(lambda knot, seed: (knot, verification._rect_loops(

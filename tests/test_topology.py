@@ -294,6 +294,9 @@ class TestLinkingNumber:
         knot = canonical_trefoil()
         assert linking_number(knot, loop) == holonomy(knot, loop).inferred_linking == expected
 
+    def test_near_corner_loop_takes_the_exact_sign(self):
+        assert linking_number(canonical_trefoil(), NEAR_CORNER) == 0
+
     def test_overflowing_sum_raises(self):
         huge = Loop(vertices=((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
         with pytest.raises(LinkingPrecisionError):
@@ -343,9 +346,16 @@ THROUGH = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="thro
 HUGE = Loop(vertices=((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="huge")
 # Clear of the circuit by 7e149, but the Gauss sum's cross products overflow.
 OVERFLOWING = Loop(vertices=((1e150, 0, 0), (0, 1e150, 0), (0, 0, 1e150)), name="overflowing")
-# A vertex 5e-16 from the trefoil's corner (0, 0, 4): the sum rounds ambiguously.
-AMBIGUOUS = Loop(vertices=((-2.4610302371825135e-16, 1.1305453486755004e-15, 3.9999999999999996),
-                           (-1.5, 0.4, 3.3), (1.0, -1.7, 6.4), (0.9, 3.0, 5.8)), name="ambiguous")
+# Edge 0 runs 2.2e-162 from the trefoil's sticks on the z axis, so its normals'
+# squares are subnormal: the sum, 1.556 where the Gauss integral is 2, rounds ambiguously.
+AMBIGUOUS = Loop(vertices=((2.383137242326653e-162, -3.0964321735541426e-162, 0.7665332416277835),
+                           (-9.592427756138262e-163, 1.5339164715110692e-162, 5.218610488321998),
+                           (4.148216416278775, 0.8313075283585176, 7.731049952640161)),
+                 name="ambiguous")
+# A vertex 5e-16 from the trefoil's corner (0, 0, 4).  With exact signs its sum
+# is 0, the Gauss integral at 60 digits; rounded triple products give 0.493.
+NEAR_CORNER = Loop(vertices=((-2.4610302371825135e-16, 1.1305453486755004e-15, 3.9999999999999996),
+                             (-1.5, 0.4, 3.3), (1.0, -1.7, 6.4), (0.9, 3.0, 5.8)), name="near-corner")
 
 
 class TestBatchedLinking:
@@ -506,6 +516,23 @@ def test_draws_refuse_a_clearance_no_candidate_meets(draw, knot):
                                                     r"box's diagonal \d+\.\d+, got 100.0"):
         draw(rng, knot, 100.0)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("draw, clearance", [
+    (lambda rng, knot, clearance: random_rect_loop(rng, knot, clearance), 6.0),
+    (lambda rng, knot, clearance: verification._rect_loops(rng, knot, 3, clearance), 6.0),
+    (lambda rng, knot, clearance: random_clear_points(rng, *stick_ends(knot), 3, 3.0, clearance),
+     10.0)],
+    ids=["random_rect_loop", "_rect_loops", "random_clear_points"])
+def test_draws_refuse_a_clearance_no_candidate_keeps(draw, clearance):
+    """Around 3_1, no point of the box inflated by 3 is 10 from the circuit,
+    and 1,000 rounds from seed 0 draw no rectangle 6 from it, although both
+    clearances are below the box's diagonal: such a draw refuses the
+    clearance after ``_BARREN_ROUNDS`` rounds in a row that keep nothing,
+    under an alarm that fails a hang."""
+    with alarm(30), pytest.raises(ValueError, match=(
+            f"no candidate in {verification._BARREN_ROUNDS} rounds is at least {clearance} ")):
+        draw(np.random.default_rng(0), canonical_trefoil(), clearance)
 
 
 def test_verify_measures_each_clearance_once():
