@@ -46,12 +46,12 @@ The independent oracle for the closed form, in the test suite and in
 ``verify``, is a plain adaptive integrator of the raw current-element law
 dB = k dl x s / |s|^3: per-panel bisection with QUADPACK's 21-point
 Gauss-Kronrod rule, whose embedded 10-point Gauss sum gives each panel's
-error, the integrator ``_bisect`` that holonomy also runs.  It takes many (stick,
-point) rows at once, one depth per step, so a row's bits are those it has
-alone; ``segment_field_quadrature`` is the one-row case.  Each node forms
-only the stick's moving coordinate and adds the two fixed squared offsets
-in a three-wide sum's x, y, z order, so no bit moves.  A k so large that
-the field overflows is refused with ValueError.
+error, the integrator ``_bisect`` that holonomy also runs.  It takes many
+(stick, point) rows, each its own error pool, one depth per step, so a
+row's bits are those it has alone; ``segment_field_quadrature`` is the
+one-row case.  A node forms only the stick's moving coordinate and adds
+the two fixed squared offsets in a three-wide sum's x, y, z order, so no
+bit moves.  A k so large that the field overflows raises ValueError.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class QuadratureError(FieldError):
 
 
 _TILE_PAIRS = 1 << 15
-_XYZ = np.arange(3)[:, None, None]     # ``_along``'s a for all three components
+_XYZ = np.arange(3)[:, None, None]     # ``_along``'s three components
 
 
 def _finite(points):
@@ -157,32 +157,15 @@ def _pair_terms(operands, clearance=True):
         yield -sticks.hand * tc, sticks.hand * tb, factor, dist2
 
 
-def _along(sticks: PackedSticks, h_b, h_c, factor, a):
-    """Each stick's field along axis a, ``a`` broadcasting against the
-    sticks' column: its offset along a times factor, or for a stick along a
-    an exact zero, never 0 * factor, which is NaN where factor is infinite."""
+def _along(sticks: PackedSticks, h_b, h_c, factor):
+    """Each stick's field along x, y and z, (3, N, ...): its offset along the
+    axis times factor, or for a stick along that axis an exact zero, never
+    0 * factor, which is NaN where factor is infinite."""
     along, ax_b, _ = sticks.roles[:, :, None]
-    term = np.where(ax_b == a, h_b, h_c)
+    term = np.where(ax_b == _XYZ, h_b, h_c)
     np.multiply(term, factor, out=term)
-    np.copyto(term, 0.0, where=along == a)
+    np.copyto(term, 0.0, where=along == _XYZ)
     return term
-
-
-def _flow_sum(term):
-    """``_along``'s terms summed over the sticks, axis -2, onto zero in flow
-    order; over one point, where numpy's sum pairs, by accumulation + 0.0."""
-    if term.shape[-1] > 1:
-        return term.sum(axis=-2)
-    return np.add.accumulate(term, -2)[..., -1, :] + 0.0
-
-
-def _tiles(sticks: PackedSticks, points, clearance=True):
-    """(rows, ``_pair_terms`` item) for each tile of the (M, 3) points, at
-    most ``_TILE_PAIRS`` (point, stick) pairs, rows the tile's slice."""
-    pts, step = np.ascontiguousarray(points.T), max(1, _TILE_PAIRS // len(sticks.sign))
-    rows = [slice(lo, lo + step) for lo in range(0, len(points), step)]
-    tiles = ((sticks, *(pts[ax, r] for ax in sticks.roles)) for r in rows)
-    return zip(rows, _pair_terms(tiles, clearance))
 
 
 def _stick_field(sticks: PackedSticks, points):
@@ -193,26 +176,23 @@ def _stick_field(sticks: PackedSticks, points):
     that is not finite."""
     _finite(points)
     b, near, nearest = np.empty((m := len(points), 3)), np.empty(m), np.empty(m, dtype=np.intp)
+    # Tiles of at most ``_TILE_PAIRS`` (point, stick) pairs.
+    pts, step = np.ascontiguousarray(points.T), max(1, _TILE_PAIRS // len(sticks.sign))
+    tiles = [slice(lo, lo + step) for lo in range(0, m, step)]
     # Far points overflow to inf, which the forms turn into an exact zero
     # field and an infinite distance.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rows, (h_b, h_c, factor, dist2) in _tiles(sticks, points):
+        for rows, (h_b, h_c, factor, dist2) in zip(tiles, _pair_terms(
+                (sticks, *(pts[ax, r] for ax in sticks.roles)) for r in tiles)):
             dist = np.sqrt(dist2, out=dist2)
             nearest[rows], near[rows] = dist.argmin(axis=0), dist.min(axis=0)
-            b[rows] = _flow_sum(_along(sticks, h_b, h_c, factor, _XYZ)).T
-            del h_b, h_c, factor, dist2, dist  # the next tile replaces them in the kernel's frame
+            # Onto zero over the sticks in flow order; over one point, where
+            # numpy's sum pairs, by accumulation + 0.0.
+            term = _along(sticks, h_b, h_c, factor)
+            b[rows] = (term.sum(axis=1) if term.shape[2] > 1 else
+                       np.add.accumulate(term, 1)[:, -1] + 0.0).T
+            del h_b, h_c, factor, dist2, dist, term     # the next tile replaces them
     return b, near, nearest
-
-
-def _axis_field(sticks: PackedSticks, points, axis, length):
-    """``_stick_field``'s B[i, axis[i]] times length[i] at (M, 3) finite
-    points, bit for bit: the field along an edge on axis a, which reads B_a
-    alone, from one ``_along`` term per (stick, point) at the point's axis."""
-    out = np.empty(len(points))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rows, (h_b, h_c, factor, _) in _tiles(sticks, points, clearance=False):
-            out[rows] = _flow_sum(_along(sticks, h_b, h_c, factor, axis[rows]))
-    return np.multiply(out, length, out=out)
 
 
 def _templates(each, axes, step):
@@ -289,7 +269,7 @@ def _paired_field(sticks: PackedSticks, points):
         h_b, h_c, factor, dist2 = next(_pair_terms([(sticks, *pts)]))
         # Summed onto zero, as in the tiles; a zero offset times an infinite
         # factor is NaN there too.
-        return _along(sticks, h_b, h_c, factor, _XYZ).sum(axis=2).T, np.sqrt(dist2[:, 0])
+        return _along(sticks, h_b, h_c, factor).sum(axis=2).T, np.sqrt(dist2[:, 0])
 
 
 def _times_k(b, k):
@@ -352,43 +332,51 @@ def _check_bounds(tol, max_depth, depth_name):
         raise ValueError(f"{depth_name} must be an integer >= 0, got {max_depth!r}")
 
 
-def _bisect(integrand, budget, max_depth):
-    """Adaptive bisection (QUADPACK's QAG, Piessens et al. 1983) of M rows
-    over [0, 1]: ((M, 2) value and error sums, failure).  ``integrand(rows,
-    t)`` is row rows[i]'s integrand at the 21 Kronrod nodes t[i] of its
-    panel, as alone.  A panel's value is its QK21 sum and its error the
-    |K21 - G10| of the 10 Gauss nodes among them; it is accepted when the
-    error is within its budget, half its parent's, or 64 ulps of the largest
-    |value| from it up to the root (Gander & Gautschi, BIT 40:84, 2000),
-    else split in two.  One call per depth.  A row fails at ``max_depth`` or
-    on an estimate not finite: failure is None or (row, depth, lo, hi) of
-    the lowest failing row's rightmost failing panel, and later rows stop.
-    Accepted panels are summed onto zero right to left, as a depth-first
-    scan would, so a row's bits are its own.
+def _bisect(integrand, rows, lo, hi, group, tol, max_depth):
+    """Adaptive bisection (QUADPACK's QAG, Piessens et al. 1983) over [0, 1]
+    of R = len(group) rows from initial panels ``rows``, ``lo``, ``hi``, in
+    row order, each row's left to right: (each row's value, each pool's
+    accepted error, (G, 2) its panels evaluated and deepest halving, failure).
+    ``integrand(rows, t)`` is row rows[i]'s integrand at the 21 Kronrod
+    nodes t[i] of its panel, as alone; a panel's value is its QK21 sum and
+    its error |K21 - G10|.  Row r draws on pool ``group[r]`` (pools in row
+    order) of ``tol[g]``: each depth, a pool whose accepted and live errors,
+    each summed onto zero in order, total at most tol accepts every live
+    panel, else those within (tol - accepted) / live count or 64 ulps of the
+    largest |value| up from the initial panel (Gander & Gautschi, BIT 40:84,
+    2000), and splits the rest.  One call per depth.  A pool fails on an
+    estimate not finite or a panel left at ``max_depth``: failure is None or
+    (row, depth, lo, hi) of the lowest failing pool's first such panel, and
+    later pools stop.  Each row sums its accepted values onto zero as they
+    are accepted, by depth, then left to right, so its bits are its pool's.
     """
-    rows, total = np.arange(len(budget)), np.zeros((len(budget), 2))
-    lo, hi, scale, failure, depth, kept = np.zeros(len(rows)), np.ones(len(rows)), 0.0, None, 0, []
+    pools, accepted, kept = len(tol), np.zeros(len(tol)), []
+    scale, failure, depth, stats = np.zeros(len(rows)), None, 0, np.zeros((pools, 2), dtype=int)
     while True:
         half = 0.5 * (hi - lo)          # each (1 x 21) @ (21 x 1) dot as one panel's alone
         f = integrand(rows, (0.5 * (hi + lo))[:, None] + half[:, None] * _XK)[..., None]
         value, gauss = (half * (w @ f)[:, 0] for w in (_WK, _WG))
-        err, scale = np.abs(value - gauss), np.maximum(scale, np.abs(value))
-        done = err <= np.maximum(budget, 2.0 ** -46 * scale)        # 64 ulps of 1 times scale
-        kept.append((done, rows, lo, value, err))    # filtered after the loop
-        if (depth >= max_depth or not np.isfinite(err).all()) and (bad := np.flatnonzero(
-                ~(np.isfinite(err) & (done | (depth < max_depth))))).size:
-            i = bad[rows[bad] == rows[bad[0]]][-1]      # rows, and each row's panels, in order
+        err, scale, g = np.abs(value - gauss), np.maximum(scale, np.abs(value)), group.take(rows)
+        live = np.bincount(g, minlength=pools)
+        stats[:, 0] += live
+        stats[live > 0, 1] = depth
+        done = (accepted + np.bincount(g, err, pools) <= tol).take(g) | (err <= np.maximum(
+            (tol - accepted).take(g) / live.take(g), 2.0 ** -46 * scale))   # 64 ulps times scale
+        if (depth >= max_depth or not np.isfinite(err).all()) and (
+                bad := ~np.isfinite(err) | ~done & (depth >= max_depth)).any():
+            i = int(np.argmax(bad))         # pools, rows and panels in order
             failure = (int(rows[i]), depth, float(lo[i]), float(hi[i]))
-            done = done | (rows > rows[i]) | (rows == rows[i]) & (lo <= lo[i])
+            done |= g >= g[i]
+        accepted += np.bincount(g[done], err[done], pools)
+        kept.append((done, rows, value))    # filtered after the loop
         if not (go := np.flatnonzero(~done)).size:
             break
-        rows, budget, scale = (np.repeat(x[go], 2) for x in (rows, 0.5 * budget, scale))
-        mid, depth = 0.5 * (lo[go] + hi[go]), depth + 1
-        lo, hi = np.column_stack((lo[go], mid)).ravel(), np.column_stack((mid, hi[go])).ravel()
-    done, rows, lo, value, err = (np.concatenate(x) for x in zip(*kept))
-    rows, lo, sums = rows[done], lo[done], np.column_stack((value, err))[done]
-    np.add.at(total, rows[order := np.argsort(-lo)], sums[order])     # one add at a time
-    return total, failure
+        rows, scale, lo, hi = (x.take(go).repeat(2) for x in (rows, scale, lo, hi))
+        hi[::2] = lo[1::2] = 0.5 * (lo[::2] + hi[::2])      # each panel's halves, left first
+        depth += 1
+    done, rows, value = (np.concatenate(x) for x in zip(*kept))
+    # One add at a time, in the order the row's panels were accepted.
+    return np.bincount(rows[done], value[done], len(group)), accepted, stats, failure
 
 
 def _quadrature(starts, ends, points, k, tol, max_depth):
@@ -420,10 +408,12 @@ def _quadrature(starts, ends, points, k, tol, max_depth):
         d = a_ax[rows] - t * u_ax[rows]
         return 1.0 / ((d * d + k1[rows]) + k2[rows]) ** 1.5
 
-    (sums, failure), out = _bisect(integrand, tol / cmax[live], max_depth), np.zeros_like(c)
+    n, out = len(live), np.zeros_like(c)
+    sums, _, _, failure = _bisect(integrand, np.arange(n), np.zeros(n), np.ones(n), np.arange(n),
+                                  tol / cmax[live], max_depth)
     if failure is not None:
         raise QuadratureError("no convergence after depth {1} on [{2}, {3}]".format(*failure))
-    out[live] = (k * c[live]) * sums[:, :1]
+    out[live] = (k * c[live]) * sums[:, None]
     return out
 
 

@@ -7,23 +7,24 @@ field is a flat connection on the knot complement: curl-free away from the
 wire yet with non-trivial circulation around it.
 
 Two independent routes are implemented so they can catch each other's bugs,
-each refusing a loop by its clearance from the circuit, measured once per
-live loop and knot by ``_clearances``, in one pass over the (edge, stick)
-pairs of every loop it lacks, and kept for all three calls:
+each refusing a loop on or near the circuit with its clearance, measured
+once per live loop and knot by ``_clearances``, in one pass over the (edge,
+stick) pairs of every loop it lacks, and kept for all three calls:
 
-* ``holonomy`` integrates the closed-form superposed field along the loop
-  (Gauss-Kronrod panels bisected by the quadrature oracle's integrator; each
-  depth's kernel calls span all loops).  An edge along axis a reads B_a alone, from
-  ``_axis_field``: one call per edge axis from the sticks off that axis, or,
-  for a lone loop, one from all the sticks; edges off the axes take the
-  full field;
+* ``holonomy`` integrates the closed-form field along the loop, one
+  ``_bisect`` row per (loop edge, stick) pair: that stick's term alone,
+  zero for a stick along the edge, so cost follows the near sticks.  A row
+  starts split where the edge passes closest to the stick's line, and each
+  loop draws on one error pool (QUADPACK's QAG and QAGP, Piessens et al.
+  1983); each depth's kernel calls span all loops;
 * ``linking_number`` sums the Gauss double integral exactly, one closed-form
   signed solid angle per (loop edge, knot stick) pair (Banchoff 1976;
   Klenin & Langowski 2000) -- no surface construction, no reuse of the
   closed-form field -- and rounds to the nearest integer, refusing to
   answer when the rounding residual is ambiguous.  Corners and normals are
   x, y, z arrays over every pair and corner at once; each pair's sign, and
-  whether it meets, come from ``_orient``, exact, which the clearance reads too.
+  whether it meets, come from ``_orient``, exact, at whose contact the
+  route refuses a loop, and which the clearance reads too.
 
 Sign conventions: a loop circulating counterclockwise about +z around a
 single +z current stick has holonomy +4*pi*k and linking number +1.
@@ -45,11 +46,11 @@ from .biot_savart import (
     DEFAULT_EXCLUSION_RADIUS,
     FieldError,
     QuadratureError,
-    _axis_field,
+    _TILE_PAIRS,
     _bisect,
     _check_bounds,
     _check_positive,
-    _stick_field,
+    _pair_terms,
     _times_k,
 )
 
@@ -103,9 +104,11 @@ class Loop:
 class HolonomyResult:
     """Line integral of the field around a loop, in units of k.
 
-    ``estimated_error`` is |k| times the sum of |K21 - G10| over every
-    edge's accepted panels: the error of the embedded 10-point Gauss sums,
-    an estimate, not a bound, for the 21-point sums returned as ``value``.
+    ``estimated_error`` is |k| times the loop's pooled sum of |K21 - G10|
+    over its rows' accepted panels, at most tol except where the 64-ulp
+    floor accepts: an estimate, not a bound, for the 21-point sums returned
+    as ``value``.  ``pair_evaluations`` counts the rows' (node, stick)
+    evaluations and ``depth`` is their deepest halving.
     """
 
     value: float
@@ -114,6 +117,8 @@ class HolonomyResult:
     inferred_linking: int
     residual: float
     k: float
+    pair_evaluations: int
+    depth: int
 
 
 def loop_clearance(knot: LatticeKnot, loop: Loop):
@@ -246,25 +251,25 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
              max_levels: int = 40) -> HolonomyResult:
     """Integrate the circuit's field along the loop.
 
-    Each loop edge gets an equal share of the absolute tolerance and is
-    integrated by adaptive bisection of QK21 panels at most ``max_levels``
-    deep, its error estimated from each accepted panel's embedded Gauss sum:
-    the one-loop case of ``_holonomy_results``.  Raises LoopOnConductorError or
-    LinkingPrecisionError from the check of the loop's clearance,
-    QuadratureError naming the first edge that does not converge and its
-    rightmost unconverged panel [lo, hi], and ValueError for a
-    tol or exclusion_radius not finite and > 0, a max_levels not an int >= 0,
-    or a k so large that the result overflows.
+    Each (loop edge, stick) pair is integrated by adaptive bisection of
+    QK21 panels at most ``max_levels`` deep, its error estimated from each
+    panel's embedded Gauss sum, every pair drawing on one pool of the
+    absolute tolerance: the one-loop case of ``_holonomy_results``.  Raises
+    LoopOnConductorError or LinkingPrecisionError from the check of the
+    loop's clearance, QuadratureError naming the first unconverged panel
+    [lo, hi] of an edge and the stick it was integrated against, and
+    ValueError for a tol or exclusion_radius not finite and > 0, a
+    max_levels not an int >= 0, or a k so large that the result overflows.
     """
     return _holonomy_results(knot, [loop], tol, exclusion_radius, max_levels)[0]
 
 
-def _edges(knot: LatticeKnot, loops, refused):
+def _edges(knot: LatticeKnot, loops, radius):
     """(sizes, firsts, starts, ends, refusal): ``_stack`` of the loops before
     the first refused one, and that loop's error or None: ``_refusal`` of its
-    ``_clearances`` entry, on the conductor when its distance is ``refused``."""
+    ``_clearances`` entry, on the conductor when its distance is below ``radius``."""
     for kept, entry in enumerate(_clearances(knot, loops)):
-        if (refusal := _refusal(entry, refused(entry[0]))) is not None:
+        if (refusal := _refusal(entry, entry[0] < radius)) is not None:
             return (*_stack(loops[:kept]), refusal)     # raised after the loops before it
     return (*_stack(loops), None)
 
@@ -273,56 +278,57 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
                       exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
                       max_levels: int = 40) -> list[HolonomyResult]:
     """``holonomy`` of each loop, bit for bit, or the first error it raises on
-    the loops in order; each loop keeps its clearance check, budget and edge
-    sum, and each edge is one ``_bisect`` row.  An edge along axis a reads
-    B_a times its length from ``_axis_field``, with the bits of the full
-    field dotted with the edge.  A depth makes one such call per edge axis a
-    from the sticks off a, the only ones that add to B_a, or for a lone loop,
-    whose few nodes cost less unpruned, one from all the sticks; edges off
-    the axes take one ``_stick_field`` call.  Lk and the residual are formed
-    at k = 1 and k is applied last, so no subnormal k underflows them.
+    the loops in order.  Each (loop edge, stick) pair but those whose stick
+    lies along the edge, an exact zero, is one ``_bisect`` row: factor * (h_b
+    * d_b + h_c * d_c), the stick's field dotted with the step d in its roles
+    (a, b, c), stick i alone at row i's nodes as in ``_paired_field``, split
+    first where, inside the edge, it passes closest to the stick's line.  A
+    pair carries its own node, so a call takes ``_TILE_PAIRS`` / 8 pairs,
+    which keeps ``verify``'s peak memory.  Each loop is one error pool; an
+    edge sums its rows onto zero in flow order, a loop its edges, Lk at k = 1.
     """
     _check_bounds(tol, max_levels, "max_levels")
     _check_positive("exclusion_radius", exclusion_radius)
-    sizes, firsts, starts, ends, refusal = _edges(knot, loops,
-                                                  lambda clear: clear < exclusion_radius)
-    steps = ends - starts
-    budget, along = np.array([tol / n for n in sizes for _ in range(n)]), knot.sticks.roles[0]
-    prune = len(loops) > 1 and (along != along[0]).any()    # else an axis may have no stick off it
-    axis = np.where(np.count_nonzero(steps, axis=1) == 1, np.argmax(steps != 0, 1), 3)
-    group = np.where(prune | (axis == 3), axis, 4)      # 4: every edge on an axis, all the sticks
-    sticks = {g: PackedSticks.pack(*(e[along != g] for e in stick_ends(knot))) if g < 3
-              else knot.sticks for g in set(group.tolist())}
+    sizes, firsts, starts, ends, refusal = _edges(knot, loops, exclusion_radius)
+    (_, b, c), steps = knot.sticks.roles, ends - starts
+    edge, stick = np.nonzero((steps[:, b] != 0.0) | (steps[:, c] != 0.0))
+    role, q = knot.sticks.roles[:, stick], knot.sticks.start[1:, stick, 0]
+    e0, d = starts[edge, role], steps[edge, role]       # (3, R), in each row's stick's roles
 
-    def integrand(rows, t):         # B . step at edge rows[i]'s nodes t[i]
-        f = np.empty(t.shape)
-        for g in set(group[rows].tolist()) if len(sticks) > 1 else sticks:
-            i = np.flatnonzero(group[rows] == g) if len(sticks) > 1 else slice(None)
-            step = steps[rows[i], None, :]
-            pts = starts[rows[i], None, :] + t[i, :, None] * step
-            if g == 3:
-                b = _stick_field(sticks[g], pts.reshape(-1, 3))[0].reshape(pts.shape)
-                f[i] = (b * step).sum(axis=2)
-            else:
-                a = axis[each := np.repeat(rows[i], t[0].size)]     # each node's edge and axis
-                b = _axis_field(sticks[g], pts.reshape(-1, 3), a, steps[each, a])
-                f[i] = b.reshape(pts.shape[:2])
+    def integrand(rows, t):         # stick[rows[i]]'s field . step at edge[rows[i]]'s nodes t[i]
+        f, chunk = np.empty(t.shape), _TILE_PAIRS // 8 // t.shape[1]
+        for i in (slice(n, n + chunk) for n in range(0, len(rows), chunk)):
+            r, j = rows[i], stick.take(rows[i])
+            sticks = PackedSticks(knot.sticks.roles.take(j, 1),
+                                  *(x.take(j, -2) for x in knot.sticks[1:]))
+            nodes = e0.take(r, 1)[..., None] + t[i] * (dr := d.take(r, 1)[..., None])
+            h_b, h_c, factor, _ = next(_pair_terms([(sticks, *nodes)], clearance=False))
+            f[i] = factor * (h_b * dr[1] + h_c * dr[2])
         return f
 
-    (sums, failure), results = _bisect(integrand, budget, max_levels), []
-    for size, lo in zip(sizes, firsts):
-        if failure and failure[0] < lo + size:          # the first loop left unconverged
-            raise QuadratureError(f"holonomy edge {failure[0] - lo} failed to converge to "
-                                  f"{tol / size:.3g} on [{failure[2]}, {failure[3]}] "
-                                  f"after {failure[1]} halvings")
-        value = est = 0.0
-        for v, e in sums[lo:lo + size].tolist():        # the loop's edges onto zero in order
-            value, est = value + v, est + e
-        # est >= 0, so |est * k| is est * |k|.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        peak = ((q[0] - e0[1]) * d[1] + (q[1] - e0[2]) * d[2]) / (d[1] * d[1] + d[2] * d[2])
+        split = (peak > 0.0) & (peak < 1.0)
+        rows = np.repeat(np.arange(len(edge)), 1 + split)
+        lo, hi, first = np.zeros(len(rows)), np.ones(len(rows)), np.cumsum(1 + split)[split] - 2
+        hi[first] = lo[first + 1] = peak[split]
+        sums, pools, stats, failure = _bisect(integrand, rows, lo, hi, np.repeat(
+            np.arange(len(sizes)), sizes)[edge], np.full(len(sizes), tol), max_levels)
+    edge_sums, results = np.bincount(edge, sums, len(starts)).tolist(), []
+    for size, lo, est, (panels, depth) in zip(sizes, firsts, pools.tolist(), stats.tolist()):
+        if failure and edge[failure[0]] < lo + size:    # the first loop left unconverged
+            raise QuadratureError(f"holonomy edge {edge[failure[0]] - lo} failed to converge to "
+                                  f"{tol:.3g} on [{failure[2]}, {failure[3]}] against circuit "
+                                  f"segment {stick[failure[0]] + 1} after {failure[1]} halvings")
+        value = 0.0
+        for v in edge_sums[lo:lo + size]:      # the loop's edges onto zero in order
+            value += v
+        # The pool est >= 0, so |est * k| is est * |k|.
         inferred = int(round(value / (4.0 * math.pi))) if knot.k != 0 else 0
         value, est, residual = _times_k(np.array([value, est, value - 4.0 * math.pi * inferred]),
                                         knot.k).tolist()
-        results.append(HolonomyResult(value, abs(est), size, inferred, residual, knot.k))
+        results.append(HolonomyResult(value, abs(est), size, inferred, residual, knot.k,
+                                      21 * panels, depth))
     if refusal is not None:
         raise refusal
     return results
@@ -345,10 +351,11 @@ def linking_number(knot: LatticeKnot, loop: Loop) -> int:
     never the closed-form field, so it stays an independent check of
     ``holonomy``.  The sign is ``_orient``'s, exact, so it does not flip near
     contact, and a coplanar pair (a loop vertex on a stick's axis extension,
-    say) contributes exactly 0.  Raises LoopOnConductorError or
-    LinkingPrecisionError from the check of the loop's clearance, and
-    LinkingPrecisionError when the sum overflows or does not round
-    convincingly: the one-loop case of ``_linking_results``.
+    say) contributes exactly 0.  Raises LoopOnConductorError when a pair
+    meets, by ``_orient``, not when a distance merely rounds to 0, and
+    LinkingPrecisionError when the loop's clearance is not representable or
+    the sum overflows or does not round convincingly: the one-loop case of
+    ``_linking_results``.
     """
     return _linking_results(knot, [loop])[0][0]
 
@@ -363,7 +370,7 @@ def _linking_results(knot: LatticeKnot, loops) -> list[tuple[int, float]]:
     axis of 3.  When it overflows, the loops are taken alone, in order, up to
     the first that raises.
     """
-    sizes, firsts, p0, p1, refusal = _edges(knot, loops, lambda clear: clear <= 0.0)
+    sizes, firsts, p0, p1, refusal = _edges(knot, loops, 0.0)
     # (coordinate, end, loop edge, 1) and (coordinate, end, 1, knot stick) arrays.
     p, q = (np.array(e).transpose(2, 0, 1) for e in ((p0, p1), stick_ends(knot)))
     p, q = p[..., None], q[:, :, None]
@@ -381,8 +388,10 @@ def _linking_results(knot: LatticeKnot, loops) -> list[tuple[int, float]]:
         for loop in loops[:len(sizes)] if len(sizes) > 1 else ():
             _linking_results(knot, [loop])
         raise LinkingPrecisionError(f"Gauss sum not representable: {exc}") from exc
-    results, sign = [], _orient(knot, p0, p1)[0]
-    for lo, n in zip(firsts, sizes):
+    results, (sign, meets) = [], _orient(knot, p0, p1)
+    for loop, lo, n in zip(loops, firsts, sizes):
+        if meets[lo:lo + n].any():          # on the conductor: its entry is at 0
+            raise _refusal(_clearances(knot, [loop])[0], on_conductor=True)
         total = float(np.sum(sign[lo:lo + n] * omega[lo:lo + n])) / (4.0 * math.pi)
         # NaN fails every comparison, so a non-finite sum is refused explicitly.
         residual = abs(total - round(total)) if math.isfinite(total) else math.inf

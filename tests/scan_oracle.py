@@ -9,17 +9,17 @@ one-point-at-a-time ``random_clear_point`` and self-check suites that
 ``verify`` ran before it drew and evaluated each suite's points in a few
 kernel calls, and ``scan_stick_field``, the tile driver as it built
 each tile's (N, 3, M) field buffer before the point drivers shared one
-per-axis term, kept verbatim apart from names; and depth-first,
-one-interval-at-a-time versions of the adaptive bisection that
-``segment_field_quadrature`` and ``holonomy`` run breadth-first over every
-row or edge at once.
+per-axis term, kept verbatim apart from names; and level-by-level,
+one-panel-at-a-time versions of the adaptive bisection that
+``segment_field_quadrature`` and ``holonomy`` run a depth at a time over
+every row or (edge, stick) pair at once.
 
 ``scan_validate`` compares every pair of edges' bounding boxes and
 ``scan_projection_crossings`` every pair of projected edges, both in
 O(N^2) pure Python; ``scan_loop_clearance`` walks the loop's edges in a
-Python loop.  ``scan_segment_field_quadrature`` and ``scan_holonomy`` pop
-one interval at a time from a stack of tuples, ``bisect_stack``, one edge
-at a time and one kernel call per interval.  They share no code with
+Python loop.  ``scan_segment_field_quadrature`` and ``scan_holonomy`` scan
+one panel at a time, a level at a time, in ``bisect_levels``, with one
+kernel call per panel.  They share no code with
 the engine's versions beyond the kernel and the refusals, so the property
 tests in ``test_scan_oracle.py`` check the engine against them.
 ``scan_random_clear_point`` draws one candidate per kernel call, and
@@ -569,12 +569,13 @@ def scan_segment_field_quadrature(seg: Segment, point, k: float = 1.0, tol: floa
         w = np.sum(d * d, axis=1) ** 1.5
         return kronrod_gauss(lo, hi, 1.0 / w)
 
-    total, _ = bisect_stack(panel, scalar_tol, max_depth, lambda depth, lo, hi: QuadratureError(
-        f"no convergence after depth {depth} on [{lo}, {hi}]"))
+    [total], *_ = bisect_levels(lambda row, lo, hi: panel(lo, hi), [(0, 0.0, 1.0)], scalar_tol,
+                                max_depth, lambda row, depth, lo, hi: QuadratureError(
+                                    f"no convergence after depth {depth} on [{lo}, {hi}]"))
     return k * c * total
 
 
-# A panel is accepted within this many ulps of its scale, whatever its budget.
+# A panel is accepted within this many ulps of its scale, whatever its pool.
 ULPS = 64 * np.finfo(float).eps
 
 
@@ -583,32 +584,44 @@ def kronrod_gauss(lo, hi, f):
     return tuple(0.5 * (hi - lo) * float(np.dot(w, f)) for w in (_WK, _WG))
 
 
-def bisect_stack(panel, budget, max_depth, error):
-    """(value, error) of ``panel`` over [0, 1] by adaptive bisection on a
-    stack of (lo, hi, budget, depth, scale) intervals: pop one, take its
-    (K21, G10) from ``panel``, accept K21 when |K21 - G10| is within its
-    budget or ULPS times the largest |K21| from it up to the root, or push
-    the left half, then the right, each with half the budget.  Raises
-    ``error(depth, lo, hi)`` for the first interval not accepted at
-    ``max_depth`` or whose estimate is not finite."""
-    total = est = 0.0
-    stack = [(0.0, 1.0, budget, 0, 0.0)]
-    while stack:
-        lo, hi, budget, depth, scale = stack.pop()
-        value, gauss = panel(lo, hi)
-        err, scale = abs(value - gauss), max(scale, abs(value))
-        if not math.isfinite(err):
-            raise error(depth, lo, hi)
-        if err <= max(budget, ULPS * scale):
-            total += value
-            est += err
-        elif depth >= max_depth:
-            raise error(depth, lo, hi)
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, 0.5 * budget, depth + 1, scale))
-            stack.append((mid, hi, 0.5 * budget, depth + 1, scale))
-    return total, est
+def bisect_levels(panel, panels, tol, max_depth, error):
+    """(rows, pool, panels evaluated, deepest level): each row's value of
+    ``panel(row, lo, hi)`` and the pool's accepted error, by adaptive
+    bisection from the initial (row, lo, hi) ``panels`` with one error pool
+    of ``tol``, a level at a time, one
+    panel at a time: take each live panel's (K21, G10) from ``panel``; if
+    the pool's accepted errors plus the live ones, each summed in order,
+    are within tol, accept every live panel, else accept each whose
+    |K21 - G10| is within (tol - accepted) / live count or ULPS times the
+    largest |K21| from it up to its initial panel, and halve the rest.
+    Raises ``error(row, depth, lo, hi)`` for the first live panel whose
+    estimate is not finite or, at ``max_depth``, that is not accepted.  A
+    row sums its accepted panels in the order they are accepted."""
+    accepted, kept, live, depth = 0.0, [], [(row, lo, hi, 0.0) for row, lo, hi in panels], 0
+    evaluated = 0
+    while live:
+        scanned, pool = [], 0.0
+        for row, lo, hi, scale in live:
+            value, gauss = panel(row, lo, hi)
+            scanned.append((row, lo, hi, value, abs(value - gauss), max(scale, abs(value))))
+            pool += scanned[-1][4]
+        settled, cut, new, live = accepted + pool <= tol, (tol - accepted) / len(scanned), 0.0, []
+        for row, lo, hi, value, err, scale in scanned:
+            if not math.isfinite(err):
+                raise error(row, depth, lo, hi)
+            if settled or err <= max(cut, ULPS * scale):
+                kept.append((row, lo, value, err))
+                new += err
+            elif depth >= max_depth:
+                raise error(row, depth, lo, hi)
+            else:
+                mid = 0.5 * (lo + hi)
+                live += [(row, lo, mid, scale), (row, mid, hi, scale)]
+        accepted, evaluated, depth = accepted + new, evaluated + len(scanned), depth + 1
+    sums = {}
+    for row, _, value, _ in kept:
+        sums[row] = sums.get(row, 0.0) + value
+    return [sums[row] for row in sorted(sums)], accepted, evaluated, depth - 1
 
 
 def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
@@ -616,10 +629,12 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
                   max_levels: int = 40) -> HolonomyResult:
     """Integrate the circuit's field along the loop.
 
-    Each loop edge gets an equal share of the absolute tolerance and is
-    integrated by ``bisect_stack`` with fixed-order QK21 panels, one
-    interval and one kernel call at a time; the error estimate is the sum
-    of the accepted intervals' |K21 - G10|.  The loop is first checked
+    Each (loop edge, stick) pair whose stick does not lie along the edge is
+    one row: the stick alone, read by the kernel at one panel's 21 nodes,
+    its field dotted with the edge's step in the stick's roles, the row
+    split first where the edge passes closest to the stick's line.  The
+    rows share one ``bisect_levels`` pool of ``tol``, the error estimate.
+    Each edge sums its rows in stick order and the loop its edges in order.  The loop is first checked
     with ``loop_clearance``: LoopOnConductorError when it passes within the
     exclusion radius, LinkingPrecisionError when it is not representable.
     Lk and the residual are formed at k = 1, and k is applied last.
@@ -629,23 +644,45 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
         raise LoopOnConductorError(i, j, clear)
 
     v = [np.asarray(p, dtype=float) for p in loop.vertices]
-    edges = [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    rows, panels = [], []
+    for edge in range(len(v)):
+        a, step = v[edge], v[(edge + 1) % len(v)] - v[edge]
+        for index, seg in enumerate(segments(knot)):
+            one = PackedSticks.pack([seg.start], [seg.end])
+            roles = one.roles[:, 0]
+            e0, d = a[roles], step[roles]
+            if d[1] == 0.0 and d[2] == 0.0:
+                continue        # the stick lies along the edge: an exact zero
+            (qb, qc), (db, dc) = one.start[1:, 0, 0], d[1:]
+            with np.errstate(all="ignore"):
+                peak = float(((qb - e0[1]) * db + (qc - e0[2]) * dc) / (db * db + dc * dc))
+            row = len(rows)
+            rows.append((edge, index, one, e0, d))
+            split = 0.0 < peak < 1.0
+            panels += [(row, 0.0, peak), (row, peak, 1.0)] if split else [(row, 0.0, 1.0)]
 
-    budget = tol / len(edges)
+    def panel(row, lo, hi):
+        _, _, one, e0, d = rows[row]
+        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _XK
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h_b, h_c, factor, _ = next(_pair_terms(
+                [(one, *(e0[:, None] + t * d[:, None])[:, None, :])], clearance=False))
+            f = factor * (h_b * d[1] + h_c * d[2])
+        return kronrod_gauss(lo, hi, f[0])
+
+    def error(row, depth, lo, hi):
+        edge, index = rows[row][:2]
+        return QuadratureError(f"holonomy edge {edge} failed to converge to {tol:.3g} on "
+                               f"[{lo}, {hi}] against circuit segment {index + 1} after "
+                               f"{depth} halvings")
+
+    sums, est, evaluated, depth = bisect_levels(panel, panels, tol, max_levels, error)
+    edges = [0.0] * len(v)
+    for (edge, *_), cur in zip(rows, sums):
+        edges[edge] += cur
     value = 0.0
-    est = 0.0
-    for edge, (a, e) in enumerate((a, b - a) for a, b in edges):
-
-        def panel(lo, hi):
-            t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _XK
-            pts = a[None, :] + t[:, None] * e[None, :]
-            return kronrod_gauss(lo, hi, np.sum(_stick_field(knot.sticks, pts)[0] * e, axis=1))
-
-        cur, err = bisect_stack(panel, budget, max_levels, lambda depth, lo, hi: QuadratureError(
-            f"holonomy edge {edge} failed to converge to {budget:.3g} on [{lo}, {hi}] "
-            f"after {depth} halvings"))
+    for cur in edges:
         value += cur
-        est += err
 
     # Lk and the residual at k = 1; k is applied last.
     inferred = int(round(value / (4.0 * math.pi))) if knot.k != 0 else 0
@@ -655,10 +692,12 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     return HolonomyResult(
         value=value,
         estimated_error=est,
-        edges_evaluated=len(edges),
+        edges_evaluated=len(v),
         inferred_linking=inferred,
         residual=residual,
         k=knot.k,
+        pair_evaluations=21 * evaluated,
+        depth=depth,
     )
 
 

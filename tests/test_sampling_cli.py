@@ -933,9 +933,9 @@ BRAID_160 = ("1 1 -1 1 1 -2 -1 -1 -2 -2 -2 -2 -2 2 -2 -2 2 -1 -2 -1 1 2 -1 1 2 -
     (("knot", "emit", "--knot", "4_1"),
      "9cf902d29e8590ca53e6a6cacbb7f33d2153921ba8faf63182e21c2fa0b3962a"),
     (("holonomy", "--knot", "3_1", "--loop", "LOOP"),
-     "579f22828d4c8c3f38c9470701f09723db6cd0b835123b2d2b999497a556567f"),
+     "d41a22592bfd2525caf144aab870b6ca7a6b85a29307e18ee1f2cd841fe3c328"),
     (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--format", "json"),
-     "cb0024ef5f041b6b0cc8027a9037108266ab6256d1e6b1fcbf90929d2788f085"),
+     "1e7978900291a266acacb9e44006468b7d8e5a3b41182d1aa8fc0e773edf7e50"),
     (("linking", "--knot", "3_1", "--loop", "LOOP"),
      "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28"),
     (("verify", "transcription", "--knot", "3_1", "--points", "5"),
@@ -966,10 +966,10 @@ def test_golden_stdout(tmp_path, capsys, argv, digest):
 # `duration` dropped: pins the random pairs, points and loops each suite
 # draws and every detail it reports, bit for bit.
 @pytest.mark.parametrize("knot, seed, digest", [
-    ("3_1", 0, "21cb782bbf71f2929f3ac3bcdd07073547ec07f018fbefb028c3bb97be52ccab"),
-    ("3_1", 3, "0afc11596cd9775edec54b75c6ab0c46077481b564dd7156f476ccced9be95b9"),
-    ("4_1", 0, "e21354f0b8688779bfa5f7db81caabd7768abe2bbadf9d414b6a719bcb0bc945"),
-    ("4_1", 3, "6d1ee182a623c4e89d4bce43440a6fb0ac9718792488742fb076833cb422044d"),
+    ("3_1", 0, "8f271a64d0a07bba5ca9a0b568ae7b3068cca956e88053bb2ff5ff4e5e0ead38"),
+    ("3_1", 3, "59ad639645e7e3cd37ad5e3a04d0fc7c99c248814c9ff348c90e2e05d761b336"),
+    ("4_1", 0, "589fd39b4d6e5897333e96155a48c2156380fbe33e18a8bc78b3211ea2180d15"),
+    ("4_1", 3, "54f35b66385596a1bde13965047be32ae52229f1d6810e802e0005e35a1a2213"),
 ], ids=["3_1-0", "3_1-3", "4_1-0", "4_1-3"])
 def test_golden_verify_json(capsys, knot, seed, digest):
     assert run_cli("verify", "--knot", knot, "--seed", str(seed), "--format", "json") == 0

@@ -185,19 +185,20 @@ class TestHolonomy:
     def test_unreachable_tolerance_raises(self):
         from knotfield.biot_savart import QuadratureError
         with pytest.raises(QuadratureError):
-            holonomy(canonical_trefoil(), paper_loop(), tol=1e-14, max_levels=1)
+            holonomy(canonical_trefoil(), paper_loop(), tol=1e-14, max_levels=0)
 
-    @pytest.mark.parametrize("levels, lo, hi", [(0, 0.0, 1.0), (2, 0.5, 0.75), (4, 0.5, 0.5625)])
+    @pytest.mark.parametrize("levels, lo, hi", [(0, 0.0, 0.5), (2, 0.375, 0.5), (4, 0.46875, 0.5)])
     def test_unconverged_edge_is_named(self, levels, lo, hi):
         """Edge 2 passes 1e-4 from stick 1's midpoint, halfway along it: the
-        error names that edge, numbered as LoopOnConductorError numbers it
-        when the edge passes nearer, and the rightmost panel left
-        unconverged, which starts at that point once the edge is split, as
-        the depth-first scan does."""
+        error names that edge and stick, numbered as LoopOnConductorError
+        numbers them when the edge passes nearer, the loop's tol, and the
+        first panel left unconverged, which ends where the edge passes
+        closest, at the split its row starts from."""
         from knotfield.biot_savart import QuadratureError
         knot, near = canonical_trefoil(), lambda d: Loop(
             vertices=((12, 9, 3), (12, -5, 3), (2 + d, -5, 3), (2 + d, 9, 3)))
-        want = f"holonomy edge 2 failed to converge to 2.5e-07 on [{lo}, {hi}] after {levels} halvings"
+        want = (f"holonomy edge 2 failed to converge to 1e-06 on [{lo}, {hi}] against circuit "
+                f"segment 1 after {levels} halvings")
         for route in (holonomy, scan_holonomy):
             with pytest.raises(QuadratureError) as err:
                 route(knot, near(1e-4), max_levels=levels)
@@ -223,14 +224,13 @@ class TestHolonomy:
         # to refine every edge to max_levels first.
         bad = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)))
         knot = canonical_trefoil()
-        with mock.patch("knotfield.topology._stick_field") as kernel, \
-                mock.patch("knotfield.topology._axis_field") as along:
+        with mock.patch("knotfield.topology._pair_terms") as kernel:
             for loop in (paper_loop(), bad):
                 with pytest.raises(ValueError, match=match):
                     holonomy(knot, loop, **bounds)
                 with pytest.raises(ValueError, match=match):
                     _holonomy_results(knot, [paper_loop(), loop], **bounds)
-        assert kernel.call_count == along.call_count == 0
+        assert kernel.call_count == 0
 
     def test_numpy_integer_levels_accepted(self):
         """``max_levels`` follows the one rule for integer arguments: a numpy
