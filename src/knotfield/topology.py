@@ -6,25 +6,23 @@ the circuit.  That identity is the computable form of the claim that the
 field is a flat connection on the knot complement: curl-free away from the
 wire yet with non-trivial circulation around it.
 
-Two independent routes are implemented so they can catch each other's bugs,
-each refusing a loop on or near the circuit with its clearance, measured
-once per live loop and knot by ``_clearances``, in one pass over the (edge,
-stick) pairs of every loop it lacks, and kept for all three calls:
+Two independent routes are implemented so they can catch each other's bugs.
+Both read each loop's ``_clearances`` entry, its clearance and exact pair
+signs, measured once per live loop and knot and kept for all three calls, by
+which ``_edges`` refuses a loop on or near the circuit before either route runs:
 
 * ``holonomy`` integrates the closed-form field along the loop, one
-  ``_bisect`` row per (loop edge, stick) pair: that stick's term alone,
-  zero for a stick along the edge, so cost follows the near sticks.  A row
-  starts split where the edge passes closest to the stick's line, and each
-  loop draws on one error pool (QUADPACK's QAG and QAGP, Piessens et al.
-  1983); each depth's kernel calls span all loops;
+  ``_bisect`` row per (loop edge, stick) pair of nonzero sign: that stick's
+  term alone, so cost follows the near sticks.  A row starts split where the
+  edge passes closest to the stick's line, and each loop draws on one error
+  pool (QUADPACK's QAG and QAGP, Piessens et al. 1983); each depth's kernel
+  calls span all loops;
 * ``linking_number`` sums the Gauss double integral exactly, one closed-form
   signed solid angle per (loop edge, knot stick) pair (Banchoff 1976;
   Klenin & Langowski 2000) -- no surface construction, no reuse of the
   closed-form field -- and rounds to the nearest integer, refusing to
   answer when the rounding residual is ambiguous.  Corners and normals are
-  x, y, z arrays over every pair and corner at once; each pair's sign, and
-  whether it meets, come from ``_orient``, exact, at whose contact the
-  route refuses a loop, and which the clearance reads too.
+  x, y, z arrays over every pair and corner at once, signed by the entries.
 
 Sign conventions: a loop circulating counterclockwise about +z around a
 single +z current stick has holonomy +4*pi*k and linking number +1.
@@ -123,21 +121,22 @@ class HolonomyResult:
 
 def loop_clearance(knot: LatticeKnot, loop: Loop):
     """Distance from the loop to the circuit, over every (loop edge, stick)
-    pair: its ``_clearances`` entry, or ``_refusal``'s error when not finite."""
+    pair: its ``_clearances`` entry's first two, or ``_refusal``'s error when not finite."""
     (entry,) = _clearances(knot, [loop])
     if (refusal := _refusal(entry)) is not None:
         raise refusal
-    return entry
+    return entry[:2]
 
 
-def _refusal(entry, on_conductor=False):
-    """A new error refusing a ``_clearances`` entry's loop, or None: LinkingPrecisionError
-    if its distance is not finite, else LoopOnConductorError if ``on_conductor``."""
-    distance, (edge, stick) = entry
+def _refusal(entry, radius=None):
+    """A new error refusing a ``_clearances`` entry's loop, or None: LinkingPrecisionError if
+    not finite, else, given a ``radius``, LoopOnConductorError if a pair meets or it is below."""
+    distance, (edge, stick), _, meets = entry
     if not math.isfinite(distance):
         return LinkingPrecisionError(f"loop edge {edge} is not representable: its distance "
                                      f"to circuit segment {stick} evaluates to {distance}")
-    return LoopOnConductorError(edge, stick, distance) if on_conductor else None
+    return LoopOnConductorError(edge, stick, distance) if radius is not None and (
+        meets or distance < radius) else None
 
 
 def _stack(loops):
@@ -165,15 +164,16 @@ def _clearances(knot: LatticeKnot, loops):
 
 
 def _measure(knot: LatticeKnot, loops):
-    """Each loop's (clearance, (loop_edge, segment_index)) at its closest
-    approach, the first in (edge, stick) order on ties, from one pass over
-    every loop's stacked rows.  Each pair's distance is the standard clamped
-    closest-point computation, with the parallel case resolved by the same
-    clamping iteration; its dot products are batched matmuls and einsums,
-    which reduce each pair in the order one edge alone would, so a distance
-    does not depend on the other edges or loops.  Coordinates too large to
-    square overflow: such a loop is not representable, and its entry is its
-    first pair whose distance is inf or NaN.  Pairs that meet, by ``_orient``, are at 0."""
+    """Each loop's entry from one pass over every loop's stacked rows: (its
+    clearance, (loop_edge, segment_index) at its closest approach, the first
+    in (edge, stick) order on ties, a read-only int8 copy of its own (edges,
+    sticks) ``_orient`` signs, whether a pair meets).  A pair that meets is at
+    0, any other at the standard clamped closest-point distance, the parallel
+    case resolved by the same clamping iteration; its dot products are batched
+    matmuls and einsums, which reduce each pair in the order one edge alone
+    would, so a distance does not depend on the other edges or loops.
+    Coordinates too large to square overflow: such a loop is not representable,
+    and its entry is its first pair whose distance is inf or NaN."""
     (sizes, firsts, p0, p1), (q0, q1) = _stack(loops), stick_ends(knot)
     with np.errstate(all="ignore"):
         d1 = p1 - p0                                # (M, 3)
@@ -193,11 +193,14 @@ def _measure(knot: LatticeKnot, loops):
         t = t.clip(0.0, 1.0)
         gap = p0[:, None, :] + s[..., None] * d1[:, None, :] - (q0 + t[..., None] * d2)
         d = np.sqrt(np.add.reduce(gap * gap, axis=-1))      # np.linalg.norm's own sum
-    d[_orient(knot, p0, p1)[1]] = 0.0       # a pair that meets is at 0, not its rounding
+    sign, meets = _orient(knot, p0, p1)
+    d[meets] = 0.0          # a pair that meets is at 0, not its rounding
     entries = []
-    for rows in (d[lo:lo + n] for lo, n in zip(firsts, sizes)):
+    for lo, n in zip(firsts, sizes):
+        rows, own = d[lo:lo + n], sign[lo:lo + n].astype(np.int8)
+        own.flags.writeable = False
         i, j = divmod(int(np.argmin(np.where(np.isfinite(rows), rows, -np.inf))), rows.shape[1])
-        entries.append((float(rows[i, j]), (i, j + 1)))
+        entries.append((float(rows[i, j]), (i, j + 1), own, bool(meets[lo:lo + n].any())))
     return entries
 
 
@@ -255,8 +258,8 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     QK21 panels at most ``max_levels`` deep, its error estimated from each
     panel's embedded Gauss sum, every pair drawing on one pool of the
     absolute tolerance: the one-loop case of ``_holonomy_results``.  Raises
-    LoopOnConductorError or LinkingPrecisionError from the check of the
-    loop's clearance, QuadratureError naming the first unconverged panel
+    LoopOnConductorError or LinkingPrecisionError from ``_edges``' check of
+    the loop's clearance, QuadratureError naming the first unconverged panel
     [lo, hi] of an edge and the stick it was integrated against, and
     ValueError for a tol or exclusion_radius not finite and > 0, a
     max_levels not an int >= 0, or a k so large that the result overflows.
@@ -265,49 +268,52 @@ def holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
 
 
 def _edges(knot: LatticeKnot, loops, radius):
-    """(sizes, firsts, starts, ends, refusal): ``_stack`` of the loops before
-    the first refused one, and that loop's error or None: ``_refusal`` of its
-    ``_clearances`` entry, on the conductor when its distance is below ``radius``."""
-    for kept, entry in enumerate(_clearances(knot, loops)):
-        if (refusal := _refusal(entry, entry[0] < radius)) is not None:
-            return (*_stack(loops[:kept]), refusal)     # raised after the loops before it
-    return (*_stack(loops), None)
+    """(sizes, firsts, starts, ends, sign): ``_stack`` of the loops and their
+    ``_clearances`` entries' signs, stacked, or the first ``_refusal`` at
+    ``radius`` of an entry, raised before any loop is integrated or summed."""
+    entries = _clearances(knot, loops)
+    for entry in entries:
+        if (refusal := _refusal(entry, radius)) is not None:
+            raise refusal
+    return (*_stack(loops), np.concatenate([entry[2] for entry in entries] or [np.empty((0, 0))]))
 
 
 def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
                       exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
                       max_levels: int = 40) -> list[HolonomyResult]:
-    """``holonomy`` of each loop, bit for bit, or the first error it raises on
-    the loops in order.  Each (loop edge, stick) pair but those whose stick
-    lies along the edge, an exact zero, is one ``_bisect`` row: factor * (h_b
-    * d_b + h_c * d_c), the stick's field dotted with the step d in its roles
-    (a, b, c), stick i alone at row i's nodes as in ``_paired_field``, split
-    first where, inside the edge, it passes closest to the stick's line.  A
-    pair carries its own node, so a call takes ``_TILE_PAIRS`` / 8 pairs,
-    which keeps ``verify``'s peak memory.  Each loop is one error pool; an
-    edge sums its rows onto zero in flow order, a loop its edges, Lk at k = 1.
+    """``holonomy`` of each loop, bit for bit, or ``_edges``' refusal, else the
+    first error ``holonomy`` raises on the loops in order.  Each (loop edge,
+    stick) pair of nonzero kept sign (0 is coplanar, an exact zero) is one
+    ``_bisect`` row: the stick's field dotted with the step d, on the lattice
+    premise hand * (d_b * r_c - d_c * r_b), ``_orient``'s determinant in the
+    stick's roles (a, b, c), r = q0 - p0, times the factor of stick i alone
+    at row i's nodes as in ``_paired_field``, split first where, inside
+    the edge, it passes closest to the stick's line.  A pair carries its own
+    node, so a call takes ``_TILE_PAIRS`` / 8 pairs, which keeps ``verify``'s
+    peak memory.  Each loop is one error pool; an edge sums its rows onto
+    zero in flow order, a loop its edges, Lk at k = 1.
     """
     _check_bounds(tol, max_levels, "max_levels")
     _check_positive("exclusion_radius", exclusion_radius)
-    sizes, firsts, starts, ends, refusal = _edges(knot, loops, exclusion_radius)
-    (_, b, c), steps = knot.sticks.roles, ends - starts
-    edge, stick = np.nonzero((steps[:, b] != 0.0) | (steps[:, c] != 0.0))
-    role, q = knot.sticks.roles[:, stick], knot.sticks.start[1:, stick, 0]
-    e0, d = starts[edge, role], steps[edge, role]       # (3, R), in each row's stick's roles
+    sizes, firsts, starts, ends, sign = _edges(knot, loops, exclusion_radius)
+    edge, stick = np.nonzero(sign)
+    role = knot.sticks.roles[:, stick]
+    e0, d = starts[edge, role], (ends - starts)[edge, role]     # (3, R), in the stick's roles
 
     def integrand(rows, t):         # stick[rows[i]]'s field . step at edge[rows[i]]'s nodes t[i]
         f, chunk = np.empty(t.shape), _TILE_PAIRS // 8 // t.shape[1]
         for i in (slice(n, n + chunk) for n in range(0, len(rows), chunk)):
-            r, j = rows[i], stick.take(rows[i])
+            at, j = rows[i], stick.take(rows[i])
             sticks = PackedSticks(knot.sticks.roles.take(j, 1),
                                   *(x.take(j, -2) for x in knot.sticks[1:]))
-            nodes = e0.take(r, 1)[..., None] + t[i] * (dr := d.take(r, 1)[..., None])
-            h_b, h_c, factor, _ = next(_pair_terms([(sticks, *nodes)], clearance=False))
-            f[i] = factor * (h_b * dr[1] + h_c * dr[2])
+            nodes = e0.take(at, 1)[..., None] + t[i] * d.take(at, 1)[..., None]
+            f[i] = next(_pair_terms([(sticks, *nodes)], clearance=False))[2] * det[at, None]
         return f
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        peak = ((q[0] - e0[1]) * d[1] + (q[1] - e0[2]) * d[2]) / (d[1] * d[1] + d[2] * d[2])
+        r = knot.sticks.start[1:, stick, 0] - e0[1:]
+        det = knot.sticks.hand[stick, 0] * (d[1] * r[1] - d[2] * r[0])
+        peak = (r[0] * d[1] + r[1] * d[2]) / (d[1] * d[1] + d[2] * d[2])
         split = (peak > 0.0) & (peak < 1.0)
         rows = np.repeat(np.arange(len(edge)), 1 + split)
         lo, hi, first = np.zeros(len(rows)), np.ones(len(rows)), np.cumsum(1 + split)[split] - 2
@@ -329,8 +335,6 @@ def _holonomy_results(knot: LatticeKnot, loops, tol: float = 1e-6,
                                         knot.k).tolist()
         results.append(HolonomyResult(value, abs(est), size, inferred, residual, knot.k,
                                       21 * panels, depth))
-    if refusal is not None:
-        raise refusal
     return results
 
 
@@ -362,15 +366,16 @@ def linking_number(knot: LatticeKnot, loop: Loop) -> int:
 
 def _linking_results(knot: LatticeKnot, loops) -> list[tuple[int, float]]:
     """(``linking_number``, the Gauss sum / 4*pi it rounds) of each loop, bit
-    for bit, or the first error it raises on the loops in order.  One pass
-    takes every loop's (edge, stick) rows, stacked, and each loop's Gauss sum
-    is ``np.sum`` over its own contiguous rows, as alone.  The pass forms x,
-    y and z arrays, with ``np.cross``'s products and each three-term sum as
+    for bit, or ``_edges``' refusal, else the pass's overflow, else the first
+    ambiguous loop's error.  One pass takes every loop's (edge, stick) rows,
+    stacked, and each loop's Gauss sum is ``np.sum`` over its own contiguous
+    rows, its kept signs times solid angles, as alone.  The pass forms x, y
+    and z arrays, with ``np.cross``'s products and each three-term sum as
     ((x + y) + z), the order of ``np.sum`` and ``np.linalg.norm`` over a last
-    axis of 3.  When it overflows, the loops are taken alone, in order, up to
-    the first that raises.
+    axis of 3, each normal scaled first by 2^-e, e the exponent of its largest
+    |component|: exact, so no n . n leaves the normal range near a stick's line.
     """
-    sizes, firsts, p0, p1, refusal = _edges(knot, loops, 0.0)
+    sizes, firsts, p0, p1, sign = _edges(knot, loops, 0.0)
     # (coordinate, end, loop edge, 1) and (coordinate, end, 1, knot stick) arrays.
     p, q = (np.array(e).transpose(2, 0, 1) for e in ((p0, p1), stick_ends(knot)))
     p, q = p[..., None], q[:, :, None]
@@ -380,18 +385,14 @@ def _linking_results(knot: LatticeKnot, loops) -> list[tuple[int, float]]:
             e = c[:, [1, 2, 3, 0]]                          # n = c x e, as np.cross forms it
             n = np.array((c[1] * e[2] - c[2] * e[1], c[2] * e[0] - c[0] * e[2],
                           c[0] * e[1] - c[1] * e[0]))
+            n = np.ldexp(n, -np.frexp(abs(n).max(axis=0))[1])
             norm = np.sqrt(np.add.reduce(n * n))
             n = np.divide(n, norm, out=np.zeros_like(n), where=norm > 0.0)
             omega = sum(np.arcsin(np.clip(np.add.reduce(n * n[:, [1, 2, 3, 0]]), -1.0, 1.0)))
     except FloatingPointError as exc:
-        # Each loop alone, in order: the first that fails raises its own error.
-        for loop in loops[:len(sizes)] if len(sizes) > 1 else ():
-            _linking_results(knot, [loop])
         raise LinkingPrecisionError(f"Gauss sum not representable: {exc}") from exc
-    results, (sign, meets) = [], _orient(knot, p0, p1)
-    for loop, lo, n in zip(loops, firsts, sizes):
-        if meets[lo:lo + n].any():          # on the conductor: its entry is at 0
-            raise _refusal(_clearances(knot, [loop])[0], on_conductor=True)
+    results = []
+    for lo, n in zip(firsts, sizes):
         total = float(np.sum(sign[lo:lo + n] * omega[lo:lo + n])) / (4.0 * math.pi)
         # NaN fails every comparison, so a non-finite sum is refused explicitly.
         residual = abs(total - round(total)) if math.isfinite(total) else math.inf
@@ -400,8 +401,6 @@ def _linking_results(knot: LatticeKnot, loops) -> list[tuple[int, float]]:
                 f"Gauss sum {total:.6f} rounds ambiguously (residual {residual:.3f})"
             )
         results.append((int(round(total)), total))
-    if refusal is not None:
-        raise refusal
     return results
 
 

@@ -390,8 +390,11 @@ def _triple_signs(p0, p1, q0, q1):
 
 
 def _unit_normals(a, b):
-    """Unit vectors along a x b; zero where a and b are parallel."""
+    """Unit vectors along a x b; zero where a and b are parallel.  Each cross
+    product is first scaled by 2^-e, e the exponent of its largest
+    |component|, as ``linking_number`` scales it."""
     c = np.cross(a, b)
+    c = np.ldexp(c, -np.frexp(np.abs(c).max(axis=-1, keepdims=True))[1])
     norm = np.linalg.norm(c, axis=-1, keepdims=True)
     return np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
 
@@ -629,10 +632,12 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
                   max_levels: int = 40) -> HolonomyResult:
     """Integrate the circuit's field along the loop.
 
-    Each (loop edge, stick) pair whose stick does not lie along the edge is
-    one row: the stick alone, read by the kernel at one panel's 21 nodes,
-    its field dotted with the edge's step in the stick's roles, the row
-    split first where the edge passes closest to the stick's line.  The
+    Each (loop edge, stick) pair whose ``_triple_signs`` is not 0 is one
+    row: the stick alone, read by the kernel at one panel's 21 nodes, its
+    field dotted with the edge's step d in the stick's roles (a, b, c),
+    which is its factor times the constant hand * (d_b * r_c - d_c * r_b),
+    r = q0 - p0, the row split first where the edge passes closest to the
+    stick's line.  The
     rows share one ``bisect_levels`` pool of ``tol``, the error estimate.
     Each edge sums its rows in stick order and the loop its edges in order.  The loop is first checked
     with ``loop_clearance``: LoopOnConductorError when it passes within the
@@ -646,28 +651,31 @@ def scan_holonomy(knot: LatticeKnot, loop: Loop, tol: float = 1e-6,
     v = [np.asarray(p, dtype=float) for p in loop.vertices]
     rows, panels = [], []
     for edge in range(len(v)):
-        a, step = v[edge], v[(edge + 1) % len(v)] - v[edge]
+        a, b = v[edge], v[(edge + 1) % len(v)]
+        signs = _triple_signs(a[None], b[None], *stick_ends(knot))
         for index, seg in enumerate(segments(knot)):
             one = PackedSticks.pack([seg.start], [seg.end])
             roles = one.roles[:, 0]
-            e0, d = a[roles], step[roles]
-            if d[1] == 0.0 and d[2] == 0.0:
-                continue        # the stick lies along the edge: an exact zero
+            e0, d = a[roles], (b - a)[roles]
+            if signs[index] == 0.0:
+                continue        # coplanar, the stick along the edge among them: an exact zero
             (qb, qc), (db, dc) = one.start[1:, 0, 0], d[1:]
             with np.errstate(all="ignore"):
-                peak = float(((qb - e0[1]) * db + (qc - e0[2]) * dc) / (db * db + dc * dc))
+                rb, rc = qb - e0[1], qc - e0[2]
+                det = one.hand[0, 0] * (db * rc - dc * rb)
+                peak = float((rb * db + rc * dc) / (db * db + dc * dc))
             row = len(rows)
-            rows.append((edge, index, one, e0, d))
+            rows.append((edge, index, one, e0, d, det))
             split = 0.0 < peak < 1.0
             panels += [(row, 0.0, peak), (row, peak, 1.0)] if split else [(row, 0.0, 1.0)]
 
     def panel(row, lo, hi):
-        _, _, one, e0, d = rows[row]
+        _, _, one, e0, d, det = rows[row]
         t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _XK
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h_b, h_c, factor, _ = next(_pair_terms(
+            _, _, factor, _ = next(_pair_terms(
                 [(one, *(e0[:, None] + t * d[:, None])[:, None, :])], clearance=False))
-            f = factor * (h_b * d[1] + h_c * d[2])
+            f = factor * det
         return kronrod_gauss(lo, hi, f[0])
 
     def error(row, depth, lo, hi):

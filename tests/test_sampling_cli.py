@@ -643,18 +643,25 @@ class TestCli:
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == 0
         assert capsys.readouterr().out.strip() == "-1"
 
-    @pytest.mark.parametrize("vertices, rc, out", [
+    @pytest.mark.parametrize("vertices, rc, out, err", [
         # Square of half-width 3e-4 around trefoil stick 1, (2,2,0)->(2,2,6).
         (((1.9997, 1.9997, 3), (2.0003, 1.9997, 3), (2.0003, 2.0003, 3),
-          (1.9997, 2.0003, 3)), 0, "1"),
-        # A vertex so far out that the Gauss sum overflows: a typed refusal.
-        (((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), 4, ""),
-    ], ids=["tight-square", "overflow"])
-    def test_linking_exit_codes(self, tmp_path, capsys, vertices, rc, out):
+          (1.9997, 2.0003, 3)), 0, "1", ""),
+        # A vertex so far out that its distances overflow: a typed refusal.
+        (((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), 4, "",
+         "error: loop edge 0 is not representable: its distance to circuit segment 1 "
+         "evaluates to nan\n"),
+        # Through stick 1, with vertices whose cross products square past
+        # the float range: refused on the conductor, as holonomy refuses it,
+        # before any Gauss sum is formed.
+        (((2, 2, 3), (7, 3, 2), (1e80, 5, 2), (5, 1e80, 2)), 3, "",
+         "error: loop edge 0 passes 0 from circuit segment 1\n"),
+    ], ids=["tight-square", "overflow", "touching-far"])
+    def test_linking_exit_codes(self, tmp_path, capsys, vertices, rc, out, err):
         loop_file = tmp_path / "loop.txt"
         loop_file.write_text("".join("%r %r %r\n" % v for v in vertices))
         assert run_cli("linking", "--knot", "3_1", "--loop", str(loop_file)) == rc
-        assert capsys.readouterr().out.strip() == out
+        assert capsys.readouterr() == (out + "\n" * bool(out), err)
 
     @pytest.mark.parametrize("argv, flag", [
         (("holonomy", "--knot", "3_1", "--loop", "LOOP", "--k", "0"), "--k"),

@@ -34,6 +34,7 @@ from knotfield.topology import (
     _holonomy_results,
     _linking_results,
     _measure,
+    _orient,
     _refusal,
     holonomy,
     linking_number,
@@ -344,13 +345,22 @@ def linking_one_at_a_time(knot, loops):
 THROUGH = Loop(vertices=((2, 2, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="through")
 # Its length squared overflows: loop_clearance refuses it as not representable.
 HUGE = Loop(vertices=((1e200, 3, 3), (7, 3, 2), (7, 5, 2), (5, 5, 2)), name="huge")
-# Clear of the circuit by 7e149, but the Gauss sum's cross products overflow.
-OVERFLOWING = Loop(vertices=((1e150, 0, 0), (0, 1e150, 0), (0, 0, 1e150)), name="overflowing")
-# Edge 0 runs 2.2e-162 from the trefoil's sticks on the z axis, so its normals'
-# squares are subnormal: the sum, 1.556 where the Gauss integral is 2, rounds ambiguously.
-AMBIGUOUS = Loop(vertices=((2.383137242326653e-162, -3.0964321735541426e-162, 0.7665332416277835),
-                           (-9.592427756138262e-163, 1.5339164715110692e-162, 5.218610488321998),
-                           (4.148216416278775, 0.8313075283585176, 7.731049952640161)),
+# A unit square with THROUGH's first vertex as its own: THROUGH meets it and
+# HUGE is not representable around it.  Its sticks are 1 long, so a loop
+# 1e154 across keeps its distances to them finite; around 3_1 the distance's
+# own products with a 6-long stick's squared length overflow first.
+UNIT_SQUARE = LatticeKnot(vertices=((2, 2, 3), (3, 2, 3), (3, 3, 3), (2, 3, 3)), name="unit-square")
+# An octagon about 1.2e154 from UNIT_SQUARE whose corner cross products
+# overflow: its Gauss sum is not representable.
+OVERFLOWING = Loop(vertices=tuple((x * 1e153, y * 1e153, 3.5) for x, y in (
+    (6.4, 11), (17.4, 4.7), (11, -6.4), (3.3, -12.3), (-6.4, -11), (-12.3, -3.3), (-11, 6.4),
+    (-3.3, 12.3))), name="overflowing")
+# A triangle 3e16 across, edge 0 through UNIT_SQUARE's box: its corners keep
+# none of the square's own coordinates, and its sum, 0.359 where its piercing
+# count is 0, rounds ambiguously.
+AMBIGUOUS = Loop(vertices=((-6978075864248687.0, -1.643747356435298e+16, -7276168862752082.0),
+                           (4559198520775904.0, 1.0739594498226324e+16, 4753960685055793.0),
+                           (2107391203243480.0, 2.299383655613328e+16, -2530285132341498.0)),
                  name="ambiguous")
 # A vertex 5e-16 from the trefoil's corner (0, 0, 4).  With exact signs its sum
 # is 0, the Gauss integral at 60 digits; rounded triple products give 0.493.
@@ -384,24 +394,34 @@ class TestBatchedLinking:
                                      [OVERFLOWING, AMBIGUOUS]],
                              ids=lambda bad: "-".join(loop.name for loop in bad))
     def test_raises_the_first_error(self, bad):
-        """Refused loops mid-batch: the batch raises the error that
-        ``linking_number`` raises first on the loops in order, also when the
-        pass over every loop overflows after a loop that rounds ambiguously."""
-        knot = canonical_trefoil()
+        """Refused loops mid-batch around ``UNIT_SQUARE``: the batch raises
+        the error ``linking_number`` raises on the first loop refused on its
+        clearance, before any sum is formed, else the pass's overflow, also
+        after a loop that rounds ambiguously, else the first ambiguous sum."""
+        knot = UNIT_SQUARE
         good = polygons(knot, 1, 6)
         loops = good[:3] + bad + good[3:]
-        want = linking_one_at_a_time(knot, loops)
-        assert isinstance(want, str)
-        assert linking_outcome(_linking_results, knot, loops) == want
+        alone = [linking_outcome(_linking_results, knot, [loop]) for loop in loops]
+        assert alone == [linking_one_at_a_time(knot, [loop]) for loop in loops]
+        errors = [got for got in alone if isinstance(got, str)]
+        refused = [got for got in errors if "Gauss sum" not in got]
+        overflow = [got for got in errors if "not representable: overflow" in got]
+        assert len(errors) == len(bad)
+        assert linking_outcome(_linking_results, knot, loops) == (refused or overflow or errors)[0]
 
 
 def clearance_outcomes(knot, loops):
     """``_clearances`` of the loops on a fresh copy of the knot, one pass over
     them all, each distance as its hex, or the type and message of the error
-    ``_refusal`` builds from an entry that is not finite."""
+    ``_refusal`` builds from an entry that is not finite.  Each entry's signs
+    are its own read-only copy of the (edges, sticks) signs ``_orient`` gives
+    the loop alone, and ``meets`` says whether any of its pairs meets."""
     entries = _clearances(dataclasses.replace(knot), loops)
-    assert all(type(clear) is float and type(edge) is type(stick) is int
-               for clear, (edge, stick) in entries)
+    for loop, (clear, (edge, stick), sign, meets) in zip(loops, entries):
+        assert type(clear) is float and type(edge) is type(stick) is int and type(meets) is bool
+        assert sign.base is None and not sign.flags.writeable
+        alone = _orient(knot, *loop._ends)
+        assert sign.tolist() == alone[0].tolist() and meets == alone[1].any()
     return [f"{type(error).__name__}: {error}" if (error := _refusal(entry))
             else (entry[0].hex(), entry[1]) for entry in entries]
 
@@ -452,7 +472,7 @@ class TestClearances:
         assert got == one_at_a_time(loop_clearance, knot, loops) == \
             one_at_a_time(scan_loop_clearance, knot, loops)
         assert [isinstance(outcome, str) for outcome in got] == [False] * 3 + [True] + [False] * 3
-        clear, (edge, stick) = _clearances(knot, loops)[3]
+        clear, (edge, stick), *_ = _clearances(knot, loops)[3]
         assert not math.isfinite(clear) and f"loop edge {edge} " in got[3] and \
             f"circuit segment {stick} evaluates to {clear}" in got[3]
         with pytest.raises(LinkingPrecisionError):
@@ -547,13 +567,14 @@ def test_verify_measures_each_clearance_once():
 
     def measured(knot, loops):
         out = _measure(knot, loops)
-        rounds.append((loops, sum(clear >= 0.5 for clear, _ in out)))
+        rounds.append((loops, sum(clear >= 0.5 for clear, *_ in out)))
         return out
 
     with mock.patch("knotfield.topology._measure", measured), \
+            mock.patch("knotfield.topology._orient", wraps=_orient) as orient, \
             mock.patch("knotfield.verification.Loop", wraps=Loop) as drawn:
         name, passed, *_ = suite_holonomy_linking(knot, 0, 20)
-        assert passed
+        assert passed and orient.call_count == len(rounds)
         missing = 20
         for loops, kept in rounds:
             assert len(loops) == missing
@@ -633,6 +654,21 @@ def test_memo_errors_keep_their_data(loop):
         assert len(errors) == 6 * 3 * 2
     else:
         assert clear == hol and kind == "LinkingPrecisionError" and len(errors) == 6 * 3 * 3
+
+
+def test_one_orient_pass_per_loop():
+    """On a fresh knot and loop, ``loop_clearance``, ``holonomy`` and
+    ``linking_number`` make one ``_orient`` call between them, in the loop's
+    one ``_measure`` pass, and the signs its entry keeps are read-only."""
+    knot, loop = canonical_trefoil(), paper_loop()
+    with mock.patch("knotfield.topology._orient", wraps=_orient) as orient:
+        loop_clearance(knot, loop)
+        holonomy(knot, loop)
+        linking_number(knot, loop)
+    assert orient.call_count == 1
+    ((_, _, sign, _),) = _clearances(knot, [loop])
+    with pytest.raises(ValueError, match="read-only"):
+        sign[0, 0] = 1.0
 
 
 def test_store_keeps_one_knot_per_loop():
@@ -840,7 +876,10 @@ def test_rect_loops_draw_as_one_at_a_time(knot, seed, n, clearance):
     rng = np.random.default_rng(seed)
     want = [random_rect_loop(rng, knot, clearance) for _ in range(n)]
     fresh = dataclasses.replace(knot)
-    assert loops == want and kept == [loop_clearance(fresh, loop) for loop in want]
+    assert loops == want and [entry[:2] for entry in kept] == \
+        [loop_clearance(fresh, loop) for loop in want]
+    assert [(sign.tobytes(), meets) for _, _, sign, meets in kept] == \
+        [(sign.tobytes(), meets) for _, _, sign, meets in _clearances(fresh, want)]
     assert after == rng.bit_generator.state
 
 
